@@ -3,6 +3,11 @@
 A deterministic SEIR agent population exchanges quantized risk messages
 through a contact-tracing app; pluggable policies map the received
 messages and local observations onto graded quarantine recommendations.
+
+The package namespace holds the engine entry points. Everything else is
+imported from its submodule: ``messaging`` (quantization and the wire
+codec), ``tracing`` (policies and predictors), ``virology``, ``mobility``,
+``metrics``, ``datagen`` and ``cli``.
 """
 
 from .core import (
@@ -18,81 +23,11 @@ from .core import (
     run,
     step_day,
 )
-from .datagen import (
-    DR_RANGES,
-    adoption_to_uptake,
-    export_training_records,
-    iter_training_records,
-    make_split,
-    read_records,
-    sample_dr_config,
-)
-from .messaging import (
-    DEFAULT_THRESHOLDS,
-    N_RISK_LEVELS,
-    RiskMessage,
-    calibrate_thresholds,
-    cluster_inbox,
-    diff_and_emit,
-    pack_message,
-    quantize_risk,
-    unpack_message,
-)
-from .metrics import (
-    EXTERNAL_SEED,
-    config_hash,
-    effective_contacts_per_agent_day,
-    estimate_r,
-    false_quarantine_fraction,
-    pareto_point,
-)
-from .mobility import (
-    LOCATION_PARAMS,
-    LocationParams,
-    effective_contacts,
-    generate_encounters,
-)
-from .tracing import (
-    DEFAULT_PSI,
-    ExternalPredictor,
-    Observables,
-    bct_fanout,
-    evaluate_predictor,
-    policy_bct,
-    policy_heuristic,
-    policy_no_tracing,
-    policy_pct,
-    predict_noisy_oracle,
-    predict_oracle,
-)
-from .virology import (
-    DiseaseCourse,
-    effective_viral_load,
-    ground_truth_infectiousness,
-    sample_disease_course,
-    transmission_trial,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DayReport", "POLICIES", "PREDICTORS", "SimConfig",
     "SimulationTrace", "WorldState", "init_world", "load_config", "run",
-    "step_day",
-    "DR_RANGES", "adoption_to_uptake", "export_training_records",
-    "iter_training_records", "make_split", "read_records", "sample_dr_config",
-    "DEFAULT_THRESHOLDS", "N_RISK_LEVELS", "RiskMessage",
-    "calibrate_thresholds", "cluster_inbox", "diff_and_emit", "pack_message",
-    "quantize_risk", "unpack_message",
-    "EXTERNAL_SEED", "config_hash", "effective_contacts_per_agent_day",
-    "estimate_r", "false_quarantine_fraction", "pareto_point",
-    "LOCATION_PARAMS", "LocationParams", "effective_contacts",
-    "generate_encounters",
-    "DEFAULT_PSI", "ExternalPredictor", "Observables", "bct_fanout",
-    "evaluate_predictor", "policy_bct", "policy_heuristic",
-    "policy_no_tracing", "policy_pct", "predict_noisy_oracle",
-    "predict_oracle",
-    "DiseaseCourse", "effective_viral_load", "ground_truth_infectiousness",
-    "sample_disease_course", "transmission_trial",
-    "__version__",
+    "step_day", "__version__",
 ]

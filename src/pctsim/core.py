@@ -476,24 +476,23 @@ class WorldState:
             out[:, k] = self.y_hist[:, d]
         return out
 
-    def observables_for(self, agent: int, day: int) -> tracing.Observables:
-        """Assemble one agent's observables window as of ``day``."""
-        profile = agent_profile(self, agent)
-        health, encounters = [], []
-        ledger = self.received[agent] or {}
-        for k in range(self.window):
-            d = day - k
-            if d < 0:
-                health.append(None)
-                encounters.append(None)
-                continue
-            health.append({
-                "symptoms": tuple(virology.symptom_names_from_mask(int(self.symptom_hist[agent, d]))),
-                "test": virology.TEST_CODE_NAMES[int(self.test_hist[agent, d])],
-            })
-            per_day = ledger.get(d, {})
-            encounters.append(tuple(sorted((int(lvl), int(cnt)) for lvl, cnt in per_day.values())))
-        return tracing.Observables(profile=profile, health=tuple(health), encounters=tuple(encounters))
+    def observables_for(self, day):
+        """The heuristic's evidence for every app agent as of ``day``.
+
+        Returns three arrays over ``app_ids``: a positive test anywhere in
+        the window, the number of symptoms reported today, and the highest
+        risk level held in the received-message ledger (which only keeps
+        the window's days).
+        """
+        app = self.app_ids
+        tests = self.test_hist[app, max(day - self.cfg.d_max, 0):day + 1]
+        has_positive = np.any(tests == TEST_POSITIVE, axis=1)
+        n_symptoms = np.unpackbits(self.symptom_hist[app, day][:, None], axis=1).sum(axis=1)
+        max_level = np.array(
+            [max((entry[0] for per_day in self.received[agent].values()
+                  for entry in per_day.values()), default=0)
+             for agent in app.tolist()], dtype=np.int64)
+        return has_positive, n_symptoms, max_level
 
     # ------------------------------------------------------------------
     # the six daily phases
@@ -677,10 +676,9 @@ class WorldState:
         cfg = self.cfg
         sent = 0
         for agent in self.app_ids.tolist():
-            if self.inbox[agent]:
+            if any(msg.risk_level == tracing.BCT_FLAG_LEVEL for msg in self.inbox[agent]):
                 self.bct_until[agent] = max(self.bct_until[agent], day + QUARANTINE_DAYS)
                 self.bct_active[agent] = True
-                self.inbox[agent] = []
         flaggers = np.flatnonzero(self.new_positive_today & self.has_app & ~self.bct_broadcast_done)
         for agent in flaggers.tolist():
             self.bct_broadcast_done[agent] = True
@@ -754,48 +752,35 @@ class WorldState:
         return sent
 
     def _app_pass_pct(self, day):
-        app = self.app_ids
         y_hat, failed = self._predict(day)
-        qlev = np.searchsorted(self.thresholds, y_hat, side="left")
-        prev = self.yhat_prev[app]
-        prev_aligned = np.concatenate([prev[:, :1], prev[:, :-1]], axis=1)
-        prev_qlev = np.searchsorted(self.thresholds, prev_aligned, side="left")
-        changed = np.flatnonzero(np.any(qlev != prev_qlev, axis=1) & ~failed)
-        sent = self._emit_updates(day, app, y_hat, changed)
+        qlev = messaging.quantize_risk(y_hat, self.thresholds)
         levels = self.psi[qlev[:, 0]]
         levels[failed] = 1
-        self.policy_level[app] = levels
-        keep = ~failed
-        self.yhat_prev[app[keep]] = y_hat[keep]
-        self.shared_qlevel[app[keep]] = qlev[keep, 0].astype(np.int8)
-        if self.yhat_hist is not None:
-            self.yhat_hist[app, day] = y_hat
-        return sent
+        return self._publish(day, y_hat, qlev, levels, ~failed)
 
     def _app_pass_heuristic(self, day):
+        score, levels = tracing.policy_heuristic(*self.observables_for(day))
+        y_hat = np.repeat(score[:, None], self.window, axis=1)
+        qlev = messaging.quantize_risk(y_hat, self.thresholds)
+        return self._publish(day, y_hat, qlev, levels, np.ones(score.size, dtype=bool))
+
+    def _publish(self, day, y_hat, qlev, levels, ok):
+        """Send updates where the quantized history changed, then adopt it.
+
+        Rows not ``ok`` (failed predictions) send nothing and keep their
+        previous estimate as the baseline for tomorrow's diff.
+        """
         app = self.app_ids
-        y_hat_all = np.zeros((app.size, self.window))
-        active = []
-        for i, agent in enumerate(app.tolist()):
-            ledger = self.received[agent]
-            has_msg = any(any(e[0] > 0 for e in per_day.values()) for per_day in ledger.values())
-            if (self.symptom_hist[agent, day] or self.test_code[agent] != TEST_NONE
-                    or has_msg or self.yhat_prev[agent, 0] > 0):
-                active.append(i)
-        levels = np.ones(app.size, dtype=np.int8)
-        for i in active:
-            agent = int(app[i])
-            obs = self.observables_for(agent, day)
-            y_hat, level = tracing.policy_heuristic(obs)
-            y_hat_all[i] = y_hat
-            levels[i] = level
-        sent = self._emit_updates(day, app, y_hat_all, active)
+        prev = self.yhat_prev[app]
+        prev_aligned = np.concatenate([prev[:, :1], prev[:, :-1]], axis=1)
+        prev_qlev = messaging.quantize_risk(prev_aligned, self.thresholds)
+        changed = np.flatnonzero(np.any(qlev != prev_qlev, axis=1) & ok)
+        sent = self._emit_updates(day, app, y_hat, changed)
         self.policy_level[app] = levels
-        self.yhat_prev[app] = y_hat_all
-        self.shared_qlevel[app] = np.searchsorted(
-            self.thresholds, y_hat_all[:, 0], side="left").astype(np.int8)
+        self.yhat_prev[app[ok]] = y_hat[ok]
+        self.shared_qlevel[app[ok]] = qlev[ok, 0]
         if self.yhat_hist is not None:
-            self.yhat_hist[app, day] = y_hat_all
+            self.yhat_hist[app, day] = y_hat
         return sent
 
     def _snapshot_enc_windows(self, day):
@@ -889,7 +874,7 @@ def run(config: SimConfig) -> SimulationTrace:
         population=world.n,
         num_days=int(config.num_days),
         app_ids=world.app_ids,
-        profiles={a: agent_profile(world, a) for a in world.app_ids.tolist()},
+        profiles=agent_profile(world, world.app_ids),
         initial_counts=world.initial_counts,
         day_reports=world.day_reports,
         events=world.events,
@@ -906,12 +891,15 @@ def run(config: SimConfig) -> SimulationTrace:
     )
 
 
-def agent_profile(world, agent: int) -> dict:
-    """Exportable demographic profile g for one agent."""
+def agent_profile(world, agents) -> dict:
+    """Exportable demographic profile g for each agent, keyed by agent id."""
     return {
-        "age_band": AGE_BAND_NAMES[int(world.age_band[agent])],
-        "sex": "mf"[int(world.sex[agent])],
-        "conditions": [name for bit, name in enumerate(CONDITION_NAMES)
-                       if int(world.conditions[agent]) >> bit & 1],
-        "has_app": bool(world.has_app[agent]),
+        agent: {
+            "age_band": AGE_BAND_NAMES[int(world.age_band[agent])],
+            "sex": "mf"[int(world.sex[agent])],
+            "conditions": [name for bit, name in enumerate(CONDITION_NAMES)
+                           if int(world.conditions[agent]) >> bit & 1],
+            "has_app": bool(world.has_app[agent]),
+        }
+        for agent in np.asarray(agents).tolist()
     }

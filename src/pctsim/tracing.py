@@ -1,29 +1,33 @@
 """Tracing policies and infectiousness predictors.
 
-Four policies are supported. No Tracing pins everyone at the baseline
-recommendation level. Binary contact tracing quarantines on a positive
-test and broadcasts a flag to the past 14 days of contacts. The rule
-ladder heuristic grades symptoms, tests, and received risk levels. During
-proactive contact tracing each app runs a predictor that estimates the
-agent's own infectiousness history, maps today's quantized estimate to a
-recommendation through the psi table, and sends update messages when the
-quantized history changes.
+Four policies are supported, all run by the engine in ``core`` over arrays
+of app agents. No Tracing pins everyone at the baseline recommendation
+level. Binary contact tracing quarantines on a positive test and
+broadcasts a flag (a maximum-level message) to the past d_max days of
+contacts, listed by :func:`bct_fanout`. The heuristic applies the rule
+ladder :func:`policy_heuristic` to three per-agent numbers the engine
+reads each day (a positive test in the window, today's symptom count and
+the highest risk level received in the window); it reads no profile.
+During proactive contact tracing each app runs a predictor that
+estimates the agent's own infectiousness history, maps today's quantized
+estimate to a recommendation through the psi table, and sends update
+messages when the quantized history changes.
 
 Predictors estimate the d_max+1 day window newest-first. The oracle reads
 the simulator's ground truth (never exported on the wire); the noisy
 oracle corrupts it with multiplicative and additive Gaussian noise; an
 external predictor replays predictions produced offline from exported
-observables.
+observables. :func:`evaluate_predictor` scores prediction files against
+exported records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .messaging import N_RISK_LEVELS, quantize_risk
+from .messaging import N_RISK_LEVELS
 
 # A binary-tracing positive flag travels as a maximum-level risk message.
 BCT_FLAG_LEVEL = N_RISK_LEVELS - 1
@@ -31,46 +35,6 @@ BCT_FLAG_LEVEL = N_RISK_LEVELS - 1
 # Today's quantized risk level 0..15 -> recommendation level. Uniform
 # quartiles by default; ships as config, not code.
 DEFAULT_PSI = (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)
-
-# Heuristic evidence score: the per-day estimate is a flat vector at the
-# score of the strongest triggered rule (positive test 1.0, multiple
-# symptoms or high inbox level 0.75, medium inbox level 0.5, weak
-# evidence 0.25, none 0).
-_WEAK_SCORE = 0.25
-
-
-@dataclass(frozen=True)
-class Observables:
-    """Per-agent app-visible state over the rolling window, newest-first.
-
-    ``health`` slots are dicts {"symptoms": tuple of names, "test": one of
-    none/pending/positive/negative}; ``encounters`` slots are tuples of
-    (risk_level, repeat_count) pairs. A ``None`` slot marks a day before
-    enrollment. Exactly d_max+1 slots each.
-    """
-
-    profile: dict
-    health: tuple
-    encounters: tuple
-
-    def __post_init__(self):
-        if len(self.health) != len(self.encounters):
-            raise ValueError("health and encounter windows differ in length")
-
-
-def psi_map(qlevel: int, psi_table=DEFAULT_PSI) -> int:
-    """Recommendation level for today's quantized risk level."""
-    return int(psi_table[qlevel])
-
-
-def policy_no_tracing(agent=None) -> int:
-    """Baseline recommendation level 1 for everyone, unconditionally.
-
-    Test-isolation and household-quarantine escalations are applied by the
-    engine on top of every policy, this one included.
-    """
-    del agent
-    return 1
 
 
 def bct_fanout(contact_book, result_day: int, d_max: int):
@@ -88,87 +52,26 @@ def bct_fanout(contact_book, result_day: int, d_max: int):
     return out
 
 
-def policy_bct(agent, inbox, day: int, quarantine_days: int = 14,
-               quarantine_level: int = 4) -> int:
-    """One agent-day of binary contact tracing.
+def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
+    """Rule ladder over per-agent evidence arrays.
 
-    ``agent`` is a mutable mapping that persists state between calls:
-    ``"positive_result_day"`` (set by the caller when the agent's own
-    Positive result arrives) and ``"bct_until"`` (managed here). ``inbox``
-    holds the day's received messages; any positive flag, like the agent's
-    own result, starts a quarantine covering the next ``quarantine_days``
-    days. The returned level takes effect from the following day, so a
-    flag received on day 10 quarantines days 11 through 24.
+    Returns (evidence score in [0, 1], recommendation level) per agent.
+    Rules, from strongest: a positive test in the window gives level 4
+    (score 1.0); two or more distinct symptoms today, or a received risk
+    level of 12 or more, give level 3 (0.75); a received level of 8 or
+    more gives level 2 (0.5); a single symptom gives level 2 at 0.25; a
+    received level of 4 to 7 is weak evidence at level 1 (0.25). No
+    evidence keeps the baseline level 1 at score 0.
     """
-    until = agent.get("bct_until", day - 1)
-    if agent.get("positive_result_day") == day:
-        until = max(until, day + quarantine_days)
-    for msg in inbox:
-        if msg.risk_level == BCT_FLAG_LEVEL:
-            until = max(until, day + quarantine_days)
-    agent["bct_until"] = until
-    return quarantine_level if day + 1 <= until else 1
-
-
-def heuristic_assessment(has_positive_test: bool, n_symptoms_today: int,
-                         max_received_level: int) -> tuple[float, int]:
-    """Rule ladder shared by :func:`policy_heuristic` and the engine.
-
-    Returns (evidence score in [0, 1], recommendation level). Rules, from
-    strongest: a known positive test; two or more distinct symptoms today;
-    a received risk level of 12 or more; one of 8 or more; any symptom or
-    a received level of 4 or more as weak evidence.
-    """
-    level, score = 1, 0.0
-    if has_positive_test:
-        level, score = 4, 1.0
-    if n_symptoms_today >= 2:
-        level, score = max(level, 3), max(score, 0.75)
-    if max_received_level >= 12:
-        level, score = max(level, 3), max(score, 0.75)
-    elif max_received_level >= 8:
-        level, score = max(level, 2), max(score, 0.5)
-    if n_symptoms_today >= 1 or max_received_level >= 4:
-        level = max(level, 2 if n_symptoms_today >= 1 else 1)
-        score = max(score, _WEAK_SCORE)
+    pos = np.asarray(has_positive_test, dtype=bool)
+    n_sym = np.asarray(n_symptoms_today)
+    top = np.asarray(max_received_level)
+    strong = (n_sym >= 2) | (top >= 12)
+    medium = top >= 8
+    weak = (n_sym >= 1) | (top >= 4)
+    score = np.select([pos, strong, medium, weak], [1.0, 0.75, 0.5, 0.25], 0.0)
+    level = np.select([pos, strong, medium | (n_sym >= 1)], [4, 3, 2], 1).astype(np.int8)
     return score, level
-
-
-def policy_heuristic(obs: Observables) -> tuple[np.ndarray, int]:
-    """Deterministic rule-based policy over one agent's observables.
-
-    Returns (estimate vector over the window, recommendation level). The
-    estimate is the evidence score repeated across the window, saturated
-    at 1.0 on a positive test.
-    """
-    has_positive = any(slot is not None and slot["test"] == "positive" for slot in obs.health)
-    today = obs.health[0]
-    n_symptoms = len(today["symptoms"]) if today is not None else 0
-    max_level = 0
-    for slot in obs.encounters:
-        if slot:
-            max_level = max(max_level, max(lvl for lvl, _n in slot))
-    score, level = heuristic_assessment(has_positive, n_symptoms, max_level)
-    window = len(obs.health)
-    return np.full(window, score, dtype=np.float64), level
-
-
-def predict_oracle(y_window) -> np.ndarray:
-    """Ground-truth infectiousness passed through as the prediction."""
-    return np.asarray(y_window, dtype=np.float64).copy()
-
-
-def predict_noisy_oracle(y_window, add_sigma: float, mul_sigma: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Ground truth corrupted per component and clamped to [0, 1].
-
-    y_hat = clamp(y * (1 + eps_m) + eps_a, 0, 1) with eps_m ~ N(0,
-    mul_sigma^2) and eps_a ~ N(0, add_sigma^2), fresh per day slot.
-    """
-    y = np.asarray(y_window, dtype=np.float64)
-    eps_m = rng.normal(0.0, mul_sigma, y.shape) if mul_sigma > 0 else 0.0
-    eps_a = rng.normal(0.0, add_sigma, y.shape) if add_sigma > 0 else 0.0
-    return np.clip(y * (1.0 + eps_m) + eps_a, 0.0, 1.0)
 
 
 class ExternalPredictor:
@@ -192,20 +95,6 @@ class ExternalPredictor:
 
     def __call__(self, agent_id: int, day: int) -> np.ndarray:
         return self.table[(agent_id, day)]
-
-
-def policy_pct(obs: Observables, y_hat, thresholds, psi_table=DEFAULT_PSI):
-    """Map a predicted history to today's recommendation level.
-
-    The caller supplies the predictor output for this agent and day; the
-    policy quantizes the today slot and applies the psi table. Update
-    message emission is handled by the messaging layer against the
-    previous day's estimate.
-    """
-    del obs
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    qlevel = quantize_risk(float(y_hat[0]), thresholds)
-    return y_hat, psi_map(qlevel, psi_table)
 
 
 def evaluate_predictor(records, predictions) -> float:

@@ -5,12 +5,11 @@ curve, a piecewise-linear tent in [0, 1]: zero until infectiousness
 onset, rising linearly to a per-agent peak located 0.7 days before
 symptom onset, then falling linearly to zero at recovery. The EVL drives
 both transmission probability and the ground-truth infectiousness target
-y used by predictors.
+y used by predictors: y for day d is the EVL at the day's midpoint,
+d + 0.5 - exposure_day days after exposure, and 0 before exposure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +38,6 @@ TEST_NONE, TEST_PENDING, TEST_POSITIVE, TEST_NEGATIVE = 0, 1, 2, 3
 TEST_CODE_NAMES = ("none", "pending", "positive", "negative")
 
 
-@dataclass(frozen=True)
-class DiseaseCourse:
-    """Timeline of one infection, all fields in days after exposure."""
-
-    infectiousness_onset_day: float
-    symptom_onset_day: float
-    peak_day: float
-    recovery_day: float
-    peak_evl: float
-    is_asymptomatic: bool
-    symptom_mask: int  # bitmask over SYMPTOM_NAMES
-
-
 def sample_disease_courses(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Vectorized course sampling for ``n`` newly exposed agents.
 
@@ -62,7 +48,9 @@ def sample_disease_courses(n: int, rng: np.random.Generator) -> dict[str, np.nda
     onset is clamped up to onset + 0.8 so that onset < peak < recovery
     holds for every sample.
 
-    Returns a dict of arrays keyed like DiseaseCourse fields.
+    Returns a dict of arrays: infectiousness_onset_day, symptom_onset_day,
+    peak_day, recovery_day (days after exposure), peak_evl,
+    is_asymptomatic and symptom_mask (a bitmask over SYMPTOM_NAMES).
     """
     onset = np.maximum(rng.normal(ONSET_MEAN, ONSET_SD, n), ONSET_MIN)
     mu = np.log(INCUBATION_MEAN) - INCUBATION_SIGMA_LOG**2 / 2
@@ -94,42 +82,13 @@ def sample_disease_courses(n: int, rng: np.random.Generator) -> dict[str, np.nda
     }
 
 
-def sample_disease_course(rng: np.random.Generator, profile=None) -> DiseaseCourse:
-    """Sample one disease course.
-
-    ``profile`` is accepted for interface stability; the demographic
-    profile does not currently modulate the course.
-    """
-    del profile
-    arrs = sample_disease_courses(1, rng)
-    return DiseaseCourse(
-        infectiousness_onset_day=float(arrs["infectiousness_onset_day"][0]),
-        symptom_onset_day=float(arrs["symptom_onset_day"][0]),
-        peak_day=float(arrs["peak_day"][0]),
-        recovery_day=float(arrs["recovery_day"][0]),
-        peak_evl=float(arrs["peak_evl"][0]),
-        is_asymptomatic=bool(arrs["is_asymptomatic"][0]),
-        symptom_mask=int(arrs["symptom_mask"][0]),
-    )
-
-
-def effective_viral_load(course: DiseaseCourse, t) -> float | np.ndarray:
-    """EVL at ``t`` days since exposure (scalar or array).
+def evl_tent(t, onset, peak, recovery, peak_evl):
+    """EVL at ``t`` days since exposure; all arguments broadcast together.
 
     Piecewise-linear tent: 0 for t <= onset, linear up to (peak, peak_evl),
-    linear down to (recovery, 0), and 0 afterwards.
+    linear down to (recovery, 0), and 0 afterwards. A scalar ``t`` with
+    scalar landmarks returns a float.
     """
-    return evl_tent(
-        np.asarray(t, dtype=np.float64),
-        course.infectiousness_onset_day,
-        course.peak_day,
-        course.recovery_day,
-        course.peak_evl,
-    )
-
-
-def evl_tent(t, onset, peak, recovery, peak_evl):
-    """Vectorized tent curve; all arguments broadcast together."""
     t = np.asarray(t, dtype=np.float64)
     rising = peak_evl * (t - onset) / (peak - onset)
     falling = peak_evl * (recovery - t) / (recovery - peak)
@@ -137,16 +96,6 @@ def evl_tent(t, onset, peak, recovery, peak_evl):
     evl = np.where((t <= onset) | (t >= recovery), 0.0, evl)
     out = np.clip(evl, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
-
-
-def ground_truth_infectiousness(course: DiseaseCourse | None, exposure_day, day) -> float:
-    """Per-day infectiousness target y: EVL at the day's midpoint.
-
-    Zero for agents never infected or for days before exposure.
-    """
-    if course is None or exposure_day is None or day < exposure_day:
-        return 0.0
-    return float(effective_viral_load(course, day + 0.5 - exposure_day))
 
 
 def transmission_probability(infector_evl, base_rate, mobility_env, carefulness):
@@ -158,12 +107,6 @@ def transmission_probability(infector_evl, base_rate, mobility_env, carefulness)
     """
     p = base_rate * np.asarray(infector_evl) * mobility_env * (1.0 - 0.5 * carefulness)
     return np.clip(p, 0.0, 1.0)
-
-
-def transmission_trial(infector_evl, base_rate, mobility_env, carefulness, rng) -> bool:
-    """Bernoulli trial for one directed (infectious -> susceptible) contact."""
-    p = transmission_probability(infector_evl, base_rate, mobility_env, carefulness)
-    return bool(rng.random() < p)
 
 
 def symptom_names_from_mask(mask: int) -> list[str]:

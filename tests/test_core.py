@@ -14,6 +14,7 @@ from pctsim.core import (
     step_day,
 )
 from pctsim.metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S
+from pctsim.tracing import policy_heuristic
 from pctsim.virology import TEST_NEGATIVE, TEST_PENDING, TEST_POSITIVE
 
 
@@ -215,6 +216,55 @@ class TestLevelsAndEstimates:
         tr = run(_small(policy="pct", predictor="oracle", num_days=5,
                         record_estimates=False))
         assert tr.yhat_hist is None
+
+
+@pytest.fixture(scope="module")
+def heuristic_days():
+    """A heuristic world stepped day by day: (world, per-day snapshots)."""
+    world = init_world(_small(policy="heuristic", population_size=600, num_days=20,
+                              initial_exposed_fraction=0.05, global_mobility_scale=3.75))
+    days = []
+    for day in range(world.cfg.num_days):
+        step_day(world)
+        days.append((world.observables_for(day), world.policy_level.copy()))
+    return world, days
+
+
+class TestHeuristicThroughEngine:
+    def test_levels_are_the_ladder_of_the_observables(self, heuristic_days):
+        world, days = heuristic_days
+        app = world.app_ids
+        seen = set()
+        for day, (obs, policy_level) in enumerate(days):
+            score, level = policy_heuristic(*obs)
+            assert np.array_equal(policy_level[app], level)
+            assert np.array_equal(world.yhat_hist[app, day],
+                                  np.repeat(score[:, None], world.window, axis=1))
+            seen.update(level.tolist())
+        assert seen == {1, 2, 3, 4}
+
+    def test_positive_test_gives_level_4(self, heuristic_days):
+        world, days = heuristic_days
+        app = world.app_ids
+        hits = 0
+        for day, (_obs, policy_level) in enumerate(days):
+            window = world.test_hist[app, max(day - world.cfg.d_max, 0):day + 1]
+            positive = app[(window == TEST_POSITIVE).any(axis=1)]
+            assert np.all(policy_level[positive] == 4)
+            hits += positive.size
+        assert hits > 0
+
+    def test_observables_match_the_recorded_windows(self, heuristic_days):
+        world, days = heuristic_days
+        app = world.app_ids
+        for day, ((has_positive, n_symptoms, max_level), _level) in enumerate(days):
+            assert has_positive.shape == n_symptoms.shape == max_level.shape == app.shape
+            bits = [bin(int(m)).count("1") for m in world.symptom_hist[app, day]]
+            assert n_symptoms.tolist() == bits
+            top = [int(world.enc_windows[(a, day)][:, 1].max(initial=0)) for a in app.tolist()]
+            assert max_level.tolist() == top
+        assert any(obs[0].any() for obs, _ in days)
+        assert any(obs[2].max() >= 12 for obs, _ in days)
 
 
 class TestFalseNegativeRate:

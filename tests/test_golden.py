@@ -1,0 +1,78 @@
+"""Golden outputs: byte-exact trace, event and record files per policy.
+
+Refactors of the engine must not move a single byte of what a run writes.
+Each case runs one policy at one seed with recording on and pins the
+sha256 of ``trace.jsonl``, ``events.jsonl`` and the exported training
+records (no_tracing records no observables, so it exports none).
+"""
+
+import hashlib
+
+import pytest
+
+from pctsim.core import SimConfig, run
+from pctsim.datagen import export_training_records
+
+GOLDEN = {
+    ("no_tracing", 0): {
+        "trace": "0a991d795053e7e692b70027c673b719056c533b4824399bc1b13d8ce85a3a82",
+        "events": "2541b19c75d62ef3ea72bbaa2926426ca138fe36d6c9fcfecb8d8f2a366101b7",
+    },
+    ("no_tracing", 3): {
+        "trace": "4936e64765aec5b6ed1ab74aa15dc6377164e328e250405740ed1862c0e9d17d",
+        "events": "816b5f6b1b6ebc4f930e4b3c5494962d61a87aaddd42bc418db028caa676c86d",
+    },
+    ("bct", 0): {
+        "trace": "3968814d97a43955b6f646c790a556977a9059e680e50c547e246befb957c688",
+        "events": "c7bb4b7abc6ce6631e9caa255d8e3974796b1128f675eec81f64293e50b4fb5e",
+        "records": "14bc1496ac3b19b470a67d1df69de61e9be061917319fcfb2bffb4b6721ee6ba",
+    },
+    ("bct", 3): {
+        "trace": "7c645a57eef2d5eca4e10d5ceba2835a641bb2c1a6bed698bb2e97c555ec66c7",
+        "events": "ada85df314ee4d5de4f095447778908a1dabb254852eaf5e05a5bbb8d5251a0d",
+        "records": "0d6f619388f0fdffbfdedbd00751b9d1ec0cfdf2804d25f2e65c63dcd9c7cc58",
+    },
+    ("heuristic", 0): {
+        "trace": "e417f83e9e4099b70dc15e317c22d3951d9d31b19de324cbf35daf706bcb4849",
+        "events": "8070ec889dcafb305c4e429a230361d67b5362e60572c5d639ddef384df6b927",
+        "records": "eb46a9746461d380988d42e8ba754adffa5ae1ecee95a1e6692e48b25e24c4e7",
+    },
+    ("heuristic", 3): {
+        "trace": "5c5faaa10adca70b8c0fd8ac6d5e942067f4e92c5e194465fb0e611df7f6c2b3",
+        "events": "c9984996db67e717f11c276b0dc5190452a1d49f9e0d89017c78a60d0d0eaf01",
+        "records": "24d1d7b5effd08d5d552f0f6047301c424f042326ac541d73a25e74a8ce42789",
+    },
+    ("pct", 0): {
+        "trace": "41f0b93ac4ea90ba3212306d9f373be4767f041db650fe72f217c30e5d0efdfa",
+        "events": "3909c2c7f10bfc0ac0d2505219af9dc323086b91886c9ca05c7357992cc25507",
+        "records": "8919c1f959fc75a9f8d51b28e1a99d6b6b39a0169271d6821d6e5f2e5a338560",
+    },
+    ("pct", 3): {
+        "trace": "9b4817a06ddac84c452bf22c5fecda488340fad26d5b76b0ca45f01fa876035c",
+        "events": "62272519cc3e072d98b4f7c113ce40c3f14c3a3821a06454469fbadbc5a5de7a",
+        "records": "0d035894ac7b05df893726cc52ae212969100599022901f00a739f59fa054854",
+    },
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _digests(policy, seed, tmp_path):
+    cfg = SimConfig(population_size=600, num_days=25, initial_exposed_fraction=0.02,
+                    global_mobility_scale=3.75, policy=policy, predictor="noisy_oracle",
+                    record_observables=True, record_estimates=True, rng_seed=seed)
+    trace = run(cfg)
+    trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+    out = {"trace": _sha256(tmp_path / "trace.jsonl"),
+           "events": _sha256(tmp_path / "events.jsonl")}
+    if trace.enc_windows is not None:
+        export_training_records(trace, tmp_path / "records.jsonl")
+        out["records"] = _sha256(tmp_path / "records.jsonl")
+    return out
+
+
+@pytest.mark.parametrize("policy,seed", sorted(GOLDEN))
+def test_outputs_are_byte_identical(policy, seed, tmp_path):
+    assert _digests(policy, seed, tmp_path) == GOLDEN[(policy, seed)]

@@ -1,105 +1,197 @@
-"""Policy ladder, timers, fanout, predictor, and scoring tests."""
+"""Policy ladder, timers, fanout, predictor, and scoring tests.
+
+Every policy and predictor runs through the engine: the ladder through
+the array :func:`policy_heuristic`, the BCT timer, the predictors and the
+psi table through ``init_world``/``step_day``.
+"""
 
 import json
 
 import numpy as np
 import pytest
 
-from pctsim.messaging import DEFAULT_THRESHOLDS, RiskMessage
+from pctsim.core import SimConfig, init_world, step_day
+from pctsim.messaging import DEFAULT_THRESHOLDS, RiskMessage, quantize_risk
 from pctsim.tracing import (
     BCT_FLAG_LEVEL,
     DEFAULT_PSI,
     ExternalPredictor,
     bct_fanout,
     evaluate_predictor,
-    heuristic_assessment,
-    policy_bct,
-    policy_no_tracing,
-    policy_pct,
-    predict_noisy_oracle,
-    predict_oracle,
+    policy_heuristic,
 )
+from pctsim.virology import TEST_PENDING, TEST_POSITIVE
 
 
-def _msg(level, day=3, n=1):
-    return [RiskMessage(sender_token=i, encounter_day=day, risk_level=level)
-            for i in range(n)]
+def _ladder(pos, n_sym, top):
+    """One agent through the array ladder, as plain (score, level)."""
+    score, level = policy_heuristic([pos], [n_sym], [top])
+    return float(score[0]), int(level[0])
+
+
+def _documented_ladder(pos, n_sym, top):
+    """The ladder as the README states it, rule by rule."""
+    if pos:
+        return 1.0, 4
+    if n_sym >= 2 or top >= 12:
+        return 0.75, 3
+    if top >= 8:
+        return 0.5, 2
+    if n_sym >= 1:
+        return 0.25, 2
+    if top >= 4:
+        return 0.25, 1
+    return 0.0, 1
 
 
 class TestHeuristicLadder:
     def test_no_evidence(self):
-        assert heuristic_assessment(False, 0, 0) == (0.0, 1)
+        assert _ladder(False, 0, 0) == (0.0, 1)
 
     def test_positive_test_dominates(self):
-        assert heuristic_assessment(True, 0, 0) == (1.0, 4)
-        assert heuristic_assessment(True, 3, 15) == (1.0, 4)
+        assert _ladder(True, 0, 0) == (1.0, 4)
+        assert _ladder(True, 3, 15) == (1.0, 4)
 
     def test_high_inbox_without_symptoms(self):
-        assert heuristic_assessment(False, 0, 9) == (0.5, 2)
+        assert _ladder(False, 0, 9) == (0.5, 2)
 
     def test_two_symptoms(self):
-        assert heuristic_assessment(False, 2, 0) == (0.75, 3)
+        assert _ladder(False, 2, 0) == (0.75, 3)
 
     def test_very_high_inbox(self):
-        assert heuristic_assessment(False, 0, 12) == (0.75, 3)
+        assert _ladder(False, 0, 12) == (0.75, 3)
 
     def test_single_symptom(self):
-        assert heuristic_assessment(False, 1, 0) == (0.25, 2)
+        assert _ladder(False, 1, 0) == (0.25, 2)
 
     def test_low_inbox_alone(self):
-        assert heuristic_assessment(False, 0, 4) == (0.25, 1)
-        assert heuristic_assessment(False, 0, 7) == (0.25, 1)
+        assert _ladder(False, 0, 4) == (0.25, 1)
+        assert _ladder(False, 0, 7) == (0.25, 1)
 
     def test_inbox_below_weak_threshold(self):
-        assert heuristic_assessment(False, 0, 3) == (0.0, 1)
+        assert _ladder(False, 0, 3) == (0.0, 1)
 
     def test_combined_rules_take_max(self):
         # two symptoms and a very high inbox agree on level 3
-        assert heuristic_assessment(False, 2, 12) == (0.75, 3)
+        assert _ladder(False, 2, 12) == (0.75, 3)
         # single symptom plus moderate inbox: level from inbox rule
-        assert heuristic_assessment(False, 1, 8) == (0.5, 2)
+        assert _ladder(False, 1, 8) == (0.5, 2)
 
     def test_monotone_in_inbox_level(self):
-        levels = [heuristic_assessment(False, 0, m)[1] for m in range(16)]
-        scores = [heuristic_assessment(False, 0, m)[0] for m in range(16)]
-        assert levels == sorted(levels)
-        assert scores == sorted(scores)
+        score, level = policy_heuristic(np.zeros(16, dtype=bool), np.zeros(16, dtype=int),
+                                        np.arange(16))
+        assert level.tolist() == sorted(level.tolist())
+        assert score.tolist() == sorted(score.tolist())
+
+    def test_full_grid_in_one_call(self):
+        pos, n_sym, top = (g.ravel() for g in np.meshgrid(
+            [False, True], np.arange(6), np.arange(16), indexing="ij"))
+        score, level = policy_heuristic(pos, n_sym, top)
+        assert score.shape == level.shape == (2 * 6 * 16,)
+        assert level.dtype == np.int8
+        for i in range(pos.size):
+            expected = _documented_ladder(bool(pos[i]), int(n_sym[i]), int(top[i]))
+            assert (float(score[i]), int(level[i])) == expected, (pos[i], n_sym[i], top[i])
+
+
+def _quiet_world(policy, **kw):
+    """A world with no infections and no behavioral dropouts.
+
+    Nobody ever tests positive, so every escalation a test sees comes from
+    what it injects.
+    """
+    base = dict(population_size=120, num_days=25, rng_seed=5, policy=policy,
+                initial_exposed_fraction=0.0, global_mobility_scale=3.0,
+                quarantine_dropout_test=0.0, quarantine_dropout_household=0.0,
+                all_levels_dropout=0.0, record_observables=False,
+                record_estimates=False)
+    base.update(kw)
+    return init_world(SimConfig(**base))
+
+
+def _levels_after(world, inject, days):
+    """Step ``days`` days, calling ``inject(world, day)`` before each one."""
+    for day in range(days):
+        inject(world, day)
+        step_day(world)
+    return world.level_hist
+
+
+def _flag(day):
+    return RiskMessage(sender_token=1, encounter_day=day - 1, risk_level=BCT_FLAG_LEVEL)
 
 
 class TestNoTracing:
     def test_always_baseline(self):
-        assert policy_no_tracing() == 1
-        assert policy_no_tracing({"anything": 1}) == 1
+        world = init_world(SimConfig(population_size=300, num_days=15, rng_seed=2,
+                                     global_mobility_scale=3.75,
+                                     initial_exposed_fraction=0.05))
+        for _ in range(15):
+            step_day(world)
+            assert np.all(world.policy_level == 1)
 
 
 class TestBctPolicy:
     def test_no_input_stays_baseline(self):
-        agent = {}
-        assert policy_bct(agent, [], 0) == 1
+        world = _quiet_world("bct")
+        levels = _levels_after(world, lambda w, d: None, 25)
+        assert np.all(levels == 1)
+        assert not world.bct_active.any()
 
     def test_flag_starts_fourteen_day_quarantine(self):
-        agent = {}
-        assert policy_bct(agent, _msg(BCT_FLAG_LEVEL, day=10), 10) == 4
-        for day in range(11, 24):
-            assert policy_bct(agent, [], day) == 4
-        assert policy_bct(agent, [], 24) == 1
+        world = _quiet_world("bct", bct_quarantine_level=3)
+        agent = int(world.app_ids[0])
+
+        def inject(w, day):
+            if day == 5:
+                w.inbox[agent] = [_flag(day)]
+
+        levels = _levels_after(world, inject, 25)
+        assert levels[agent, :6].tolist() == [1] * 6
+        assert levels[agent, 6:20].tolist() == [3] * 14
+        assert levels[agent, 20] == 1
+        others = np.setdiff1d(np.arange(world.n), [agent])
+        assert np.all(levels[others] == 1)
 
     def test_own_positive_test_same_window(self):
-        agent = {"positive_result_day": 10}
-        assert policy_bct(agent, [], 10) == 4
-        assert policy_bct(agent, [], 23) == 4
-        assert policy_bct(agent, [], 24) == 1
+        world = _quiet_world("bct", test_false_negative_rate=0.0)
+        agent = int(world.app_ids[0])
+
+        def inject(w, day):
+            if day == 5:
+                w.test_code[agent] = TEST_PENDING  # result due today
+                w.result_day[agent] = day
+                w.infected_at_order[agent] = True
+
+        levels = _levels_after(world, inject, 25)
+        assert world.test_hist[agent, 5] == TEST_POSITIVE
+        assert levels[agent, :6].tolist() == [1] * 6
+        assert levels[agent, 6:20].tolist() == [4] * 14
+        assert levels[agent, 20] == 1
 
     def test_lower_levels_ignored(self):
-        agent = {}
-        assert policy_bct(agent, _msg(BCT_FLAG_LEVEL - 1, day=5), 5) == 1
+        world = _quiet_world("bct")
+        agent = int(world.app_ids[0])
+
+        def inject(w, day):
+            if day == 5:
+                w.inbox[agent] = [RiskMessage(1, day - 1, BCT_FLAG_LEVEL - 1)]
+
+        levels = _levels_after(world, inject, 25)
+        assert np.all(levels[agent] == 1)
+        assert not world.bct_active[agent]
 
     def test_repeat_flag_extends_timer(self):
-        agent = {}
-        policy_bct(agent, _msg(BCT_FLAG_LEVEL, day=0), 0)
-        policy_bct(agent, _msg(BCT_FLAG_LEVEL, day=5), 5)
-        assert policy_bct(agent, [], 18) == 4
-        assert policy_bct(agent, [], 19) == 1
+        world = _quiet_world("bct")
+        agent = int(world.app_ids[0])
+
+        def inject(w, day):
+            if day in (0, 5):
+                w.inbox[agent] = [_flag(day)]
+
+        levels = _levels_after(world, inject, 25)
+        assert levels[agent, 1:20].tolist() == [4] * 19
+        assert levels[agent, 20] == 1
 
 
 class TestBctFanout:
@@ -133,34 +225,67 @@ class TestBctFanout:
         assert bct_fanout({}, result_day=10, d_max=14) == []
 
 
+def _pct_run(predictor, days=12, **kw):
+    """Step a small pct world and return it (estimates recorded)."""
+    base = dict(population_size=400, num_days=days, rng_seed=4, policy="pct",
+                predictor=predictor, initial_exposed_fraction=0.1,
+                global_mobility_scale=3.75)
+    base.update(kw)
+    world = init_world(SimConfig(**base))
+    for _ in range(days):
+        step_day(world)
+    return world
+
+
+def _truth_windows(world):
+    """(app agents, days, window) ground truth, newest-first, 0 before day 0."""
+    app, days, window = world.app_ids, world.cfg.num_days, world.window
+    padded = np.concatenate([np.zeros((app.size, window - 1)), world.y_hist[app]], axis=1)
+    idx = np.arange(days)[:, None] + window - 1 - np.arange(window)[None, :]
+    return padded[:, idx]
+
+
 class TestOraclePredictors:
     def test_oracle_returns_equal_copy(self):
-        y = np.linspace(0, 1, 14)
-        out = predict_oracle(y)
-        assert np.array_equal(out, y)
-        out[0] = 0.5
-        assert y[0] == 0.0
+        world = _pct_run("oracle")
+        truth = _truth_windows(world)
+        assert truth.max() > 0
+        assert np.array_equal(world.yhat_hist[world.app_ids], truth.astype(np.float32))
 
     def test_noisy_oracle_zero_sigma_is_identity(self):
-        rng = np.random.default_rng(0)
-        y = np.linspace(0, 1, 14)
-        out = predict_noisy_oracle(y, 0.0, 0.0, rng)
-        assert np.allclose(out, y)
+        oracle = _pct_run("oracle")
+        noisy = _pct_run("noisy_oracle", predictor_add_sigma=0.0, predictor_mul_sigma=0.0)
+        assert np.array_equal(noisy.yhat_hist, oracle.yhat_hist)
+        assert np.array_equal(noisy.level_hist, oracle.level_hist)
 
     def test_noisy_oracle_clipped_to_unit_interval(self):
-        rng = np.random.default_rng(1)
-        y = np.full(14, 0.5)
-        for _ in range(200):
-            out = predict_noisy_oracle(y, 0.5, 0.5, rng)
-            assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        world = _pct_run("noisy_oracle", predictor_add_sigma=0.5, predictor_mul_sigma=0.5)
+        est = world.yhat_hist[world.app_ids]
+        assert est.min() >= 0.0 and est.max() <= 1.0
+        assert est.min() == 0.0 and est.max() == 1.0
 
     def test_additive_noise_mean_after_clipping(self):
         # at ground truth 0 with additive sigma s, clipping a centered
         # gaussian at zero leaves mean s / sqrt(2 pi)
-        rng = np.random.default_rng(2)
-        y = np.zeros(100_000)
-        out = predict_noisy_oracle(y, 0.1, 0.0, rng)
-        assert out.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
+        world = _pct_run("noisy_oracle", days=20, population_size=600,
+                         predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
+        est = world.yhat_hist[world.app_ids]
+        at_zero = est[_truth_windows(world) == 0]
+        assert at_zero.size > 50_000
+        assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
+
+
+def _external_world(tmp_path, y_hat_for):
+    """A one-day pct world replaying ``y_hat_for(agent)`` for every agent."""
+    n = 60
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(
+        json.dumps({"agent_id": a, "day": 0, "y_hat": list(y_hat_for(a))}) + "\n"
+        for a in range(n)))
+    world = init_world(SimConfig(population_size=n, num_days=1, rng_seed=1, policy="pct",
+                                 predictor="external", external_predictions=str(path)))
+    step_day(world)
+    return world
 
 
 class TestPctPolicy:
@@ -169,24 +294,43 @@ class TestPctPolicy:
         assert recs == sorted(recs)
         assert recs[0] >= 1 and recs[-1] == 4
 
-    def test_floor_and_ceiling(self):
-        y_low = np.zeros(14)
-        y_high = np.ones(14)
-        _, rec = policy_pct(None, y_low, DEFAULT_THRESHOLDS, DEFAULT_PSI)
-        assert rec == 1
-        _, rec = policy_pct(None, y_high, DEFAULT_THRESHOLDS, DEFAULT_PSI)
-        assert rec == 4
+    def test_floor_and_ceiling(self, tmp_path):
+        world = _external_world(tmp_path, lambda a: [float(a % 2)] * 15)
+        app = world.app_ids
+        assert world.policy_level[app].tolist() == [1 + 3 * (a % 2) for a in app.tolist()]
 
-    def test_today_slot_drives_recommendation(self):
-        y = np.zeros(14)
-        y[0] = 0.99
-        _, rec = policy_pct(None, y, DEFAULT_THRESHOLDS, DEFAULT_PSI)
-        assert rec == 4
+    def test_today_slot_drives_recommendation(self, tmp_path):
+        def y_hat(agent):
+            y = [0.99 * (agent % 2)] * 15
+            y[0] = 0.99 * (1 - agent % 2)
+            return y
 
-    def test_returns_estimate_unchanged(self):
-        y = np.linspace(0, 0.9, 14)
-        y_out, _ = policy_pct(None, y, DEFAULT_THRESHOLDS, DEFAULT_PSI)
-        assert np.array_equal(y_out, y)
+        world = _external_world(tmp_path, y_hat)
+        app = world.app_ids
+        assert world.policy_level[app].tolist() == [4 - 3 * (a % 2) for a in app.tolist()]
+
+    def test_returns_estimate_unchanged(self, tmp_path):
+        world = _external_world(tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2)
+        for agent in world.app_ids.tolist():
+            expected = np.linspace(0, 0.9, 15) * (agent % 3) / 2
+            assert np.array_equal(world.yhat_prev[agent], expected)
+            assert np.array_equal(world.yhat_hist[agent, 0], expected.astype(np.float32))
+
+    def test_level_is_psi_of_todays_quantized_estimate(self):
+        psi = (1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4)
+        world = init_world(SimConfig(population_size=400, num_days=12, rng_seed=6,
+                                     policy="pct", predictor="noisy_oracle",
+                                     initial_exposed_fraction=0.1, psi_table=psi,
+                                     global_mobility_scale=3.75))
+        app = world.app_ids
+        seen = set()
+        for _ in range(12):
+            step_day(world)
+            q = quantize_risk(world.yhat_prev[app, 0], DEFAULT_THRESHOLDS)
+            expected = np.asarray(psi)[q]
+            assert np.array_equal(world.policy_level[app], expected)
+            seen.update(expected.tolist())
+        assert seen == {1, 2, 3, 4}
 
 
 def _record(run_id, agent_id, day, targets):

@@ -1,51 +1,41 @@
-"""Disease course, viral load curve, and transmission trial tests."""
+"""Disease course, viral load curve, and transmission trial tests.
+
+The tent curve is :func:`evl_tent`; the ground truth and the courses it
+reads are checked on an engine run.
+"""
 
 import numpy as np
 import pytest
 
 from pctsim import virology
+from pctsim.core import SimConfig, init_world, step_day
 from pctsim.virology import (
-    DiseaseCourse,
-    effective_viral_load,
     evl_tent,
-    ground_truth_infectiousness,
-    sample_disease_course,
     sample_disease_courses,
     transmission_probability,
-    transmission_trial,
 )
 
+# A course with symptom onset on day 5: peak 0.7 days earlier, at 4.3.
+ONSET, PEAK, RECOVERY, PEAK_EVL = 2.5, 4.3, 19.0, 0.8
 
-def _course(onset=2.5, symptom=5.0, recovery=19.0, peak_evl=0.8,
-            asymptomatic=False):
-    return DiseaseCourse(
-        infectiousness_onset_day=onset,
-        symptom_onset_day=symptom,
-        peak_day=symptom - 0.7,
-        recovery_day=recovery,
-        peak_evl=peak_evl,
-        is_asymptomatic=asymptomatic,
-        symptom_mask=0b00111,
-    )
+
+def _tent(t):
+    return evl_tent(t, ONSET, PEAK, RECOVERY, PEAK_EVL)
 
 
 class TestTentCurve:
     def test_zero_at_onset(self):
-        assert effective_viral_load(_course(), 2.5) == 0.0
+        assert _tent(2.5) == 0.0
 
     def test_peak_value(self):
-        c = _course()
-        assert effective_viral_load(c, c.peak_day) == pytest.approx(0.8)
+        assert _tent(PEAK) == pytest.approx(0.8)
 
     def test_linear_interpolation_example(self):
-        c = _course(onset=2.5, symptom=5.0, recovery=19.0, peak_evl=0.8)
-        assert c.peak_day == pytest.approx(4.3)
-        assert effective_viral_load(c, 3.4) == pytest.approx(0.4)
+        assert _tent(3.4) == pytest.approx(0.4)
 
     def test_zero_outside_support(self):
-        c = _course()
         for t in (0.0, 1.0, 2.49, 19.0, 25.0):
-            assert effective_viral_load(c, t) == 0.0
+            assert _tent(t) == 0.0
 
     def test_continuous_and_single_peak(self):
         rng = np.random.default_rng(3)
@@ -66,33 +56,62 @@ class TestTentCurve:
             assert np.max(np.abs(np.diff(y))) <= slope * dt + 1e-12
 
 
+@pytest.fixture(scope="module")
+def world():
+    """An engine run long enough for day-0 seeds to recover."""
+    w = init_world(SimConfig(population_size=400, num_days=40, rng_seed=11,
+                             initial_exposed_fraction=0.1, global_mobility_scale=3.75,
+                             record_observables=False, record_estimates=False))
+    for _ in range(40):
+        step_day(w)
+    return w
+
+
+def _course_t(w, agent, day):
+    """Days since exposure at the midpoint of ``day``."""
+    return day + 0.5 - w.exposure_day[agent]
+
+
 class TestGroundTruth:
-    def test_susceptible_agent_is_zero(self):
-        assert ground_truth_infectiousness(None, None, 5) == 0.0
+    def test_susceptible_agent_is_zero(self, world):
+        never = world.exposure_day < 0
+        assert never.any()
+        assert np.all(world.y_hist[never] == 0.0)
 
-    def test_past_recovery_is_zero(self):
-        c = _course(recovery=19.0)
-        assert ground_truth_infectiousness(c, 0, 20) == 0.0
+    def test_past_recovery_is_zero(self, world):
+        checked = 0
+        for agent in np.flatnonzero(world.exposure_day >= 0).tolist():
+            for day in range(world.cfg.num_days):
+                if _course_t(world, agent, day) >= world.recovery[agent]:
+                    assert world.y_hist[agent, day] == 0.0
+                    checked += 1
+        assert checked > 0
 
-    def test_day_midpoint_convention(self):
-        c = _course()
-        # with exposure on day 10, day 13 covers t = 3.5 days since exposure
-        expected = effective_viral_load(c, 3.5)
-        assert ground_truth_infectiousness(c, 10, 13) == pytest.approx(expected)
-        assert expected > 0
+    def test_day_midpoint_convention(self, world):
+        exposed = np.flatnonzero(world.exposure_day >= 0)
+        assert exposed.size > 40
+        for agent in exposed.tolist():
+            days = np.arange(world.exposure_day[agent], world.cfg.num_days)
+            expected = evl_tent(days + 0.5 - world.exposure_day[agent], world.onset[agent],
+                                world.peak[agent], world.recovery[agent],
+                                world.peak_evl[agent])
+            assert world.y_hist[agent, days] == pytest.approx(expected, rel=1e-6, abs=1e-7)
+        assert world.y_hist.max() > 0
 
-    def test_before_exposure_is_zero(self):
-        assert ground_truth_infectiousness(_course(), 10, 9) == 0.0
+    def test_before_exposure_is_zero(self, world):
+        late = np.flatnonzero(world.exposure_day > 0)
+        assert late.size > 0
+        for agent in late.tolist():
+            assert np.all(world.y_hist[agent, :world.exposure_day[agent]] == 0.0)
 
-    def test_peak_day_is_history_max(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            c = sample_disease_course(rng)
-            ys = [ground_truth_infectiousness(c, 0, d) for d in range(60)]
+    def test_peak_day_is_history_max(self, world):
+        seeds = np.flatnonzero(world.exposure_day == 0)
+        assert seeds.size > 20
+        for agent in seeds.tolist():
+            assert world.recovery[agent] < world.cfg.num_days
             # the day whose midpoint is nearest the peak carries the max
-            peak_day = int(np.floor(c.peak_day - 0.5))
-            candidates = {peak_day, peak_day + 1}
-            assert int(np.argmax(ys)) in candidates
+            peak_day = int(np.floor(world.peak[agent] - 0.5))
+            assert int(np.argmax(world.y_hist[agent])) in {peak_day, peak_day + 1}
 
 
 class TestSampledCourses:
@@ -126,31 +145,38 @@ class TestSampledCourses:
 
     def test_single_sample_matches_schema(self):
         rng = np.random.default_rng(9)
-        c = sample_disease_course(rng)
-        assert isinstance(c, DiseaseCourse)
-        assert c.infectiousness_onset_day < c.peak_day < c.recovery_day
-        assert c.peak_day == pytest.approx(c.symptom_onset_day - 0.7)
+        c = {key: value[0] for key, value in sample_disease_courses(1, rng).items()}
+        assert set(c) == {"infectiousness_onset_day", "symptom_onset_day", "peak_day",
+                          "recovery_day", "peak_evl", "is_asymptomatic", "symptom_mask"}
+        assert c["infectiousness_onset_day"] < c["peak_day"] < c["recovery_day"]
+        assert c["peak_day"] == pytest.approx(c["symptom_onset_day"] - 0.7)
+        assert 0 < c["symptom_mask"] < 1 << len(virology.SYMPTOM_NAMES)
+
+
+def _trials(p, n, rng):
+    """Bernoulli draws as the engine's transmission phase makes them."""
+    return rng.random(n) < p
 
 
 class TestTransmission:
     def test_zero_evl_never_transmits(self):
         rng = np.random.default_rng(10)
-        assert not any(transmission_trial(0.0, 0.9, 1.0, 0.0, rng)
-                       for _ in range(1000))
+        p = transmission_probability(np.zeros(1000), 0.9, 1.0, 0.0)
+        assert not _trials(p, 1000, rng).any()
 
     def test_probability_one_always_transmits(self):
         rng = np.random.default_rng(11)
         assert transmission_probability(1.0, 1.0, 2.0, 0.0) == 1.0
-        assert all(transmission_trial(1.0, 1.0, 2.0, 0.0, rng)
-                   for _ in range(1000))
+        p = transmission_probability(np.ones(1000), 1.0, 2.0, 0.0)
+        assert _trials(p, 1000, rng).all()
 
     def test_monte_carlo_frequency(self):
         # base 0.4 x evl 1.0 x env 1.0 x (1 - 0.5 * 1.0) = 0.2
         assert transmission_probability(1.0, 0.4, 1.0, 1.0) == pytest.approx(0.2)
         rng = np.random.default_rng(12)
-        hits = sum(transmission_trial(1.0, 0.4, 1.0, 1.0, rng)
-                   for _ in range(100_000))
-        assert abs(hits / 100_000 - 0.2) < 0.01
+        hits = _trials(transmission_probability(np.ones(100_000), 0.4, 1.0, 1.0),
+                       100_000, rng)
+        assert abs(hits.mean() - 0.2) < 0.01
 
     def test_carefulness_halves_at_most(self):
         p_full = transmission_probability(0.8, 0.1, 1.0, 0.0)
