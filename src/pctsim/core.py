@@ -49,6 +49,7 @@ CONDITION_PREVALENCE = (
 QUARANTINE_DAYS = 14
 TRACE_SCHEMA_VERSION = 1
 
+# "messaging" draws nothing; it keeps its place so "predictor" keeps its seed.
 _RNG_STREAMS = (
     "demographics", "disease", "mobility", "transmission",
     "testing", "behavior", "messaging", "predictor",
@@ -206,6 +207,24 @@ class DayReport:
     tests_ordered: int
     positives: int
     messages: int
+
+
+@dataclass
+class EdgeDay:
+    """One day of directed app contacts, one row per (receiver, sender) pair.
+
+    ``count`` is the number of encounters between the pair that day,
+    ``held`` the risk level the receiver holds for the sender, and
+    ``inflight`` the level the sender sent today (-1: none), which the
+    receiver holds from the next day's app pass on.
+    """
+
+    day: int
+    receiver: np.ndarray
+    sender: np.ndarray
+    count: np.ndarray
+    held: np.ndarray
+    inflight: np.ndarray
 
 
 class SimulationTrace:
@@ -410,13 +429,9 @@ class WorldState:
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
         self.yhat_prev = np.zeros((self.n, self.window), dtype=np.float64)
         self.shared_qlevel = np.zeros(self.n, dtype=np.int8)
-        self.tokens_today = np.zeros(self.n, dtype=np.uint64)
-        self.token_owner: dict[int, dict[int, int]] = {}
-        self.own_tokens = [dict() if ok else None for ok in self.has_app]
-        self.contact_book = [dict() if ok else None for ok in self.has_app]
-        self.received = [dict() if ok else None for ok in self.has_app]
-        self.inbox = [[] for _ in range(self.n)]
-        self.outbox_accum = [[] for _ in range(self.n)]
+        # ring of the window's days, slot day % window
+        self.edges: list[EdgeDay | None] = [None] * self.window
+        self.bct_flag = np.zeros(self.n, dtype=bool)
         self.external = (tracing.ExternalPredictor(cfg.external_predictions)
                          if cfg.policy == "pct" and cfg.predictor == "external" else None)
 
@@ -476,23 +491,26 @@ class WorldState:
             out[:, k] = self.y_hist[:, d]
         return out
 
+    def edge_days(self) -> list[EdgeDay]:
+        """The edge tables of the window's days, in ring order."""
+        return [e for e in self.edges if e is not None]
+
     def observables_for(self, day):
         """The heuristic's evidence for every app agent as of ``day``.
 
         Returns three arrays over ``app_ids``: a positive test anywhere in
         the window, the number of symptoms reported today, and the highest
-        risk level held in the received-message ledger (which only keeps
-        the window's days).
+        risk level held from any contact in the window.
         """
         app = self.app_ids
         tests = self.test_hist[app, max(day - self.cfg.d_max, 0):day + 1]
         has_positive = np.any(tests == TEST_POSITIVE, axis=1)
         n_symptoms = np.unpackbits(self.symptom_hist[app, day][:, None], axis=1).sum(axis=1)
-        max_level = np.array(
-            [max((entry[0] for per_day in self.received[agent].values()
-                  for entry in per_day.values()), default=0)
-             for agent in app.tolist()], dtype=np.int64)
-        return has_positive, n_symptoms, max_level
+        # held's dtype: np.maximum.at is ~30x slower when the dtypes differ
+        top = np.zeros(self.n, dtype=np.int8)
+        for e in self.edge_days():
+            np.maximum.at(top, e.receiver, e.held)
+        return has_positive, n_symptoms, top[app].astype(np.int64)
 
     # ------------------------------------------------------------------
     # the six daily phases
@@ -525,35 +543,19 @@ class WorldState:
         return a, b, loc
 
     def _register_app_contacts(self, a, b, day):
-        """Token rotation plus symmetric contact-book/ledger recording."""
-        app_ids = self.app_ids
-        tokens = self.rng["messaging"].integers(1, 1 << 63, size=app_ids.size, dtype=np.uint64)
-        self.tokens_today[:] = 0
-        self.tokens_today[app_ids] = tokens
-        owner_today = {}
-        for agent, token in zip(app_ids.tolist(), tokens.tolist()):
-            owner_today[token] = agent
-            self.own_tokens[agent][day] = token
-        self.token_owner[day] = owner_today
+        """Today's app-pair encounters, both directions, replace the oldest day.
 
-        horizon = day - self.cfg.d_max
-        for d in [d for d in self.token_owner if d < horizon]:
-            del self.token_owner[d]
-        for agent in app_ids.tolist():
-            for book in (self.contact_book[agent], self.received[agent], self.own_tokens[agent]):
-                for d in [d for d in book if d < horizon]:
-                    del book[d]
-
-        pair_mask = self.has_app[a] & self.has_app[b]
-        shared = self.shared_qlevel
-        for x, y in zip(a[pair_mask].tolist(), b[pair_mask].tolist()):
-            tx, ty = int(self.tokens_today[x]), int(self.tokens_today[y])
-            for me, other, other_token in ((x, y, ty), (y, x, tx)):
-                book_day = self.contact_book[me].setdefault(day, {})
-                book_day[other_token] = book_day.get(other_token, 0) + 1
-                entry = self.received[me].setdefault(day, {}).setdefault(other_token, [0, 0])
-                entry[0] = int(shared[other])
-                entry[1] += 1
+        Each receiver starts out holding the sender's current shared level.
+        Whatever was still in flight to the replaced day is dropped.
+        """
+        both = self.has_app[a] & self.has_app[b]
+        x, y = a[both], b[both]
+        keys, count = np.unique(np.concatenate([x * self.n + y, y * self.n + x]),
+                                return_counts=True)
+        receiver, sender = np.divmod(keys, self.n)
+        self.edges[day % self.window] = EdgeDay(
+            day, receiver, sender, count, self.shared_qlevel[sender],
+            np.full(keys.size, -1, dtype=np.int8))
 
     def _phase_transmission(self, day, a, b, loc):
         cfg = self.cfg
@@ -645,65 +647,55 @@ class WorldState:
         return ordered.size, n_positive
 
     def _phase_app_pass(self, day):
-        """Drain inboxes, run the active policy, queue outgoing messages."""
+        """Run the active policy and send today's messages.
+
+        Messages take one day: what is sent on day d is held by its
+        receivers from the day d + 1 pass on, so today's observables and
+        the ``enc_windows`` snapshot still see the levels from before the
+        send. Updates addressed to a day that has left the window by then
+        are dropped, and a BCT flag quarantines from day d + 1.
+        """
         policy = self.cfg.policy
         self.policy_level = np.ones(self.n, dtype=np.int8)
-        messages_out = 0
         if not self.app_active:
             return 0
+        self._deliver()
         if policy == "bct":
             messages_out = self._app_pass_bct(day)
-        elif policy in ("pct", "heuristic"):
-            self._apply_inbox_updates(day)
-            if policy == "pct":
-                messages_out = self._app_pass_pct(day)
-            else:
-                messages_out = self._app_pass_heuristic(day)
+        elif policy == "pct":
+            messages_out = self._app_pass_pct(day)
+        else:
+            messages_out = self._app_pass_heuristic(day)
         if self.enc_windows is not None:
             self._snapshot_enc_windows(day)
-        self.inbox = self.outbox_accum
-        self.outbox_accum = [[] for _ in range(self.n)]
         return messages_out
 
-    def _route(self, recipient_token, msg, day):
-        owner = self.token_owner.get(msg.encounter_day, {}).get(recipient_token)
-        if owner is not None:
-            self.outbox_accum[owner].append(msg)
-            return 1
-        return 0
-
     def _app_pass_bct(self, day):
-        cfg = self.cfg
+        """Quarantine yesterday's flagged agents, then flag today's positives' contacts.
+
+        A positive flags each (day, partner) pair of the window once; the
+        flag quarantine itself is applied by the escalation layer via
+        ``bct_until``, so the daily quarantine dropout can act on it.
+        """
+        flagged = np.flatnonzero(self.bct_flag)
+        self.bct_until[flagged] = np.maximum(self.bct_until[flagged], day + QUARANTINE_DAYS)
+        self.bct_active[flagged] = True
+        flaggers = self.new_positive_today & self.has_app & ~self.bct_broadcast_done
+        self.bct_broadcast_done |= flaggers
+        self.bct_flag = np.zeros(self.n, dtype=bool)
         sent = 0
-        for agent in self.app_ids.tolist():
-            if any(msg.risk_level == tracing.BCT_FLAG_LEVEL for msg in self.inbox[agent]):
-                self.bct_until[agent] = max(self.bct_until[agent], day + QUARANTINE_DAYS)
-                self.bct_active[agent] = True
-        flaggers = np.flatnonzero(self.new_positive_today & self.has_app & ~self.bct_broadcast_done)
-        for agent in flaggers.tolist():
-            self.bct_broadcast_done[agent] = True
-            fanout = tracing.bct_fanout(self.contact_book[agent], day, cfg.d_max)
-            for enc_day, partner_token in fanout:
-                msg = messaging.RiskMessage(self.own_tokens[agent][enc_day], enc_day,
-                                            tracing.BCT_FLAG_LEVEL)
-                sent += self._route(partner_token, msg, day)
-        # the flag quarantine itself is applied by the escalation layer via
-        # bct_until, so the daily quarantine dropout can act on it
+        for e in self.edge_days():
+            hit = flaggers[e.sender]
+            self.bct_flag[e.receiver[hit]] = True
+            sent += int(hit.sum())
         return sent
 
-    def _apply_inbox_updates(self, day):
-        horizon = day - self.cfg.d_max
-        for agent in self.app_ids.tolist():
-            box = self.inbox[agent]
-            if not box:
-                continue
-            ledger = self.received[agent]
-            for msg in box:
-                if msg.encounter_day < horizon:
-                    continue
-                entry = ledger.setdefault(msg.encounter_day, {}).setdefault(msg.sender_token, [0, 1])
-                entry[0] = msg.risk_level
-            self.inbox[agent] = []
+    def _deliver(self):
+        """Receivers take up the levels sent in the previous pass."""
+        for e in self.edge_days():
+            hit = e.inflight >= 0
+            e.held[hit] = e.inflight[hit]
+            e.inflight[hit] = -1
 
     def _predict(self, day):
         """(n_app, window) predictions plus a per-agent failure mask."""
@@ -732,25 +724,6 @@ class WorldState:
                 y_hat[i] = np.clip(pred, 0.0, 1.0)
         return y_hat, failed
 
-    def _emit_updates(self, day, app, y_hat, changed_agents):
-        """Diff each changed agent's estimate and route update messages."""
-        sent = 0
-        for i in changed_agents:
-            agent = int(app[i])
-            book = self.contact_book[agent]
-            if not book:
-                continue
-            prev = self.yhat_prev[agent]
-            prev_aligned = np.empty(self.window)
-            prev_aligned[0] = prev[0]
-            prev_aligned[1:] = prev[:-1]
-            out = messaging.diff_and_emit(
-                prev_aligned, y_hat[i], book, self.thresholds,
-                day=day, own_tokens=self.own_tokens[agent])
-            for recipient_token, msg in out:
-                sent += self._route(recipient_token, msg, day)
-        return sent
-
     def _app_pass_pct(self, day):
         y_hat, failed = self._predict(day)
         qlev = messaging.quantize_risk(y_hat, self.thresholds)
@@ -767,15 +740,23 @@ class WorldState:
     def _publish(self, day, y_hat, qlev, levels, ok):
         """Send updates where the quantized history changed, then adopt it.
 
-        Rows not ``ok`` (failed predictions) send nothing and keep their
-        previous estimate as the baseline for tomorrow's diff.
+        Slot k of an agent's history covers day ``day - k``; a changed slot
+        sends its new level to every partner the agent met that day, one
+        message per edge. Rows not ``ok`` (failed predictions) send nothing
+        and keep their previous estimate as the baseline for tomorrow's diff.
         """
         app = self.app_ids
         prev = self.yhat_prev[app]
         prev_aligned = np.concatenate([prev[:, :1], prev[:, :-1]], axis=1)
         prev_qlev = messaging.quantize_risk(prev_aligned, self.thresholds)
-        changed = np.flatnonzero(np.any(qlev != prev_qlev, axis=1) & ok)
-        sent = self._emit_updates(day, app, y_hat, changed)
+        update = np.full((self.n, self.window), -1, dtype=np.int8)
+        update[app] = np.where((qlev != prev_qlev) & ok[:, None], qlev, -1)
+        sent = 0
+        for e in self.edge_days():
+            level = update[e.sender, day - e.day]
+            hit = level >= 0
+            e.inflight[hit] = level[hit]
+            sent += int(hit.sum())
         self.policy_level[app] = levels
         self.yhat_prev[app[ok]] = y_hat[ok]
         self.shared_qlevel[app[ok]] = qlev[ok, 0]
@@ -784,16 +765,18 @@ class WorldState:
         return sent
 
     def _snapshot_enc_windows(self, day):
-        for agent in self.app_ids.tolist():
-            rows = []
-            ledger = self.received[agent]
-            for d, per_day in ledger.items():
-                k = day - d
-                if 0 <= k <= self.cfg.d_max:
-                    for lvl, cnt in per_day.values():
-                        rows.append((k, lvl, min(cnt, 65535)))
-            rows.sort()
-            self.enc_windows[(agent, day)] = np.asarray(rows, dtype=np.uint16).reshape(-1, 3)
+        """Each app agent's held (k, level, count) rows, sorted, as of today."""
+        days = self.edge_days()
+        receiver = np.concatenate([e.receiver for e in days])
+        rows = np.column_stack([
+            np.concatenate([np.full(e.receiver.size, day - e.day) for e in days]),
+            np.concatenate([e.held for e in days]),
+            np.minimum(np.concatenate([e.count for e in days]), 65535),
+        ]).astype(np.uint16)
+        order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], receiver))
+        cuts = np.searchsorted(receiver[order], self.app_ids[1:])
+        for agent, own in zip(self.app_ids.tolist(), np.split(rows[order], cuts)):
+            self.enc_windows[(agent, day)] = own
 
     def _phase_levels(self, day):
         cfg = self.cfg

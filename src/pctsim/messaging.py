@@ -10,6 +10,12 @@ sender token (fresh per sender per day, so repeats within a day are
 linkable but days are not), the encounter day, and a 4-bit risk level.
 Risk levels quantize a predicted infectiousness in [0, 1] into 16 bins
 using 15 ascending cut points.
+
+This module is the wire format and the reference semantics. The engine
+in ``core`` simulates the delivery of exactly the messages
+:func:`diff_and_emit` would send, on per-day arrays of directed app
+contacts, where clustering by (day, sender) takes the place of
+clustering by token; it takes only the quantizer and constants from here.
 """
 
 from __future__ import annotations

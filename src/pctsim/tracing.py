@@ -2,12 +2,12 @@
 
 Four policies are supported, all run by the engine in ``core`` over arrays
 of app agents. No Tracing pins everyone at the baseline recommendation
-level. Binary contact tracing quarantines on a positive test and
-broadcasts a flag (a maximum-level message) to the past d_max days of
-contacts, listed by :func:`bct_fanout`. The heuristic applies the rule
-ladder :func:`policy_heuristic` to three per-agent numbers the engine
-reads each day (a positive test in the window, today's symptom count and
-the highest risk level received in the window); it reads no profile.
+level. Binary contact tracing quarantines on a positive test and flags
+every app contact of the past d_max days, who quarantines from the next
+day on. The heuristic applies the rule ladder :func:`policy_heuristic`
+to three per-agent numbers the engine reads each day (a positive test in
+the window, today's symptom count and the highest risk level received in
+the window); it reads no profile.
 During proactive contact tracing each app runs a predictor that
 estimates the agent's own infectiousness history, maps today's quantized
 estimate to a recommendation through the psi table, and sends update
@@ -27,29 +27,9 @@ import json
 
 import numpy as np
 
-from .messaging import N_RISK_LEVELS
-
-# A binary-tracing positive flag travels as a maximum-level risk message.
-BCT_FLAG_LEVEL = N_RISK_LEVELS - 1
-
 # Today's quantized risk level 0..15 -> recommendation level. Uniform
 # quartiles by default; ships as config, not code.
 DEFAULT_PSI = (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)
-
-
-def bct_fanout(contact_book, result_day: int, d_max: int):
-    """Distinct (encounter day, partner token) pairs to flag on a positive.
-
-    Covers encounters within d_max days up to and including the day the
-    positive result arrived. Rotating tokens make cross-day deduplication
-    impossible by design, so each (day, token) pair counts once.
-    """
-    out = []
-    for day in sorted(contact_book):
-        if result_day - d_max <= day <= result_day:
-            for token in sorted(contact_book[day]):
-                out.append((day, token))
-    return out
 
 
 def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):

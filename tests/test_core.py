@@ -5,6 +5,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from pctsim import messaging
 from pctsim.core import (
     ConfigError,
     SimConfig,
@@ -286,3 +287,92 @@ class TestFalseNegativeRate:
                     negatives += row[d] == TEST_NEGATIVE
         assert resolved > 500
         assert negatives / resolved == pytest.approx(0.10, abs=0.035)
+
+
+def _stepped(policy, **kw):
+    """A small recorded world, stepped one day at a time.
+
+    Yields (world, day, report, shared levels at the start of the day,
+    estimates before and after the day's app pass).
+    """
+    world = init_world(_small(policy=policy, population_size=300, num_days=20,
+                              predictor="noisy_oracle", initial_exposed_fraction=0.05,
+                              global_mobility_scale=3.75, record_encounter_log=True, **kw))
+    for day in range(world.cfg.num_days):
+        shared = world.shared_qlevel.copy()
+        before = world.yhat_prev.copy()
+        report = step_day(world)
+        yield world, day, report, shared, before, world.yhat_prev.copy()
+
+
+def _token(agent, day):
+    """A synthetic rotating token, unique per (agent, day)."""
+    return agent * 4096 + day
+
+
+def _held_level(world, receiver, day, sender):
+    e = world.edges[day % world.window]
+    row = np.flatnonzero((e.receiver == receiver) & (e.sender == sender))
+    assert e.day == day and row.size == 1
+    return int(e.held[row[0]])
+
+
+class TestProtocolReference:
+    """The engine's edge arrays deliver exactly what the wire protocol sends."""
+
+    @staticmethod
+    def _reference_inboxes(world, day, before, after):
+        """Each app agent's own ``diff_and_emit`` over its partners on the edges."""
+        inboxes, n_sent = {}, 0
+        for agent in world.app_ids.tolist():
+            book = {e.day: {_token(r, e.day): 1 for r in e.receiver[e.sender == agent].tolist()}
+                    for e in world.edge_days()}
+            prev_aligned = np.concatenate([before[agent, :1], before[agent, :-1]])
+            out = messaging.diff_and_emit(
+                prev_aligned, after[agent], book, world.thresholds, day=day,
+                own_tokens={d: _token(agent, d) for d in book})
+            n_sent += len(out)
+            for rcpt, msg in out:
+                inboxes.setdefault(rcpt // 4096, []).append(msg)
+        return inboxes, n_sent
+
+    def test_engine_matches_diff_and_emit(self):
+        expected = {}  # (receiver, day, sender) -> level registered or last delivered
+        inboxes = {}   # receiver -> messages sent to it in yesterday's pass
+        total = 0
+        for world, day, report, shared, before, after in _stepped("pct"):
+            start = day - world.cfg.d_max
+            today = world.edges[day % world.window]
+            for r, s in zip(today.receiver.tolist(), today.sender.tolist()):
+                expected[(r, day, s)] = int(shared[s])
+            for receiver, inbox in inboxes.items():
+                live = [m for m in inbox if m.encounter_day >= start]
+                for d, pairs in messaging.cluster_inbox(live).items():
+                    engine = sorted(_held_level(world, receiver, d, m.sender_token // 4096)
+                                    for m in live if m.encounter_day == d)
+                    assert [lvl for lvl, _n in pairs] == engine
+                for m in live:
+                    expected[(receiver, m.encounter_day, m.sender_token // 4096)] = m.risk_level
+            for e in world.edge_days():
+                assert e.held.tolist() == [expected[(r, e.day, s)] for r, s in
+                                           zip(e.receiver.tolist(), e.sender.tolist())]
+            inboxes, n_sent = self._reference_inboxes(world, day, before, after)
+            assert n_sent == report.messages
+            total += n_sent
+        assert total > 1000
+
+
+class TestEdgeLedger:
+    @pytest.mark.parametrize("policy", ["bct", "pct"])
+    def test_invariants(self, policy):
+        for world, day, _report, _shared, _before, _after in _stepped(policy):
+            days = sorted(e.day for e in world.edge_days())
+            assert days == list(range(max(day - world.cfg.d_max, 0), day + 1))
+            for e in world.edge_days():
+                a, b, _loc = world.encounter_log[e.day]
+                app_pair = world.has_app[a] & world.has_app[b]
+                assert e.count.sum() == 2 * app_pair.sum()
+                met = set(zip(a[app_pair].tolist(), b[app_pair].tolist()))
+                assert all((r, s) in met or (s, r) in met
+                           for r, s in zip(e.receiver.tolist(), e.sender.tolist()))
+                assert np.all((e.held >= 0) & (e.held <= 15))

@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from pctsim.core import SimConfig, init_world, step_day
-from pctsim.messaging import DEFAULT_THRESHOLDS, RiskMessage, quantize_risk
+from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
 from pctsim.tracing import (
-    BCT_FLAG_LEVEL,
     DEFAULT_PSI,
     ExternalPredictor,
-    bct_fanout,
     evaluate_predictor,
     policy_heuristic,
 )
@@ -117,10 +115,6 @@ def _levels_after(world, inject, days):
     return world.level_hist
 
 
-def _flag(day):
-    return RiskMessage(sender_token=1, encounter_day=day - 1, risk_level=BCT_FLAG_LEVEL)
-
-
 class TestNoTracing:
     def test_always_baseline(self):
         world = init_world(SimConfig(population_size=300, num_days=15, rng_seed=2,
@@ -144,7 +138,7 @@ class TestBctPolicy:
 
         def inject(w, day):
             if day == 5:
-                w.inbox[agent] = [_flag(day)]
+                w.bct_flag[agent] = True  # as if a contact tested positive yesterday
 
         levels = _levels_after(world, inject, 25)
         assert levels[agent, :6].tolist() == [1] * 6
@@ -170,14 +164,20 @@ class TestBctPolicy:
         assert levels[agent, 20] == 1
 
     def test_lower_levels_ignored(self):
+        # only a flag quarantines: not even the top risk level held from
+        # every contact does
         world = _quiet_world("bct")
         agent = int(world.app_ids[0])
+        held = []
 
         def inject(w, day):
-            if day == 5:
-                w.inbox[agent] = [RiskMessage(1, day - 1, BCT_FLAG_LEVEL - 1)]
+            for e in w.edge_days():
+                mine = e.receiver == agent
+                e.held[mine] = N_RISK_LEVELS - 1
+                held.append(int(mine.sum()))
 
         levels = _levels_after(world, inject, 25)
+        assert sum(held) > 0
         assert np.all(levels[agent] == 1)
         assert not world.bct_active[agent]
 
@@ -187,42 +187,103 @@ class TestBctPolicy:
 
         def inject(w, day):
             if day in (0, 5):
-                w.inbox[agent] = [_flag(day)]
+                w.bct_flag[agent] = True  # as if a contact tested positive yesterday
 
         levels = _levels_after(world, inject, 25)
         assert levels[agent, 1:20].tolist() == [4] * 19
         assert levels[agent, 20] == 1
 
 
+def _partners(encounters, agent, has_app):
+    """Distinct app partners of ``agent`` in one day's encounter arrays."""
+    a, b, _loc = encounters
+    return {int(p) for p in np.concatenate([b[a == agent], a[b == agent]]) if has_app[p]}
+
+
+def _union(met, days):
+    return set().union(*(met[d] for d in days))
+
+
+def _due_positive(world, agent, day):
+    """Make ``agent``'s (infected) test result come back on ``day``."""
+    world.test_code[agent] = TEST_PENDING
+    world.result_day[agent] = day
+    world.infected_at_order[agent] = True
+
+
+@pytest.fixture(scope="module")
+def bct_positive():
+    """One app agent tests positive on day R in a quiet bct world.
+
+    R and the agent are the first for which some partner was met on
+    R - d_max and on no later day, and another partner on R - d_max - 1
+    only. Returns the world after day R, R's report, the agent, R and
+    the agent's app partners per day.
+    """
+    kw = dict(record_encounter_log=True, test_false_negative_rate=0.0)
+    probe = _quiet_world("bct", **kw)
+    for _ in range(probe.cfg.num_days):
+        step_day(probe)
+    d_max = probe.cfg.d_max
+    cases = (
+        (result_day, agent, {d: _partners(probe.encounter_log[d], agent, probe.has_app)
+                             for d in range(result_day - d_max - 1, result_day + 1)})
+        for result_day in range(d_max + 1, probe.cfg.num_days)
+        for agent in probe.app_ids.tolist())
+    result_day, agent, met = next(
+        (r, a, met) for r, a, met in cases
+        if met[r - d_max] - _union(met, range(r - d_max + 1, r + 1))
+        and met[r - d_max - 1] - _union(met, range(r - d_max, r + 1)))
+
+    # the same world again: injecting on day R leaves days before R as they were
+    world = _quiet_world("bct", **kw)
+    for _ in range(result_day):
+        step_day(world)
+    _due_positive(world, agent, result_day)
+    report = step_day(world)
+    assert world.test_hist[agent, result_day] == TEST_POSITIVE
+    return world, report, agent, result_day, met
+
+
 class TestBctFanout:
-    BOOK = {
-        0: {101: 1},
-        1: {101: 2, 202: 1},
-        15: {303: 1},
-        16: {404: 2},
-        30: {505: 1},
-    }
+    def test_window_is_last_d_max_days_inclusive(self, bct_positive):
+        world, _report, _agent, result_day, met = bct_positive
+        d_max = world.cfg.d_max
+        window = _union(met, range(result_day - d_max, result_day + 1))
+        assert set(np.flatnonzero(world.bct_flag).tolist()) == window
+        outside = met[result_day - d_max - 1] - window
+        assert outside and not world.bct_flag[list(outside)].any()
 
-    def test_window_is_last_d_max_days_inclusive(self):
-        out = bct_fanout(self.BOOK, result_day=30, d_max=14)
-        days = {d for d, _ in out}
-        assert days == {16, 30}
-        assert (16, 404) in out and (30, 505) in out
-        # day 15 == result_day - 15 is outside a 14-day lookback
-        assert all(d != 15 for d, _ in out)
+    def test_boundary_day_included(self, bct_positive):
+        world, _report, _agent, result_day, met = bct_positive
+        d_max = world.cfg.d_max
+        edge_only = met[result_day - d_max] - _union(met, range(result_day - d_max + 1,
+                                                                result_day + 1))
+        assert edge_only and world.bct_flag[list(edge_only)].all()
 
-    def test_boundary_day_included(self):
-        out = bct_fanout(self.BOOK, result_day=29, d_max=14)
-        assert (15, 303) in out
-        assert (16, 404) in out
-
-    def test_distinct_pairs_sorted(self):
-        book = {5: {7: 3, 2: 1}, 6: {7: 2}}
-        out = bct_fanout(book, result_day=6, d_max=14)
-        assert out == [(5, 2), (5, 7), (6, 7)]
+    def test_one_flag_per_day_and_partner(self, bct_positive):
+        world, report, agent, result_day, met = bct_positive
+        days = range(result_day - world.cfg.d_max, result_day + 1)
+        assert report.messages == sum(len(met[d]) for d in days)
+        encounters = 0
+        for d in days:
+            a, b, _loc = world.encounter_log[d]
+            encounters += int((((a == agent) & world.has_app[b])
+                               | ((b == agent) & world.has_app[a])).sum())
+        assert encounters > report.messages  # repeat encounters are not flagged twice
 
     def test_empty_book(self):
-        assert bct_fanout({}, result_day=10, d_max=14) == []
+        world = _quiet_world("bct", global_mobility_scale=0.0, test_false_negative_rate=0.0)
+        agent = int(world.app_ids[0])
+        messages = 0
+        for day in range(8):
+            if day == 5:
+                _due_positive(world, agent, day)
+            messages += step_day(world).messages
+            assert not world.bct_flag.any()
+        assert world.test_hist[agent, 5] == TEST_POSITIVE
+        assert messages == 0
+        assert not world.bct_active.any()
 
 
 def _pct_run(predictor, days=12, **kw):
