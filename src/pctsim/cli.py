@@ -8,6 +8,7 @@ config file's rng_seed (an explicit --seed flag still wins).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -80,12 +81,28 @@ def _sweep_worker(cfg_dict: dict) -> dict:
         }
 
 
-def _run_sweep(cfg_points, jobs: int):
+def _datagen_worker(cfg_dict: dict, out: Path) -> tuple[dict, dict | None]:
+    """Run and export one campaign run: (manifest fields, metrics row or None); never raises."""
+    cfg = core.SimConfig.from_mapping(cfg_dict)
+    try:
+        trace = core.run(cfg)
+        records_file = f"{trace.run_id}.records.jsonl"
+        n_records = datagen.export_training_records(trace, out / records_file)
+        return ({"run_id": trace.run_id, "records_file": records_file,
+                 "n_records": n_records, "status": "ok"},
+                metrics.metrics_row(trace, cfg.rng_seed))
+    except Exception as exc:  # flagged entry; the campaign continues
+        return {"status": f"error: {type(exc).__name__}: {exc}"}, None
+
+
+def _map_runs(worker, cfg_points, jobs: int):
+    """Yield ``worker`` of each config's dict, in order, from up to ``jobs`` processes."""
     cfg_dicts = [c.to_dict() for c in cfg_points]
     if jobs > 1 and len(cfg_dicts) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, cfg_dicts))
-    return [_sweep_worker(d) for d in cfg_dicts]
+            yield from pool.map(worker, cfg_dicts)
+    else:
+        yield from map(worker, cfg_dicts)
 
 
 def _fast(cfg: core.SimConfig) -> core.SimConfig:
@@ -116,7 +133,7 @@ def cmd_pareto(args) -> int:
     policies = args.policies.split(",") if args.policies else list(core.POLICIES)
     points = [cfg.replace(global_mobility_scale=sc, rng_seed=sd, policy=pol)
               for sc in scales for sd in seeds for pol in policies]
-    rows = _run_sweep(points, args.jobs)
+    rows = list(_map_runs(_sweep_worker, points, args.jobs))
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -138,7 +155,7 @@ def cmd_adoption(args) -> int:
     policies = args.policies.split(",") if args.policies else ["bct", "heuristic", "pct"]
     points = [cfg.replace(adoption_rate=a, rng_seed=sd, policy=pol)
               for a in adoptions for sd in args.seeds for pol in policies]
-    rows = _run_sweep(points, args.jobs)
+    rows = list(_map_runs(_sweep_worker, points, args.jobs))
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -152,25 +169,22 @@ def cmd_datagen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(base.rng_seed)
-    runs, rows = [], []
-    for i in range(args.n_runs):
+    cfgs = []
+    for _ in range(args.n_runs):
         cfg = datagen.sample_dr_config(base, rng)
-        cfg = cfg.replace(rng_seed=int(rng.integers(0, 2**31)))
+        cfgs.append(cfg.replace(rng_seed=int(rng.integers(0, 2**31))))
+    results = _map_runs(functools.partial(_datagen_worker, out=out), cfgs, args.jobs)
+    runs, rows = [], []
+    for i, (cfg, (fields, row)) in enumerate(zip(cfgs, results)):
         entry = {"index": i, "seed": cfg.rng_seed,
                  "config_hash": metrics.config_hash(cfg.to_dict()),
-                 "config": cfg.to_dict()}
-        try:
-            trace = core.run(cfg)
-            records_file = f"{trace.run_id}.records.jsonl"
-            n_records = datagen.export_training_records(trace, out / records_file)
-            entry.update(run_id=trace.run_id, records_file=records_file,
-                         n_records=n_records, status="ok")
-            rows.append(metrics.metrics_row(trace, cfg.rng_seed))
-            print(f"run {i + 1}/{args.n_runs}: {trace.run_id} "
-                  f"({n_records} records)")
-        except Exception as exc:
-            entry.update(status=f"error: {type(exc).__name__}: {exc}")
-            print(f"run {i + 1}/{args.n_runs} failed: {exc}", file=sys.stderr)
+                 "config": cfg.to_dict(), **fields}
+        if row is None:
+            print(f"run {i + 1}/{args.n_runs} failed: {entry['status']}", file=sys.stderr)
+        else:
+            rows.append(row)
+            print(f"run {i + 1}/{args.n_runs}: {entry['run_id']} "
+                  f"({entry['n_records']} records)")
         runs.append(entry)
     ok_ids = [e["run_id"] for e in runs if e["status"] == "ok"]
     if len(ok_ids) >= 2:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -188,9 +188,6 @@ class InfectionEvent:
     infectee: int
     location: str
 
-    def astuple(self):
-        return (self.day, self.infector, self.infectee, self.location)
-
 
 @dataclass
 class DayReport:
@@ -227,51 +224,42 @@ class EdgeDay:
     inflight: np.ndarray
 
 
+@dataclass(eq=False, kw_only=True)
 class SimulationTrace:
-    """Immutable record of one completed run."""
+    """Immutable record of one completed run.
 
-    def __init__(self, *, config, run_id, population, num_days, app_ids,
-                 profiles, initial_counts, day_reports, events, epi_hist,
-                 level_hist, y_hist, symptom_hist, test_hist,
-                 encounters_per_day, final_epi_state, enc_windows=None,
-                 yhat_hist=None, encounter_log=None):
-        self.config = config
-        self.run_id = run_id
-        self.population = population
-        self.num_days = num_days
-        self.app_ids = app_ids
-        self.profiles = profiles
-        self.initial_counts = initial_counts
-        self.day_reports = day_reports
-        self.events = events
-        self.epi_hist = epi_hist
-        self.level_hist = level_hist
-        self.y_hist = y_hist
-        self.symptom_hist = symptom_hist
-        self.test_hist = test_hist
-        self.encounters_per_day = encounters_per_day
-        self.final_epi_state = final_epi_state
-        self.enc_windows = enc_windows
-        self.yhat_hist = yhat_hist
-        self.encounter_log = encounter_log
+    ``enc_windows`` (observables recording) holds one ``(starts, rows)``
+    pair per day. ``rows`` is the day's uint16 ``(k, level, count)`` table
+    of held contact levels, sorted by (receiver, k, level, count); app
+    agent ``app_ids[i]`` owns ``rows[starts[i]:starts[i + 1]]``, and
+    ``starts[-1] == len(rows)``.
+    """
+
+    config: dict
+    run_id: str
+    population: int
+    num_days: int
+    app_ids: np.ndarray
+    profiles: dict
+    initial_counts: dict
+    day_reports: list
+    events: list
+    epi_hist: np.ndarray
+    level_hist: np.ndarray
+    y_hist: np.ndarray
+    symptom_hist: np.ndarray
+    test_hist: np.ndarray
+    encounters_per_day: np.ndarray
+    final_epi_state: np.ndarray
+    enc_windows: list | None = None
+    yhat_hist: np.ndarray | None = None
+    encounter_log: list | None = None
 
     def recovered_ids(self):
         return set(np.flatnonzero(self.final_epi_state == STATE_R).tolist())
 
     def day_record(self, report: DayReport) -> dict:
-        rec = {
-            "kind": "day",
-            "day": report.day,
-            "s": report.s, "e": report.e, "i": report.i, "r": report.r,
-            "new_cases": report.new_cases,
-            "cum_cases": report.cum_cases,
-            "encounters": report.encounters,
-            "quarantined": report.quarantined,
-            "quarantined_healthy": report.quarantined_healthy,
-            "tests_ordered": report.tests_ordered,
-            "positives": report.positives,
-            "messages": report.messages,
-        }
+        rec = {"kind": "day", **dataclasses.asdict(report)}
         if self.yhat_hist is not None:
             rec["y_hat"] = {
                 str(a): [round(float(v), 6) for v in self.yhat_hist[a, report.day]]
@@ -302,8 +290,7 @@ class SimulationTrace:
                 fh.write(dump(self.day_record(report)) + "\n")
         with open(events_path, "w") as fh:
             for ev in self.events:
-                fh.write(dump({"day": ev.day, "infector": ev.infector,
-                               "infectee": ev.infectee, "location": ev.location}) + "\n")
+                fh.write(dump(dataclasses.asdict(ev)) + "\n")
 
 
 class WorldState:
@@ -318,9 +305,12 @@ class WorldState:
         seq = np.random.SeedSequence(int(cfg.rng_seed))
         self.rng = {name: np.random.default_rng(child)
                     for name, child in zip(_RNG_STREAMS, seq.spawn(len(_RNG_STREAMS)))}
+        # fitted cut points are for the pct predictor; the heuristic's
+        # 0.25-step scores stay on the uniform grid
+        fitted = cfg.policy == "pct" and cfg.risk_thresholds is not None
         self.thresholds = np.asarray(
-            cfg.risk_thresholds if cfg.risk_thresholds is not None
-            else messaging.DEFAULT_THRESHOLDS, dtype=np.float64)
+            cfg.risk_thresholds if fitted else messaging.DEFAULT_THRESHOLDS,
+            dtype=np.float64)
         self.psi = np.asarray(cfg.psi_table, dtype=np.int8)
 
         self._build_population()
@@ -444,7 +434,7 @@ class WorldState:
         self.test_hist = np.zeros((n, days), dtype=np.int8)
         self.encounters_per_day = np.zeros(days, dtype=np.int64)
         self.day_reports: list[DayReport] = []
-        self.enc_windows = {} if (self.cfg.record_observables and self.app_active) else None
+        self.enc_windows = [] if (self.cfg.record_observables and self.app_active) else None
         record_estimates = (self.cfg.record_estimates
                             and self.cfg.policy in ("pct", "heuristic") and days > 0)
         self.yhat_hist = (np.zeros((n, days, self.window), dtype=np.float32)
@@ -484,11 +474,8 @@ class WorldState:
     def ground_truth_window(self, day) -> np.ndarray:
         """(n, window) matrix of y values, newest-first, zero before day 0."""
         out = np.zeros((self.n, self.window), dtype=np.float64)
-        for k in range(self.window):
-            d = day - k
-            if d < 0:
-                break
-            out[:, k] = self.y_hist[:, d]
+        span = min(day + 1, self.window)
+        out[:, :span] = self.y_hist[:, day + 1 - span:day + 1][:, ::-1]
         return out
 
     def edge_days(self) -> list[EdgeDay]:
@@ -765,7 +752,7 @@ class WorldState:
         return sent
 
     def _snapshot_enc_windows(self, day):
-        """Each app agent's held (k, level, count) rows, sorted, as of today."""
+        """Append today's held (k, level, count) table and each app agent's start row."""
         days = self.edge_days()
         receiver = np.concatenate([e.receiver for e in days])
         rows = np.column_stack([
@@ -774,9 +761,8 @@ class WorldState:
             np.minimum(np.concatenate([e.count for e in days]), 65535),
         ]).astype(np.uint16)
         order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], receiver))
-        cuts = np.searchsorted(receiver[order], self.app_ids[1:])
-        for agent, own in zip(self.app_ids.tolist(), np.split(rows[order], cuts)):
-            self.enc_windows[(agent, day)] = own
+        starts = np.searchsorted(receiver[order], self.app_ids)
+        self.enc_windows.append((np.append(starts, order.size), rows[order]))
 
     def _phase_levels(self, day):
         cfg = self.cfg

@@ -57,44 +57,42 @@ def iter_training_records(trace):
 
     Requires a trace recorded with observables enabled. Window slots are
     newest-first; days before the simulation start are null in the
-    health/encounter windows and zero in the targets.
+    health/encounter windows and zero in the targets. Each day's records
+    are cut from slices of that day's sorted table and of the histories.
     """
     if trace.enc_windows is None:
         raise ValueError("trace was recorded without observables; re-run with "
                          "record_observables and a tracing policy")
+    if len(trace.enc_windows) != trace.num_days:
+        raise ValueError(f"trace is truncated: observables for "
+                         f"{len(trace.enc_windows)} of {trace.num_days} days")
     window = int(trace.config["d_max"]) + 1
-    for day in range(trace.num_days):
-        for agent in trace.app_ids.tolist():
-            snapshot = trace.enc_windows.get((agent, day))
-            if snapshot is None:
-                raise ValueError(f"trace is truncated: no observables for agent "
-                                 f"{agent} day {day}")
-            enc_slots = [[] for _ in range(window)]
-            for k, lvl, cnt in snapshot.tolist():
-                enc_slots[k].append([int(lvl), int(cnt)])
-            health, encounters, targets = [], [], []
-            for k in range(window):
-                d = day - k
-                if d < 0:
-                    health.append(None)
-                    encounters.append(None)
-                    targets.append(0.0)
-                    continue
-                health.append({
-                    "symptoms": symptom_names_from_mask(int(trace.symptom_hist[agent, d])),
-                    "test": TEST_CODE_NAMES[int(trace.test_hist[agent, d])],
-                })
-                encounters.append(enc_slots[k])
-                targets.append(float(trace.y_hist[agent, d]))
+    app = trace.app_ids
+    for day, (starts, rows) in enumerate(trace.enc_windows):
+        span = min(day + 1, window)
+        first, pad = day + 1 - span, [None] * (window - span)
+        targets = trace.y_hist[app, first:day + 1][:, ::-1].tolist()
+        symptoms = trace.symptom_hist[app, first:day + 1][:, ::-1].tolist()
+        tests = trace.test_hist[app, first:day + 1][:, ::-1].tolist()
+        # row offsets of slot (i, k): each agent's rows are sorted by k
+        owner = np.repeat(np.arange(app.size), np.diff(starts))
+        slots = np.searchsorted(owner * window + rows[:, 0],
+                                np.arange(app.size * window + 1)).tolist()
+        for i, agent in enumerate(app.tolist()):
+            cut = slots[i * window:i * window + span + 1]
+            own = rows[cut[0]:cut[-1], 1:].tolist()
             yield {
                 "schema_version": RECORD_SCHEMA_VERSION,
                 "run_id": trace.run_id,
                 "agent_id": agent,
                 "day": day,
                 "profile": trace.profiles[agent],
-                "health": health,
-                "encounters": encounters,
-                "targets": targets,
+                "health": [{"symptoms": symptom_names_from_mask(mask),
+                            "test": TEST_CODE_NAMES[code]}
+                           for mask, code in zip(symptoms[i], tests[i])] + pad,
+                "encounters": [own[lo - cut[0]:hi - cut[0]]
+                               for lo, hi in zip(cut, cut[1:])] + pad,
+                "targets": targets[i] + [0.0] * len(pad),
             }
 
 

@@ -147,6 +147,19 @@ class TestDatagenCommand:
         assert filecmp.cmp(outs[0] / "manifest.json", outs[1] / "manifest.json",
                            shallow=False)
 
+    def test_parallel_jobs_write_identical_files(self, cfg_path, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            assert cli.main(["datagen", "--config", cfg_path, "--n-runs", "3",
+                             "--jobs", jobs, "--out", str(outs[jobs])]) == 0
+        names = sorted(p.name for p in outs["1"].iterdir())
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        assert {"manifest.json", "split.json", "metrics.csv"} <= set(names)
+        assert sum(name.endswith(".records.jsonl") for name in names) == 3
+        for name in names:
+            assert filecmp.cmp(outs["1"] / name, outs["2"] / name, shallow=False), name
+
     def test_split_covers_all_ok_runs(self, cfg_path, tmp_path):
         out = tmp_path / "d"
         cli.main(["datagen", "--config", cfg_path, "--n-runs", "3",

@@ -1,6 +1,7 @@
 """Engine tests: config validation, seeding, conservation, determinism."""
 
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from pctsim.core import (
 from pctsim.metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S
 from pctsim.tracing import policy_heuristic
 from pctsim.virology import TEST_NEGATIVE, TEST_PENDING, TEST_POSITIVE
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _small(**kw):
@@ -262,10 +265,24 @@ class TestHeuristicThroughEngine:
             assert has_positive.shape == n_symptoms.shape == max_level.shape == app.shape
             bits = [bin(int(m)).count("1") for m in world.symptom_hist[app, day]]
             assert n_symptoms.tolist() == bits
-            top = [int(world.enc_windows[(a, day)][:, 1].max(initial=0)) for a in app.tolist()]
+            starts, rows = world.enc_windows[day]
+            top = [int(rows[lo:hi, 1].max(initial=0))
+                   for lo, hi in zip(starts[:-1], starts[1:])]
             assert max_level.tolist() == top
         assert any(obs[0].any() for obs, _ in days)
         assert any(obs[2].max() >= 12 for obs, _ in days)
+
+    def test_fitted_thresholds_are_pct_only(self):
+        # default.yaml's cuts top out near 0.2, where a 0.25 heuristic score
+        # would broadcast level 15; the heuristic keeps the uniform grid
+        fitted = load_config(CONFIG_DIR / "default.yaml").risk_thresholds
+        assert fitted is not None and fitted[-1] < 0.25
+        cfg = _small(policy="heuristic", population_size=600, num_days=20,
+                     initial_exposed_fraction=0.05, global_mobility_scale=3.75)
+        uniform, cut = run(cfg), run(cfg.replace(risk_thresholds=fitted))
+        assert cut.day_reports == uniform.day_reports
+        assert cut.events == uniform.events
+        assert sum(r.messages for r in uniform.day_reports) > 0
 
 
 class TestFalseNegativeRate:

@@ -1,5 +1,6 @@
 """Domain randomization, uptake, splits, and training-record export."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestExport:
             config = pct_trace.config
             num_days = pct_trace.num_days
             app_ids = pct_trace.app_ids
-            enc_windows = {}
+            enc_windows = []
             run_id = pct_trace.run_id
             profiles = pct_trace.profiles
             symptom_hist = pct_trace.symptom_hist
@@ -197,9 +198,55 @@ class TestExport:
             list(iter_training_records(Hollow()))
         assert "truncated" in str(err.value)
 
+    def test_missing_last_day_rejected(self, pct_trace):
+        cut = dataclasses.replace(pct_trace, enc_windows=pct_trace.enc_windows[:-1])
+        with pytest.raises(ValueError) as err:
+            list(iter_training_records(cut))
+        assert "truncated" in str(err.value)
+
     def test_records_are_valid_json_lines(self, pct_trace, tmp_path):
         path = tmp_path / "records.jsonl"
         export_training_records(pct_trace, path)
         with open(path) as fh:
             for line in fh:
                 json.loads(line)
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    """A run longer than its window, so days leave the observation table."""
+    cfg = SimConfig(population_size=200, num_days=12, d_max=4, rng_seed=11,
+                    policy="heuristic", global_mobility_scale=3.7,
+                    initial_exposed_fraction=0.05)
+    return run(cfg)
+
+
+class TestObservationStore:
+    @pytest.fixture(params=["pct", "long"])
+    def trace(self, request, pct_trace, long_trace):
+        return pct_trace if request.param == "pct" else long_trace
+
+    def test_one_table_per_day(self, trace):
+        assert len(trace.enc_windows) == trace.num_days
+        for starts, rows in trace.enc_windows:
+            assert rows.dtype == np.uint16 and rows.shape[1] == 3
+            assert starts.shape == (trace.app_ids.size + 1,)
+
+    def test_starts_bound_the_rows(self, trace):
+        for starts, rows in trace.enc_windows:
+            assert starts[0] == 0
+            assert np.all(np.diff(starts) >= 0)
+            assert starts[-1] == len(rows)
+
+    def test_each_agents_rows_sorted(self, trace):
+        for starts, rows in trace.enc_windows:
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                own = rows[lo:hi].tolist()
+                assert own == sorted(own)
+
+    def test_offsets_stay_in_the_window(self, trace):
+        d_max = int(trace.config["d_max"])
+        for day, (_starts, rows) in enumerate(trace.enc_windows):
+            assert np.all(rows[:, 0] <= min(day, d_max))
+        top = max(int(rows[:, 0].max(initial=0)) for _s, rows in trace.enc_windows)
+        assert top == min(trace.num_days - 1, d_max)
