@@ -8,9 +8,11 @@ config file's rng_seed (an explicit --seed flag still wins).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -95,14 +97,29 @@ def _datagen_worker(cfg_dict: dict, out: Path) -> tuple[dict, dict | None]:
         return {"status": f"error: {type(exc).__name__}: {exc}"}, None
 
 
-def _map_runs(worker, cfg_points, jobs: int):
-    """Yield ``worker`` of each config's dict, in order, from up to ``jobs`` processes."""
-    cfg_dicts = [c.to_dict() for c in cfg_points]
-    if jobs > 1 and len(cfg_dicts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(worker, cfg_dicts)
+def _pareto_worker(cfg_dict: dict) -> tuple[float, float]:
+    """(contacts, R) of one run."""
+    return metrics.pareto_point(core.run(core.SimConfig.from_mapping(cfg_dict)))
+
+
+@contextlib.contextmanager
+def _pool(jobs: int, n_runs: int):
+    """A pool of up to ``jobs`` processes for ``n_runs`` runs at once, or None for one.
+
+    Workers are spawned, not forked, so no thread state of the caller is copied.
+    """
+    if min(jobs, n_runs) <= 1:
+        yield None
     else:
-        yield from map(worker, cfg_dicts)
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+
+
+def _map_runs(worker, cfg_points, pool):
+    """Iterate ``worker`` of each config's dict, in order, in ``pool`` or in-process."""
+    cfg_dicts = [c.to_dict() for c in cfg_points]
+    return (map if pool is None else pool.map)(worker, cfg_dicts)
 
 
 def _fast(cfg: core.SimConfig) -> core.SimConfig:
@@ -133,7 +150,8 @@ def cmd_pareto(args) -> int:
     policies = args.policies.split(",") if args.policies else list(core.POLICIES)
     points = [cfg.replace(global_mobility_scale=sc, rng_seed=sd, policy=pol)
               for sc in scales for sd in seeds for pol in policies]
-    rows = list(_map_runs(_sweep_worker, points, args.jobs))
+    with _pool(args.jobs, len(points)) as pool:
+        rows = list(_map_runs(_sweep_worker, points, pool))
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -155,7 +173,8 @@ def cmd_adoption(args) -> int:
     policies = args.policies.split(",") if args.policies else ["bct", "heuristic", "pct"]
     points = [cfg.replace(adoption_rate=a, rng_seed=sd, policy=pol)
               for a in adoptions for sd in args.seeds for pol in policies]
-    rows = list(_map_runs(_sweep_worker, points, args.jobs))
+    with _pool(args.jobs, len(points)) as pool:
+        rows = list(_map_runs(_sweep_worker, points, pool))
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -173,19 +192,21 @@ def cmd_datagen(args) -> int:
     for _ in range(args.n_runs):
         cfg = datagen.sample_dr_config(base, rng)
         cfgs.append(cfg.replace(rng_seed=int(rng.integers(0, 2**31))))
-    results = _map_runs(functools.partial(_datagen_worker, out=out), cfgs, args.jobs)
     runs, rows = [], []
-    for i, (cfg, (fields, row)) in enumerate(zip(cfgs, results)):
-        entry = {"index": i, "seed": cfg.rng_seed,
-                 "config_hash": metrics.config_hash(cfg.to_dict()),
-                 "config": cfg.to_dict(), **fields}
-        if row is None:
-            print(f"run {i + 1}/{args.n_runs} failed: {entry['status']}", file=sys.stderr)
-        else:
-            rows.append(row)
-            print(f"run {i + 1}/{args.n_runs}: {entry['run_id']} "
-                  f"({entry['n_records']} records)")
-        runs.append(entry)
+    with _pool(args.jobs, len(cfgs)) as pool:
+        results = _map_runs(functools.partial(_datagen_worker, out=out), cfgs, pool)
+        for i, (cfg, (fields, row)) in enumerate(zip(cfgs, results)):
+            entry = {"index": i, "seed": cfg.rng_seed,
+                     "config_hash": metrics.config_hash(cfg.to_dict()),
+                     "config": cfg.to_dict(), **fields}
+            if row is None:
+                print(f"run {i + 1}/{args.n_runs} failed: {entry['status']}",
+                      file=sys.stderr)
+            else:
+                rows.append(row)
+                print(f"run {i + 1}/{args.n_runs}: {entry['run_id']} "
+                      f"({entry['n_records']} records)")
+            runs.append(entry)
     ok_ids = [e["run_id"] for e in runs if e["status"] == "ok"]
     if len(ok_ids) >= 2:
         train, valid = datagen.make_split(ok_ids, seed=base.rng_seed)
@@ -206,39 +227,24 @@ def cmd_datagen(args) -> int:
     return EXIT_OK if ok_ids else EXIT_RUNTIME
 
 
-def _nt_point(cfg: core.SimConfig, scale: float, seeds) -> tuple[float, float]:
+def _nt_point(cfg: core.SimConfig, scale: float, seeds, pool) -> tuple[float, float]:
     """Mean (contacts, R) for the no-tracing baseline at one scale."""
-    contacts, rs = [], []
-    for seed in seeds:
-        trace = core.run(cfg.replace(global_mobility_scale=scale, rng_seed=seed))
-        c, r = metrics.pareto_point(trace)
-        contacts.append(c)
-        rs.append(r)
+    points = [cfg.replace(global_mobility_scale=scale, rng_seed=seed) for seed in seeds]
+    contacts, rs = zip(*_map_runs(_pareto_worker, points, pool))
     finite = [r for r in rs if not math.isnan(r)]
     return float(np.mean(contacts)), float(np.mean(finite)) if finite else math.nan
 
 
-def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
-              tolerance: float = DEFAULT_CONTACT_TOLERANCE, log=print) -> dict:
-    """Find the mobility scale hitting the target contacts, then thresholds.
-
-    Bisection over global_mobility_scale drives the no-tracing mean
-    effective contacts to within the tolerance of the target; risk
-    thresholds are then calibrated on the positive predictions emitted by
-    a noisy-oracle run at the found scale.
-
-    Raises RuntimeError when the search cannot bracket the target, with
-    the achieved contact range in the message.
-    """
-    nt = _fast(cfg).replace(policy="no_tracing")
+def _fit_scale(nt_point, target_contacts, tolerance, log) -> tuple[float, float, float]:
+    """Bracket, then bisect, the scale whose ``nt_point`` contacts hit the target."""
     lo, c_lo = 0.0, 0.0
     hi = 1.0
-    c_hi, r_hi = _nt_point(nt, hi, seeds)
+    c_hi, r_hi = nt_point(hi)
     log(f"scale {hi:.4f}: contacts {c_hi:.3f}")
     while c_hi < target_contacts and hi < MAX_SCALE:
         lo, c_lo = hi, c_hi
         hi *= 2.0
-        c_hi, r_hi = _nt_point(nt, hi, seeds)
+        c_hi, r_hi = nt_point(hi)
         log(f"scale {hi:.4f}: contacts {c_hi:.3f}")
     if c_hi < target_contacts:
         raise RuntimeError(
@@ -251,7 +257,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
         if abs(best_contacts - target_contacts) <= 0.2 * tolerance:
             break
         mid = 0.5 * (lo + hi)
-        c_mid, r_mid = _nt_point(nt, mid, seeds)
+        c_mid, r_mid = nt_point(mid)
         log(f"scale {mid:.4f}: contacts {c_mid:.3f}")
         if abs(c_mid - target_contacts) < abs(best_contacts - target_contacts):
             best_scale, best_contacts, best_r = mid, c_mid, r_mid
@@ -263,6 +269,29 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
         raise RuntimeError(
             f"calibration did not converge: best contacts {best_contacts:.3f} at "
             f"scale {best_scale:.4f}, target {target_contacts} +- {tolerance}")
+    return best_scale, best_contacts, best_r
+
+
+def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
+              tolerance: float = DEFAULT_CONTACT_TOLERANCE, log=print,
+              jobs: int = 1) -> dict:
+    """Find the mobility scale hitting the target contacts, then thresholds.
+
+    Bisection over global_mobility_scale drives the no-tracing mean
+    effective contacts to within the tolerance of the target; risk
+    thresholds are then calibrated on the positive predictions emitted by
+    a noisy-oracle run at the found scale.
+
+    The per-seed runs of each scale go to one pool of up to ``jobs``
+    processes; the result does not depend on ``jobs``.
+
+    Raises RuntimeError when the search cannot bracket the target, with
+    the achieved contact range in the message.
+    """
+    nt = _fast(cfg).replace(policy="no_tracing")
+    with _pool(jobs, len(seeds)) as pool:
+        best_scale, best_contacts, best_r = _fit_scale(
+            lambda scale: _nt_point(nt, scale, seeds, pool), target_contacts, tolerance, log)
 
     traffic_cfg = cfg.replace(policy="pct", predictor="noisy_oracle",
                               global_mobility_scale=best_scale,
@@ -287,7 +316,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
     seeds = args.seeds if args.seeds else [cfg.rng_seed + i for i in range(8)]
-    result = calibrate(cfg, args.target_contacts, seeds, args.tolerance)
+    result = calibrate(cfg, args.target_contacts, seeds, args.tolerance, jobs=args.jobs)
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True))
     print(f"calibrated mobility scale {result['mobility_scale']:.4f}: "
           f"contacts {result['achieved_contacts']:.3f} "

@@ -11,11 +11,13 @@ for the same window. Records never contain partner identities, only
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
 from .core import SimConfig
-from .virology import TEST_CODE_NAMES, symptom_names_from_mask
+from .virology import SYMPTOM_NAMES, TEST_CODE_NAMES, symptom_names_from_mask
 
 RECORD_SCHEMA_VERSION = 1
 
@@ -52,13 +54,34 @@ def adoption_to_uptake(adoption: float, smartphone_rate: float) -> float:
     return adoption / smartphone_rate
 
 
-def iter_training_records(trace):
-    """Yield one training record per (app agent, day) from a trace.
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
-    Requires a trace recorded with observables enabled. Window slots are
-    newest-first; days before the simulation start are null in the
-    health/encounter windows and zero in the targets. Each day's records
-    are cut from slices of that day's sorted table and of the histories.
+
+# Every health slot, indexed by symptom mask * len(TEST_CODE_NAMES) + test code.
+_HEALTH_SLOTS = np.array(
+    [_canonical({"symptoms": symptom_names_from_mask(mask), "test": test})
+     for mask in range(1 << len(SYMPTOM_NAMES)) for test in TEST_CODE_NAMES],
+    dtype=object)
+
+
+def _render_floats(values: np.ndarray) -> np.ndarray:
+    """JSON text of each value, rendered once per distinct bit pattern."""
+    if not np.isfinite(values).all():
+        raise ValueError("ground-truth targets hold a non-finite value, "
+                         "which JSON cannot carry")
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(values.dtype).tolist()], dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
+def _render_days(trace):
+    """Yield each day's record lines, one canonical-JSON line per app agent.
+
+    Every piece is rendered once: each agent's record head and tail per
+    run, each (agent, day) health slot and target per run, each
+    ``[level,count]`` cell per day. A line joins the newest-first slices
+    of these pieces.
     """
     if trace.enc_windows is None:
         raise ValueError("trace was recorded without observables; re-run with "
@@ -68,47 +91,80 @@ def iter_training_records(trace):
                          f"{len(trace.enc_windows)} of {trace.num_days} days")
     window = int(trace.config["d_max"]) + 1
     app = trace.app_ids
+    targets = _render_floats(trace.y_hist[app])
+    health = _HEALTH_SLOTS[trace.symptom_hist[app].astype(np.intp) * len(TEST_CODE_NAMES)
+                           + trace.test_hist[app]]
+    agents = app.tolist()
+    heads = ['{"agent_id":%d,"day":' % agent for agent in agents]
+    tail = (f',"run_id":{_canonical(trace.run_id)},'
+            f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
+    tails = ['"profile":' + _canonical(trace.profiles[agent]) + tail for agent in agents]
     for day, (starts, rows) in enumerate(trace.enc_windows):
         span = min(day + 1, window)
-        first, pad = day + 1 - span, [None] * (window - span)
-        targets = trace.y_hist[app, first:day + 1][:, ::-1].tolist()
-        symptoms = trace.symptom_hist[app, first:day + 1][:, ::-1].tolist()
-        tests = trace.test_hist[app, first:day + 1][:, ::-1].tolist()
+        first = day + 1 - span
+        nulls, zeros = ",null" * (window - span), ",0.0" * (window - span)
+        day_health = health[:, first:day + 1][:, ::-1].tolist()
+        day_targets = targets[:, first:day + 1][:, ::-1].tolist()
+        levels, counts = rows[:, 1].astype(np.intp), rows[:, 2]
+        top = int(counts.max(initial=0)) + 1
+        cell_tab = np.array([f"[{level},{count}]"
+                             for level in range(int(levels.max(initial=0)) + 1)
+                             for count in range(top)], dtype=object)
+        cells = cell_tab[levels * top + counts].tolist()
         # row offsets of slot (i, k): each agent's rows are sorted by k
         owner = np.repeat(np.arange(app.size), np.diff(starts))
         slots = np.searchsorted(owner * window + rows[:, 0],
                                 np.arange(app.size * window + 1)).tolist()
-        for i, agent in enumerate(app.tolist()):
+        lines = []
+        for i in range(app.size):
             cut = slots[i * window:i * window + span + 1]
-            own = rows[cut[0]:cut[-1], 1:].tolist()
-            yield {
-                "schema_version": RECORD_SCHEMA_VERSION,
-                "run_id": trace.run_id,
-                "agent_id": agent,
-                "day": day,
-                "profile": trace.profiles[agent],
-                "health": [{"symptoms": symptom_names_from_mask(mask),
-                            "test": TEST_CODE_NAMES[code]}
-                           for mask, code in zip(symptoms[i], tests[i])] + pad,
-                "encounters": [own[lo - cut[0]:hi - cut[0]]
-                               for lo, hi in zip(cut, cut[1:])] + pad,
-                "targets": targets[i] + [0.0] * len(pad),
-            }
+            encounters = ",".join(["[" + ",".join(cells[lo:hi]) + "]"
+                                   for lo, hi in zip(cut, cut[1:])])
+            lines.append(f'{heads[i]}{day},"encounters":[{encounters}{nulls}],'
+                         f'"health":[{",".join(day_health[i])}{nulls}],'
+                         f'{tails[i]}{",".join(day_targets[i])}{zeros}]}}\n')
+        yield lines
+
+
+def iter_training_records(trace):
+    """Yield one training record per (app agent, day) from a trace.
+
+    Requires a trace recorded with observables enabled. Window slots are
+    newest-first; days before the simulation start are null in the
+    health/encounter windows and zero in the targets. The records are
+    the parsed lines of the export.
+    """
+    for lines in _render_days(trace):
+        yield from map(json.loads, lines)
 
 
 def export_training_records(trace, path) -> int:
     """Stream training records for one run to a JSONL file.
 
-    Returns the record count, which always equals app agents x days.
+    Each line is the record as canonical JSON (sorted keys, no spaces),
+    rendered by one pass over the days, and is the same as
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))``. The
+    lines go to a ``.partial`` sibling that replaces ``path`` only once
+    every record is written; on any error it is removed and ``path`` is
+    left as it was. Raises ValueError for a trace without a full
+    observation record or with a non-finite target. Returns the record
+    count, which always equals app agents x days.
     """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
     n = 0
-    with open(path, "w") as fh:
-        for rec in iter_training_records(trace):
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-            n += 1
-    expected = trace.app_ids.size * trace.num_days
-    if n != expected:
-        raise RuntimeError(f"exported {n} records, expected {expected}")
+    try:
+        with open(partial, "w") as fh:
+            for lines in _render_days(trace):
+                fh.writelines(lines)
+                n += len(lines)
+        expected = trace.app_ids.size * trace.num_days
+        if n != expected:
+            raise RuntimeError(f"exported {n} records, expected {expected}")
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
     return n
 
 

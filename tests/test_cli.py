@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -194,3 +195,23 @@ class TestCalibrateCommand:
         assert abs(result["achieved_contacts"] - 1.0) <= 0.5
         assert len(result["thresholds"]) == 15
         assert result["thresholds"] == sorted(result["thresholds"])
+
+    def test_parallel_jobs_write_identical_calibration(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountedPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(max_workers, **kwargs)
+                pools.append(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("population_size: 200\nnum_days: 8\nrng_seed: 0\n")
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"cal{jobs}.json"
+            assert cli.main(["calibrate", "--config", str(cfg), "--seeds", "0..3",
+                             "--target-contacts", "1.0", "--tolerance", "0.5",
+                             "--jobs", jobs, "--out", str(outs[jobs])]) == 0
+        assert outs["1"].read_bytes() == outs["2"].read_bytes()
+        assert pools == [2]  # one pool for the whole --jobs 2 calibration

@@ -204,6 +204,41 @@ class TestExport:
             list(iter_training_records(cut))
         assert "truncated" in str(err.value)
 
+    def test_failed_export_leaves_no_file(self, pct_trace, tmp_path):
+        cut = dataclasses.replace(pct_trace, enc_windows=pct_trace.enc_windows[:-1])
+        with pytest.raises(ValueError):
+            export_training_records(cut, tmp_path / "records.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_export_keeps_the_previous_file(self, pct_trace, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text("previous\n")
+        cut = dataclasses.replace(pct_trace, enc_windows=pct_trace.enc_windows[:-1])
+        with pytest.raises(ValueError):
+            export_training_records(cut, path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "previous\n"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, pct_trace, tmp_path, value):
+        y_hist = pct_trace.y_hist.copy()
+        y_hist[pct_trace.app_ids[0], 3] = value
+        broken = dataclasses.replace(pct_trace, y_hist=y_hist)
+        with pytest.raises(ValueError) as err:
+            export_training_records(broken, tmp_path / "records.jsonl")
+        assert "non-finite" in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError):
+            next(iter_training_records(broken))
+
+    def test_non_finite_target_outside_the_app_is_not_exported(self, pct_trace, tmp_path):
+        outside = np.setdiff1d(np.arange(pct_trace.population), pct_trace.app_ids)
+        y_hist = pct_trace.y_hist.copy()
+        y_hist[outside[0], 3] = np.nan
+        n = export_training_records(dataclasses.replace(pct_trace, y_hist=y_hist),
+                                    tmp_path / "records.jsonl")
+        assert n == pct_trace.app_ids.size * pct_trace.num_days
+
     def test_records_are_valid_json_lines(self, pct_trace, tmp_path):
         path = tmp_path / "records.jsonl"
         export_training_records(pct_trace, path)
@@ -219,6 +254,36 @@ def long_trace():
                     policy="heuristic", global_mobility_scale=3.7,
                     initial_exposed_fraction=0.05)
     return run(cfg)
+
+
+@pytest.fixture(scope="module")
+def dense_trace():
+    """A crowded run: two-digit repeat counts, and app agents with an empty window."""
+    cfg = SimConfig(population_size=200, num_days=12, rng_seed=11,
+                    policy="pct", predictor="oracle",
+                    global_mobility_scale=8.0, initial_exposed_fraction=0.05)
+    return run(cfg)
+
+
+class TestCanonicalLines:
+    @pytest.fixture(params=["pct", "long", "dense"])
+    def trace(self, request, pct_trace, long_trace, dense_trace):
+        return {"pct": pct_trace, "long": long_trace, "dense": dense_trace}[request.param]
+
+    def test_every_line_is_canonical_json(self, trace, tmp_path):
+        path = tmp_path / "records.jsonl"
+        n = export_training_records(trace, path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert len(lines) == n
+        for line in lines:
+            assert json.dumps(json.loads(line), sort_keys=True,
+                              separators=(",", ":")) + "\n" == line
+
+    def test_dense_trace_covers_wide_cells_and_empty_windows(self, dense_trace):
+        windows = dense_trace.enc_windows
+        assert max(int(rows[:, 2].max(initial=0)) for _starts, rows in windows) >= 10
+        assert any(np.any(np.diff(starts) == 0) for starts, _rows in windows)
 
 
 class TestObservationStore:
