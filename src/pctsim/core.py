@@ -126,8 +126,8 @@ class SimConfig:
             raise ConfigError(f"global_mobility_scale: must be >= 0, got {self.global_mobility_scale}")
         if int(self.test_delay_days) < 0:
             raise ConfigError(f"test_delay_days: must be >= 0, got {self.test_delay_days}")
-        if int(self.d_max) < 1:
-            raise ConfigError(f"d_max: must be >= 1, got {self.d_max}")
+        if not 1 <= int(self.d_max) <= 15:
+            raise ConfigError(f"d_max: must be in 1..15 (a 4-bit day offset), got {self.d_max}")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy: unknown value {self.policy!r}, expected one of {POLICIES}")
         if self.predictor not in PREDICTORS:
@@ -210,18 +210,14 @@ class DayReport:
 class EdgeDay:
     """One day of directed app contacts, one row per (receiver, sender) pair.
 
-    ``count`` is the number of encounters between the pair that day,
-    ``held`` the risk level the receiver holds for the sender, and
-    ``inflight`` the level the sender sent today (-1: none), which the
-    receiver holds from the next day's app pass on.
+    ``count`` is the number of encounters between the pair that day. The level the
+    receiver holds depends only on (sender, day): see ``WorldState.held_levels``.
     """
 
     day: int
     receiver: np.ndarray
     sender: np.ndarray
     count: np.ndarray
-    held: np.ndarray
-    inflight: np.ndarray
 
 
 @dataclass(eq=False, kw_only=True)
@@ -417,10 +413,15 @@ class WorldState:
     def _init_app_state(self):
         cfg = self.cfg
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
-        self.yhat_prev = np.zeros((self.n, self.window), dtype=np.float64)
-        self.shared_qlevel = np.zeros(self.n, dtype=np.int8)
-        # ring of the window's days, slot day % window
+        shape = (self.n, self.window)
+        self.yhat_prev = np.zeros(shape, dtype=np.float64)
+        self.qprev = np.full(shape, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8)
+        # rings over slot day % window: the edges, and per (sender, slot) the level
+        # its partners hold, the level sent today (-1: none) and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
+        self.held = np.zeros(shape, dtype=np.int8)
+        self.inflight = np.full(shape, -1, dtype=np.int8)
+        self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.n, dtype=bool)
         self.external = (tracing.ExternalPredictor(cfg.external_predictions)
                          if cfg.policy == "pct" and cfg.predictor == "external" else None)
@@ -482,6 +483,10 @@ class WorldState:
         """The edge tables of the window's days, in ring order."""
         return [e for e in self.edges if e is not None]
 
+    def held_levels(self, e: EdgeDay) -> np.ndarray:
+        """The level each receiver of ``e`` holds for its sender."""
+        return self.held[:, e.day % self.window][e.sender]
+
     def observables_for(self, day):
         """The heuristic's evidence for every app agent as of ``day``.
 
@@ -496,7 +501,7 @@ class WorldState:
         # held's dtype: np.maximum.at is ~30x slower when the dtypes differ
         top = np.zeros(self.n, dtype=np.int8)
         for e in self.edge_days():
-            np.maximum.at(top, e.receiver, e.held)
+            np.maximum.at(top, e.receiver, self.held_levels(e))
         return has_positive, n_symptoms, top[app].astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -532,7 +537,7 @@ class WorldState:
     def _register_app_contacts(self, a, b, day):
         """Today's app-pair encounters, both directions, replace the oldest day.
 
-        Each receiver starts out holding the sender's current shared level.
+        Each receiver starts out holding the sender's current level.
         Whatever was still in flight to the replaced day is dropped.
         """
         both = self.has_app[a] & self.has_app[b]
@@ -540,9 +545,11 @@ class WorldState:
         keys, count = np.unique(np.concatenate([x * self.n + y, y * self.n + x]),
                                 return_counts=True)
         receiver, sender = np.divmod(keys, self.n)
-        self.edges[day % self.window] = EdgeDay(
-            day, receiver, sender, count, self.shared_qlevel[sender],
-            np.full(keys.size, -1, dtype=np.int8))
+        slot = day % self.window
+        self.edges[slot] = EdgeDay(day, receiver, sender, count)
+        self.held[:, slot] = self.qprev[:, 0]
+        self.inflight[:, slot] = -1
+        self.outdeg[:, slot] = np.bincount(sender, minlength=self.n)
 
     def _phase_transmission(self, day, a, b, loc):
         cfg = self.cfg
@@ -670,19 +677,14 @@ class WorldState:
         flaggers = self.new_positive_today & self.has_app & ~self.bct_broadcast_done
         self.bct_broadcast_done |= flaggers
         self.bct_flag = np.zeros(self.n, dtype=bool)
-        sent = 0
         for e in self.edge_days():
-            hit = flaggers[e.sender]
-            self.bct_flag[e.receiver[hit]] = True
-            sent += int(hit.sum())
-        return sent
+            self.bct_flag[e.receiver[flaggers[e.sender]]] = True
+        return int(self.outdeg[flaggers].sum())
 
     def _deliver(self):
         """Receivers take up the levels sent in the previous pass."""
-        for e in self.edge_days():
-            hit = e.inflight >= 0
-            e.held[hit] = e.inflight[hit]
-            e.inflight[hit] = -1
+        np.copyto(self.held, self.inflight, where=self.inflight >= 0)
+        self.inflight.fill(-1)
 
     def _predict(self, day):
         """(n_app, window) predictions plus a per-agent failure mask."""
@@ -705,7 +707,7 @@ class WorldState:
                 except KeyError:
                     failed[i] = True
                     continue
-                if pred.shape != (self.window,):
+                if pred.shape != (self.window,) or not np.isfinite(pred).all():
                     failed[i] = True
                     continue
                 y_hat[i] = np.clip(pred, 0.0, 1.0)
@@ -733,36 +735,34 @@ class WorldState:
         and keep their previous estimate as the baseline for tomorrow's diff.
         """
         app = self.app_ids
-        prev = self.yhat_prev[app]
-        prev_aligned = np.concatenate([prev[:, :1], prev[:, :-1]], axis=1)
-        prev_qlev = messaging.quantize_risk(prev_aligned, self.thresholds)
-        update = np.full((self.n, self.window), -1, dtype=np.int8)
-        update[app] = np.where((qlev != prev_qlev) & ok[:, None], qlev, -1)
-        sent = 0
-        for e in self.edge_days():
-            level = update[e.sender, day - e.day]
-            hit = level >= 0
-            e.inflight[hit] = level[hit]
-            sent += int(hit.sum())
+        span = min(day + 1, self.window)  # slots of days that have edges
+        prev = self.qprev[app[:, None], np.r_[0, :span - 1]]  # aligned to today's slots
+        changed = (qlev[:, :span] != prev) & ok[:, None]
+        cols = (day - np.arange(span)) % self.window
+        self.inflight[app[:, None], cols] = np.where(changed, qlev[:, :span], -1)
+        sent = int(self.outdeg[app[:, None], cols][changed].sum())
         self.policy_level[app] = levels
         self.yhat_prev[app[ok]] = y_hat[ok]
-        self.shared_qlevel[app[ok]] = qlev[ok, 0]
+        self.qprev[app[ok]] = qlev[ok]
         if self.yhat_hist is not None:
             self.yhat_hist[app, day] = y_hat
         return sent
 
     def _snapshot_enc_windows(self, day):
         """Append today's held (k, level, count) table and each app agent's start row."""
-        days = self.edge_days()
-        receiver = np.concatenate([e.receiver for e in days])
-        rows = np.column_stack([
-            np.concatenate([np.full(e.receiver.size, day - e.day) for e in days]),
-            np.concatenate([e.held for e in days]),
-            np.minimum(np.concatenate([e.count for e in days]), 65535),
-        ]).astype(np.uint16)
-        order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], receiver))
-        starts = np.searchsorted(receiver[order], self.app_ids)
-        self.enc_windows.append((np.append(starts, order.size), rows[order]))
+        w, days = self.window, self.edge_days()
+        # allocated before the sort key, so that freeing the key leaves no hole below it
+        rows = np.empty((sum(e.receiver.size for e in days), 3), dtype=np.uint16)
+        # one sort of a packed (receiver, k, level, count) key: equal keys are equal rows
+        key = np.concatenate([
+            ((e.receiver * w + (day - e.day)) * 16 + self.held_levels(e)) * 65536
+            + np.minimum(e.count, 65535) for e in days]).view(np.uint64)
+        key.sort()
+        rows[:, 0] = (key >> np.uint64(20)) % np.uint64(w)
+        rows[:, 1] = (key >> np.uint64(16)) & np.uint64(15)
+        rows[:, 2] = key & np.uint64(65535)
+        starts = np.searchsorted(key, (self.app_ids * w << 20).astype(np.uint64))
+        self.enc_windows.append((np.append(starts, key.size), rows))
 
     def _phase_levels(self, day):
         cfg = self.cfg

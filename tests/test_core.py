@@ -38,6 +38,7 @@ class TestConfigValidation:
         ("global_mobility_scale", -1.0),
         ("test_delay_days", -2),
         ("d_max", 0),
+        ("d_max", 16),
         ("policy", "magic"),
         ("predictor", "psychic"),
         ("bct_quarantine_level", 9),
@@ -316,7 +317,7 @@ def _stepped(policy, **kw):
                               predictor="noisy_oracle", initial_exposed_fraction=0.05,
                               global_mobility_scale=3.75, record_encounter_log=True, **kw))
     for day in range(world.cfg.num_days):
-        shared = world.shared_qlevel.copy()
+        shared = world.qprev[:, 0].copy()
         before = world.yhat_prev.copy()
         report = step_day(world)
         yield world, day, report, shared, before, world.yhat_prev.copy()
@@ -331,7 +332,7 @@ def _held_level(world, receiver, day, sender):
     e = world.edges[day % world.window]
     row = np.flatnonzero((e.receiver == receiver) & (e.sender == sender))
     assert e.day == day and row.size == 1
-    return int(e.held[row[0]])
+    return int(world.held_levels(e)[row[0]])
 
 
 class TestProtocolReference:
@@ -354,10 +355,18 @@ class TestProtocolReference:
         return inboxes, n_sent
 
     def test_engine_matches_diff_and_emit(self):
+        self._check_against_diff_and_emit(d_max=14)
+
+    @pytest.mark.parametrize("d_max", [1, 15])
+    def test_engine_matches_diff_and_emit_at_window_extremes(self, d_max):
+        # the 20-day run wraps the day rings at both window sizes
+        self._check_against_diff_and_emit(d_max=d_max)
+
+    def _check_against_diff_and_emit(self, d_max):
         expected = {}  # (receiver, day, sender) -> level registered or last delivered
         inboxes = {}   # receiver -> messages sent to it in yesterday's pass
         total = 0
-        for world, day, report, shared, before, after in _stepped("pct"):
+        for world, day, report, shared, before, after in _stepped("pct", d_max=d_max):
             start = day - world.cfg.d_max
             today = world.edges[day % world.window]
             for r, s in zip(today.receiver.tolist(), today.sender.tolist()):
@@ -371,8 +380,9 @@ class TestProtocolReference:
                 for m in live:
                     expected[(receiver, m.encounter_day, m.sender_token // 4096)] = m.risk_level
             for e in world.edge_days():
-                assert e.held.tolist() == [expected[(r, e.day, s)] for r, s in
-                                           zip(e.receiver.tolist(), e.sender.tolist())]
+                assert world.held_levels(e).tolist() == [
+                    expected[(r, e.day, s)]
+                    for r, s in zip(e.receiver.tolist(), e.sender.tolist())]
             inboxes, n_sent = self._reference_inboxes(world, day, before, after)
             assert n_sent == report.messages
             total += n_sent
@@ -392,4 +402,5 @@ class TestEdgeLedger:
                 met = set(zip(a[app_pair].tolist(), b[app_pair].tolist()))
                 assert all((r, s) in met or (s, r) in met
                            for r, s in zip(e.receiver.tolist(), e.sender.tolist()))
-                assert np.all((e.held >= 0) & (e.held <= 15))
+                held = world.held_levels(e)
+                assert np.all((held >= 0) & (held <= 15))

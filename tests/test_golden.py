@@ -7,6 +7,7 @@ records (no_tracing records no observables, so it exports none).
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -54,15 +55,24 @@ GOLDEN = {
     },
 }
 
+# pct replaying an external predictions file that lacks some (agent, day)
+# rows: a sender whose prediction is missing falls back to level 1, sends
+# nothing and keeps its previous estimate.
+GOLDEN_EXTERNAL = {
+    "trace": "337b50466bee8ff20814a5084c111544376605a5141c22e31ba66185f8ed9ebe",
+    "events": "d0bea382e4aba4e2e26c9154cc7d79214ca083b9cf94e8d77125392f928a3e1a",
+    "records": "3fc3c91b56f376e05f0ce4239949bcc3b311c9664b4697146f88e4fd83e7c1ec",
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _digests(policy, seed, tmp_path):
+def _digests(tmp_path, **kw):
     cfg = SimConfig(population_size=600, num_days=25, initial_exposed_fraction=0.02,
-                    global_mobility_scale=3.75, policy=policy, predictor="noisy_oracle",
-                    record_observables=True, record_estimates=True, rng_seed=seed)
+                    global_mobility_scale=3.75, record_observables=True,
+                    record_estimates=True, **kw)
     trace = run(cfg)
     trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
     out = {"trace": _sha256(tmp_path / "trace.jsonl"),
@@ -75,4 +85,19 @@ def _digests(policy, seed, tmp_path):
 
 @pytest.mark.parametrize("policy,seed", sorted(GOLDEN))
 def test_outputs_are_byte_identical(policy, seed, tmp_path):
-    assert _digests(policy, seed, tmp_path) == GOLDEN[(policy, seed)]
+    assert _digests(tmp_path, policy=policy, predictor="noisy_oracle",
+                    rng_seed=seed) == GOLDEN[(policy, seed)]
+
+
+def test_external_predictor_with_misses_is_byte_identical(tmp_path, monkeypatch):
+    # a relative path keeps the config, and so the run id, the same in any directory
+    monkeypatch.chdir(tmp_path)
+    with open("preds.jsonl", "w") as fh:
+        for day in range(25):
+            for agent in range(600):
+                if (agent + 2 * day) % 5 == 0:
+                    continue  # missing: a failed prediction
+                y_hat = [((agent * 31 + day * 17 + k * 7) % 97) / 100 for k in range(15)]
+                fh.write(json.dumps({"agent_id": agent, "day": day, "y_hat": y_hat}) + "\n")
+    assert _digests(tmp_path, policy="pct", predictor="external",
+                    external_predictions="preds.jsonl", rng_seed=0) == GOLDEN_EXTERNAL

@@ -173,8 +173,8 @@ class TestBctPolicy:
         def inject(w, day):
             for e in w.edge_days():
                 mine = e.receiver == agent
-                e.held[mine] = N_RISK_LEVELS - 1
-                held.append(int(mine.sum()))
+                w.held[e.sender[mine], e.day % w.window] = N_RISK_LEVELS - 1
+                held.append(int((w.held_levels(e)[mine] == N_RISK_LEVELS - 1).sum()))
 
         levels = _levels_after(world, inject, 25)
         assert sum(held) > 0
@@ -337,12 +337,15 @@ class TestOraclePredictors:
 
 
 def _external_world(tmp_path, y_hat_for):
-    """A one-day pct world replaying ``y_hat_for(agent)`` for every agent."""
+    """A one-day pct world replaying ``y_hat_for(agent)`` for every agent.
+
+    An agent for which ``y_hat_for`` returns None has no prediction.
+    """
     n = 60
     path = tmp_path / "preds.jsonl"
     path.write_text("".join(
         json.dumps({"agent_id": a, "day": 0, "y_hat": list(y_hat_for(a))}) + "\n"
-        for a in range(n)))
+        for a in range(n) if y_hat_for(a) is not None))
     world = init_world(SimConfig(population_size=n, num_days=1, rng_seed=1, policy="pct",
                                  predictor="external", external_predictions=str(path)))
     step_day(world)
@@ -376,6 +379,19 @@ class TestPctPolicy:
             expected = np.linspace(0, 0.9, 15) * (agent % 3) / 2
             assert np.array_equal(world.yhat_prev[agent], expected)
             assert np.array_equal(world.yhat_hist[agent, 0], expected.astype(np.float32))
+
+    def test_non_finite_prediction_fails_like_a_missing_one(self, tmp_path):
+        agent = int(_external_world(tmp_path, lambda a: [0.99] * 15).app_ids[0])
+        nan = _external_world(
+            tmp_path, lambda a: [0.99] * 14 + [float("nan") if a == agent else 0.99])
+        missing = _external_world(tmp_path, lambda a: None if a == agent else [0.99] * 15)
+        assert nan.day_reports[0].messages > 0
+        assert nan.policy_level[agent] == 1
+        assert np.all(nan.inflight[agent] == -1)
+        assert np.array_equal(nan.yhat_prev[agent], np.zeros(15))
+        assert np.array_equal(nan.policy_level, missing.policy_level)
+        assert np.array_equal(nan.yhat_hist, missing.yhat_hist)
+        assert nan.day_reports == missing.day_reports
 
     def test_level_is_psi_of_todays_quantized_estimate(self):
         psi = (1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4)
