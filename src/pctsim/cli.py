@@ -43,11 +43,22 @@ def _parse_float_list(text):
 
 
 def _parse_seed_list(text):
-    """Accept '0,1,5' or a range '0..11' (inclusive)."""
+    """Accept '0,1,5' or a range '0..11' (inclusive); an empty list is an error."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(x) for x in text.split(",") if x.strip()]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} names no seed")
+    return seeds
+
+
+def _parse_jobs(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _load_config(args) -> core.SimConfig:
@@ -315,7 +326,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
 
 def cmd_calibrate(args) -> int:
     cfg = _load_config(args)
-    seeds = args.seeds if args.seeds else [cfg.rng_seed + i for i in range(8)]
+    seeds = args.seeds if args.seeds is not None else [cfg.rng_seed + i for i in range(8)]
     result = calibrate(cfg, args.target_contacts, seeds, args.tolerance, jobs=args.jobs)
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True))
     print(f"calibrated mobility scale {result['mobility_scale']:.4f}: "
@@ -332,7 +343,7 @@ def build_parser() -> _Parser:
 
     def add_common(p, seeds_default=None):
         p.add_argument("--config", required=True, help="config file (YAML or JSON)")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--jobs", type=_parse_jobs, default=os.cpu_count() or 1,
                        help="max concurrent runs (default: available parallelism)")
         p.add_argument("--policy", dest="policy", default=None,
                        help="override the config policy")

@@ -18,6 +18,7 @@ import yaml
 
 from . import messaging, mobility, tracing, virology
 from .metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, config_hash
+from .observations import ObservationLog
 from .virology import TEST_NEGATIVE, TEST_NONE, TEST_PENDING, TEST_POSITIVE
 
 POLICIES = ("no_tracing", "bct", "heuristic", "pct")
@@ -224,11 +225,13 @@ class EdgeDay:
 class SimulationTrace:
     """Immutable record of one completed run.
 
-    ``enc_windows`` (observables recording) holds one ``(starts, rows)``
-    pair per day. ``rows`` is the day's uint16 ``(k, level, count)`` table
-    of held contact levels, sorted by (receiver, k, level, count); app
-    agent ``app_ids[i]`` owns ``rows[starts[i]:starts[i + 1]]``, and
-    ``starts[-1] == len(rows)``.
+    ``enc_windows`` (observables recording) is the run's
+    ``ObservationLog``: each day's app edges once, plus that day's held
+    levels over app senders. It reads as one ``(starts, rows)`` pair per
+    day. ``rows`` is the day's uint16 ``(k, level, count)`` table of held
+    contact levels, sorted by (receiver, k, level, count), and is cut
+    from the log when read; app agent ``app_ids[i]`` owns
+    ``rows[starts[i]:starts[i + 1]]``, and ``starts[-1] == len(rows)``.
     """
 
     config: dict
@@ -247,7 +250,7 @@ class SimulationTrace:
     test_hist: np.ndarray
     encounters_per_day: np.ndarray
     final_epi_state: np.ndarray
-    enc_windows: list | None = None
+    enc_windows: ObservationLog | None = None
     yhat_hist: np.ndarray | None = None
     encounter_log: list | None = None
 
@@ -435,7 +438,8 @@ class WorldState:
         self.test_hist = np.zeros((n, days), dtype=np.int8)
         self.encounters_per_day = np.zeros(days, dtype=np.int64)
         self.day_reports: list[DayReport] = []
-        self.enc_windows = [] if (self.cfg.record_observables and self.app_active) else None
+        self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
+                            if self.cfg.record_observables and self.app_active else None)
         record_estimates = (self.cfg.record_estimates
                             and self.cfg.policy in ("pct", "heuristic") and days > 0)
         self.yhat_hist = (np.zeros((n, days, self.window), dtype=np.float32)
@@ -645,9 +649,9 @@ class WorldState:
 
         Messages take one day: what is sent on day d is held by its
         receivers from the day d + 1 pass on, so today's observables and
-        the ``enc_windows`` snapshot still see the levels from before the
-        send. Updates addressed to a day that has left the window by then
-        are dropped, and a BCT flag quarantines from day d + 1.
+        the observation log still see the levels from before the send.
+        Updates addressed to a day that has left the window by then are
+        dropped, and a BCT flag quarantines from day d + 1.
         """
         policy = self.cfg.policy
         self.policy_level = np.ones(self.n, dtype=np.int8)
@@ -749,20 +753,11 @@ class WorldState:
         return sent
 
     def _snapshot_enc_windows(self, day):
-        """Append today's held (k, level, count) table and each app agent's start row."""
-        w, days = self.window, self.edge_days()
-        # allocated before the sort key, so that freeing the key leaves no hole below it
-        rows = np.empty((sum(e.receiver.size for e in days), 3), dtype=np.uint16)
-        # one sort of a packed (receiver, k, level, count) key: equal keys are equal rows
-        key = np.concatenate([
-            ((e.receiver * w + (day - e.day)) * 16 + self.held_levels(e)) * 65536
-            + np.minimum(e.count, 65535) for e in days]).view(np.uint64)
-        key.sort()
-        rows[:, 0] = (key >> np.uint64(20)) % np.uint64(w)
-        rows[:, 1] = (key >> np.uint64(16)) & np.uint64(15)
-        rows[:, 2] = key & np.uint64(65535)
-        starts = np.searchsorted(key, (self.app_ids * w << 20).astype(np.uint64))
-        self.enc_windows.append((np.append(starts, key.size), rows))
+        """Log today's app edges and the levels held as of today, newest day first."""
+        e, app = self.edges[day % self.window], self.app_ids
+        cols = (day - np.arange(min(day + 1, self.window))) % self.window
+        self.enc_windows.append(np.searchsorted(app, e.receiver), np.searchsorted(app, e.sender),
+                                e.count, self.held[app[:, None], cols])
 
     def _phase_levels(self, day):
         cfg = self.cfg

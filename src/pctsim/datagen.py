@@ -99,22 +99,19 @@ def _render_days(trace):
     tail = (f',"run_id":{_canonical(trace.run_id)},'
             f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
     tails = ['"profile":' + _canonical(trace.profiles[agent]) + tail for agent in agents]
-    for day, (starts, rows) in enumerate(trace.enc_windows):
+    for day in range(trace.num_days):
         span = min(day + 1, window)
         first = day + 1 - span
         nulls, zeros = ",null" * (window - span), ",0.0" * (window - span)
         day_health = health[:, first:day + 1][:, ::-1].tolist()
         day_targets = targets[:, first:day + 1][:, ::-1].tolist()
-        levels, counts = rows[:, 1].astype(np.intp), rows[:, 2]
+        slots, levels, counts = trace.enc_windows.cells(day)
         top = int(counts.max(initial=0)) + 1
         cell_tab = np.array([f"[{level},{count}]"
                              for level in range(int(levels.max(initial=0)) + 1)
                              for count in range(top)], dtype=object)
         cells = cell_tab[levels * top + counts].tolist()
-        # row offsets of slot (i, k): each agent's rows are sorted by k
-        owner = np.repeat(np.arange(app.size), np.diff(starts))
-        slots = np.searchsorted(owner * window + rows[:, 0],
-                                np.arange(app.size * window + 1)).tolist()
+        slots = slots.tolist()
         lines = []
         for i in range(app.size):
             cut = slots[i * window:i * window + span + 1]

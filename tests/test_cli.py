@@ -58,6 +58,29 @@ class TestParsingAndErrors:
         assert cli._parse_seed_list("0,1,5") == [0, 1, 5]
         assert cli._parse_seed_list("0..3") == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("command,seeds", [
+        ("pareto", "5..2"), ("pareto", ","), ("calibrate", "3..1"), ("adoption", "")])
+    def test_empty_seed_list_is_a_usage_error(self, cfg_path, tmp_path, capsys,
+                                              command, seeds):
+        extra = {"pareto": ["--scales", "1.0"], "adoption": ["--adoptions", "0.3"],
+                 "calibrate": []}[command]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--config", cfg_path, "--seeds", seeds,
+                      "--out", str(out)] + extra)
+        assert err.value.code == cli.EXIT_USAGE
+        assert "--seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, jobs):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["run", "--config", cfg_path, "--jobs", jobs, "--out", str(out)])
+        assert err.value.code == cli.EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_outputs_and_reproducibility(self, cfg_path, tmp_path, capsys):

@@ -404,3 +404,37 @@ class TestEdgeLedger:
                            for r, s in zip(e.receiver.tolist(), e.sender.tolist()))
                 held = world.held_levels(e)
                 assert np.all((held >= 0) & (held <= 15))
+
+
+def _snapshot(world, day):
+    """Day ``day``'s (starts, rows) table from the live rings: one packed-key sort."""
+    w, days = world.window, world.edge_days()
+    key = np.concatenate([
+        ((e.receiver * w + (day - e.day)) * 16 + world.held_levels(e)) * 65536
+        + np.minimum(e.count, 65535) for e in days]).view(np.uint64)
+    key.sort()
+    rows = np.empty((key.size, 3), dtype=np.uint16)
+    rows[:, 0] = (key >> np.uint64(20)) % np.uint64(w)
+    rows[:, 1] = (key >> np.uint64(16)) & np.uint64(15)
+    rows[:, 2] = key & np.uint64(65535)
+    starts = np.searchsorted(key, (world.app_ids * w << 20).astype(np.uint64))
+    return np.append(starts, key.size), rows
+
+
+class TestObservationLog:
+    @pytest.mark.parametrize("policy", ["pct", "heuristic"])
+    @pytest.mark.parametrize("d_max", [1, 14, 15])
+    def test_log_matches_the_live_snapshot(self, policy, d_max):
+        # the 20-day run wraps the day rings at both window extremes; the
+        # log is read after the run, so no later day may alter an earlier one
+        snapshots = []
+        for world, day, *_rest in _stepped(policy, d_max=d_max):
+            snapshots.append(_snapshot(world, day))
+        log = world.enc_windows
+        assert len(log) == len(snapshots) == world.cfg.num_days
+        for day, (starts, rows) in enumerate(snapshots):
+            logged_starts, logged_rows = log[day]
+            assert logged_starts.tolist() == starts.tolist()
+            assert logged_rows.dtype == rows.dtype
+            assert logged_rows.tolist() == rows.tolist()
+        assert sum(rows.shape[0] for _starts, rows in snapshots) > 1000

@@ -309,6 +309,12 @@ class TestObservationStore:
                 own = rows[lo:hi].tolist()
                 assert own == sorted(own)
 
+    def test_log_is_a_third_of_the_daily_tables(self, pct_trace):
+        # each edge is logged once, where the daily (k, level, count) tables
+        # copy it into every day of the window it stays in
+        tables = sum(rows.shape[0] for _starts, rows in pct_trace.enc_windows) * 6
+        assert 0 < 3 * pct_trace.enc_windows.nbytes <= tables
+
     def test_offsets_stay_in_the_window(self, trace):
         d_max = int(trace.config["d_max"])
         for day, (_starts, rows) in enumerate(trace.enc_windows):
