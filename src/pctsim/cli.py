@@ -39,7 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+    """Accept '0.5,1,2'; an empty list is an error."""
+    values = [float(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} names no value")
+    return values
 
 
 def _parse_seed_list(text):

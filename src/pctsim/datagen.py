@@ -64,24 +64,44 @@ _HEALTH_SLOTS = np.array(
      for mask in range(1 << len(SYMPTOM_NAMES)) for test in TEST_CODE_NAMES],
     dtype=object)
 
+# App agents whose records are joined into one string and written at once.
+_AGENT_BLOCK = 256
 
-def _render_floats(values: np.ndarray) -> np.ndarray:
-    """JSON text of each value, rendered once per distinct bit pattern."""
+
+def _render_floats(values: np.ndarray):
+    """JSON text of each distinct bit pattern, and each value's code into it."""
     if not np.isfinite(values).all():
         raise ValueError("ground-truth targets hold a non-finite value, "
                          "which JSON cannot carry")
     bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
     text = np.array([repr(v) for v in bits.view(values.dtype).tolist()], dtype=object)
-    return text[inverse].reshape(values.shape)
+    return text, inverse.reshape(values.shape).astype(np.min_scalar_type(text.size))
+
+
+def _with_commas(pieces: np.ndarray) -> np.ndarray:
+    """``pieces`` followed by each piece with a leading comma."""
+    return np.concatenate((pieces, np.array(["," + p for p in pieces.tolist()],
+                                            dtype=object)))
+
+
+def _put_list(ids, slots, codes, base, size):
+    """Put each row of ``codes`` at ``slots`` as pieces ``base + code``,
+    all but the first of a row in their leading-comma form (``+ size``)."""
+    ids[slots] = codes.astype(np.intp) + (base + size)
+    ids[slots[:, 0]] -= size
 
 
 def _render_days(trace):
-    """Yield each day's record lines, one canonical-JSON line per app agent.
+    """Yield ``(records, text)`` blocks: canonical-JSON lines, one per app agent and day.
 
-    Every piece is rendered once: each agent's record head and tail per
-    run, each (agent, day) health slot and target per run, each
-    ``[level,count]`` cell per day. A line joins the newest-first slices
-    of these pieces.
+    Every piece is rendered once into a pool: each agent's record head
+    and tail, each health slot and distinct target (plain and with a
+    leading comma) per run, each ``[level,count]`` cell and the
+    punctuation per day. A block of ``_AGENT_BLOCK`` agents' records is
+    an array of piece ids, laid out by numpy from the per-(agent, day)
+    health and target codes and the observation log's cell offsets, and
+    its text is one join of the pooled pieces. The only Python loops are
+    over days, blocks and the per-run pieces.
     """
     if trace.enc_windows is None:
         raise ValueError("trace was recorded without observables; re-run with "
@@ -91,36 +111,78 @@ def _render_days(trace):
                          f"{len(trace.enc_windows)} of {trace.num_days} days")
     window = int(trace.config["d_max"]) + 1
     app = trace.app_ids
-    targets = _render_floats(trace.y_hist[app])
-    health = _HEALTH_SLOTS[trace.symptom_hist[app].astype(np.intp) * len(TEST_CODE_NAMES)
-                           + trace.test_hist[app]]
+    n_app = app.size
+    target_text, target_codes = _render_floats(trace.y_hist[app])
+    health_codes = (trace.symptom_hist[app].astype(np.uint8) * len(TEST_CODE_NAMES)
+                    + trace.test_hist[app].astype(np.uint8))
     agents = app.tolist()
-    heads = ['{"agent_id":%d,"day":' % agent for agent in agents]
     tail = (f',"run_id":{_canonical(trace.run_id)},'
             f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
-    tails = ['"profile":' + _canonical(trace.profiles[agent]) + tail for agent in agents]
+    run_pool = np.concatenate((
+        np.array(['{"agent_id":%d,"day":' % agent for agent in agents]
+                 + ['"profile":' + _canonical(trace.profiles[agent]) + tail
+                    for agent in agents], dtype=object),
+        _with_commas(_HEALTH_SLOTS), _with_commas(target_text)))
+    # piece ids: heads, tails, health slots, targets, then the day's pieces
+    tails = n_app
+    health = 2 * n_app
+    targets = health + 2 * _HEALTH_SLOTS.size
+    day_base = targets + 2 * target_text.size
+    open_, comma_open, close, a, b, c, e = range(day_base, day_base + 7)
+    cell_base = day_base + 7
     for day in range(trace.num_days):
         span = min(day + 1, window)
         first = day + 1 - span
         nulls, zeros = ",null" * (window - span), ",0.0" * (window - span)
-        day_health = health[:, first:day + 1][:, ::-1].tolist()
-        day_targets = targets[:, first:day + 1][:, ::-1].tolist()
-        slots, levels, counts = trace.enc_windows.cells(day)
+        offsets, levels, counts = trace.enc_windows.cells(day)
         top = int(counts.max(initial=0)) + 1
-        cell_tab = np.array([f"[{level},{count}]"
-                             for level in range(int(levels.max(initial=0)) + 1)
-                             for count in range(top)], dtype=object)
-        cells = cell_tab[levels * top + counts].tolist()
-        slots = slots.tolist()
-        lines = []
-        for i in range(app.size):
-            cut = slots[i * window:i * window + span + 1]
-            encounters = ",".join(["[" + ",".join(cells[lo:hi]) + "]"
-                                   for lo, hi in zip(cut, cut[1:])])
-            lines.append(f'{heads[i]}{day},"encounters":[{encounters}{nulls}],'
-                         f'"health":[{",".join(day_health[i])}{nulls}],'
-                         f'{tails[i]}{",".join(day_targets[i])}{zeros}]}}\n')
-        yield lines
+        cell_text = np.array([f"[{level},{count}]"
+                              for level in range(int(levels.max(initial=0)) + 1)
+                              for count in range(top)], dtype=object)
+        commas = cell_text.size  # a cell's comma form is its id + commas
+        pool = np.concatenate((run_pool, np.array(
+            ["[", ",[", "]", f'{day},"encounters":[', f'{nulls}],"health":[',
+             f"{nulls}],", f"{zeros}]}}\n"], dtype=object), _with_commas(cell_text)))
+        ks = np.arange(span)
+        day_health = health_codes[:, first:day + 1][:, ::-1]
+        day_targets = target_codes[:, first:day + 1][:, ::-1]
+        for lo in range(0, n_app, _AGENT_BLOCK):
+            hi = min(lo + _AGENT_BLOCK, n_app)
+            # rows of each (agent, slot) cell, and the record lengths in pieces
+            slot_rows = np.diff(offsets[lo * window:hi * window + 1])
+            slot_rows = slot_rows.reshape(hi - lo, window)[:, :span]
+            before = np.cumsum(slot_rows, axis=1) - slot_rows
+            rows = slot_rows.sum(axis=1)
+            lengths = 6 + 4 * span + rows
+            ends = np.cumsum(lengths)
+            starts = ends - lengths
+            ids = np.empty(int(ends[-1]), dtype=np.intp)
+            block = np.arange(lo, hi)
+            ids[starts] = block
+            ids[starts + 1] = a
+            # each slot is "[" or ",[", its cells, then "]"
+            opens = starts[:, None] + 2 + 2 * ks + before
+            ids[opens] = comma_open
+            ids[opens[:, 0]] = open_
+            ids[opens + 1 + slot_rows] = close
+            block_rows = slot_rows.ravel()
+            row_lo, row_hi = offsets[lo * window], offsets[hi * window]
+            slot_first = np.cumsum(block_rows) - block_rows
+            cell_ids = (levels[row_lo:row_hi].astype(np.intp) * top
+                        + counts[row_lo:row_hi] + (cell_base + commas))
+            cell_ids[slot_first[block_rows > 0]] -= commas
+            ids[np.repeat((opens + 1).ravel() - slot_first, block_rows)
+                + np.arange(row_hi - row_lo)] = cell_ids
+            # then the health window, the tail and the target window
+            mid = starts + 2 + 2 * span + rows
+            ids[mid] = b
+            slots = mid[:, None] + 1 + ks
+            _put_list(ids, slots, day_health[lo:hi], health, _HEALTH_SLOTS.size)
+            ids[mid + span + 1] = c
+            ids[mid + span + 2] = tails + block
+            _put_list(ids, slots + span + 2, day_targets[lo:hi], targets, target_text.size)
+            ids[ends - 1] = e
+            yield hi - lo, "".join(pool[ids].tolist())
 
 
 def iter_training_records(trace):
@@ -131,8 +193,8 @@ def iter_training_records(trace):
     health/encounter windows and zero in the targets. The records are
     the parsed lines of the export.
     """
-    for lines in _render_days(trace):
-        yield from map(json.loads, lines)
+    for _records, text in _render_days(trace):
+        yield from map(json.loads, text.splitlines())
 
 
 def export_training_records(trace, path) -> int:
@@ -152,9 +214,9 @@ def export_training_records(trace, path) -> int:
     n = 0
     try:
         with open(partial, "w") as fh:
-            for lines in _render_days(trace):
-                fh.writelines(lines)
-                n += len(lines)
+            for records, text in _render_days(trace):
+                fh.write(text)
+                n += records
         expected = trace.app_ids.size * trace.num_days
         if n != expected:
             raise RuntimeError(f"exported {n} records, expected {expected}")

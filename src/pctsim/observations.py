@@ -65,8 +65,7 @@ class ObservationLog:
         rows[:, 0] = (key >> _K_SHIFT) % np.uint64(self.window)
         rows[:, 1] = (key >> _LEVEL_SHIFT) & _LEVEL_MASK
         rows[:, 2] = key & _COUNT_MASK
-        owners = np.arange(self.n_app + 1, dtype=np.uint64) * np.uint64(self.window)
-        return np.searchsorted(key, owners << _K_SHIFT), rows
+        return self._offsets(key)[::self.window], rows
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -94,11 +93,18 @@ class ObservationLog:
         """The ``index``-th day's table as cell offsets, levels and counts.
 
         Cell ``i * window + k`` (app agent ``app_ids[i]``, ``k`` days ago)
-        is rows ``offsets[c]:offsets[c + 1]``; ``levels`` and ``counts``
-        are intp arrays over the rows.
+        is rows ``offsets[c]:offsets[c + 1]``; ``offsets`` is intp, and
+        ``levels`` (uint8) and ``counts`` (uint16) are arrays over the rows.
         """
         key = self.key(index)
-        cells = np.arange(self.n_app * self.window + 1, dtype=np.uint64)
-        return (np.searchsorted(key, cells << _K_SHIFT),
-                ((key >> _LEVEL_SHIFT) & _LEVEL_MASK).astype(np.intp),
-                (key & _COUNT_MASK).astype(np.intp))
+        return (self._offsets(key),
+                ((key >> _LEVEL_SHIFT) & _LEVEL_MASK).astype(np.uint8),
+                (key & _COUNT_MASK).astype(np.uint16))
+
+    def _offsets(self, key) -> np.ndarray:
+        """Row offsets of every cell of a sorted key, one count per cell."""
+        cells = self.n_app * self.window
+        offsets = np.zeros(cells + 1, dtype=np.intp)
+        np.cumsum(np.bincount((key >> _K_SHIFT).view(np.int64), minlength=cells),
+                  out=offsets[1:])
+        return offsets

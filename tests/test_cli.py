@@ -72,6 +72,18 @@ class TestParsingAndErrors:
         assert "--seeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag,values", [
+        ("pareto", "--scales", ","), ("adoption", "--adoptions", "")])
+    def test_empty_sweep_list_is_a_usage_error(self, cfg_path, tmp_path, capsys,
+                                               command, flag, values):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--config", cfg_path, "--seeds", "0", "--jobs", "1",
+                      flag, values, "--out", str(out)])
+        assert err.value.code == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, jobs):
         out = tmp_path / "out"

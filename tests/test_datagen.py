@@ -6,9 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from pctsim import datagen
 from pctsim.core import SimConfig, run
 from pctsim.datagen import (
     DR_RANGES,
+    RECORD_SCHEMA_VERSION,
     adoption_to_uptake,
     export_training_records,
     iter_training_records,
@@ -17,6 +19,7 @@ from pctsim.datagen import (
     sample_dr_config,
 )
 from pctsim.tracing import evaluate_predictor
+from pctsim.virology import TEST_CODE_NAMES, symptom_names_from_mask
 
 
 class TestDomainRandomization:
@@ -280,6 +283,11 @@ class TestCanonicalLines:
             assert json.dumps(json.loads(line), sort_keys=True,
                               separators=(",", ":")) + "\n" == line
 
+    def test_file_and_iterator_agree(self, trace, tmp_path):
+        path = tmp_path / "records.jsonl"
+        export_training_records(trace, path)
+        assert list(iter_training_records(trace)) == read_records(path)
+
     def test_dense_trace_covers_wide_cells_and_empty_windows(self, dense_trace):
         windows = dense_trace.enc_windows
         assert max(int(rows[:, 2].max(initial=0)) for _starts, rows in windows) >= 10
@@ -321,3 +329,49 @@ class TestObservationStore:
             assert np.all(rows[:, 0] <= min(day, d_max))
         top = max(int(rows[:, 0].max(initial=0)) for _s, rows in trace.enc_windows)
         assert top == min(trace.num_days - 1, d_max)
+
+
+def _reference_line(trace, i, day, starts, rows):
+    """One record built as a dict from the trace arrays and that day's table."""
+    window = int(trace.config["d_max"]) + 1
+    agent = int(trace.app_ids[i])
+    own = rows[starts[i]:starts[i + 1]].tolist()
+    health, encounters, targets = [], [], []
+    for k in range(window):
+        d = day - k
+        if d < 0:
+            health.append(None)
+            encounters.append(None)
+            targets.append(0.0)
+            continue
+        health.append({"symptoms": symptom_names_from_mask(int(trace.symptom_hist[agent, d])),
+                       "test": TEST_CODE_NAMES[int(trace.test_hist[agent, d])]})
+        encounters.append([[level, count] for slot, level, count in own if slot == k])
+        targets.append(float(trace.y_hist[agent, d]))
+    record = {"schema_version": RECORD_SCHEMA_VERSION, "run_id": trace.run_id,
+              "agent_id": agent, "day": day, "profile": trace.profiles[agent],
+              "health": health, "encounters": encounters, "targets": targets}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestRenderer:
+    @pytest.mark.parametrize("d_max,num_days", [(1, 6), (4, 3), (4, 12), (15, 12), (15, 20)])
+    def test_lines_match_the_reference_records(self, monkeypatch, tmp_path, d_max, num_days):
+        cfg = SimConfig(population_size=150, num_days=num_days, d_max=d_max, rng_seed=3,
+                        policy="pct", predictor="oracle",
+                        global_mobility_scale=3.7, initial_exposed_fraction=0.05)
+        trace = run(cfg)
+        n_app = trace.app_ids.size
+        assert n_app > 7 and n_app % 7 != 0
+        monkeypatch.setattr(datagen, "_AGENT_BLOCK", 7)  # blocks end mid-day
+        path = tmp_path / "records.jsonl"
+        export_training_records(trace, path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        assert len(lines) == n_app * num_days
+        saw_cells = False
+        for day, (starts, rows) in enumerate(trace.enc_windows):
+            saw_cells |= rows.size > 0
+            for i in range(n_app):
+                assert lines[day * n_app + i] == _reference_line(trace, i, day, starts, rows)
+        assert saw_cells
