@@ -7,6 +7,8 @@ around that point.
 """
 
 import csv
+import tempfile
+from pathlib import Path
 
 from pctsim.cli import calibrate
 from pctsim.cli import main as cli_main
@@ -24,18 +26,19 @@ print("thresholds       " + ", ".join(f"{t:.4f}" for t in result["thresholds"][:
 print()
 
 # the same sweep is available as a command; write a config and call it
-with open("/tmp/pareto_demo.yaml", "w") as fh:
+tmp = Path(tempfile.gettempdir())
+with open(tmp / "pareto_demo.yaml", "w") as fh:
     fh.write("population_size: 1500\nnum_days: 40\n")
 
 scale = result["mobility_scale"]
 scales = ",".join(f"{scale * f:.3f}" for f in (0.8, 1.0, 1.2))
-rc = cli_main(["pareto", "--config", "/tmp/pareto_demo.yaml",
+rc = cli_main(["pareto", "--config", str(tmp / "pareto_demo.yaml"),
                "--scales", scales, "--seeds", "0,1",
                "--policies", "no_tracing,pct", "--jobs", "1",
-               "--out", "/tmp/pareto_demo.csv"])
+               "--out", str(tmp / "pareto_demo.csv")])
 assert rc == 0
 
-with open("/tmp/pareto_demo.csv") as fh:
+with open(tmp / "pareto_demo.csv") as fh:
     rows = list(csv.DictReader(fh))
 print(f"{'policy':<12} {'scale':>7} {'seed':>4} {'contacts':>9} {'R':>9}")
 for row in rows:

@@ -7,6 +7,8 @@ should recover. Records carry no partner identities.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from pctsim.datagen import (
 base = SimConfig(population_size=400, num_days=15,
                  policy="pct", predictor="noisy_oracle", rng_seed=7)
 rng = np.random.default_rng(base.rng_seed)
+tmp = Path(tempfile.gettempdir())
 
 print("domain randomization ranges:")
 for name, (lo, hi) in DR_RANGES.items():
@@ -33,7 +36,7 @@ for i in range(4):
     cfg = sample_dr_config(base, rng)
     cfg = cfg.replace(rng_seed=int(rng.integers(0, 2**31)))
     trace = run(cfg)
-    path = f"/tmp/{trace.run_id}.records.jsonl"
+    path = tmp / f"{trace.run_id}.records.jsonl"
     n = export_training_records(trace, path)
     run_ids.append(trace.run_id)
     print(f"run {i}: adoption {cfg.adoption_rate:.2f}, "
@@ -45,7 +48,7 @@ print("validation never shares a run with training:", set(train) & set(valid) ==
 
 sample = None
 for run_id in run_ids:  # small runs can stay outbreak-free; find one that didn't
-    records = read_records(f"/tmp/{run_id}.records.jsonl")
+    records = read_records(tmp / f"{run_id}.records.jsonl")
     sample = next((r for r in records if sum(r["targets"]) > 0), sample)
 if sample is None:
     sample = records[0]

@@ -158,18 +158,20 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_pareto(args) -> int:
-    cfg = _fast(_load_config(args))
-    scales = args.scales
-    seeds = args.seeds
-    policies = args.policies.split(",") if args.policies else list(core.POLICIES)
-    points = [cfg.replace(global_mobility_scale=sc, rng_seed=sd, policy=pol)
-              for sc in scales for sd in seeds for pol in policies]
+def _sweep(args, points) -> int:
+    """Run every sweep point and write one metrics row per point to ``args.out``."""
     with _pool(args.jobs, len(points)) as pool:
         rows = list(_map_runs(_sweep_worker, points, pool))
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
+
+
+def cmd_pareto(args) -> int:
+    cfg = _fast(_load_config(args))
+    policies = args.policies.split(",") if args.policies else list(core.POLICIES)
+    return _sweep(args, [cfg.replace(global_mobility_scale=sc, rng_seed=sd, policy=pol)
+                         for sc in args.scales for sd in args.seeds for pol in policies])
 
 
 def cmd_adoption(args) -> int:
@@ -186,13 +188,8 @@ def cmd_adoption(args) -> int:
               f"{cfg.smartphone_rate}]", file=sys.stderr)
         return EXIT_USAGE
     policies = args.policies.split(",") if args.policies else ["bct", "heuristic", "pct"]
-    points = [cfg.replace(adoption_rate=a, rng_seed=sd, policy=pol)
-              for a in adoptions for sd in args.seeds for pol in policies]
-    with _pool(args.jobs, len(points)) as pool:
-        rows = list(_map_runs(_sweep_worker, points, pool))
-    metrics.write_metrics_csv(args.out, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return _sweep(args, [cfg.replace(adoption_rate=a, rng_seed=sd, policy=pol)
+                         for a in adoptions for sd in args.seeds for pol in policies])
 
 
 def cmd_datagen(args) -> int:
@@ -313,7 +310,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
                               rng_seed=seeds[0], record_observables=False,
                               record_estimates=True, record_encounter_log=False)
     trace = core.run(traffic_cfg)
-    samples = trace.yhat_hist[trace.app_ids].ravel()
+    samples = trace.yhat_hist.ravel()
     samples = samples[samples > 0.0]
     thresholds = messaging.calibrate_thresholds(samples.astype(np.float64))
     return {

@@ -211,7 +211,8 @@ class DayReport:
 class EdgeDay:
     """One day of directed app contacts, one row per (receiver, sender) pair.
 
-    ``count`` is the number of encounters between the pair that day. The level the
+    Receiver and sender are int32 indexes into ``app_ids``; ``count`` is the pair's
+    number of encounters that day, clipped to 65535 in uint16. The level the
     receiver holds depends only on (sender, day): see ``WorldState.held_levels``.
     """
 
@@ -232,6 +233,9 @@ class SimulationTrace:
     contact levels, sorted by (receiver, k, level, count), and is cut
     from the log when read; app agent ``app_ids[i]`` owns
     ``rows[starts[i]:starts[i + 1]]``, and ``starts[-1] == len(rows)``.
+
+    ``yhat_hist`` (estimates recording) is ``(n_app, num_days, window)``
+    float32: row i holds the estimates of app agent ``app_ids[i]``.
     """
 
     config: dict
@@ -261,8 +265,8 @@ class SimulationTrace:
         rec = {"kind": "day", **dataclasses.asdict(report)}
         if self.yhat_hist is not None:
             rec["y_hat"] = {
-                str(a): [round(float(v), 6) for v in self.yhat_hist[a, report.day]]
-                for a in self.app_ids.tolist()
+                str(a): [round(float(v), 6) for v in row]
+                for a, row in zip(self.app_ids.tolist(), self.yhat_hist[:, report.day])
             }
         return rec
 
@@ -366,9 +370,10 @@ class WorldState:
         self.has_phone[phones] = True
         n_app = int(round(self.cfg.adoption_rate * n))
         app = rng.choice(np.sort(phones), size=n_app, replace=False) if n_app else np.zeros(0, dtype=np.int64)
-        self.has_app = np.zeros(n, dtype=bool)
-        self.has_app[app] = True
         self.app_ids = np.sort(app.astype(np.int64))
+        self._app_index = np.full(n, -1, dtype=np.int64)  # agent id -> app index, -1: none
+        self._app_index[self.app_ids] = np.arange(n_app)
+        self.has_app = self._app_index >= 0
 
         self.loc_indexes = {
             "household": mobility.LocationIndex(self.households, n),
@@ -411,21 +416,21 @@ class WorldState:
         self.hh_active = np.zeros(n, dtype=bool)
         self.bct_until = np.full(n, -1, dtype=np.int64)
         self.bct_active = np.zeros(n, dtype=bool)
-        self.bct_broadcast_done = np.zeros(n, dtype=bool)
 
     def _init_app_state(self):
         cfg = self.cfg
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
-        shape = (self.n, self.window)
+        shape = (self.app_ids.size, self.window)
         self.yhat_prev = np.zeros(shape, dtype=np.float64)
         self.qprev = np.full(shape, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8)
-        # rings over slot day % window: the edges, and per (sender, slot) the level
-        # its partners hold, the level sent today (-1: none) and the partner count
+        # rings over slot day % window: the edges, and per (app sender, slot) the
+        # level its partners hold, the level sent today (-1: none) and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
         self.held = np.zeros(shape, dtype=np.int8)
         self.inflight = np.full(shape, -1, dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.n, dtype=bool)
+        self.bct_broadcast_done = np.zeros(self.app_ids.size, dtype=bool)
         self.external = (tracing.ExternalPredictor(cfg.external_predictions)
                          if cfg.policy == "pct" and cfg.predictor == "external" else None)
 
@@ -442,7 +447,7 @@ class WorldState:
                             if self.cfg.record_observables and self.app_active else None)
         record_estimates = (self.cfg.record_estimates
                             and self.cfg.policy in ("pct", "heuristic") and days > 0)
-        self.yhat_hist = (np.zeros((n, days, self.window), dtype=np.float32)
+        self.yhat_hist = (np.zeros((self.app_ids.size, days, self.window), dtype=np.float32)
                           if record_estimates else None)
         self.encounter_log = [] if self.cfg.record_encounter_log else None
         counts = np.bincount(self.epi_state, minlength=4)
@@ -477,10 +482,10 @@ class WorldState:
                     day, int(infectors[i]), agent, mobility.LOCATION_TYPES[int(locations[i])]))
 
     def ground_truth_window(self, day) -> np.ndarray:
-        """(n, window) matrix of y values, newest-first, zero before day 0."""
-        out = np.zeros((self.n, self.window), dtype=np.float64)
+        """(n_app, window) matrix of app agents' y values, newest-first, zero before day 0."""
+        out = np.zeros((self.app_ids.size, self.window), dtype=np.float64)
         span = min(day + 1, self.window)
-        out[:, :span] = self.y_hist[:, day + 1 - span:day + 1][:, ::-1]
+        out[:, :span] = self.y_hist[self.app_ids, day + 1 - span:day + 1][:, ::-1]
         return out
 
     def edge_days(self) -> list[EdgeDay]:
@@ -489,7 +494,7 @@ class WorldState:
 
     def held_levels(self, e: EdgeDay) -> np.ndarray:
         """The level each receiver of ``e`` holds for its sender."""
-        return self.held[:, e.day % self.window][e.sender]
+        return self.held[e.sender, e.day % self.window]
 
     def observables_for(self, day):
         """The heuristic's evidence for every app agent as of ``day``.
@@ -503,10 +508,10 @@ class WorldState:
         has_positive = np.any(tests == TEST_POSITIVE, axis=1)
         n_symptoms = np.unpackbits(self.symptom_hist[app, day][:, None], axis=1).sum(axis=1)
         # held's dtype: np.maximum.at is ~30x slower when the dtypes differ
-        top = np.zeros(self.n, dtype=np.int8)
+        top = np.zeros(app.size, dtype=np.int8)
         for e in self.edge_days():
             np.maximum.at(top, e.receiver, self.held_levels(e))
-        return has_positive, n_symptoms, top[app].astype(np.int64)
+        return has_positive, n_symptoms, top.astype(np.int64)
 
     # ------------------------------------------------------------------
     # the six daily phases
@@ -545,15 +550,16 @@ class WorldState:
         Whatever was still in flight to the replaced day is dropped.
         """
         both = self.has_app[a] & self.has_app[b]
-        x, y = a[both], b[both]
-        keys, count = np.unique(np.concatenate([x * self.n + y, y * self.n + x]),
+        x, y = self._app_index[a[both]], self._app_index[b[both]]
+        n_app = self.app_ids.size
+        keys, count = np.unique(np.concatenate([x * n_app + y, y * n_app + x]),
                                 return_counts=True)
-        receiver, sender = np.divmod(keys, self.n)
+        receiver, sender = np.array(np.divmod(keys, n_app), dtype=np.int32)
         slot = day % self.window
-        self.edges[slot] = EdgeDay(day, receiver, sender, count)
+        self.edges[slot] = EdgeDay(day, receiver, sender, np.minimum(count, 65535).astype(np.uint16))
         self.held[:, slot] = self.qprev[:, 0]
         self.inflight[:, slot] = -1
-        self.outdeg[:, slot] = np.bincount(sender, minlength=self.n)
+        self.outdeg[:, slot] = np.bincount(sender, minlength=n_app)
 
     def _phase_transmission(self, day, a, b, loc):
         cfg = self.cfg
@@ -599,13 +605,11 @@ class WorldState:
             for bit in range(len(virology.SYMPTOM_NAMES)):
                 out |= (((masks >> bit) & 1).astype(bool) & keep[:, bit]).astype(np.uint8) << bit
             reported[idx] = out
-        app_idx = self.app_ids
-        if app_idx.size and cfg.symptom_dropin > 0:
-            draws = rng.random(app_idx.size) < cfg.symptom_dropin
-            flags = rng.integers(0, len(virology.SYMPTOM_NAMES), app_idx.size)
-            hit = app_idx[draws]
-            if hit.size:
-                reported[hit] |= (np.uint8(1) << flags[draws].astype(np.uint8))
+        n_app = self.app_ids.size
+        if n_app and cfg.symptom_dropin > 0:
+            draws = rng.random(n_app) < cfg.symptom_dropin
+            flags = rng.integers(0, len(virology.SYMPTOM_NAMES), n_app)
+            reported[self.app_ids[draws]] |= np.uint8(1) << flags[draws].astype(np.uint8)
         self.symptom_hist[:, day] = reported
 
         reported_any = reported != 0
@@ -678,11 +682,11 @@ class WorldState:
         flagged = np.flatnonzero(self.bct_flag)
         self.bct_until[flagged] = np.maximum(self.bct_until[flagged], day + QUARANTINE_DAYS)
         self.bct_active[flagged] = True
-        flaggers = self.new_positive_today & self.has_app & ~self.bct_broadcast_done
+        flaggers = self.new_positive_today[self.app_ids] & ~self.bct_broadcast_done
         self.bct_broadcast_done |= flaggers
         self.bct_flag = np.zeros(self.n, dtype=bool)
         for e in self.edge_days():
-            self.bct_flag[e.receiver[flaggers[e.sender]]] = True
+            self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
         return int(self.outdeg[flaggers].sum())
 
     def _deliver(self):
@@ -693,9 +697,8 @@ class WorldState:
     def _predict(self, day):
         """(n_app, window) predictions plus a per-agent failure mask."""
         cfg = self.cfg
-        app = self.app_ids
-        y = self.ground_truth_window(day)[app]
-        failed = np.zeros(app.size, dtype=bool)
+        y = self.ground_truth_window(day)
+        failed = np.zeros(y.shape[0], dtype=bool)
         if cfg.predictor == "oracle":
             y_hat = y
         elif cfg.predictor == "noisy_oracle":
@@ -704,8 +707,8 @@ class WorldState:
                 + self.rng["predictor"].normal(0.0, cfg.predictor_add_sigma, y.shape),
                 0.0, 1.0)
         else:
-            y_hat = self.yhat_prev[app].copy()
-            for i, agent in enumerate(app.tolist()):
+            y_hat = self.yhat_prev.copy()
+            for i, agent in enumerate(self.app_ids.tolist()):
                 try:
                     pred = self.external(agent, day)
                 except KeyError:
@@ -738,26 +741,24 @@ class WorldState:
         message per edge. Rows not ``ok`` (failed predictions) send nothing
         and keep their previous estimate as the baseline for tomorrow's diff.
         """
-        app = self.app_ids
         span = min(day + 1, self.window)  # slots of days that have edges
-        prev = self.qprev[app[:, None], np.r_[0, :span - 1]]  # aligned to today's slots
+        prev = self.qprev[:, np.r_[0, :span - 1]]  # aligned to today's slots
         changed = (qlev[:, :span] != prev) & ok[:, None]
         cols = (day - np.arange(span)) % self.window
-        self.inflight[app[:, None], cols] = np.where(changed, qlev[:, :span], -1)
-        sent = int(self.outdeg[app[:, None], cols][changed].sum())
-        self.policy_level[app] = levels
-        self.yhat_prev[app[ok]] = y_hat[ok]
-        self.qprev[app[ok]] = qlev[ok]
+        self.inflight[:, cols] = np.where(changed, qlev[:, :span], -1)
+        sent = int(self.outdeg[:, cols][changed].sum())
+        self.policy_level[self.app_ids] = levels
+        self.yhat_prev[ok] = y_hat[ok]
+        self.qprev[ok] = qlev[ok]
         if self.yhat_hist is not None:
-            self.yhat_hist[app, day] = y_hat
+            self.yhat_hist[:, day] = y_hat
         return sent
 
     def _snapshot_enc_windows(self, day):
         """Log today's app edges and the levels held as of today, newest day first."""
-        e, app = self.edges[day % self.window], self.app_ids
+        e = self.edges[day % self.window]
         cols = (day - np.arange(min(day + 1, self.window))) % self.window
-        self.enc_windows.append(np.searchsorted(app, e.receiver), np.searchsorted(app, e.sender),
-                                e.count, self.held[app[:, None], cols])
+        self.enc_windows.append(e.receiver, e.sender, e.count, self.held[:, cols])
 
     def _phase_levels(self, day):
         cfg = self.cfg

@@ -93,13 +93,8 @@ class LocationIndex:
         self.size = np.asarray(sizes, dtype=np.int64)
         self.gid = gid
         self.pos = pos
-
-    def member_pool_size(self) -> np.ndarray:
-        """Per-agent size of own group (0 for agents with no group)."""
-        out = np.zeros(self.n_agents, dtype=np.int64)
-        has = self.gid >= 0
-        out[has] = self.size[self.gid[has]]
-        return out
+        # members of a group of two or more: the only agents with a partner to draw
+        self._has_partner = np.isin(gid, np.flatnonzero(self.size >= 2))
 
 
 def generate_encounters(indexes, rec_level, mobility_scale, rng):
@@ -124,7 +119,7 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng):
             continue
         rates = level_rate_table(LOCATION_PARAMS[name], mobility_scale)[rec_level]
         # Agents without a pool partner draw nothing.
-        rates = np.where(index.member_pool_size() >= 2, rates, 0.0)
+        rates = np.where(index._has_partner, rates, 0.0)
         if not rates.any():
             continue
         k = rng.poisson(rates / 2.0)

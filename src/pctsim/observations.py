@@ -2,10 +2,10 @@
 
 An app agent observes, for each contact of the last ``window`` days, the
 level it holds for that contact and how often they met. The log keeps
-each day's directed app edges once, as ``app_ids`` indexes with the
-count clipped to 65535, together with that day's held levels over app
-senders. Day d's observation table is cut from these on demand, by one
-sort of a packed 64-bit key per row::
+each day's directed app edges once, in the engine's own arrays (int32
+``app_ids`` indexes and the uint16 count clipped to 65535), together
+with that day's held levels over app senders. Day d's observation table
+is cut from these on demand, by one sort of a packed 64-bit key per row::
 
     ((receiver * window + k) * 16 + level) * 65536 + count
 
@@ -44,12 +44,11 @@ class ObservationLog:
         """Log one day: its app edges, and the levels held as of that day.
 
         ``held[j, k]`` is the level that app sender ``j``'s partners of
-        ``k`` days ago hold for it; it has one column per day of the
-        window that the run has reached.
+        ``k`` days ago hold for it, one column per day of the window the
+        run has reached. The arrays are kept, not copied: do not write to them.
         """
-        self._edges.append((receiver.astype(np.int32), sender.astype(np.int32),
-                            np.minimum(count, 65535).astype(np.uint16)))
-        self._held.append(np.ascontiguousarray(held, dtype=np.int8))
+        self._edges.append((receiver, sender, count))
+        self._held.append(held)
         self._days = range(len(self._held))
 
     def __len__(self):

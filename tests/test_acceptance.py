@@ -146,8 +146,8 @@ def test_criterion_1_exact_oracles(tmp_path):
     datagen.export_training_records(trace, path)
     records = datagen.read_records(path)
     predictions = [{"run_id": trace.run_id, "agent_id": agent, "day": day,
-                    "y_hat": trace.yhat_hist[agent, day].tolist()}
-                   for agent in trace.app_ids.tolist()
+                    "y_hat": trace.yhat_hist[i, day].tolist()}
+                   for i, agent in enumerate(trace.app_ids.tolist())
                    for day in range(trace.num_days)]
     assert evaluate_predictor(records, predictions) == 0.0
 

@@ -212,10 +212,15 @@ class TestLevelsAndEstimates:
     def test_estimates_recorded_for_pct(self):
         tr = run(_small(policy="pct", predictor="oracle", num_days=10))
         assert tr.yhat_hist is not None
-        assert tr.yhat_hist.shape == (tr.population, 10, 15)
+        assert tr.yhat_hist.shape == (tr.app_ids.size, 10, 15)
         rec = tr.day_record(tr.day_reports[-1])
         assert "y_hat" in rec
         assert set(map(int, rec["y_hat"])) == set(tr.app_ids.tolist())
+        # row i of yhat_hist belongs to app agent app_ids[i]
+        assert tr.yhat_hist[:, -1].max() > 0
+        for i, agent in enumerate(tr.app_ids.tolist()):
+            assert rec["y_hat"][str(agent)] == [round(float(v), 6)
+                                                for v in tr.yhat_hist[i, -1]]
 
     def test_estimates_skipped_when_disabled(self):
         tr = run(_small(policy="pct", predictor="oracle", num_days=5,
@@ -243,7 +248,7 @@ class TestHeuristicThroughEngine:
         for day, (obs, policy_level) in enumerate(days):
             score, level = policy_heuristic(*obs)
             assert np.array_equal(policy_level[app], level)
-            assert np.array_equal(world.yhat_hist[app, day],
+            assert np.array_equal(world.yhat_hist[:, day],
                                   np.repeat(score[:, None], world.window, axis=1))
             seen.update(level.tolist())
         assert seen == {1, 2, 3, 4}
@@ -328,9 +333,17 @@ def _token(agent, day):
     return agent * 4096 + day
 
 
+def _app_index(world, agent):
+    """The app index (row of the app-layer arrays) of app agent ``agent``."""
+    i = int(np.searchsorted(world.app_ids, agent))
+    assert world.app_ids[i] == agent
+    return i
+
+
 def _held_level(world, receiver, day, sender):
     e = world.edges[day % world.window]
-    row = np.flatnonzero((e.receiver == receiver) & (e.sender == sender))
+    row = np.flatnonzero((e.receiver == _app_index(world, receiver))
+                         & (e.sender == _app_index(world, sender)))
     assert e.day == day and row.size == 1
     return int(world.held_levels(e)[row[0]])
 
@@ -342,12 +355,13 @@ class TestProtocolReference:
     def _reference_inboxes(world, day, before, after):
         """Each app agent's own ``diff_and_emit`` over its partners on the edges."""
         inboxes, n_sent = {}, 0
-        for agent in world.app_ids.tolist():
-            book = {e.day: {_token(r, e.day): 1 for r in e.receiver[e.sender == agent].tolist()}
+        app = world.app_ids
+        for i, agent in enumerate(app.tolist()):
+            book = {e.day: {_token(r, e.day): 1 for r in app[e.receiver[e.sender == i]].tolist()}
                     for e in world.edge_days()}
-            prev_aligned = np.concatenate([before[agent, :1], before[agent, :-1]])
+            prev_aligned = np.concatenate([before[i, :1], before[i, :-1]])
             out = messaging.diff_and_emit(
-                prev_aligned, after[agent], book, world.thresholds, day=day,
+                prev_aligned, after[i], book, world.thresholds, day=day,
                 own_tokens={d: _token(agent, d) for d in book})
             n_sent += len(out)
             for rcpt, msg in out:
@@ -369,8 +383,9 @@ class TestProtocolReference:
         for world, day, report, shared, before, after in _stepped("pct", d_max=d_max):
             start = day - world.cfg.d_max
             today = world.edges[day % world.window]
+            app = world.app_ids
             for r, s in zip(today.receiver.tolist(), today.sender.tolist()):
-                expected[(r, day, s)] = int(shared[s])
+                expected[(int(app[r]), day, int(app[s]))] = int(shared[s])
             for receiver, inbox in inboxes.items():
                 live = [m for m in inbox if m.encounter_day >= start]
                 for d, pairs in messaging.cluster_inbox(live).items():
@@ -382,7 +397,7 @@ class TestProtocolReference:
             for e in world.edge_days():
                 assert world.held_levels(e).tolist() == [
                     expected[(r, e.day, s)]
-                    for r, s in zip(e.receiver.tolist(), e.sender.tolist())]
+                    for r, s in zip(app[e.receiver].tolist(), app[e.sender].tolist())]
             inboxes, n_sent = self._reference_inboxes(world, day, before, after)
             assert n_sent == report.messages
             total += n_sent
@@ -400,8 +415,9 @@ class TestEdgeLedger:
                 app_pair = world.has_app[a] & world.has_app[b]
                 assert e.count.sum() == 2 * app_pair.sum()
                 met = set(zip(a[app_pair].tolist(), b[app_pair].tolist()))
+                app = world.app_ids
                 assert all((r, s) in met or (s, r) in met
-                           for r, s in zip(e.receiver.tolist(), e.sender.tolist()))
+                           for r, s in zip(app[e.receiver].tolist(), app[e.sender].tolist()))
                 held = world.held_levels(e)
                 assert np.all((held >= 0) & (held <= 15))
 
@@ -410,14 +426,14 @@ def _snapshot(world, day):
     """Day ``day``'s (starts, rows) table from the live rings: one packed-key sort."""
     w, days = world.window, world.edge_days()
     key = np.concatenate([
-        ((e.receiver * w + (day - e.day)) * 16 + world.held_levels(e)) * 65536
+        ((e.receiver.astype(np.int64) * w + (day - e.day)) * 16 + world.held_levels(e)) * 65536
         + np.minimum(e.count, 65535) for e in days]).view(np.uint64)
     key.sort()
     rows = np.empty((key.size, 3), dtype=np.uint16)
     rows[:, 0] = (key >> np.uint64(20)) % np.uint64(w)
     rows[:, 1] = (key >> np.uint64(16)) & np.uint64(15)
     rows[:, 2] = key & np.uint64(65535)
-    starts = np.searchsorted(key, (world.app_ids * w << 20).astype(np.uint64))
+    starts = np.searchsorted(key, (np.arange(world.app_ids.size) * w << 20).astype(np.uint64))
     return np.append(starts, key.size), rows
 
 

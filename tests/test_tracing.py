@@ -172,7 +172,7 @@ class TestBctPolicy:
 
         def inject(w, day):
             for e in w.edge_days():
-                mine = e.receiver == agent
+                mine = e.receiver == 0  # agent is app_ids[0]
                 w.held[e.sender[mine], e.day % w.window] = N_RISK_LEVELS - 1
                 held.append(int((w.held_levels(e)[mine] == N_RISK_LEVELS - 1).sum()))
 
@@ -311,7 +311,7 @@ class TestOraclePredictors:
         world = _pct_run("oracle")
         truth = _truth_windows(world)
         assert truth.max() > 0
-        assert np.array_equal(world.yhat_hist[world.app_ids], truth.astype(np.float32))
+        assert np.array_equal(world.yhat_hist, truth.astype(np.float32))
 
     def test_noisy_oracle_zero_sigma_is_identity(self):
         oracle = _pct_run("oracle")
@@ -321,7 +321,7 @@ class TestOraclePredictors:
 
     def test_noisy_oracle_clipped_to_unit_interval(self):
         world = _pct_run("noisy_oracle", predictor_add_sigma=0.5, predictor_mul_sigma=0.5)
-        est = world.yhat_hist[world.app_ids]
+        est = world.yhat_hist
         assert est.min() >= 0.0 and est.max() <= 1.0
         assert est.min() == 0.0 and est.max() == 1.0
 
@@ -330,7 +330,7 @@ class TestOraclePredictors:
         # gaussian at zero leaves mean s / sqrt(2 pi)
         world = _pct_run("noisy_oracle", days=20, population_size=600,
                          predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
-        est = world.yhat_hist[world.app_ids]
+        est = world.yhat_hist
         at_zero = est[_truth_windows(world) == 0]
         assert at_zero.size > 50_000
         assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
@@ -375,10 +375,10 @@ class TestPctPolicy:
 
     def test_returns_estimate_unchanged(self, tmp_path):
         world = _external_world(tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2)
-        for agent in world.app_ids.tolist():
+        for i, agent in enumerate(world.app_ids.tolist()):
             expected = np.linspace(0, 0.9, 15) * (agent % 3) / 2
-            assert np.array_equal(world.yhat_prev[agent], expected)
-            assert np.array_equal(world.yhat_hist[agent, 0], expected.astype(np.float32))
+            assert np.array_equal(world.yhat_prev[i], expected)
+            assert np.array_equal(world.yhat_hist[i, 0], expected.astype(np.float32))
 
     def test_non_finite_prediction_fails_like_a_missing_one(self, tmp_path):
         agent = int(_external_world(tmp_path, lambda a: [0.99] * 15).app_ids[0])
@@ -387,8 +387,8 @@ class TestPctPolicy:
         missing = _external_world(tmp_path, lambda a: None if a == agent else [0.99] * 15)
         assert nan.day_reports[0].messages > 0
         assert nan.policy_level[agent] == 1
-        assert np.all(nan.inflight[agent] == -1)
-        assert np.array_equal(nan.yhat_prev[agent], np.zeros(15))
+        assert np.all(nan.inflight[0] == -1)  # agent is app_ids[0]
+        assert np.array_equal(nan.yhat_prev[0], np.zeros(15))
         assert np.array_equal(nan.policy_level, missing.policy_level)
         assert np.array_equal(nan.yhat_hist, missing.yhat_hist)
         assert nan.day_reports == missing.day_reports
@@ -403,7 +403,7 @@ class TestPctPolicy:
         seen = set()
         for _ in range(12):
             step_day(world)
-            q = quantize_risk(world.yhat_prev[app, 0], DEFAULT_THRESHOLDS)
+            q = quantize_risk(world.yhat_prev[:, 0], DEFAULT_THRESHOLDS)
             expected = np.asarray(psi)[q]
             assert np.array_equal(world.policy_level[app], expected)
             seen.update(expected.tolist())
