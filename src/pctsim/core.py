@@ -328,22 +328,19 @@ class WorldState:
         rng = self.rng["demographics"]
         n = self.n
 
+        # choice(size=k) draws what k single choices would. n draws bound the
+        # household count; rewinding and drawing exactly the households that
+        # cover n leaves the stream where one draw per household would.
         sizes, probs = zip(*HOUSEHOLD_SIZE_DIST)
-        members_left = n
-        hh_sizes = []
-        while members_left > 0:
-            s = int(rng.choice(sizes, p=probs))
-            hh_sizes.append(min(s, members_left))
-            members_left -= hh_sizes[-1]
+        state = rng.bit_generator.state
+        cover = np.cumsum(rng.choice(sizes, size=n, p=probs))
+        n_hh = int(np.searchsorted(cover, n)) + 1
+        rng.bit_generator.state = state
+        hh_sizes = rng.choice(sizes, size=n_hh, p=probs)
+        hh_sizes[-1] -= cover[n_hh - 1] - n  # the last household takes who is left
         perm = rng.permutation(n)
-        self.households = []
         self.household_id = np.zeros(n, dtype=np.int64)
-        offset = 0
-        for hid, s in enumerate(hh_sizes):
-            members = np.sort(perm[offset:offset + s])
-            self.households.append(members)
-            self.household_id[members] = hid
-            offset += s
+        self.household_id[perm] = np.repeat(np.arange(n_hh), hh_sizes)
 
         self.age_band = rng.choice(3, size=n, p=AGE_BAND_DIST).astype(np.int8)
         self.sex = rng.integers(0, 2, n, dtype=np.int8)
@@ -353,16 +350,12 @@ class WorldState:
             self.conditions |= (rng.random(n) < p).astype(np.uint8) << bit
 
         def partition(ids, group_size):
-            ids = rng.permutation(ids)
-            return [np.sort(ids[i:i + group_size]) for i in range(0, ids.size, group_size)]
+            group_of = np.full(n, -1, dtype=np.int64)
+            group_of[rng.permutation(ids)] = np.arange(ids.size) // group_size
+            return group_of
 
-        kids = np.flatnonzero(self.age_band == 0)
-        adults = np.flatnonzero(self.age_band == 1)
-        self.schools = partition(kids, SCHOOL_SIZE)
-        self.workplaces = partition(adults, WORKPLACE_SIZE)
-        self.group_id = np.full(n, -1, dtype=np.int64)
-        for gid, members in enumerate(self.schools + self.workplaces):
-            self.group_id[members] = gid
+        school_of = partition(np.flatnonzero(self.age_band == 0), SCHOOL_SIZE)
+        workplace_of = partition(np.flatnonzero(self.age_band == 1), WORKPLACE_SIZE)
 
         n_phone = int(round(self.cfg.smartphone_rate * n))
         phones = rng.choice(n, size=n_phone, replace=False)
@@ -376,10 +369,10 @@ class WorldState:
         self.has_app = self._app_index >= 0
 
         self.loc_indexes = {
-            "household": mobility.LocationIndex(self.households, n),
-            "workplace": mobility.LocationIndex(self.workplaces, n),
-            "school": mobility.LocationIndex(self.schools, n),
-            "other": mobility.LocationIndex([np.arange(n)], n),
+            "household": mobility.LocationIndex(self.household_id),
+            "workplace": mobility.LocationIndex(workplace_of),
+            "school": mobility.LocationIndex(school_of),
+            "other": mobility.LocationIndex(np.zeros(n, dtype=np.int64)),
         }
 
     def _init_epi(self):
@@ -640,11 +633,16 @@ class WorldState:
                 self.new_positive_today[pos] = True
                 self.iso_until[pos] = day + QUARANTINE_DAYS
                 self.iso_active[pos] = True
-                for agent in pos.tolist():
-                    mates = self.households[self.household_id[agent]]
-                    mates = mates[mates != agent]
-                    self.hh_until[mates] = np.maximum(self.hh_until[mates], day + QUARANTINE_DAYS)
-                    self.hh_active[mates] = True
+                # the members of the positives' households, from the household
+                # pool; a positive counts as a mate only of another positive
+                hh = self.loc_indexes["household"]
+                g, n_pos = np.unique(self.household_id[pos], return_counts=True)
+                size = hh.size[g]
+                offset = np.repeat(hh.start[g] - np.cumsum(size) + size, size)
+                members = hh.flat[offset + np.arange(offset.size)]
+                mates = members[(np.repeat(n_pos, size) > 1) | ~self.new_positive_today[members]]
+                self.hh_until[mates] = np.maximum(self.hh_until[mates], day + QUARANTINE_DAYS)
+                self.hh_active[mates] = True
         self.test_hist[:, day] = self.test_code
         return ordered.size, n_positive
 

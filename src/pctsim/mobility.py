@@ -69,32 +69,32 @@ def level_rate_table(loc: LocationParams, mobility_scale: float) -> np.ndarray:
 class LocationIndex:
     """Flattened membership pools for one location type.
 
+    ``group_of`` is an n-long int64 array giving each agent's group label,
+    or -1 for an agent in no group of this type. ``flat`` lists the
+    labelled agents group by group, in ascending agent id inside each
+    group; group g occupies ``flat[start[g]:start[g] + size[g]]``, and an
+    agent sits at ``pos`` within its group (0 for the unlabelled).
+
     Supports O(1) vectorized partner sampling: for a member at position
     ``pos`` in a group of size ``s``, draw r uniform on [0, s-2] and shift
     r >= pos by one to exclude self.
     """
 
-    def __init__(self, groups, n_agents: int):
-        self.n_agents = n_agents
-        sizes, starts, flat = [], [], []
-        gid = np.full(n_agents, -1, dtype=np.int64)
-        pos = np.zeros(n_agents, dtype=np.int64)
-        offset = 0
-        for g, members in enumerate(groups):
-            members = np.asarray(members, dtype=np.int64)
-            starts.append(offset)
-            sizes.append(members.size)
-            flat.append(members)
-            gid[members] = g
-            pos[members] = np.arange(members.size)
-            offset += members.size
-        self.flat = np.concatenate(flat) if flat else np.zeros(0, dtype=np.int64)
-        self.start = np.asarray(starts, dtype=np.int64)
-        self.size = np.asarray(sizes, dtype=np.int64)
+    def __init__(self, group_of):
+        gid = np.asarray(group_of, dtype=np.int64)
+        self.n_agents = gid.size
         self.gid = gid
-        self.pos = pos
+        # stable, so ids ascend inside each group; the -1s sort first
+        order = np.argsort(gid, kind="stable")
+        self.flat = order[np.count_nonzero(gid < 0):]
+        member_gid = gid[self.flat]
+        self.size = np.bincount(member_gid)
+        self.start = np.cumsum(self.size) - self.size
+        self.pos = np.zeros(self.n_agents, dtype=np.int64)
+        self.pos[self.flat] = np.arange(self.flat.size) - self.start[member_gid]
         # members of a group of two or more: the only agents with a partner to draw
-        self._has_partner = np.isin(gid, np.flatnonzero(self.size >= 2))
+        self._has_partner = np.zeros(self.n_agents, dtype=bool)
+        self._has_partner[self.flat] = self.size[member_gid] >= 2
 
 
 def generate_encounters(indexes, rec_level, mobility_scale, rng):

@@ -40,9 +40,12 @@ def calibration(request, tmp_path_factory, base_config):
     Runs the real calibrate command once and caches the result JSON in the
     pytest cache keyed by the config hash, so repeated test sessions skip
     the sweep. Set PCTSIM_CALIB_REFRESH=1 to force a fresh calibration.
+    Without the cache plugin (``-p no:cacheprovider``) every session
+    calibrates afresh.
     """
     key = "pctsim/calibration-" + metrics.config_hash(base_config.to_dict())
-    cached = request.config.cache.get(key, None)
+    cache = getattr(request.config, "cache", None)
+    cached = cache.get(key, None) if cache is not None else None
     if cached is not None and not os.environ.get("PCTSIM_CALIB_REFRESH"):
         return cached
     tmp = tmp_path_factory.mktemp("calibration")
@@ -57,7 +60,8 @@ def calibration(request, tmp_path_factory, base_config):
     assert rc == 0, "calibrate command failed"
     result = json.loads(out_path.read_text())
     result["duration_s"] = duration
-    request.config.cache.set(key, result)
+    if cache is not None:
+        cache.set(key, result)
     return result
 
 

@@ -181,7 +181,7 @@ def test_criterion_3_contact_rates():
     n_agents, n_days = 100, 200
     rng = np.random.default_rng(13)
     for name, params in mobility.LOCATION_PARAMS.items():
-        index = {name: mobility.LocationIndex([np.arange(n_agents)], n_agents)}
+        index = {name: mobility.LocationIndex(np.zeros(n_agents, dtype=np.int64))}
         for level, expected in ((0, params.c_l),
                                 (3, (1 - params.alpha_l) * params.c_l)):
             rec = np.full(n_agents, level, dtype=np.int8)

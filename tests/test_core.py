@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pctsim import messaging
+from pctsim import core, messaging
 from pctsim.core import (
     ConfigError,
     SimConfig,
@@ -103,8 +105,108 @@ class TestSeedingAndPopulation:
 
     def test_households_partition_population(self):
         w = init_world(SimConfig(population_size=500, num_days=1))
-        members = np.concatenate(w.households)
+        members = w.loc_indexes["household"].flat
         assert np.array_equal(np.sort(members), np.arange(500))
+
+
+def _loop_population(cfg):
+    """The demographics draws as one call per household and one slice per
+    group, kept as the reference for the batched build in ``WorldState``.
+
+    Returns (the demographics stream after the build, household_id,
+    households, schools, workplaces, whether the last household was cut).
+    """
+    n = cfg.population_size
+    child = np.random.SeedSequence(cfg.rng_seed).spawn(len(core._RNG_STREAMS))
+    rng = np.random.default_rng(child[core._RNG_STREAMS.index("demographics")])
+    sizes, probs = zip(*core.HOUSEHOLD_SIZE_DIST)
+    members_left = n
+    hh_sizes = []
+    truncated = False
+    while members_left > 0:
+        s = int(rng.choice(sizes, p=probs))
+        truncated = s > members_left
+        hh_sizes.append(min(s, members_left))
+        members_left -= hh_sizes[-1]
+    perm = rng.permutation(n)
+    households = []
+    household_id = np.zeros(n, dtype=np.int64)
+    offset = 0
+    for hid, s in enumerate(hh_sizes):
+        members = np.sort(perm[offset:offset + s])
+        households.append(members)
+        household_id[members] = hid
+        offset += s
+
+    age_band = rng.choice(3, size=n, p=core.AGE_BAND_DIST)
+    rng.integers(0, 2, n, dtype=np.int8)
+    for _ in core.CONDITION_PREVALENCE:
+        rng.random(n)
+
+    def partition(ids, group_size):
+        ids = rng.permutation(ids)
+        return [np.sort(ids[i:i + group_size]) for i in range(0, ids.size, group_size)]
+
+    schools = partition(np.flatnonzero(age_band == 0), core.SCHOOL_SIZE)
+    workplaces = partition(np.flatnonzero(age_band == 1), core.WORKPLACE_SIZE)
+    phones = rng.choice(n, size=int(round(cfg.smartphone_rate * n)), replace=False)
+    n_app = int(round(cfg.adoption_rate * n))
+    if n_app:
+        rng.choice(np.sort(phones), size=n_app, replace=False)
+    return rng, household_id, households, schools, workplaces, truncated
+
+
+def _assert_population_matches_loop(n, seed):
+    """Check the world's pools and demographics stream against the loop;
+    returns whether the reference cut its last household."""
+    cfg = SimConfig(population_size=n, num_days=1, rng_seed=seed)
+    w = init_world(cfg)
+    rng, household_id, households, schools, workplaces, truncated = _loop_population(cfg)
+    assert np.array_equal(w.household_id, household_id)
+    for name, groups in (("household", households), ("school", schools),
+                         ("workplace", workplaces)):
+        index = w.loc_indexes[name]
+        size = np.array([g.size for g in groups], dtype=np.int64)
+        flat = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
+        assert np.array_equal(index.flat, flat), name
+        assert np.array_equal(index.size, size), name
+        assert np.array_equal(index.start, np.cumsum(size) - size), name
+    assert w.rng["demographics"].random() == rng.random()
+    return truncated
+
+
+class TestBatchedPopulation:
+    @pytest.mark.parametrize("n,seed", [(2, 0), (7, 2), (301, 0), (3000, 0)])
+    def test_last_household_cut(self, n, seed):
+        assert _assert_population_matches_loop(n, seed)
+
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_per_household_loop(self, n, seed):
+        _assert_population_matches_loop(n, seed)
+
+
+class TestHouseholdQuarantine:
+    def test_positives_flag_their_household_mates(self):
+        w = init_world(SimConfig(population_size=300, num_days=5, rng_seed=1,
+                                 initial_exposed_fraction=0.0, symptom_dropin=0.0,
+                                 test_false_negative_rate=0.0))
+        hh = w.loc_indexes["household"]
+        big = int(np.flatnonzero(hh.size >= 3)[0])
+        shared = hh.flat[hh.start[big]:hh.start[big] + hh.size[big]]
+        alone = hh.flat[hh.start[np.flatnonzero(hh.size == 1)[0]]]
+        positives = np.array([shared[0], shared[1], alone])
+        day = 2
+        w.test_code[positives] = TEST_PENDING
+        w.result_day[positives] = day
+        w.infected_at_order[positives] = True
+        w._phase_progression(day)
+        assert w._phase_testing(day) == (0, 3)
+        # both positives flag each other and the rest of their household;
+        # the lone positive flags nobody
+        assert np.array_equal(np.flatnonzero(w.hh_until >= 0), shared)
+        assert np.all(w.hh_until[shared] == day + core.QUARANTINE_DAYS)
+        assert np.array_equal(np.flatnonzero(w.hh_active), shared)
 
 
 @pytest.fixture(scope="module")

@@ -55,9 +55,41 @@ class TestEffectiveContacts:
             LocationParams("x", 2.0, 1.5)
 
 
+class TestLocationIndex:
+    def test_hand_built_groups(self):
+        # groups 0: {1, 4, 7}, 1: {3}, 2: {0, 5, 6}; agent 2 is in none
+        index = LocationIndex(np.array([2, 0, -1, 1, 0, 2, 2, 0]))
+        assert index.n_agents == 8
+        assert index.flat.tolist() == [1, 4, 7, 3, 0, 5, 6]
+        assert index.start.tolist() == [0, 3, 4]
+        assert index.size.tolist() == [3, 1, 3]
+        assert index.pos.tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
+        assert index.gid.tolist() == [2, 0, -1, 1, 0, 2, 2, 0]
+        assert index._has_partner.tolist() == [True, True, False, False,
+                                               True, True, True, True]
+
+    def test_one_member_group_has_no_partner(self):
+        rng = np.random.default_rng(9)
+        idx = {"workplace": LocationIndex(np.array([0, 1, 1, -1, 1]))}
+        assert not idx["workplace"]._has_partner[0]
+        for _ in range(50):
+            a, b, _ = generate_encounters(idx, np.zeros(5, dtype=np.int8), 5.0, rng)
+            assert a.size > 0
+            assert not np.isin([0, 3], np.concatenate([a, b])).any()
+
+    @pytest.mark.parametrize("name", LOCATION_TYPES)
+    def test_no_groups_draw_nothing(self, name):
+        rng = np.random.default_rng(10)
+        index = LocationIndex(np.full(6, -1, dtype=np.int64))
+        assert index.flat.size == index.size.size == index.start.size == 0
+        assert not index._has_partner.any()
+        a, b, loc = generate_encounters({name: index}, np.zeros(6, dtype=np.int8), 5.0, rng)
+        assert a.size == b.size == loc.size == 0
+
+
 def _one_pool(name, n):
     """A world where everyone shares one pool of the given location type."""
-    return {name: LocationIndex([np.arange(n)], n)}
+    return {name: LocationIndex(np.zeros(n, dtype=np.int64))}
 
 
 class TestGenerateEncounters:
@@ -88,7 +120,7 @@ class TestGenerateEncounters:
     def test_no_self_encounters(self):
         rng = np.random.default_rng(3)
         for name in LOCATION_TYPES:
-            idx = {name: LocationIndex([np.arange(5), np.arange(5, 8)], 8)}
+            idx = {name: LocationIndex(np.array([0, 0, 0, 0, 0, 1, 1, 1]))}
             for _ in range(50):
                 a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8),
                                               2.0, rng)
@@ -96,8 +128,7 @@ class TestGenerateEncounters:
 
     def test_pairs_stay_within_groups(self):
         rng = np.random.default_rng(4)
-        groups = [np.array([0, 1, 2]), np.array([3, 4]), np.array([5, 6, 7])]
-        idx = {"workplace": LocationIndex(groups, 8)}
+        idx = {"workplace": LocationIndex(np.array([0, 0, 0, 1, 1, 2, 2, 2]))}
         gid = idx["workplace"].gid
         for _ in range(100):
             a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8), 1.0, rng)
@@ -105,15 +136,15 @@ class TestGenerateEncounters:
 
     def test_singleton_pool_draws_nothing(self):
         rng = np.random.default_rng(5)
-        idx = {"other": LocationIndex([np.array([0])], 1)}
+        idx = {"other": LocationIndex(np.array([0]))}
         a, _, _ = generate_encounters(idx, np.zeros(1, dtype=np.int8), 5.0, rng)
         assert a.size == 0
 
     def test_location_codes_match_types(self):
         rng = np.random.default_rng(6)
         idx = {
-            "household": LocationIndex([np.arange(6)], 6),
-            "other": LocationIndex([np.arange(6)], 6),
+            "household": LocationIndex(np.zeros(6, dtype=np.int64)),
+            "other": LocationIndex(np.zeros(6, dtype=np.int64)),
         }
         _, _, loc = generate_encounters(idx, np.zeros(6, dtype=np.int8), 3.0, rng)
         codes = set(loc.tolist())
