@@ -284,16 +284,15 @@ class SimulationTrace:
     def write(self, trace_path, events_path):
         """Persist the trace as day-record JSONL plus an event JSONL."""
 
-        def dump(obj):
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
+        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         with open(trace_path, "w") as fh:
             fh.write(dump(self.header_record()) + "\n")
             for report in self.day_reports:
                 fh.write(dump(self.day_record(report)) + "\n")
         with open(events_path, "w") as fh:
-            for ev in self.events:
-                fh.write(dump(dataclasses.asdict(ev)) + "\n")
+            # the bytes of dump(asdict(ev)); location names need no escaping
+            fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
+                          % (ev.day, ev.infectee, ev.infector, ev.location) for ev in self.events)
 
 
 class WorldState:
@@ -311,9 +310,9 @@ class WorldState:
         # fitted cut points are for the pct predictor; the heuristic's
         # 0.25-step scores stay on the uniform grid
         fitted = cfg.policy == "pct" and cfg.risk_thresholds is not None
-        self.thresholds = np.asarray(
-            cfg.risk_thresholds if fitted else messaging.DEFAULT_THRESHOLDS,
-            dtype=np.float64)
+        self.quantize = messaging.RiskQuantizer(
+            cfg.risk_thresholds if fitted else messaging.DEFAULT_THRESHOLDS)
+        self.thresholds = self.quantize.thresholds
         self.psi = np.asarray(cfg.psi_table, dtype=np.int8)
 
         self._build_population()
@@ -415,7 +414,7 @@ class WorldState:
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
         shape = (self.app_ids.size, self.window)
         self.yhat_prev = np.zeros(shape, dtype=np.float64)
-        self.qprev = np.full(shape, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8)
+        self.qprev = np.full(shape, self.quantize(0.0), dtype=np.int8)
         # rings over slot day % window: the edges, and per (app sender, slot) the
         # level its partners hold, the level sent today (-1: none) and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
@@ -720,15 +719,16 @@ class WorldState:
 
     def _app_pass_pct(self, day):
         y_hat, failed = self._predict(day)
-        qlev = messaging.quantize_risk(y_hat, self.thresholds)
+        qlev = self.quantize(y_hat)
         levels = self.psi[qlev[:, 0]]
         levels[failed] = 1
         return self._publish(day, y_hat, qlev, levels, ~failed)
 
     def _app_pass_heuristic(self, day):
         score, levels = tracing.policy_heuristic(*self.observables_for(day))
-        y_hat = np.repeat(score[:, None], self.window, axis=1)
-        qlev = messaging.quantize_risk(y_hat, self.thresholds)
+        shape = (score.size, self.window)  # the score is the same on every day
+        y_hat = np.broadcast_to(score[:, None], shape)
+        qlev = np.broadcast_to(self.quantize(score)[:, None], shape)
         return self._publish(day, y_hat, qlev, levels, np.ones(score.size, dtype=bool))
 
     def _publish(self, day, y_hat, qlev, levels, ok):
@@ -744,10 +744,10 @@ class WorldState:
         changed = (qlev[:, :span] != prev) & ok[:, None]
         cols = (day - np.arange(span)) % self.window
         self.inflight[:, cols] = np.where(changed, qlev[:, :span], -1)
-        sent = int(self.outdeg[:, cols][changed].sum())
+        sent = int(np.einsum("ij,ij->", self.outdeg[:, cols], changed, dtype=np.int64))
         self.policy_level[self.app_ids] = levels
-        self.yhat_prev[ok] = y_hat[ok]
-        self.qprev[ok] = qlev[ok]
+        np.copyto(self.yhat_prev, y_hat, where=ok[:, None])
+        np.copyto(self.qprev, qlev, where=ok[:, None])
         if self.yhat_hist is not None:
             self.yhat_hist[:, day] = y_hat
         return sent

@@ -72,6 +72,13 @@ def calibrate_thresholds(samples) -> np.ndarray:
     return cuts
 
 
+def _cut_points(thresholds) -> np.ndarray:
+    cuts = np.asarray(thresholds, dtype=np.float64)
+    if cuts.shape != (N_RISK_LEVELS - 1,):
+        raise ValueError(f"expected {N_RISK_LEVELS - 1} thresholds, got {cuts.shape}")
+    return cuts
+
+
 def quantize_risk(y_hat, thresholds=DEFAULT_THRESHOLDS):
     """Map predicted infectiousness to a 4-bit risk level.
 
@@ -80,13 +87,46 @@ def quantize_risk(y_hat, thresholds=DEFAULT_THRESHOLDS):
 
     Accepts a scalar or an array; returns the same shape.
     """
-    cuts = np.asarray(thresholds, dtype=np.float64)
-    if cuts.shape != (N_RISK_LEVELS - 1,):
-        raise ValueError(f"expected {N_RISK_LEVELS - 1} thresholds, got {cuts.shape}")
+    cuts = _cut_points(thresholds)
     levels = np.searchsorted(cuts, np.asarray(y_hat, dtype=np.float64), side="left")
     if np.ndim(y_hat) == 0:
         return int(levels)
     return levels.astype(np.int8)
+
+
+class RiskQuantizer:
+    """:func:`quantize_risk` with the cut points fixed, from tables built once.
+
+    Over ``BINS`` equal bins of [0, 1], y falls in bin b = floor(y * BINS).
+    Float multiplication and floor are monotone, so a cut in a lower bin
+    lies below y and a cut in a higher bin lies above it. The level is
+    then ``base[b]``, the number of cuts in lower bins, plus whether y
+    exceeds ``cut_in_bin[b]``, the cut in bin b (+inf for none). That is
+    exact as long as no two cuts share a bin. Cut sets where two do, or
+    with a cut outside [0, 1], and inputs that are scalars or hold a
+    value outside [0, 1] or NaN, are answered by :func:`quantize_risk`.
+    """
+
+    BINS = 1024
+
+    def __init__(self, thresholds=DEFAULT_THRESHOLDS):
+        self.thresholds = _cut_points(thresholds)
+        # the clip only spares cuts outside [0, 1] an overflow; they fall back
+        cut_bin = np.floor(np.clip(self.thresholds, 0.0, 1.0) * self.BINS)
+        self.binned = bool(np.all((self.thresholds >= 0.0) & (self.thresholds <= 1.0))
+                           and np.all(np.diff(cut_bin) > 0))
+        if self.binned:
+            cut_bin = cut_bin.astype(np.intp)
+            self.base = np.searchsorted(cut_bin, np.arange(self.BINS + 1)).astype(np.int8)
+            self.cut_in_bin = np.full(self.BINS + 1, np.inf)
+            self.cut_in_bin[cut_bin] = self.thresholds
+
+    def __call__(self, y_hat):
+        y = np.asarray(y_hat, dtype=np.float64)
+        if not (self.binned and y.ndim and y.size and y.min() >= 0.0 and y.max() <= 1.0):
+            return quantize_risk(y_hat, self.thresholds)
+        b = (y * self.BINS).astype(np.intp)
+        return self.base.take(b) + (y > self.cut_in_bin.take(b))
 
 
 def diff_and_emit(prev_hat, new_hat, contact_book, thresholds, *, day, own_tokens):

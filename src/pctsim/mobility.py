@@ -10,6 +10,8 @@ Encounters are symmetric events. Each agent draws Poisson(rate/2) partner
 picks per location and day; since partners pick back at the same rate,
 the realized per-agent encounter count is Poisson(rate), matching the
 effective-contacts table. Quarantined partners (level 4) veto any pick.
+An agent with no partner in a pool, or with a zero rate there (level 4,
+or a mobility scale of 0), draws no random bits for that pool.
 """
 
 from __future__ import annotations
@@ -72,11 +74,14 @@ class LocationIndex:
     ``group_of`` is an n-long int64 array giving each agent's group label,
     or -1 for an agent in no group of this type. ``flat`` lists the
     labelled agents group by group, in ascending agent id inside each
-    group; group g occupies ``flat[start[g]:start[g] + size[g]]``, and an
-    agent sits at ``pos`` within its group (0 for the unlabelled).
+    group; group g occupies ``flat[start[g]:start[g] + size[g]]``.
 
-    Supports O(1) vectorized partner sampling: for a member at position
-    ``pos`` in a group of size ``s``, draw r uniform on [0, s-2] and shift
+    Only members of a group of two or more have a partner to draw. They
+    are ``drawers``, in ascending agent id, and three int32 arrays are
+    aligned with them: ``span``, the number of partners to pick from
+    (group size - 1); ``offset``, where the drawer's group starts in
+    ``flat``; and ``pos``, the drawer's place in its group. That makes
+    partner sampling O(1): draw r uniform on [0, span - 1] and shift
     r >= pos by one to exclude self.
     """
 
@@ -90,15 +95,27 @@ class LocationIndex:
         member_gid = gid[self.flat]
         self.size = np.bincount(member_gid)
         self.start = np.cumsum(self.size) - self.size
-        self.pos = np.zeros(self.n_agents, dtype=np.int64)
-        self.pos[self.flat] = np.arange(self.flat.size) - self.start[member_gid]
-        # members of a group of two or more: the only agents with a partner to draw
-        self._has_partner = np.zeros(self.n_agents, dtype=bool)
-        self._has_partner[self.flat] = self.size[member_gid] >= 2
+        place = np.zeros(self.n_agents, dtype=np.int64)  # agent -> index in flat
+        place[self.flat] = np.arange(self.flat.size)
+        has_partner = np.zeros(self.n_agents, dtype=bool)
+        has_partner[self.flat] = self.size[member_gid] >= 2
+        drawers = np.flatnonzero(has_partner)
+        g = gid[drawers]
+        # int32 keeps the four arrays at half the memory; draws are the same
+        self.drawers = drawers.astype(np.int32)
+        self.span = (self.size[g] - 1).astype(np.int32)
+        self.offset = self.start[g].astype(np.int32)
+        self.pos = (place[drawers] - self.start[g]).astype(np.int32)
 
 
 def generate_encounters(indexes, rec_level, mobility_scale, rng):
     """Generate one day of encounters across all location types.
+
+    Per location type, each drawer (see ``LocationIndex``) draws its
+    Poisson number of partner picks, in ascending agent id, then every
+    pick draws its partner. Agents without a partner in the pool take no
+    draw, and neither does a drawer whose rate is zero: ``poisson`` draws
+    no bits for a zero rate.
 
     Args:
         indexes: mapping location type name -> LocationIndex.
@@ -112,30 +129,22 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng):
         code ``loc`` (index into LOCATION_TYPES). Repeat pairs may occur.
     """
     rec_level = np.asarray(rec_level)
-    out_a, out_b, out_loc = [], [], []
+    empty = np.zeros(0, dtype=np.int64)
+    out_a, out_b = [empty], [empty]
+    kept = np.zeros(len(LOCATION_TYPES), dtype=np.int64)
     for code, name in enumerate(LOCATION_TYPES):
         index = indexes.get(name)
         if index is None:
             continue
-        rates = level_rate_table(LOCATION_PARAMS[name], mobility_scale)[rec_level]
-        # Agents without a pool partner draw nothing.
-        rates = np.where(index._has_partner, rates, 0.0)
-        if not rates.any():
-            continue
-        k = rng.poisson(rates / 2.0)
-        drawers = np.repeat(np.arange(index.n_agents), k)
-        if drawers.size == 0:
-            continue
-        g = index.gid[drawers]
-        s = index.size[g]
-        r = rng.integers(0, s - 1)
-        r += r >= index.pos[drawers]
-        partners = index.flat[index.start[g] + r]
+        half_rates = level_rate_table(LOCATION_PARAMS[name], mobility_scale) / 2.0
+        k = rng.poisson(half_rates[rec_level[index.drawers]])
+        i = np.repeat(np.arange(index.drawers.size), k)
+        r = rng.integers(0, index.span[i])
+        r += r >= index.pos[i]
+        partners = index.flat[index.offset[i] + r]
         keep = rec_level[partners] != QUARANTINE_LEVEL
-        out_a.append(drawers[keep])
+        out_a.append(index.drawers[i[keep]])
         out_b.append(partners[keep])
-        out_loc.append(np.full(int(keep.sum()), code, dtype=np.int64))
-    if not out_a:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_loc)
+        kept[code] = out_b[-1].size
+    return (np.concatenate(out_a, dtype=np.int64), np.concatenate(out_b),
+            np.repeat(np.arange(len(LOCATION_TYPES)), kept))

@@ -9,8 +9,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pctsim import cli, core, metrics
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run and
+# has no per-example deadline, so a property test cannot fail on a new draw
+# or a slow host.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 TARGET_CONTACTS = 5.61
 GRID_SEEDS = tuple(range(12))

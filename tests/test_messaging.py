@@ -1,15 +1,18 @@
 """Message protocol unit tests: quantization, thresholds, diff, cluster, wire."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pctsim import messaging
+from pctsim import core, messaging
 from pctsim.messaging import (
     DEFAULT_THRESHOLDS,
     N_RISK_LEVELS,
     RiskMessage,
+    RiskQuantizer,
     calibrate_thresholds,
     cluster_inbox,
     diff_and_emit,
@@ -55,6 +58,64 @@ class TestQuantize:
         assert 0 <= lv <= 15
         if y < cuts[0]:
             assert lv == 0
+
+
+CONFIG_CUTS = core.load_config(
+    Path(__file__).resolve().parents[1] / "configs" / "default.yaml").risk_thresholds
+# each makes an array take the quantize_risk path
+OUTSIDE = (-1e-300, -0.5, np.nextafter(1.0, 2.0), 2.0, np.inf, -np.inf, np.nan)
+
+
+def _assert_quantizer_matches(cuts, extra=()):
+    """RiskQuantizer(cuts) gives quantize_risk's levels, dtype and shape."""
+    quantize = RiskQuantizer(cuts)
+    c = np.asarray(cuts, dtype=np.float64)
+    probes = np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
+                             [0.0, -0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0],
+                             np.asarray(extra, dtype=np.float64)])
+    inside = probes[(probes >= 0.0) & (probes <= 1.0)]
+    cases = [inside, np.stack([inside, inside[::-1]]), np.zeros((0, 15)),
+             *(np.append(inside, v) for v in OUTSIDE)]
+    for y in cases:
+        got, want = quantize(y), quantize_risk(y, cuts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    for v in (*probes[:3].tolist(), *OUTSIDE):
+        assert quantize(v) == quantize_risk(v, cuts)
+    return quantize
+
+
+class TestRiskQuantizer:
+    def test_default_thresholds(self):
+        assert _assert_quantizer_matches(DEFAULT_THRESHOLDS).binned
+
+    def test_config_thresholds(self):
+        assert _assert_quantizer_matches(CONFIG_CUTS).binned
+
+    @given(st.lists(st.floats(0, 1), min_size=15, max_size=15, unique=True),
+           st.lists(st.floats(0, 1), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_random_increasing_thresholds(self, raw, extra):
+        _assert_quantizer_matches(sorted(raw), extra)
+
+    @given(st.lists(st.integers(0, RiskQuantizer.BINS - 1), min_size=15, max_size=15,
+                    unique=True),
+           st.lists(st.floats(0, 1, exclude_max=True), min_size=15, max_size=15),
+           st.lists(st.floats(0, 1), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_one_cut_per_bin(self, bins, within, extra):
+        cuts = (np.sort(bins) + np.asarray(within)) / RiskQuantizer.BINS
+        assume(np.all(np.diff(cuts) > 0))
+        _assert_quantizer_matches(cuts, extra)
+
+    @pytest.mark.parametrize("sample", [[0.5] * 100, [0.0] * 40, [1.0] * 40,
+                                        [0.2] * 90 + [0.7] * 10])
+    def test_degenerate_calibration_falls_back(self, sample):
+        assert not _assert_quantizer_matches(calibrate_thresholds(sample)).binned
+
+    def test_rejects_bad_threshold_count(self):
+        with pytest.raises(ValueError):
+            RiskQuantizer([0.5])
 
 
 class TestCalibrateThresholds:

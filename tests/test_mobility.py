@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pctsim import mobility
+from pctsim import core, mobility
 from pctsim.mobility import (
     LOCATION_PARAMS,
     LOCATION_TYPES,
+    QUARANTINE_LEVEL,
     LocationIndex,
     LocationParams,
     effective_contacts,
@@ -63,15 +66,18 @@ class TestLocationIndex:
         assert index.flat.tolist() == [1, 4, 7, 3, 0, 5, 6]
         assert index.start.tolist() == [0, 3, 4]
         assert index.size.tolist() == [3, 1, 3]
-        assert index.pos.tolist() == [0, 0, 0, 0, 1, 1, 2, 2]
         assert index.gid.tolist() == [2, 0, -1, 1, 0, 2, 2, 0]
-        assert index._has_partner.tolist() == [True, True, False, False,
-                                               True, True, True, True]
+        # the members of groups of two or more, with their places in flat
+        assert index.drawers.tolist() == [0, 1, 4, 5, 6, 7]
+        assert index.pos.tolist() == [0, 0, 1, 1, 2, 2]
+        assert index.offset.tolist() == [4, 0, 0, 4, 4, 0]
+        assert index.span.tolist() == [2, 2, 2, 2, 2, 2]
+        assert index.drawers.dtype == index.pos.dtype == np.int32
 
     def test_one_member_group_has_no_partner(self):
         rng = np.random.default_rng(9)
         idx = {"workplace": LocationIndex(np.array([0, 1, 1, -1, 1]))}
-        assert not idx["workplace"]._has_partner[0]
+        assert 0 not in idx["workplace"].drawers.tolist()
         for _ in range(50):
             a, b, _ = generate_encounters(idx, np.zeros(5, dtype=np.int8), 5.0, rng)
             assert a.size > 0
@@ -82,7 +88,7 @@ class TestLocationIndex:
         rng = np.random.default_rng(10)
         index = LocationIndex(np.full(6, -1, dtype=np.int64))
         assert index.flat.size == index.size.size == index.start.size == 0
-        assert not index._has_partner.any()
+        assert index.drawers.size == 0
         a, b, loc = generate_encounters({name: index}, np.zeros(6, dtype=np.int8), 5.0, rng)
         assert a.size == b.size == loc.size == 0
 
@@ -176,3 +182,89 @@ class TestGenerateEncounters:
         a, b, _ = generate_encounters(idx, np.zeros(12, dtype=np.int8), 2.0, rng)
         per_agent = np.bincount(a, minlength=12) + np.bincount(b, minlength=12)
         assert per_agent.sum() == 2 * a.size
+
+
+def _reference_encounters(pools, rec_level, mobility_scale, rng):
+    """The generator before drawing over each pool's drawers, kept as the reference.
+
+    ``pools`` maps location type name -> label array. Every agent's rate is
+    gathered, zeroed where the agent has no partner, and drawn.
+    """
+    rec_level = np.asarray(rec_level)
+    out_a, out_b, out_loc = [], [], []
+    for code, name in enumerate(LOCATION_TYPES):
+        if name not in pools:
+            continue
+        gid = pools[name]
+        flat = np.argsort(gid, kind="stable")[np.count_nonzero(gid < 0):]
+        size = np.bincount(gid[flat])
+        start = np.cumsum(size) - size
+        pos = np.zeros(gid.size, dtype=np.int64)
+        pos[flat] = np.arange(flat.size) - start[gid[flat]]
+        has_partner = np.zeros(gid.size, dtype=bool)
+        has_partner[flat] = size[gid[flat]] >= 2
+        rates = level_rate_table(LOCATION_PARAMS[name], mobility_scale)[rec_level]
+        rates = np.where(has_partner, rates, 0.0)
+        if not rates.any():
+            continue
+        k = rng.poisson(rates / 2.0)
+        drawers = np.repeat(np.arange(gid.size), k)
+        if drawers.size == 0:
+            continue
+        g = gid[drawers]
+        r = rng.integers(0, size[g] - 1)
+        r += r >= pos[drawers]
+        partners = flat[start[g] + r]
+        keep = rec_level[partners] != QUARANTINE_LEVEL
+        out_a.append(drawers[keep])
+        out_b.append(partners[keep])
+        out_loc.append(np.full(int(keep.sum()), code, dtype=np.int64))
+    if not out_a:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    return np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_loc)
+
+
+def _assert_same_days(pools, rec_level, scale, seed, days=3):
+    """Both generators give the same arrays and leave the stream in the same state."""
+    index = {name: LocationIndex(labels) for name, labels in pools.items()}
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(days):
+        got = generate_encounters(index, rec_level, scale, got_rng)
+        want = _reference_encounters(pools, rec_level, scale, want_rng)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@st.composite
+def _world(draw):
+    n = draw(st.integers(1, 40))
+    labels = st.one_of(
+        st.just(np.full(n, -1)),  # in no group
+        st.just(np.arange(n)),  # everyone alone
+        st.lists(st.integers(-1, 5), min_size=n, max_size=n).map(np.array),  # mixed
+    )
+    names = draw(st.lists(st.sampled_from(LOCATION_TYPES), unique=True, max_size=4))
+    pools = {name: draw(labels).astype(np.int64) for name in names}
+    levels = draw(st.one_of(
+        st.just(np.full(n, QUARANTINE_LEVEL)),
+        st.lists(st.integers(0, 4), min_size=n, max_size=n).map(np.array),
+    )).astype(np.int8)
+    return pools, levels
+
+
+class TestEncountersMatchReference:
+    @given(_world(), st.sampled_from([0.0, 0.4, 1.0, 3.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_label_arrays(self, world, scale, seed):
+        pools, levels = world
+        _assert_same_days(pools, levels, scale, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 9001])
+    def test_default_world(self, seed):
+        world = core.WorldState(core.SimConfig(rng_seed=seed))
+        pools = {name: index.gid for name, index in world.loc_indexes.items()}
+        levels = np.random.default_rng(seed).integers(0, 5, world.n).astype(np.int8)
+        _assert_same_days(pools, levels, 1.0, seed)
