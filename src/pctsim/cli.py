@@ -58,11 +58,12 @@ def _parse_seed_list(text):
     return seeds
 
 
-def _parse_jobs(text):
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+def _positive_int(text):
+    """An integer of at least 1, such as a count of jobs or runs."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load_config(args) -> core.SimConfig:
@@ -344,7 +345,7 @@ def build_parser() -> _Parser:
 
     def add_common(p, seeds_default=None):
         p.add_argument("--config", required=True, help="config file (YAML or JSON)")
-        p.add_argument("--jobs", type=_parse_jobs, default=os.cpu_count() or 1,
+        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                        help="max concurrent runs (default: available parallelism)")
         p.add_argument("--policy", dest="policy", default=None,
                        help="override the config policy")
@@ -380,7 +381,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("datagen", help="domain-randomized dataset campaign")
     add_common(p)
-    p.add_argument("--n-runs", type=int, default=6, help="number of runs")
+    p.add_argument("--n-runs", type=_positive_int, default=6, help="number of runs")
     p.add_argument("--out", default="dataset", help="output directory")
     p.set_defaults(func=cmd_datagen)
 

@@ -414,12 +414,10 @@ class WorldState:
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
         shape = (self.app_ids.size, self.window)
         self.yhat_prev = np.zeros(shape, dtype=np.float64)
-        self.qprev = np.full(shape, self.quantize(0.0), dtype=np.int8)
         # rings over slot day % window: the edges, and per (app sender, slot) the
-        # level its partners hold, the level sent today (-1: none) and the partner count
+        # level it last sent for that day, which its partners hold, and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
-        self.held = np.zeros(shape, dtype=np.int8)
-        self.inflight = np.full(shape, -1, dtype=np.int8)
+        self.held = np.full(shape, self.quantize(0.0), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.n, dtype=bool)
         self.bct_broadcast_done = np.zeros(self.app_ids.size, dtype=bool)
@@ -538,8 +536,8 @@ class WorldState:
     def _register_app_contacts(self, a, b, day):
         """Today's app-pair encounters, both directions, replace the oldest day.
 
-        Each receiver starts out holding the sender's current level.
-        Whatever was still in flight to the replaced day is dropped.
+        Each receiver starts out holding the level the sender last sent for
+        yesterday. An update sent yesterday to the replaced day is dropped.
         """
         both = self.has_app[a] & self.has_app[b]
         x, y = self._app_index[a[both]], self._app_index[b[both]]
@@ -549,8 +547,7 @@ class WorldState:
         receiver, sender = np.array(np.divmod(keys, n_app), dtype=np.int32)
         slot = day % self.window
         self.edges[slot] = EdgeDay(day, receiver, sender, np.minimum(count, 65535).astype(np.uint16))
-        self.held[:, slot] = self.qprev[:, 0]
-        self.inflight[:, slot] = -1
+        self.held[:, slot] = self.held[:, (day - 1) % self.window]
         self.outdeg[:, slot] = np.bincount(sender, minlength=n_app)
 
     def _phase_transmission(self, day, a, b, loc):
@@ -648,26 +645,23 @@ class WorldState:
     def _phase_app_pass(self, day):
         """Run the active policy and send today's messages.
 
-        Messages take one day: what is sent on day d is held by its
-        receivers from the day d + 1 pass on, so today's observables and
-        the observation log still see the levels from before the send.
-        Updates addressed to a day that has left the window by then are
-        dropped, and a BCT flag quarantines from day d + 1.
+        Messages take one day: what is sent on day d is read from the day
+        d + 1 pass on, so the observation log and today's observables, both
+        read before the send, see the levels from before it. An update to the
+        day that leaves the window tomorrow is dropped, and a BCT flag
+        quarantines from day d + 1.
         """
         policy = self.cfg.policy
         self.policy_level = np.ones(self.n, dtype=np.int8)
         if not self.app_active:
             return 0
-        self._deliver()
-        if policy == "bct":
-            messages_out = self._app_pass_bct(day)
-        elif policy == "pct":
-            messages_out = self._app_pass_pct(day)
-        else:
-            messages_out = self._app_pass_heuristic(day)
         if self.enc_windows is not None:
             self._snapshot_enc_windows(day)
-        return messages_out
+        if policy == "bct":
+            return self._app_pass_bct(day)
+        if policy == "pct":
+            return self._app_pass_pct(day)
+        return self._app_pass_heuristic(day)
 
     def _app_pass_bct(self, day):
         """Quarantine yesterday's flagged agents, then flag today's positives' contacts.
@@ -685,11 +679,6 @@ class WorldState:
         for e in self.edge_days():
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
         return int(self.outdeg[flaggers].sum())
-
-    def _deliver(self):
-        """Receivers take up the levels sent in the previous pass."""
-        np.copyto(self.held, self.inflight, where=self.inflight >= 0)
-        self.inflight.fill(-1)
 
     def _predict(self, day):
         """(n_app, window) predictions plus a per-agent failure mask."""
@@ -732,28 +721,29 @@ class WorldState:
         return self._publish(day, y_hat, qlev, levels, np.ones(score.size, dtype=bool))
 
     def _publish(self, day, y_hat, qlev, levels, ok):
-        """Send updates where the quantized history changed, then adopt it.
+        """Send each day's level where it differs from the level last sent.
 
         Slot k of an agent's history covers day ``day - k``; a changed slot
         sends its new level to every partner the agent met that day, one
-        message per edge. Rows not ``ok`` (failed predictions) send nothing
-        and keep their previous estimate as the baseline for tomorrow's diff.
+        message per edge, and ``held`` takes it. Rows not ``ok`` (failed
+        predictions) send nothing and keep their previous estimate; their
+        partners keep what was last sent, and the next successful day is
+        diffed against that.
         """
         span = min(day + 1, self.window)  # slots of days that have edges
-        prev = self.qprev[:, np.r_[0, :span - 1]]  # aligned to today's slots
-        changed = (qlev[:, :span] != prev) & ok[:, None]
         cols = (day - np.arange(span)) % self.window
-        self.inflight[:, cols] = np.where(changed, qlev[:, :span], -1)
+        prev = self.held[:, cols]
+        changed = (qlev[:, :span] != prev) & ok[:, None]
+        self.held[:, cols] = np.where(changed, qlev[:, :span], prev)
         sent = int(np.einsum("ij,ij->", self.outdeg[:, cols], changed, dtype=np.int64))
         self.policy_level[self.app_ids] = levels
         np.copyto(self.yhat_prev, y_hat, where=ok[:, None])
-        np.copyto(self.qprev, qlev, where=ok[:, None])
         if self.yhat_hist is not None:
             self.yhat_hist[:, day] = y_hat
         return sent
 
     def _snapshot_enc_windows(self, day):
-        """Log today's app edges and the levels held as of today, newest day first."""
+        """Log today's app edges and the levels held before today's sends, newest day first."""
         e = self.edges[day % self.window]
         cols = (day - np.arange(min(day + 1, self.window))) % self.window
         self.enc_windows.append(e.receiver, e.sender, e.count, self.held[:, cols])

@@ -100,15 +100,13 @@ def false_quarantine_fraction(trace, day_range=None) -> float:
     """Fraction of agent-days spent quarantined while not infectious.
 
     Counts agent-days at recommendation level 4 whose end-of-day epi state
-    is Susceptible or Recovered, divided by all agent-days in range.
+    is Susceptible or Recovered, divided by all agent-days in range. Each
+    day's count is its ``DayReport.quarantined_healthy``.
     """
     lo, hi = day_range if day_range is not None else (0, trace.num_days)
     if hi <= lo:
         return 0.0
-    levels = trace.level_hist[:, lo:hi]
-    states = trace.epi_hist[:, lo:hi]
-    healthy = (states == STATE_S) | (states == STATE_R)
-    false_q = int(((levels == 4) & healthy).sum())
+    false_q = sum(r.quarantined_healthy for r in trace.day_reports[lo:hi])
     return false_q / (trace.population * (hi - lo))
 
 

@@ -93,6 +93,16 @@ class TestParsingAndErrors:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_runs", ["0", "-3"])
+    def test_n_runs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, n_runs):
+        out = tmp_path / "dataset"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["datagen", "--config", cfg_path, "--n-runs", n_runs, "--jobs", "1",
+                      "--out", str(out)])
+        assert err.value.code == cli.EXIT_USAGE
+        assert "--n-runs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_outputs_and_reproducibility(self, cfg_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Engine tests: config validation, seeding, conservation, determinism."""
 
 import filecmp
+import json
 from pathlib import Path
 
 import numpy as np
@@ -330,15 +331,28 @@ class TestLevelsAndEstimates:
         assert tr.yhat_hist is None
 
 
+def _spy_publish(world, read):
+    """Call ``read(world, day)`` as each ``_publish`` is entered, before the day's sends."""
+    publish = world._publish
+
+    def spy(day, *args):
+        read(world, day)
+        return publish(day, *args)
+
+    world._publish = spy
+
+
 @pytest.fixture(scope="module")
 def heuristic_days():
     """A heuristic world stepped day by day: (world, per-day snapshots)."""
     world = init_world(_small(policy="heuristic", population_size=600, num_days=20,
                               initial_exposed_fraction=0.05, global_mobility_scale=3.75))
+    observed = []
+    _spy_publish(world, lambda w, day: observed.append(w.observables_for(day)))
     days = []
     for day in range(world.cfg.num_days):
         step_day(world)
-        days.append((world.observables_for(day), world.policy_level.copy()))
+        days.append((observed[day], world.policy_level.copy()))
     return world, days
 
 
@@ -414,17 +428,20 @@ class TestFalseNegativeRate:
         assert negatives / resolved == pytest.approx(0.10, abs=0.035)
 
 
-def _stepped(policy, **kw):
+def _stepped(policy, at_publish=None, **kw):
     """A small recorded world, stepped one day at a time.
 
-    Yields (world, day, report, shared levels at the start of the day,
-    estimates before and after the day's app pass).
+    Yields (world, day, report, the levels today's new contacts start out
+    holding, estimates before and after the day's app pass). ``at_publish``,
+    if given, is called as ``_spy_publish`` calls it.
     """
     world = init_world(_small(policy=policy, population_size=300, num_days=20,
                               predictor="noisy_oracle", initial_exposed_fraction=0.05,
                               global_mobility_scale=3.75, record_encounter_log=True, **kw))
+    if at_publish is not None:
+        _spy_publish(world, at_publish)
     for day in range(world.cfg.num_days):
-        shared = world.qprev[:, 0].copy()
+        shared = world.held[:, (day - 1) % world.window].copy()
         before = world.yhat_prev.copy()
         report = step_day(world)
         yield world, day, report, shared, before, world.yhat_prev.copy()
@@ -479,31 +496,70 @@ class TestProtocolReference:
         self._check_against_diff_and_emit(d_max=d_max)
 
     def _check_against_diff_and_emit(self, d_max):
-        expected = {}  # (receiver, day, sender) -> level registered or last delivered
-        inboxes = {}   # receiver -> messages sent to it in yesterday's pass
+        expected = {}  # (receiver, day, sender) -> level registered or last sent
         total = 0
         for world, day, report, shared, before, after in _stepped("pct", d_max=d_max):
-            start = day - world.cfg.d_max
             today = world.edges[day % world.window]
             app = world.app_ids
             for r, s in zip(today.receiver.tolist(), today.sender.tolist()):
                 expected[(int(app[r]), day, int(app[s]))] = int(shared[s])
+            # today's pass sends only to days still in the window, and its
+            # messages are held as soon as the step ends
+            inboxes, n_sent = self._reference_inboxes(world, day, before, after)
+            assert n_sent == report.messages
+            total += n_sent
             for receiver, inbox in inboxes.items():
-                live = [m for m in inbox if m.encounter_day >= start]
-                for d, pairs in messaging.cluster_inbox(live).items():
+                for d, pairs in messaging.cluster_inbox(inbox).items():
                     engine = sorted(_held_level(world, receiver, d, m.sender_token // 4096)
-                                    for m in live if m.encounter_day == d)
+                                    for m in inbox if m.encounter_day == d)
                     assert [lvl for lvl, _n in pairs] == engine
-                for m in live:
+                for m in inbox:
                     expected[(receiver, m.encounter_day, m.sender_token // 4096)] = m.risk_level
             for e in world.edge_days():
                 assert world.held_levels(e).tolist() == [
                     expected[(r, e.day, s)]
                     for r, s in zip(app[e.receiver].tolist(), app[e.sender].tolist())]
-            inboxes, n_sent = self._reference_inboxes(world, day, before, after)
-            assert n_sent == report.messages
-            total += n_sent
         assert total > 1000
+
+
+class TestFailedPredictions:
+    """A failed sender sends nothing; its partners keep what it last sent."""
+
+    def test_a_steady_predictor_sends_each_level_once(self, tmp_path):
+        # slot k of row (agent, day) is g(agent, day - k): no day's estimate
+        # ever changes, so no level is sent twice, whatever rows are missing
+        n, days = 300, 20
+        path = tmp_path / "preds.jsonl"
+        cfg = _small(policy="pct", predictor="external", population_size=n, num_days=days,
+                     global_mobility_scale=3.75, external_predictions=str(path))
+        w = cfg.d_max + 1
+        rng = np.random.default_rng(3)
+        g = rng.random((n, days + w))  # g[a, x + w]: agent a's estimate of day x
+        missing = rng.random((n, days)) < 0.2
+        with open(path, "w") as fh:
+            for a, d in zip(*np.nonzero(~missing)):
+                fh.write(json.dumps({"agent_id": int(a), "day": int(d),
+                                     "y_hat": g[a, d + w - np.arange(w)].tolist()}) + "\n")
+        world = init_world(cfg)
+        app = world.app_ids
+        entered = []
+        _spy_publish(world, lambda wd, _day: entered.append(wd.held.copy()))
+        sends = np.zeros((app.size, days), dtype=np.int64)  # per (sender, day)
+        total = 0
+        for day in range(days):
+            report = step_day(world)
+            changed = world.held != entered[day]
+            assert report.messages == int((world.outdeg * changed).sum())
+            failed = missing[app, day]
+            assert not changed[failed].any()
+            span = min(day + 1, w)
+            cols = (day - np.arange(span)) % w
+            own = world.quantize(g[np.ix_(app, day + w - np.arange(span))])
+            assert np.array_equal(world.held[~failed][:, cols], own[~failed])
+            sends[:, day - np.arange(span)] += changed[:, cols]
+            total += report.messages
+        assert sends.max() == 1
+        assert missing[app].mean() > 0.1 and total > 1000
 
 
 class TestEdgeLedger:
@@ -544,10 +600,13 @@ class TestObservationLog:
     @pytest.mark.parametrize("d_max", [1, 14, 15])
     def test_log_matches_the_live_snapshot(self, policy, d_max):
         # the 20-day run wraps the day rings at both window extremes; the
-        # log is read after the run, so no later day may alter an earlier one
+        # log is read after the run, so no later day may alter an earlier one.
+        # The snapshot is taken as _publish is entered, before the day's sends.
         snapshots = []
-        for world, day, *_rest in _stepped(policy, d_max=d_max):
-            snapshots.append(_snapshot(world, day))
+        for world, _day, *_rest in _stepped(
+                policy, d_max=d_max,
+                at_publish=lambda w, day: snapshots.append(_snapshot(w, day))):
+            pass
         log = world.enc_windows
         assert len(log) == len(snapshots) == world.cfg.num_days
         for day, (starts, rows) in enumerate(snapshots):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pctsim import metrics
+from pctsim.core import POLICIES, SimConfig, run
 from pctsim.metrics import (
     CSV_FIELDS,
     EXTERNAL_SEED,
@@ -91,11 +92,19 @@ class TestEstimateR:
         assert default_r_window(10) == (0, 1)
 
 
+def _quarantined_healthy(levels, states):
+    """Agent-days at level 4 whose end-of-day state is S or R, from the histories."""
+    healthy = (states == STATE_S) | (states == STATE_R)
+    return int(((levels == 4) & healthy).sum())
+
+
 def _fake_trace(levels, states, encounters_per_day=None):
-    levels = np.asarray(levels)
+    levels, states = np.asarray(levels), np.asarray(states)
     return SimpleNamespace(
         level_hist=levels,
-        epi_hist=np.asarray(states),
+        epi_hist=states,
+        day_reports=[SimpleNamespace(quarantined_healthy=_quarantined_healthy(lv, st))
+                     for lv, st in zip(levels.T, states.T)],
         population=levels.shape[0],
         num_days=levels.shape[1],
         encounters_per_day=encounters_per_day
@@ -137,6 +146,20 @@ class TestFalseQuarantine:
             tr = _fake_trace(rng.integers(0, 5, (n, d)),
                              rng.integers(0, 4, (n, d)))
             assert 0.0 <= false_quarantine_fraction(tr) <= 1.0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_day_reports_match_the_histories(self, policy):
+        # the reference recounts the (n, num_days) level and state histories
+        tr = run(SimConfig(population_size=600, num_days=30, rng_seed=2, policy=policy,
+                           predictor="noisy_oracle", initial_exposed_fraction=0.05,
+                           global_mobility_scale=3.75, record_observables=False,
+                           record_estimates=False))
+        assert _quarantined_healthy(tr.level_hist, tr.epi_hist) > 0
+        for lo, hi in [(0, 30), (10, 20), (29, 30)]:
+            expected = (_quarantined_healthy(tr.level_hist[:, lo:hi], tr.epi_hist[:, lo:hi])
+                        / (tr.population * (hi - lo)))
+            assert false_quarantine_fraction(tr, (lo, hi)) == expected
+        assert false_quarantine_fraction(tr) == false_quarantine_fraction(tr, (0, 30))
 
 
 class TestEffectiveContacts:

@@ -387,7 +387,8 @@ class TestPctPolicy:
         missing = _external_world(tmp_path, lambda a: None if a == agent else [0.99] * 15)
         assert nan.day_reports[0].messages > 0
         assert nan.policy_level[agent] == 1
-        assert np.all(nan.inflight[0] == -1)  # agent is app_ids[0]
+        # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
+        assert np.all(nan.held[0] == nan.quantize(0.0))
         assert np.array_equal(nan.yhat_prev[0], np.zeros(15))
         assert np.array_equal(nan.policy_level, missing.policy_level)
         assert np.array_equal(nan.yhat_hist, missing.yhat_hist)
