@@ -70,7 +70,12 @@ def _load_config(args) -> core.SimConfig:
     cfg = core.load_config(args.config)
     env_seed = os.environ.get("TRACE_SIM_SEED")
     if env_seed is not None:
-        cfg = cfg.replace(rng_seed=int(env_seed))
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise core.ConfigError(
+                f"TRACE_SIM_SEED: must be an integer, got {env_seed!r}") from None
+        cfg = cfg.replace(rng_seed=seed)
     if getattr(args, "seed", None) is not None:
         cfg = cfg.replace(rng_seed=args.seed)
     if getattr(args, "policy", None):

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import SimConfig
 from .virology import SYMPTOM_NAMES, TEST_CODE_NAMES, symptom_names_from_mask
 
@@ -94,14 +95,15 @@ def _put_list(ids, slots, codes, base, size):
 def _render_days(trace):
     """Yield ``(records, text)`` blocks: canonical-JSON lines, one per app agent and day.
 
-    Every piece is rendered once into a pool: each agent's record head
-    and tail, each health slot and distinct target (plain and with a
-    leading comma) per run, each ``[level,count]`` cell and the
-    punctuation per day. A block of ``_AGENT_BLOCK`` agents' records is
-    an array of piece ids, laid out by numpy from the per-(agent, day)
-    health and target codes and the observation log's cell offsets, and
-    its text is one join of the pooled pieces. The only Python loops are
-    over days, blocks and the per-run pieces.
+    Every piece is rendered once into a pool: each agent's record head,
+    each distinct profile's record tail, each health slot and distinct
+    target (plain and with a leading comma) per run, each
+    ``[level,count]`` cell and the punctuation per day. A block of
+    ``_AGENT_BLOCK`` agents' records is an array of piece ids, laid out
+    by numpy from the per-(agent, day) health and target codes and the
+    observation log's cell offsets, and its text is one join of the
+    pooled pieces. The only Python loops are over days, blocks and the
+    per-run pieces.
     """
     if trace.enc_windows is None:
         raise ValueError("trace was recorded without observables; re-run with "
@@ -115,17 +117,21 @@ def _render_days(trace):
     target_text, target_codes = _render_floats(trace.y_hist[app])
     health_codes = (trace.symptom_hist[app].astype(np.uint8) * len(TEST_CODE_NAMES)
                     + trace.test_hist[app].astype(np.uint8))
-    agents = app.tolist()
+    # one tail per distinct (age band, sex, conditions), from its first agent's profile
+    profile_key = ((trace.age_band[app].astype(np.intp) << 16)
+                   | (trace.sex[app].astype(np.intp) << 8) | trace.conditions[app])
+    _, first, profile_codes = np.unique(profile_key, return_index=True, return_inverse=True)
+    profiles = core.agent_profile(trace, app[first])
     tail = (f',"run_id":{_canonical(trace.run_id)},'
             f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
     run_pool = np.concatenate((
-        np.array(['{"agent_id":%d,"day":' % agent for agent in agents]
-                 + ['"profile":' + _canonical(trace.profiles[agent]) + tail
-                    for agent in agents], dtype=object),
+        np.array(['{"agent_id":%d,"day":' % agent for agent in app.tolist()]
+                 + ['"profile":' + _canonical(profile) + tail
+                    for profile in profiles.values()], dtype=object),
         _with_commas(_HEALTH_SLOTS), _with_commas(target_text)))
-    # piece ids: heads, tails, health slots, targets, then the day's pieces
+    # piece ids: heads, profile tails, health slots, targets, then the day's pieces
     tails = n_app
-    health = 2 * n_app
+    health = n_app + first.size
     targets = health + 2 * _HEALTH_SLOTS.size
     day_base = targets + 2 * target_text.size
     open_, comma_open, close, a, b, c, e = range(day_base, day_base + 7)
@@ -179,7 +185,7 @@ def _render_days(trace):
             slots = mid[:, None] + 1 + ks
             _put_list(ids, slots, day_health[lo:hi], health, _HEALTH_SLOTS.size)
             ids[mid + span + 1] = c
-            ids[mid + span + 2] = tails + block
+            ids[mid + span + 2] = tails + profile_codes[lo:hi]
             _put_list(ids, slots + span + 2, day_targets[lo:hi], targets, target_text.size)
             ids[ends - 1] = e
             yield hi - lo, "".join(pool[ids].tolist())

@@ -54,6 +54,31 @@ class TestParsingAndErrors:
         assert rc == cli.EXIT_USAGE
         assert "population_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,field", [
+        ("global_mobility_scale: .nan", "global_mobility_scale"),
+        ("global_mobility_scale: .inf", "global_mobility_scale"),
+        ("predictor_add_sigma: .nan", "predictor_add_sigma"),
+        ("predictor_mul_sigma: .nan", "predictor_mul_sigma"),
+        ("rng_seed: -1", "rng_seed"),
+        ("rng_seed: 1.5", "rng_seed"),
+        ("num_days: .inf", "num_days"),
+    ])
+    def test_non_finite_or_negative_value_exit_1(self, tmp_path, capsys, line, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(BASE_YAML.replace("rng_seed: 4\n", "") + line + "\n")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("env", ["abc", "1.5", ""])
+    def test_bad_env_seed_exit_1(self, cfg_path, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv("TRACE_SIM_SEED", env)
+        rc = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        assert "TRACE_SIM_SEED" in capsys.readouterr().err
+
     def test_seed_list_forms(self):
         assert cli._parse_seed_list("0,1,5") == [0, 1, 5]
         assert cli._parse_seed_list("0..3") == [0, 1, 2, 3]

@@ -3,6 +3,7 @@
 import filecmp
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ class TestConfigValidation:
         ("policy", "magic"),
         ("predictor", "psychic"),
         ("bct_quarantine_level", 9),
+        ("global_mobility_scale", float("nan")),
+        ("global_mobility_scale", float("inf")),
+        ("predictor_add_sigma", float("nan")),
+        ("predictor_mul_sigma", float("nan")),
+        ("predictor_add_sigma", float("inf")),
+        ("rng_seed", -1),
+        ("rng_seed", 1.5),
+        ("population_size", float("nan")),
+        ("num_days", float("inf")),
+        ("d_max", 2.5),
     ])
     def test_errors_name_the_field(self, field, value):
         with pytest.raises(ConfigError) as err:
@@ -615,3 +626,86 @@ class TestObservationLog:
             assert logged_rows.dtype == rows.dtype
             assert logged_rows.tolist() == rows.tolist()
         assert sum(rows.shape[0] for _starts, rows in snapshots) > 1000
+
+
+def _reference_profile(world, agent):
+    """The profile of one agent, read field by field from the world."""
+    return {
+        "age_band": core.AGE_BAND_NAMES[int(world.age_band[agent])],
+        "sex": "mf"[int(world.sex[agent])],
+        "conditions": [name for bit, name in enumerate(core.CONDITION_NAMES)
+                       if int(world.conditions[agent]) >> bit & 1],
+        "has_app": bool(world.has_app[agent]),
+    }
+
+
+class TestLazyProfiles:
+    @pytest.mark.parametrize("policy", ["pct", "heuristic"])
+    def test_profiles_match_agent_profile(self, policy):
+        cfg = _small(policy=policy, predictor="noisy_oracle", num_days=4)
+        trace, world = run(cfg), init_world(cfg)
+        assert trace.profiles == core.agent_profile(world, world.app_ids)
+        assert list(trace.profiles) == world.app_ids.tolist()
+        everyone = core.agent_profile(world, np.arange(world.n))
+        assert everyone == {a: _reference_profile(world, a) for a in range(world.n)}
+        assert any(not p["has_app"] for p in everyone.values())
+
+    def test_recording_off_run_builds_no_profiles(self, monkeypatch):
+        calls = []
+
+        def counting(world, agents):
+            calls.append(len(agents))
+            return agent_profile(world, agents)
+
+        agent_profile = core.agent_profile
+        monkeypatch.setattr(core, "agent_profile", counting)
+        trace = run(_small(policy="pct", num_days=3, record_observables=False,
+                           record_estimates=False))
+        assert calls == []
+        assert trace.profiles is trace.profiles
+        assert calls == [trace.app_ids.size]
+
+
+def _fake_libc(calls):
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    return SimpleNamespace(mallopt=mallopt)
+
+
+def _no_library(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+class TestKeepHeap:
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        core._keep_heap.cache_clear()
+        yield
+        core._keep_heap.cache_clear()
+
+    def test_sets_both_thresholds_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(core.ctypes, "CDLL", lambda name: _fake_libc(calls))
+        core._keep_heap()
+        core._keep_heap()
+        init_world(_small(population_size=20, num_days=1))
+        assert calls == [(core._M_MMAP_THRESHOLD, core._MMAP_THRESHOLD),
+                         (core._M_TRIM_THRESHOLD, core._TRIM_THRESHOLD)]
+
+    @pytest.mark.parametrize("libc", [lambda name: object(), _no_library],
+                             ids=["no-symbol", "no-library"])
+    def test_no_mallopt_does_nothing(self, monkeypatch, libc):
+        monkeypatch.setattr(core.ctypes, "CDLL", libc)
+        core._keep_heap()
+        assert run(_small(population_size=40, num_days=2)).num_days == 2
+
+    def test_two_runs_in_one_process_give_the_golden_digests(self, tmp_path):
+        from test_golden import GOLDEN, _digests
+
+        for i in range(2):
+            out = tmp_path / str(i)
+            out.mkdir()
+            assert _digests(out, policy="pct", predictor="noisy_oracle",
+                            rng_seed=0) == GOLDEN[("pct", 0)]

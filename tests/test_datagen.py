@@ -355,6 +355,20 @@ def _reference_line(trace, i, day, starts, rows):
 
 
 class TestRenderer:
+    def test_each_distinct_profile_is_rendered_once(self, monkeypatch, pct_trace, tmp_path):
+        rendered = []
+
+        def canonical(obj):
+            rendered.append(obj)
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+        monkeypatch.setattr(datagen, "_canonical", canonical)
+        export_training_records(pct_trace, tmp_path / "records.jsonl")
+        profiles = [obj for obj in rendered if isinstance(obj, dict)]
+        distinct = {json.dumps(p, sort_keys=True) for p in pct_trace.profiles.values()}
+        assert len(profiles) == len(distinct) < pct_trace.app_ids.size
+        assert {json.dumps(p, sort_keys=True) for p in profiles} == distinct
+
     @pytest.mark.parametrize("d_max,num_days", [(1, 6), (4, 3), (4, 12), (15, 12), (15, 20)])
     def test_lines_match_the_reference_records(self, monkeypatch, tmp_path, d_max, num_days):
         cfg = SimConfig(population_size=150, num_days=num_days, d_max=d_max, rng_seed=3,
