@@ -3,7 +3,9 @@
 Every run draws its own behavioral parameters, runs the simulator, and
 exports one record per app agent per day: the observables an app actually
 sees plus the ground-truth infectiousness window a learned predictor
-should recover. Records carry no partner identities.
+should recover. Records carry no partner identities. The demo ends by
+replaying one oracle run's targets through ``predictor: external``, which
+must reproduce that run.
 """
 
 import json
@@ -57,3 +59,21 @@ print(json.dumps({k: sample[k] for k in ("agent_id", "day", "profile")}, indent=
 print("targets (newest first):",
       [round(t, 3) for t in sample["targets"][:6]], "...")
 print("today's clustered encounters:", sample["encounters"][0])
+
+# a perfect predictor, replayed: one oracle run's ground-truth targets, fed
+# back as external predictions, must reproduce that run
+cfg = base.replace(predictor="oracle", global_mobility_scale=3.75,
+                   initial_exposed_fraction=0.02)
+oracle = run(cfg)
+export_training_records(oracle, tmp / "oracle.records.jsonl")
+preds = tmp / "oracle.predictions.jsonl"
+with open(preds, "w") as fh:
+    for rec in read_records(tmp / "oracle.records.jsonl"):
+        fh.write(json.dumps({"agent_id": rec["agent_id"], "day": rec["day"],
+                             "y_hat": rec["targets"]}) + "\n")
+replay = run(cfg.replace(predictor="external", external_predictions=str(preds)))
+messages = sum(r.messages for r in oracle.day_reports)
+print(f"\noracle run: {len(oracle.events)} infections, {messages} messages")
+print(f"its targets replayed through predictor: external: {len(replay.events)} infections")
+if replay.events != oracle.events or replay.day_reports != oracle.day_reports:
+    raise SystemExit("the replay diverged from the oracle run")

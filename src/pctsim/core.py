@@ -68,20 +68,28 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _read(name, convert, value, expected):
+    """``convert(value)``; a value it cannot convert is a ConfigError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: must be {expected}, got {value!r}") from None
+
+
 def _fraction(name, value):
-    if not 0.0 <= float(value) <= 1.0:
+    if not 0.0 <= _read(name, float, value, "a number") <= 1.0:
         raise ConfigError(f"{name}: must be in [0, 1], got {value!r}")
-    return float(value)
 
 
 def _integer(name, value):
-    if not float(value).is_integer():  # NaN and inf fail too
+    number = _read(name, float, value, "a number")
+    if not number.is_integer():  # NaN and inf fail too
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 def _non_negative(name, value):
-    if not 0.0 <= float(value) < np.inf:  # NaN fails too
+    if not 0.0 <= _read(name, float, value, "a number") < np.inf:  # NaN fails too
         raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
 
 
@@ -122,9 +130,11 @@ class SimConfig:
     def __post_init__(self):
         self.policy = _NAME_ALIASES.get(str(self.policy).lower(), str(self.policy).lower())
         self.predictor = _NAME_ALIASES.get(str(self.predictor).lower(), str(self.predictor).lower())
-        self.psi_table = tuple(int(v) for v in self.psi_table)
+        self.psi_table = _read("psi_table", lambda v: tuple(map(int, v)), self.psi_table,
+                               "a list of integers")
         if self.risk_thresholds is not None:
-            self.risk_thresholds = tuple(float(v) for v in self.risk_thresholds)
+            self.risk_thresholds = _read("risk_thresholds", lambda v: tuple(map(float, v)),
+                                         self.risk_thresholds, "a list of numbers")
 
     def validate(self) -> "SimConfig":
         if _integer("population_size", self.population_size) < 2:
@@ -256,7 +266,7 @@ class SimulationTrace:
     float32: row i holds the estimates of app agent ``app_ids[i]``.
 
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
-    every agent, indexed by agent id; ``profiles`` is built from them.
+    every agent, indexed by agent id; ``agent_profile`` reads them.
     """
 
     config: dict
@@ -280,11 +290,6 @@ class SimulationTrace:
     enc_windows: ObservationLog | None = None
     yhat_hist: np.ndarray | None = None
     encounter_log: list | None = None
-
-    @functools.cached_property
-    def profiles(self) -> dict:
-        """``agent_profile`` of every app agent, built on first read."""
-        return agent_profile(self, self.app_ids)
 
     def recovered_ids(self):
         return set(np.flatnonzero(self.final_epi_state == STATE_R).tolist())
@@ -422,20 +427,16 @@ class WorldState:
 
         # testing state (symptoms and tests are modeled for app agents)
         self.test_code = np.full(n, TEST_NONE, dtype=np.int8)
-        self.order_day = np.full(n, -1, dtype=np.int64)
         self.result_day = np.full(n, -1, dtype=np.int64)
         self.infected_at_order = np.zeros(n, dtype=bool)
         self.episode_attempted = np.zeros(n, dtype=bool)
         self.reported_any_prev = np.zeros(n, dtype=bool)
         self.new_positive_today = np.zeros(n, dtype=bool)
 
-        # escalation timers (values are the last day the timer governs)
+        # escalation timers: the last day the timer governs, -1 once quit
         self.iso_until = np.full(n, -1, dtype=np.int64)
-        self.iso_active = np.zeros(n, dtype=bool)
         self.hh_until = np.full(n, -1, dtype=np.int64)
-        self.hh_active = np.zeros(n, dtype=bool)
         self.bct_until = np.full(n, -1, dtype=np.int64)
-        self.bct_active = np.zeros(n, dtype=bool)
 
     def _init_app_state(self):
         cfg = self.cfg
@@ -449,7 +450,8 @@ class WorldState:
         self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.n, dtype=bool)
         self.bct_broadcast_done = np.zeros(self.app_ids.size, dtype=bool)
-        self.external = (tracing.ExternalPredictor(cfg.external_predictions)
+        self.external = (tracing.ExternalPredictor(cfg.external_predictions, self.app_ids,
+                                                   int(cfg.num_days), self.window)
                          if cfg.policy == "pct" and cfg.predictor == "external" else None)
 
     def _init_trace_buffers(self):
@@ -617,11 +619,7 @@ class WorldState:
         idx = np.flatnonzero(symptomatic)
         if idx.size:
             keep = rng.random((idx.size, len(virology.SYMPTOM_NAMES))) >= cfg.symptom_dropout
-            masks = self.symptom_mask[idx]
-            out = np.zeros(idx.size, dtype=np.uint8)
-            for bit in range(len(virology.SYMPTOM_NAMES)):
-                out |= (((masks >> bit) & 1).astype(bool) & keep[:, bit]).astype(np.uint8) << bit
-            reported[idx] = out
+            reported[idx] = self.symptom_mask[idx] & np.packbits(keep, axis=1, bitorder="little")[:, 0]
         n_app = self.app_ids.size
         if n_app and cfg.symptom_dropin > 0:
             draws = rng.random(n_app) < cfg.symptom_dropin
@@ -639,7 +637,6 @@ class WorldState:
             take = rng.random(candidates.size) < cfg.carefulness
             ordered = candidates[take]
             self.test_code[ordered] = TEST_PENDING
-            self.order_day[ordered] = day
             self.result_day[ordered] = day + cfg.test_delay_days
             self.infected_at_order[ordered] = np.isin(self.epi_state[ordered], (STATE_E, STATE_I))
         self.episode_attempted[new_episode] = True
@@ -656,7 +653,6 @@ class WorldState:
             if pos.size:
                 self.new_positive_today[pos] = True
                 self.iso_until[pos] = day + QUARANTINE_DAYS
-                self.iso_active[pos] = True
                 # the members of the positives' households, from the household
                 # pool; a positive counts as a mate only of another positive
                 hh = self.loc_indexes["household"]
@@ -666,7 +662,6 @@ class WorldState:
                 members = hh.flat[offset + np.arange(offset.size)]
                 mates = members[(np.repeat(n_pos, size) > 1) | ~self.new_positive_today[members]]
                 self.hh_until[mates] = np.maximum(self.hh_until[mates], day + QUARANTINE_DAYS)
-                self.hh_active[mates] = True
         self.test_hist[:, day] = self.test_code
         return ordered.size, n_positive
 
@@ -700,7 +695,6 @@ class WorldState:
         """
         flagged = np.flatnonzero(self.bct_flag)
         self.bct_until[flagged] = np.maximum(self.bct_until[flagged], day + QUARANTINE_DAYS)
-        self.bct_active[flagged] = True
         flaggers = self.new_positive_today[self.app_ids] & ~self.bct_broadcast_done
         self.bct_broadcast_done |= flaggers
         self.bct_flag = np.zeros(self.n, dtype=bool)
@@ -711,28 +705,16 @@ class WorldState:
     def _predict(self, day):
         """(n_app, window) predictions plus a per-agent failure mask."""
         cfg = self.cfg
+        if cfg.predictor == "external":
+            failed = ~self.external.ok[day]
+            return np.where(failed[:, None], self.yhat_prev, self.external.y_hat[day]), failed
         y = self.ground_truth_window(day)
-        failed = np.zeros(y.shape[0], dtype=bool)
-        if cfg.predictor == "oracle":
-            y_hat = y
-        elif cfg.predictor == "noisy_oracle":
-            y_hat = np.clip(
+        if cfg.predictor == "noisy_oracle":
+            y = np.clip(
                 y * (1.0 + self.rng["predictor"].normal(0.0, cfg.predictor_mul_sigma, y.shape))
                 + self.rng["predictor"].normal(0.0, cfg.predictor_add_sigma, y.shape),
                 0.0, 1.0)
-        else:
-            y_hat = self.yhat_prev.copy()
-            for i, agent in enumerate(self.app_ids.tolist()):
-                try:
-                    pred = self.external(agent, day)
-                except KeyError:
-                    failed[i] = True
-                    continue
-                if pred.shape != (self.window,) or not np.isfinite(pred).all():
-                    failed[i] = True
-                    continue
-                y_hat[i] = np.clip(pred, 0.0, 1.0)
-        return y_hat, failed
+        return y, np.zeros(y.shape[0], dtype=bool)
 
     def _app_pass_pct(self, day):
         y_hat, failed = self._predict(day)
@@ -780,18 +762,18 @@ class WorldState:
         cfg = self.cfg
         rng = self.rng["behavior"]
 
-        def drop_out(active, until, p):
-            live = active & (day + 1 <= until)
+        def drop_out(until, p):
+            live = until > day  # the timer governs tomorrow
             idx = np.flatnonzero(live)
             if idx.size and p > 0:
-                quit_ = rng.random(idx.size) < p
-                active[idx[quit_]] = False
-                live[idx[quit_]] = False
+                quit_ = idx[rng.random(idx.size) < p]
+                until[quit_] = -1
+                live[quit_] = False
             return live
 
-        iso_live = drop_out(self.iso_active, self.iso_until, cfg.quarantine_dropout_test)
-        hh_live = drop_out(self.hh_active, self.hh_until, cfg.quarantine_dropout_household)
-        bct_live = drop_out(self.bct_active, self.bct_until, cfg.quarantine_dropout_test)
+        iso_live = drop_out(self.iso_until, cfg.quarantine_dropout_test)
+        hh_live = drop_out(self.hh_until, cfg.quarantine_dropout_household)
+        bct_live = drop_out(self.bct_until, cfg.quarantine_dropout_test)
 
         levels = self.policy_level.copy()
         levels[iso_live] = np.maximum(levels[iso_live], 4)

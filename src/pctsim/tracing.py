@@ -17,8 +17,9 @@ Predictors estimate the d_max+1 day window newest-first. The oracle reads
 the simulator's ground truth (never exported on the wire); the noisy
 oracle corrupts it with multiplicative and additive Gaussian noise; an
 external predictor replays predictions produced offline from exported
-observables. :func:`evaluate_predictor` scores prediction files against
-exported records.
+observables, read once into a (day, app agent) table so the day loop
+indexes arrays. :func:`evaluate_predictor` scores prediction files
+against exported records.
 """
 
 from __future__ import annotations
@@ -55,26 +56,37 @@ def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
 
 
 class ExternalPredictor:
-    """Replay predictor backed by a predictions JSONL file.
+    """Replay predictions from a JSONL file, read once into two arrays.
 
-    Each line must carry agent_id, day, and y_hat (window-length list,
-    newest-first). Lookups for missing (agent, day) keys raise KeyError,
-    which the engine surfaces as a per-agent policy failure with a
-    level-1 fallback for that day.
+    Each line carries agent_id, day and y_hat (a window-length list,
+    newest-first). ``y_hat[day, i]`` is float64 ``(num_days, n_app,
+    window)``: the prediction for app agent ``app_ids[i]`` on ``day``,
+    clipped to [0, 1]. ``ok[day, i]`` marks the cells that hold one: the
+    last line for an (agent, day) counts, and it must have a 1-D y_hat of
+    ``window`` finite values. A cell that is not ok holds zeros, and the
+    engine treats it as a failed prediction. Lines for agents outside
+    ``app_ids`` or days outside [0, num_days) are ignored.
     """
 
-    def __init__(self, path):
-        self.table = {}
+    def __init__(self, path, app_ids, num_days, window):
+        row_of = {agent: i for i, agent in enumerate(np.asarray(app_ids).tolist())}
+        self.y_hat = np.zeros((num_days, len(row_of), window))
+        self.ok = np.zeros((num_days, len(row_of)), dtype=bool)
         with open(path) as fh:
             for line in fh:
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                key = (int(rec["agent_id"]), int(rec["day"]))
-                self.table[key] = np.asarray(rec["y_hat"], dtype=np.float64)
-
-    def __call__(self, agent_id: int, day: int) -> np.ndarray:
-        return self.table[(agent_id, day)]
+                i, day = row_of.get(int(rec["agent_id"])), int(rec["day"])
+                if i is None or not 0 <= day < num_days:
+                    continue
+                pred = np.asarray(rec["y_hat"], dtype=np.float64)
+                self.ok[day, i] = ok = pred.shape == (window,)
+                if ok:
+                    self.y_hat[day, i] = pred
+        self.ok &= np.isfinite(self.y_hat).all(axis=2)
+        self.y_hat[~self.ok] = 0.0
+        np.clip(self.y_hat, 0.0, 1.0, out=self.y_hat)
 
 
 def evaluate_predictor(records, predictions) -> float:

@@ -66,9 +66,7 @@ def sample_disease_courses(n: int, rng: np.random.Generator) -> dict[str, np.nda
     asymptomatic = rng.random(n) < P_ASYMPTOMATIC
 
     flags = rng.random((n, len(SYMPTOM_NAMES))) < np.asarray(SYMPTOM_PREVALENCE)
-    mask = np.zeros(n, dtype=np.uint8)
-    for bit in range(len(SYMPTOM_NAMES)):
-        mask |= flags[:, bit].astype(np.uint8) << bit
+    mask = np.packbits(flags, axis=1, bitorder="little")[:, 0]
     mask[mask == 0] = 1 << (len(SYMPTOM_NAMES) - 1)
 
     return {

@@ -72,6 +72,20 @@ class TestParsingAndErrors:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,field", [
+        ("global_mobility_scale: abc", "global_mobility_scale"),
+        ("population_size: ten", "population_size"),
+        ("adoption_rate: [0.1]", "adoption_rate"),
+        ("psi_table: [a]", "psi_table"),
+        ("risk_thresholds: 5", "risk_thresholds"),
+    ])
+    def test_value_of_the_wrong_type_exit_1(self, tmp_path, capsys, line, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(line + "\n")
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        assert field in capsys.readouterr().err
+
     @pytest.mark.parametrize("env", ["abc", "1.5", ""])
     def test_bad_env_seed_exit_1(self, cfg_path, tmp_path, capsys, monkeypatch, env):
         monkeypatch.setenv("TRACE_SIM_SEED", env)

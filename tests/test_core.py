@@ -218,7 +218,41 @@ class TestHouseholdQuarantine:
         # the lone positive flags nobody
         assert np.array_equal(np.flatnonzero(w.hh_until >= 0), shared)
         assert np.all(w.hh_until[shared] == day + core.QUARANTINE_DAYS)
-        assert np.array_equal(np.flatnonzero(w.hh_active), shared)
+
+
+class TestQuarantineDropout:
+    def test_a_quit_ends_the_timer_and_a_new_trigger_restarts_it(self):
+        w = init_world(SimConfig(population_size=300, num_days=32, rng_seed=1,
+                                 initial_exposed_fraction=0.0, symptom_dropin=0.0,
+                                 test_false_negative_rate=0.0, all_levels_dropout=0.0,
+                                 quarantine_dropout_household=1.0))
+        hh = w.loc_indexes["household"]
+        big = int(np.flatnonzero(hh.size >= 3)[0])
+        positive, *mates = hh.flat[hh.start[big]:hh.start[big] + hh.size[big]]
+
+        def result_today():
+            w.test_code[positive] = TEST_PENDING
+            w.result_day[positive] = w.day
+            w.infected_at_order[positive] = True
+
+        # a dropout of 1 quits every live timer on its first day; rec_level is
+        # the next day's level
+        for day in range(2 + core.QUARANTINE_DAYS):
+            if day == 2:
+                result_today()
+            assert step_day(w).positives == (day == 2)
+            if day >= 2:
+                assert np.all(w.rec_level[mates] < 4)
+        # without dropout a new result starts a fresh timer for 14 days
+        w.cfg.quarantine_dropout_household = 0.0
+        trigger = w.day
+        result_today()
+        step_day(w)
+        assert np.all(w.hh_until[mates] == trigger + core.QUARANTINE_DAYS)
+        for _ in range(core.QUARANTINE_DAYS):
+            assert np.all(w.rec_level[mates] == 4)
+            step_day(w)
+        assert np.all(w.rec_level[mates] < 4)
 
 
 @pytest.fixture(scope="module")
@@ -644,8 +678,9 @@ class TestLazyProfiles:
     def test_profiles_match_agent_profile(self, policy):
         cfg = _small(policy=policy, predictor="noisy_oracle", num_days=4)
         trace, world = run(cfg), init_world(cfg)
-        assert trace.profiles == core.agent_profile(world, world.app_ids)
-        assert list(trace.profiles) == world.app_ids.tolist()
+        profiles = core.agent_profile(trace, trace.app_ids)
+        assert profiles == core.agent_profile(world, world.app_ids)
+        assert list(profiles) == world.app_ids.tolist()
         everyone = core.agent_profile(world, np.arange(world.n))
         assert everyone == {a: _reference_profile(world, a) for a in range(world.n)}
         assert any(not p["has_app"] for p in everyone.values())
@@ -662,8 +697,7 @@ class TestLazyProfiles:
         trace = run(_small(policy="pct", num_days=3, record_observables=False,
                            record_estimates=False))
         assert calls == []
-        assert trace.profiles is trace.profiles
-        assert calls == [trace.app_ids.size]
+        assert not hasattr(trace, "profiles")
 
 
 def _fake_libc(calls):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pctsim import datagen
+from pctsim import core, datagen
 from pctsim.core import SimConfig, run
 from pctsim.datagen import (
     DR_RANGES,
@@ -192,7 +192,6 @@ class TestExport:
             app_ids = pct_trace.app_ids
             enc_windows = []
             run_id = pct_trace.run_id
-            profiles = pct_trace.profiles
             symptom_hist = pct_trace.symptom_hist
             test_hist = pct_trace.test_hist
             y_hist = pct_trace.y_hist
@@ -349,7 +348,7 @@ def _reference_line(trace, i, day, starts, rows):
         encounters.append([[level, count] for slot, level, count in own if slot == k])
         targets.append(float(trace.y_hist[agent, d]))
     record = {"schema_version": RECORD_SCHEMA_VERSION, "run_id": trace.run_id,
-              "agent_id": agent, "day": day, "profile": trace.profiles[agent],
+              "agent_id": agent, "day": day, "profile": core.agent_profile(trace, [agent])[agent],
               "health": health, "encounters": encounters, "targets": targets}
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -365,7 +364,7 @@ class TestRenderer:
         monkeypatch.setattr(datagen, "_canonical", canonical)
         export_training_records(pct_trace, tmp_path / "records.jsonl")
         profiles = [obj for obj in rendered if isinstance(obj, dict)]
-        distinct = {json.dumps(p, sort_keys=True) for p in pct_trace.profiles.values()}
+        distinct = {json.dumps(p, sort_keys=True) for p in core.agent_profile(pct_trace, pct_trace.app_ids).values()}
         assert len(profiles) == len(distinct) < pct_trace.app_ids.size
         assert {json.dumps(p, sort_keys=True) for p in profiles} == distinct
 

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from pctsim.core import SimConfig, init_world, step_day
+from pctsim.core import SimConfig, init_world, run, step_day
+from pctsim.datagen import export_training_records, read_records
 from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
 from pctsim.tracing import (
     DEFAULT_PSI,
@@ -130,7 +131,7 @@ class TestBctPolicy:
         world = _quiet_world("bct")
         levels = _levels_after(world, lambda w, d: None, 25)
         assert np.all(levels == 1)
-        assert not world.bct_active.any()
+        assert np.all(world.bct_until < 0)
 
     def test_flag_starts_fourteen_day_quarantine(self):
         world = _quiet_world("bct", bct_quarantine_level=3)
@@ -179,7 +180,7 @@ class TestBctPolicy:
         levels = _levels_after(world, inject, 25)
         assert sum(held) > 0
         assert np.all(levels[agent] == 1)
-        assert not world.bct_active[agent]
+        assert world.bct_until[agent] < 0
 
     def test_repeat_flag_extends_timer(self):
         world = _quiet_world("bct")
@@ -283,7 +284,7 @@ class TestBctFanout:
             assert not world.bct_flag.any()
         assert world.test_hist[agent, 5] == TEST_POSITIVE
         assert messages == 0
-        assert not world.bct_active.any()
+        assert np.all(world.bct_until < 0)
 
 
 def _pct_run(predictor, days=12, **kw):
@@ -449,18 +450,60 @@ class TestEvaluatePredictor:
             evaluate_predictor([], [])
 
 
+def _table(tmp_path, rows, app_ids=(3, 5, 8), num_days=4, window=3):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("".join(
+        json.dumps({"agent_id": a, "day": d, "y_hat": y}) + "\n" for a, d, y in rows))
+    return ExternalPredictor(str(path), np.array(app_ids), num_days, window)
+
+
 class TestExternalPredictor:
-    def test_load_call_and_miss(self, tmp_path):
-        path = tmp_path / "preds.jsonl"
-        rows = [
-            {"agent_id": 5, "day": 2, "y_hat": [0.1] * 14},
-            {"agent_id": 5, "day": 3, "y_hat": [0.2] * 14},
-        ]
-        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        pred = ExternalPredictor(str(path))
-        assert np.allclose(pred(5, 3), 0.2)
-        assert np.allclose(pred(5, 2), 0.1)
-        with pytest.raises(KeyError):
-            pred(5, 4)
-        with pytest.raises(KeyError):
-            pred(6, 2)
+    def test_the_last_line_for_an_agent_day_counts(self, tmp_path):
+        table = _table(tmp_path, [(5, 2, [0.1] * 3), (5, 3, [0.2] * 3),
+                                  (5, 2, [0.3] * 3), (8, 0, [0.4] * 2), (8, 0, [0.5] * 3),
+                                  (3, 1, [0.6] * 3), (3, 1, [0.7] * 2)])
+        assert table.y_hat.shape == (4, 3, 3) and table.y_hat.dtype == np.float64
+        assert table.ok.tolist() == [[False, False, True], [False, False, False],
+                                     [False, True, False], [False, True, False]]
+        assert table.y_hat[2, 1].tolist() == [0.3] * 3
+        assert table.y_hat[3, 1].tolist() == [0.2] * 3
+        assert table.y_hat[0, 2].tolist() == [0.5] * 3
+
+    @pytest.mark.parametrize("y_hat", [[0.1] * 2, [0.1] * 4, [[0.1] * 3], [[0.1]] * 3,
+                                       [0.1, float("nan"), 0.1], [float("inf")] * 3,
+                                       [0.1, float("-inf"), 0.1]],
+                             ids=["short", "long", "nested", "column", "nan", "inf", "-inf"])
+    def test_an_invalid_row_is_not_ok(self, tmp_path, y_hat):
+        table = _table(tmp_path, [(5, 1, [0.5] * 3), (5, 1, y_hat)])
+        assert not table.ok.any()
+        assert not table.y_hat.any()
+
+    def test_values_are_clipped_to_the_unit_interval(self, tmp_path):
+        table = _table(tmp_path, [(3, 0, [-0.5, 0.25, 1.5]), (8, 3, [2.0, -1e-9, 1.0])])
+        assert table.ok[0, 0] and table.ok[3, 2]
+        assert table.y_hat[0, 0].tolist() == [0.0, 0.25, 1.0]
+        assert table.y_hat[3, 2].tolist() == [1.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("agent,day", [(-1, 0), (-3, 0), (4, 0), (99, 0), (5, -1), (5, 4)])
+    def test_other_agents_and_days_are_ignored(self, tmp_path, agent, day):
+        table = _table(tmp_path, [(agent, day, [0.5] * 3)])
+        assert not table.ok.any()
+        assert not table.y_hat.any()
+
+
+class TestReplay:
+    def test_replaying_the_targets_gives_the_oracle_run(self, tmp_path):
+        cfg = SimConfig(population_size=600, num_days=25, initial_exposed_fraction=0.02,
+                        global_mobility_scale=3.75, policy="pct", predictor="oracle",
+                        rng_seed=1)
+        oracle = run(cfg)
+        records, preds = tmp_path / "records.jsonl", tmp_path / "preds.jsonl"
+        export_training_records(oracle, records)
+        with open(preds, "w") as fh:
+            for rec in read_records(records):
+                fh.write(json.dumps({"agent_id": rec["agent_id"], "day": rec["day"],
+                                     "y_hat": rec["targets"]}) + "\n")
+        replay = run(cfg.replace(predictor="external", external_predictions=str(preds)))
+        assert len(oracle.events) > 50 and sum(r.messages for r in oracle.day_reports) > 500
+        assert replay.events == oracle.events
+        assert replay.day_reports == oracle.day_reports
