@@ -442,7 +442,6 @@ class WorldState:
         cfg = self.cfg
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
         shape = (self.app_ids.size, self.window)
-        self.yhat_prev = np.zeros(shape, dtype=np.float64)
         # rings over slot day % window: the edges, and per (app sender, slot) the
         # level it last sent for that day, which its partners hold, and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
@@ -703,51 +702,48 @@ class WorldState:
         return int(self.outdeg[flaggers].sum())
 
     def _predict(self, day):
-        """(n_app, window) predictions plus a per-agent failure mask."""
+        """(n_app, window) predictions, newest-first."""
         cfg = self.cfg
         if cfg.predictor == "external":
-            failed = ~self.external.ok[day]
-            return np.where(failed[:, None], self.yhat_prev, self.external.y_hat[day]), failed
+            return self.external.y_hat[day]
         y = self.ground_truth_window(day)
         if cfg.predictor == "noisy_oracle":
             y = np.clip(
                 y * (1.0 + self.rng["predictor"].normal(0.0, cfg.predictor_mul_sigma, y.shape))
                 + self.rng["predictor"].normal(0.0, cfg.predictor_add_sigma, y.shape),
                 0.0, 1.0)
-        return y, np.zeros(y.shape[0], dtype=bool)
+        return y
 
     def _app_pass_pct(self, day):
-        y_hat, failed = self._predict(day)
+        y_hat = self._predict(day)
         qlev = self.quantize(y_hat)
         levels = self.psi[qlev[:, 0]]
-        levels[failed] = 1
-        return self._publish(day, y_hat, qlev, levels, ~failed)
+        if self.external is not None:
+            levels[~self.external.ok[day]] = 1  # a failed prediction recommends the baseline
+        return self._publish(day, y_hat, qlev, levels)
 
     def _app_pass_heuristic(self, day):
         score, levels = tracing.policy_heuristic(*self.observables_for(day))
         shape = (score.size, self.window)  # the score is the same on every day
         y_hat = np.broadcast_to(score[:, None], shape)
         qlev = np.broadcast_to(self.quantize(score)[:, None], shape)
-        return self._publish(day, y_hat, qlev, levels, np.ones(score.size, dtype=bool))
+        return self._publish(day, y_hat, qlev, levels)
 
-    def _publish(self, day, y_hat, qlev, levels, ok):
+    def _publish(self, day, y_hat, qlev, levels):
         """Send each day's level where it differs from the level last sent.
 
         Slot k of an agent's history covers day ``day - k``; a changed slot
         sends its new level to every partner the agent met that day, one
-        message per edge, and ``held`` takes it. Rows not ``ok`` (failed
-        predictions) send nothing and keep their previous estimate; their
-        partners keep what was last sent, and the next successful day is
-        diffed against that.
+        message per edge, and ``held`` takes it. A failed external
+        prediction is yesterday's estimate moved one day older, which
+        quantizes to what its partners hold, so it sends nothing.
         """
         span = min(day + 1, self.window)  # slots of days that have edges
         cols = (day - np.arange(span)) % self.window
-        prev = self.held[:, cols]
-        changed = (qlev[:, :span] != prev) & ok[:, None]
-        self.held[:, cols] = np.where(changed, qlev[:, :span], prev)
+        changed = qlev[:, :span] != self.held[:, cols]
+        self.held[:, cols] = qlev[:, :span]
         sent = int(np.einsum("ij,ij->", self.outdeg[:, cols], changed, dtype=np.int64))
         self.policy_level[self.app_ids] = levels
-        np.copyto(self.yhat_prev, y_hat, where=ok[:, None])
         if self.yhat_hist is not None:
             self.yhat_hist[:, day] = y_hat
         return sent

@@ -60,12 +60,15 @@ class ExternalPredictor:
 
     Each line carries agent_id, day and y_hat (a window-length list,
     newest-first). ``y_hat[day, i]`` is float64 ``(num_days, n_app,
-    window)``: the prediction for app agent ``app_ids[i]`` on ``day``,
-    clipped to [0, 1]. ``ok[day, i]`` marks the cells that hold one: the
-    last line for an (agent, day) counts, and it must have a 1-D y_hat of
-    ``window`` finite values. A cell that is not ok holds zeros, and the
-    engine treats it as a failed prediction. Lines for agents outside
-    ``app_ids`` or days outside [0, num_days) are ignored.
+    window)``: the estimate for app agent ``app_ids[i]`` on ``day``,
+    clipped to [0, 1]. ``ok[day, i]`` marks the cells read from the file:
+    the last line for an (agent, day) counts, and it must have a 1-D y_hat
+    of ``window`` finite values. Lines for agents outside ``app_ids`` or
+    days outside [0, num_days) are ignored. A cell that is not ok is a
+    failed prediction. It holds the previous day's estimate moved one day
+    older, its newest slot repeating that day's (zeros on day 0): the
+    levels the agent's partners already hold, so a failed agent sends
+    nothing.
     """
 
     def __init__(self, path, app_ids, num_days, window):
@@ -87,6 +90,10 @@ class ExternalPredictor:
         self.ok &= np.isfinite(self.y_hat).all(axis=2)
         self.y_hat[~self.ok] = 0.0
         np.clip(self.y_hat, 0.0, 1.0, out=self.y_hat)
+        older = np.r_[0, :window - 1]
+        for day in range(1, num_days):
+            failed = ~self.ok[day]
+            self.y_hat[day, failed] = self.y_hat[day - 1, failed][:, older]
 
 
 def evaluate_predictor(records, predictions) -> float:

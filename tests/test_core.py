@@ -377,12 +377,12 @@ class TestLevelsAndEstimates:
 
 
 def _spy_publish(world, read):
-    """Call ``read(world, day)`` as each ``_publish`` is entered, before the day's sends."""
+    """Call ``read(world, day, y_hat)`` as each ``_publish`` is entered, before the day's sends."""
     publish = world._publish
 
-    def spy(day, *args):
-        read(world, day)
-        return publish(day, *args)
+    def spy(day, y_hat, *args):
+        read(world, day, y_hat)
+        return publish(day, y_hat, *args)
 
     world._publish = spy
 
@@ -393,7 +393,7 @@ def heuristic_days():
     world = init_world(_small(policy="heuristic", population_size=600, num_days=20,
                               initial_exposed_fraction=0.05, global_mobility_scale=3.75))
     observed = []
-    _spy_publish(world, lambda w, day: observed.append(w.observables_for(day)))
+    _spy_publish(world, lambda w, day, _y: observed.append(w.observables_for(day)))
     days = []
     for day in range(world.cfg.num_days):
         step_day(world)
@@ -483,13 +483,19 @@ def _stepped(policy, at_publish=None, **kw):
     world = init_world(_small(policy=policy, population_size=300, num_days=20,
                               predictor="noisy_oracle", initial_exposed_fraction=0.05,
                               global_mobility_scale=3.75, record_encounter_log=True, **kw))
-    if at_publish is not None:
-        _spy_publish(world, at_publish)
+    estimates = [np.zeros((world.app_ids.size, world.window))]
+
+    def read(w, day, y_hat):
+        if at_publish is not None:
+            at_publish(w, day, y_hat)
+        estimates.append(np.array(y_hat))
+
+    _spy_publish(world, read)
     for day in range(world.cfg.num_days):
         shared = world.held[:, (day - 1) % world.window].copy()
-        before = world.yhat_prev.copy()
+        before = estimates[-1]
         report = step_day(world)
-        yield world, day, report, shared, before, world.yhat_prev.copy()
+        yield world, day, report, shared, before, estimates[-1]
 
 
 def _token(agent, day):
@@ -567,28 +573,39 @@ class TestProtocolReference:
         assert total > 1000
 
 
+def _steady_predictions(tmp_path, n=300, days=20):
+    """A pct config replaying a file with about a fifth of its (agent, day) rows missing.
+
+    Slot k of row (agent, day) is ``g[agent, day + window - k]``, agent's
+    estimate of day ``day - k``, the same on every day that reports it.
+    Returns (config, g, missing), ``missing`` an (n, days) bool array.
+    """
+    path = tmp_path / "preds.jsonl"
+    cfg = _small(policy="pct", predictor="external", population_size=n, num_days=days,
+                 global_mobility_scale=3.75, external_predictions=str(path))
+    w = cfg.d_max + 1
+    rng = np.random.default_rng(3)
+    g = rng.random((n, days + w))
+    missing = rng.random((n, days)) < 0.2
+    with open(path, "w") as fh:
+        for a, d in zip(*np.nonzero(~missing)):
+            fh.write(json.dumps({"agent_id": int(a), "day": int(d),
+                                 "y_hat": g[a, d + w - np.arange(w)].tolist()}) + "\n")
+    return cfg, g, missing
+
+
 class TestFailedPredictions:
     """A failed sender sends nothing; its partners keep what it last sent."""
 
     def test_a_steady_predictor_sends_each_level_once(self, tmp_path):
-        # slot k of row (agent, day) is g(agent, day - k): no day's estimate
-        # ever changes, so no level is sent twice, whatever rows are missing
-        n, days = 300, 20
-        path = tmp_path / "preds.jsonl"
-        cfg = _small(policy="pct", predictor="external", population_size=n, num_days=days,
-                     global_mobility_scale=3.75, external_predictions=str(path))
-        w = cfg.d_max + 1
-        rng = np.random.default_rng(3)
-        g = rng.random((n, days + w))  # g[a, x + w]: agent a's estimate of day x
-        missing = rng.random((n, days)) < 0.2
-        with open(path, "w") as fh:
-            for a, d in zip(*np.nonzero(~missing)):
-                fh.write(json.dumps({"agent_id": int(a), "day": int(d),
-                                     "y_hat": g[a, d + w - np.arange(w)].tolist()}) + "\n")
+        # no day's estimate ever changes, so no level is sent twice,
+        # whatever rows are missing
+        cfg, g, missing = _steady_predictions(tmp_path)
+        days, w = cfg.num_days, cfg.d_max + 1
         world = init_world(cfg)
         app = world.app_ids
         entered = []
-        _spy_publish(world, lambda wd, _day: entered.append(wd.held.copy()))
+        _spy_publish(world, lambda wd, _day, _y: entered.append(wd.held.copy()))
         sends = np.zeros((app.size, days), dtype=np.int64)  # per (sender, day)
         total = 0
         for day in range(days):
@@ -605,6 +622,31 @@ class TestFailedPredictions:
             total += report.messages
         assert sends.max() == 1
         assert missing[app].mean() > 0.1 and total > 1000
+
+    def test_a_failed_row_records_its_last_window_moved_older(self, tmp_path):
+        # slot k of a failed row on day d is the estimate of day d - k from
+        # the last successful day L: that window's slot k - (d - L), or its
+        # slot 0 for the days after L; zeros when no earlier day succeeded
+        cfg, g, missing = _steady_predictions(tmp_path)
+        w = cfg.d_max + 1
+        world = init_world(cfg)
+        for _ in range(cfg.num_days):
+            step_day(world)
+        shifted = unseen = 0
+        for i, agent in enumerate(world.app_ids.tolist()):
+            last = None
+            for day in range(cfg.num_days):
+                if not missing[agent, day]:
+                    last = day
+                    continue
+                if last is None:
+                    expected = np.zeros(w)
+                    unseen += 1
+                else:
+                    expected = g[agent, last + w - np.maximum(np.arange(w) - (day - last), 0)]
+                    shifted += 1
+                assert np.array_equal(world.yhat_hist[i, day], expected.astype(np.float32))
+        assert shifted > 500 and unseen > 20
 
 
 class TestEdgeLedger:
@@ -650,7 +692,7 @@ class TestObservationLog:
         snapshots = []
         for world, _day, *_rest in _stepped(
                 policy, d_max=d_max,
-                at_publish=lambda w, day: snapshots.append(_snapshot(w, day))):
+                at_publish=lambda w, day, _y: snapshots.append(_snapshot(w, day))):
             pass
         log = world.enc_windows
         assert len(log) == len(snapshots) == world.cfg.num_days

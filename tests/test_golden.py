@@ -56,10 +56,11 @@ GOLDEN = {
 }
 
 # pct replaying an external predictions file that lacks some (agent, day)
-# rows: a sender whose prediction is missing falls back to level 1, sends
-# nothing and keeps its previous estimate.
+# rows: a sender whose prediction is missing falls back to level 1, and its
+# estimate is the previous day's moved one day older, which is what its
+# partners already hold, so it sends nothing.
 GOLDEN_EXTERNAL = {
-    "trace": "337b50466bee8ff20814a5084c111544376605a5141c22e31ba66185f8ed9ebe",
+    "trace": "35ab1bcb088948dd84b58cf3b9502a19eab1754050413c1e134ff62b21c2f3a2",
     "events": "d0bea382e4aba4e2e26c9154cc7d79214ca083b9cf94e8d77125392f928a3e1a",
     "records": "3fc3c91b56f376e05f0ce4239949bcc3b311c9664b4697146f88e4fd83e7c1ec",
 }

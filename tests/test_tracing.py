@@ -378,7 +378,7 @@ class TestPctPolicy:
         world = _external_world(tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2)
         for i, agent in enumerate(world.app_ids.tolist()):
             expected = np.linspace(0, 0.9, 15) * (agent % 3) / 2
-            assert np.array_equal(world.yhat_prev[i], expected)
+            assert np.array_equal(world.external.y_hat[0, i], expected)
             assert np.array_equal(world.yhat_hist[i, 0], expected.astype(np.float32))
 
     def test_non_finite_prediction_fails_like_a_missing_one(self, tmp_path):
@@ -390,7 +390,7 @@ class TestPctPolicy:
         assert nan.policy_level[agent] == 1
         # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
         assert np.all(nan.held[0] == nan.quantize(0.0))
-        assert np.array_equal(nan.yhat_prev[0], np.zeros(15))
+        assert np.array_equal(nan.external.y_hat[0, 0], np.zeros(15))
         assert np.array_equal(nan.policy_level, missing.policy_level)
         assert np.array_equal(nan.yhat_hist, missing.yhat_hist)
         assert nan.day_reports == missing.day_reports
@@ -402,10 +402,18 @@ class TestPctPolicy:
                                      initial_exposed_fraction=0.1, psi_table=psi,
                                      global_mobility_scale=3.75))
         app = world.app_ids
+        estimates = []
+        publish = world._publish
+
+        def spy(day, y_hat, *args):
+            estimates.append(y_hat)
+            return publish(day, y_hat, *args)
+
+        world._publish = spy
         seen = set()
         for _ in range(12):
             step_day(world)
-            q = quantize_risk(world.yhat_prev[:, 0], DEFAULT_THRESHOLDS)
+            q = quantize_risk(estimates[-1][:, 0], DEFAULT_THRESHOLDS)
             expected = np.asarray(psi)[q]
             assert np.array_equal(world.policy_level[app], expected)
             seen.update(expected.tolist())
@@ -468,6 +476,15 @@ class TestExternalPredictor:
         assert table.y_hat[2, 1].tolist() == [0.3] * 3
         assert table.y_hat[3, 1].tolist() == [0.2] * 3
         assert table.y_hat[0, 2].tolist() == [0.5] * 3
+
+    def test_a_failed_cell_moves_the_previous_day_one_day_older(self, tmp_path):
+        table = _table(tmp_path, [(5, 1, [0.3, 0.2, 0.1]), (8, 2, [0.9, 0.8, 0.7]),
+                                  (8, 3, [0.6, 0.5, 0.4])])
+        assert table.y_hat[:, 1].tolist() == [[0.0] * 3, [0.3, 0.2, 0.1],
+                                              [0.3, 0.3, 0.2], [0.3, 0.3, 0.3]]
+        assert table.y_hat[:, 2].tolist() == [[0.0] * 3, [0.0] * 3,
+                                              [0.9, 0.8, 0.7], [0.6, 0.5, 0.4]]
+        assert not table.y_hat[:, 0].any()
 
     @pytest.mark.parametrize("y_hat", [[0.1] * 2, [0.1] * 4, [[0.1] * 3], [[0.1]] * 3,
                                        [0.1, float("nan"), 0.1], [float("inf")] * 3,
