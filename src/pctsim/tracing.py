@@ -24,6 +24,7 @@ against exported records.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -68,15 +69,17 @@ class ExternalPredictor:
     failed prediction. It holds the previous day's estimate moved one day
     older, its newest slot repeating that day's (zeros on day 0): the
     levels the agent's partners already hold, so a failed agent sends
-    nothing.
+    nothing. ``sha256`` is the hex digest of the file's bytes.
     """
 
     def __init__(self, path, app_ids, num_days, window):
         row_of = {agent: i for i, agent in enumerate(np.asarray(app_ids).tolist())}
         self.y_hat = np.zeros((num_days, len(row_of), window))
         self.ok = np.zeros((num_days, len(row_of)), dtype=bool)
-        with open(path) as fh:
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
             for line in fh:
+                digest.update(line)
                 if not line.strip():
                     continue
                 rec = json.loads(line)
@@ -87,6 +90,7 @@ class ExternalPredictor:
                 self.ok[day, i] = ok = pred.shape == (window,)
                 if ok:
                     self.y_hat[day, i] = pred
+        self.sha256 = digest.hexdigest()
         self.ok &= np.isfinite(self.y_hat).all(axis=2)
         self.y_hat[~self.ok] = 0.0
         np.clip(self.y_hat, 0.0, 1.0, out=self.y_hat)

@@ -60,9 +60,9 @@ GOLDEN = {
 # estimate is the previous day's moved one day older, which is what its
 # partners already hold, so it sends nothing.
 GOLDEN_EXTERNAL = {
-    "trace": "35ab1bcb088948dd84b58cf3b9502a19eab1754050413c1e134ff62b21c2f3a2",
+    "trace": "0ddfdf770f7248b6ad2b4c62e2969ace24c1b2be24efba6c74529087fce18801",
     "events": "d0bea382e4aba4e2e26c9154cc7d79214ca083b9cf94e8d77125392f928a3e1a",
-    "records": "3fc3c91b56f376e05f0ce4239949bcc3b311c9664b4697146f88e4fd83e7c1ec",
+    "records": "73b1ee8245a930d1d0973e2da6691571c7aa78d9c8f184d3671f665f53bf7886",
 }
 
 
@@ -91,7 +91,8 @@ def test_outputs_are_byte_identical(policy, seed, tmp_path):
 
 
 def test_external_predictor_with_misses_is_byte_identical(tmp_path, monkeypatch):
-    # a relative path keeps the config, and so the run id, the same in any directory
+    # the run id follows the file's bytes; a relative path keeps the config in
+    # the trace header the same in any directory
     monkeypatch.chdir(tmp_path)
     with open("preds.jsonl", "w") as fh:
         for day in range(25):

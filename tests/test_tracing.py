@@ -524,3 +524,22 @@ class TestReplay:
         assert len(oracle.events) > 50 and sum(r.messages for r in oracle.day_reports) > 500
         assert replay.events == oracle.events
         assert replay.day_reports == oracle.day_reports
+
+    def test_the_run_id_follows_the_file_not_its_path(self, tmp_path):
+        rows = "".join(json.dumps({"agent_id": a, "day": 0, "y_hat": [0.5] * 15}) + "\n"
+                       for a in range(60))
+        (tmp_path / "a").mkdir()
+        first, second = tmp_path / "a" / "preds.jsonl", tmp_path / "preds.jsonl"
+        first.write_text(rows)
+        second.write_text(rows)
+        cfg = SimConfig(population_size=60, num_days=2, rng_seed=1, policy="pct",
+                        predictor="external")
+
+        def run_id(path):
+            return run(cfg.replace(external_predictions=str(path))).run_id
+
+        same = run_id(first)
+        assert run_id(second) == same
+        assert run_id(tmp_path / "a" / ".." / "preds.jsonl") == same
+        second.write_text(rows.replace("0.5", "0.25", 1))
+        assert run_id(second) != same
