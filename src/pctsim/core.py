@@ -31,8 +31,6 @@ _NAME_ALIASES = {
     "noisyoracle": "noisy_oracle", "noisy-oracle": "noisy_oracle",
 }
 
-STATE_NAMES = ("susceptible", "exposed", "infectious", "recovered")
-
 # Demographic defaults (documented constants; the profile fields are
 # exported but do not modulate disease dynamics).
 HOUSEHOLD_SIZE_DIST = ((1, 0.22), (2, 0.33), (3, 0.17), (4, 0.18), (5, 0.10))
@@ -76,20 +74,27 @@ def _read(name, convert, value, expected):
         raise ConfigError(f"{name}: must be {expected}, got {value!r}") from None
 
 
+def _number(name, value):
+    """``float(value)``; a string, a bool or a value float() rejects is a ConfigError."""
+    if isinstance(value, (str, bool)):
+        raise ConfigError(f"{name}: must be a number, got {value!r}")
+    return _read(name, float, value, "a number")
+
+
 def _fraction(name, value):
-    if not 0.0 <= _read(name, float, value, "a number") <= 1.0:
+    if not 0.0 <= _number(name, value) <= 1.0:
         raise ConfigError(f"{name}: must be in [0, 1], got {value!r}")
 
 
 def _integer(name, value):
-    number = _read(name, float, value, "a number")
+    number = _number(name, value)
     if not number.is_integer():  # NaN and inf fail too
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
     return int(number)
 
 
 def _non_negative(name, value):
-    if not 0.0 <= _read(name, float, value, "a number") < np.inf:  # NaN fails too
+    if not 0.0 <= _number(name, value) < np.inf:  # NaN fails too
         raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
 
 

@@ -47,14 +47,6 @@ def sample_dr_config(base: SimConfig, rng: np.random.Generator) -> SimConfig:
     return base.replace(**draws)
 
 
-def adoption_to_uptake(adoption: float, smartphone_rate: float) -> float:
-    """App uptake among smartphone owners for a population adoption rate."""
-    if not 0.0 <= adoption <= smartphone_rate:
-        raise ValueError(
-            f"adoption {adoption} must lie in [0, smartphone_rate={smartphone_rate}]")
-    return adoption / smartphone_rate
-
-
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

@@ -56,13 +56,6 @@ def _level_multipliers(alpha_l: float) -> np.ndarray:
     )
 
 
-def effective_contacts(loc: LocationParams, rec_level: int, mobility_scale: float) -> float:
-    """Expected daily contacts at one location for one recommendation level."""
-    if rec_level not in (0, 1, 2, 3, 4):
-        raise ValueError(f"invalid recommendation level {rec_level}")
-    return mobility_scale * loc.c_l * _level_multipliers(loc.alpha_l)[rec_level]
-
-
 def level_rate_table(loc: LocationParams, mobility_scale: float) -> np.ndarray:
     """Vector of effective contacts indexed by recommendation level 0..4."""
     return mobility_scale * loc.c_l * _level_multipliers(loc.alpha_l)

@@ -65,11 +65,10 @@ class ExternalPredictor:
     clipped to [0, 1]. ``ok[day, i]`` marks the cells read from the file:
     the last line for an (agent, day) counts, and it must have a 1-D y_hat
     of ``window`` finite values. Lines for agents outside ``app_ids`` or
-    days outside [0, num_days) are ignored. A cell that is not ok is a
-    failed prediction. It holds the previous day's estimate moved one day
-    older, its newest slot repeating that day's (zeros on day 0): the
-    levels the agent's partners already hold, so a failed agent sends
-    nothing. ``sha256`` is the hex digest of the file's bytes.
+    days outside [0, num_days) are ignored. A cell that is not ok, a failed
+    prediction, holds the previous day's estimate moved one day older, its
+    newest slot repeated (zeros on day 0): the levels its partners hold.
+    ``sha256`` is the digest of the file's bytes.
     """
 
     def __init__(self, path, app_ids, num_days, window):

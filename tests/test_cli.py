@@ -78,6 +78,9 @@ class TestParsingAndErrors:
         ("adoption_rate: [0.1]", "adoption_rate"),
         ("psi_table: [a]", "psi_table"),
         ("risk_thresholds: 5", "risk_thresholds"),
+        ('population_size: "50"', "population_size"),
+        ('adoption_rate: "0.5"', "adoption_rate"),
+        ("carefulness: true", "carefulness"),
     ])
     def test_value_of_the_wrong_type_exit_1(self, tmp_path, capsys, line, field):
         path = tmp_path / "bad.yaml"

@@ -1,4 +1,4 @@
-"""Domain randomization, uptake, splits, and training-record export."""
+"""Domain randomization, splits, and training-record export."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ from pctsim.core import SimConfig, run
 from pctsim.datagen import (
     DR_RANGES,
     RECORD_SCHEMA_VERSION,
-    adoption_to_uptake,
     export_training_records,
     iter_training_records,
     make_split,
@@ -53,19 +52,6 @@ class TestDomainRandomization:
         a = sample_dr_config(base, np.random.default_rng(9))
         b = sample_dr_config(base, np.random.default_rng(9))
         assert a == b
-
-
-class TestUptake:
-    def test_examples(self):
-        assert adoption_to_uptake(0.30, 0.712) == pytest.approx(0.4213, abs=1e-4)
-        assert adoption_to_uptake(0.60, 0.712) == pytest.approx(0.8427, abs=1e-4)
-        assert adoption_to_uptake(0.0, 0.712) == 0.0
-
-    def test_rejects_more_apps_than_phones(self):
-        with pytest.raises(ValueError):
-            adoption_to_uptake(0.8, 0.712)
-        with pytest.raises(ValueError):
-            adoption_to_uptake(-0.1, 0.712)
 
 
 class TestMakeSplit:

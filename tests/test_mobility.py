@@ -12,7 +12,6 @@ from pctsim.mobility import (
     QUARANTINE_LEVEL,
     LocationIndex,
     LocationParams,
-    effective_contacts,
     generate_encounters,
     level_rate_table,
 )
@@ -22,34 +21,24 @@ class TestEffectiveContacts:
     def test_table_values_level_zero(self):
         for name, c_l in (("household", 2.7), ("workplace", 10.0),
                           ("school", 6.0), ("other", 3.1)):
-            assert effective_contacts(LOCATION_PARAMS[name], 0, 1.0) == c_l
+            assert level_rate_table(LOCATION_PARAMS[name], 1.0)[0] == c_l
 
     def test_household_level_three(self):
-        assert effective_contacts(LOCATION_PARAMS["household"], 3, 1.0) == \
+        assert level_rate_table(LOCATION_PARAMS["household"], 1.0)[3] == \
             pytest.approx(0.70 * 2.7)
 
     def test_workplace_level_one(self):
-        assert effective_contacts(LOCATION_PARAMS["workplace"], 1, 1.0) == \
+        assert level_rate_table(LOCATION_PARAMS["workplace"], 1.0)[1] == \
             pytest.approx(0.25 * 0.20 * 10.0)
 
     def test_quarantine_level_is_zero_everywhere(self):
         for name in LOCATION_TYPES:
-            assert effective_contacts(LOCATION_PARAMS[name], 4, 3.0) == 0.0
+            assert level_rate_table(LOCATION_PARAMS[name], 3.0)[4] == 0.0
 
     def test_scale_multiplies(self):
         loc = LOCATION_PARAMS["other"]
-        assert effective_contacts(loc, 2, 2.0) == \
-            pytest.approx(2.0 * effective_contacts(loc, 2, 1.0))
-
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError):
-            effective_contacts(LOCATION_PARAMS["other"], 5, 1.0)
-
-    def test_level_rate_table_matches_pointwise(self):
-        loc = LOCATION_PARAMS["school"]
-        table = level_rate_table(loc, 1.3)
-        for level in range(5):
-            assert table[level] == pytest.approx(effective_contacts(loc, level, 1.3))
+        assert level_rate_table(loc, 2.0)[2] == \
+            pytest.approx(2.0 * level_rate_table(loc, 1.0)[2])
 
     def test_location_params_validation(self):
         with pytest.raises(ValueError):
