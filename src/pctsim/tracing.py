@@ -81,7 +81,7 @@ class ExternalPredictor:
                 digest.update(line)
                 if not line.strip():
                     continue
-                rec = json.loads(line)
+                rec = json.loads(line.decode())
                 i, day = row_of.get(int(rec["agent_id"])), int(rec["day"])
                 if i is None or not 0 <= day < num_days:
                     continue
