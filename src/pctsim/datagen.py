@@ -66,36 +66,42 @@ def _render_floats(values: np.ndarray):
     if not np.isfinite(values).all():
         raise ValueError("ground-truth targets hold a non-finite value, "
                          "which JSON cannot carry")
-    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(values.dtype).tolist()], dtype=object)
-    return text, inverse.reshape(values.shape).astype(np.min_scalar_type(text.size))
+    bits = values.view(f"u{values.itemsize}")
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    text = np.array([repr(v) for v in distinct.view(values.dtype).tolist()], dtype=object)
+    # codes by searchsorted: np.unique's inverse takes twice the memory, the export's peak
+    return text, np.searchsorted(distinct, bits).astype(np.min_scalar_type(text.size))
 
 
-def _with_commas(pieces: np.ndarray) -> np.ndarray:
-    """``pieces`` followed by each piece with a leading comma."""
-    return np.concatenate((pieces, np.array(["," + p for p in pieces.tolist()],
-                                            dtype=object)))
-
-
-def _put_list(ids, slots, codes, base, size):
-    """Put each row of ``codes`` at ``slots`` as pieces ``base + code``,
-    all but the first of a row in their leading-comma form (``+ size``)."""
-    ids[slots] = codes.astype(np.intp) + (base + size)
-    ids[slots[:, 0]] -= size
+def _render_windows(codes, text, before="", after=""):
+    """Each distinct row of ``codes`` once, as ``before + ",".join(text[row]) + after``,
+    and each row's index into those strings."""
+    codes = np.ascontiguousarray(codes)
+    rows = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    distinct = distinct.view(codes.dtype).reshape(-1, codes.shape[1])
+    return np.array([before + ",".join(row) + after for row in text[distinct].tolist()],
+                    dtype=object), inverse
 
 
 def _render_days(trace):
     """Yield ``(records, text)`` blocks: canonical-JSON lines, one per app agent and day.
 
-    Every piece is rendered once into a pool: each agent's record head,
-    each distinct profile's record tail, each health slot and distinct
-    target (plain and with a leading comma) per run, each
-    ``[level,count]`` cell and the punctuation per day. A block of
-    ``_AGENT_BLOCK`` agents' records is an array of piece ids, laid out
-    by numpy from the per-(agent, day) health and target codes and the
-    observation log's cell offsets, and its text is one join of the
+    A record is ``4 + sum(max(rows_k, 1))`` pooled pieces over its
+    window slots k: the agent's head, one piece per encounter cell or
+    empty slot, the day's rendering of its health window, its profile's
+    tail, and the day's rendering of its target window. Each day renders
+    every distinct health and target window once (a few dozen at 3000
+    agents), with the punctuation around them fused in, and each
+    ``[level,count]`` cell in three forms: after ``","``, opening slot 0
+    and opening a later slot. A block of ``_AGENT_BLOCK`` agents' records
+    is an array of piece ids, laid out by numpy from the window codes and
+    the observation log's cell offsets, and its text is one join of the
     pooled pieces. The only Python loops are over days, blocks and the
-    per-run pieces.
+    rendering of pooled pieces.
     """
     if trace.enc_windows is None:
         raise ValueError("trace was recorded without observables; re-run with "
@@ -116,70 +122,59 @@ def _render_days(trace):
     profiles = core.agent_profile(trace, app[first])
     tail = (f',"run_id":{_canonical(trace.run_id)},'
             f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
-    run_pool = np.concatenate((
-        np.array(['{"agent_id":%d,"day":' % agent for agent in app.tolist()]
-                 + ['"profile":' + _canonical(profile) + tail
-                    for profile in profiles.values()], dtype=object),
-        _with_commas(_HEALTH_SLOTS), _with_commas(target_text)))
-    # piece ids: heads, profile tails, health slots, targets, then the day's pieces
-    tails = n_app
-    health = n_app + first.size
-    targets = health + 2 * _HEALTH_SLOTS.size
-    day_base = targets + 2 * target_text.size
-    open_, comma_open, close, a, b, c, e = range(day_base, day_base + 7)
-    cell_base = day_base + 7
+    # piece ids: each agent's head, then each profile's tail, then the day's pieces
+    run_pool = np.array(['{"agent_id":%d,"day":' % agent for agent in app.tolist()]
+                        + ['"profile":' + _canonical(profile) + tail
+                           for profile in profiles.values()], dtype=object)
+    tails, health = n_app, run_pool.size
     for day in range(trace.num_days):
         span = min(day + 1, window)
         first = day + 1 - span
         nulls, zeros = ",null" * (window - span), ",0.0" * (window - span)
+        health_text, health_rows = _render_windows(
+            health_codes[:, first:day + 1][:, ::-1], _HEALTH_SLOTS,
+            f']{nulls}],"health":[', f"{nulls}],")
+        day_targets, target_rows = _render_windows(
+            target_codes[:, first:day + 1][:, ::-1], target_text, after=f"{zeros}]}}\n")
         offsets, levels, counts = trace.enc_windows.cells(day)
         top = int(counts.max(initial=0)) + 1
-        cell_text = np.array([f"[{level},{count}]"
-                              for level in range(int(levels.max(initial=0)) + 1)
-                              for count in range(top)], dtype=object)
-        commas = cell_text.size  # a cell's comma form is its id + commas
-        pool = np.concatenate((run_pool, np.array(
-            ["[", ",[", "]", f'{day},"encounters":[', f'{nulls}],"health":[',
-             f"{nulls}],", f"{zeros}]}}\n"], dtype=object), _with_commas(cell_text)))
-        ks = np.arange(span)
-        day_health = health_codes[:, first:day + 1][:, ::-1]
-        day_targets = target_codes[:, first:day + 1][:, ::-1]
+        # every cell, then "" for an empty slot, in each of its three forms
+        cells = [f"[{level},{count}]" for level in range(int(levels.max(initial=0)) + 1)
+                 for count in range(top)] + [""]
+        opened = f'{day},"encounters":[['
+        pool = np.concatenate((run_pool, health_text, day_targets, np.array(
+            ["," + cell for cell in cells] + [opened + cell for cell in cells]
+            + ["],[" + cell for cell in cells], dtype=object)))
+        targets = health + health_text.size
+        cell_base = targets + day_targets.size
+        empty = cell_base + len(cells) - 1
+        open_form = np.full(span, 2 * len(cells))
+        open_form[0] = len(cells)
         for lo in range(0, n_app, _AGENT_BLOCK):
             hi = min(lo + _AGENT_BLOCK, n_app)
             # rows of each (agent, slot) cell, and the record lengths in pieces
             slot_rows = np.diff(offsets[lo * window:hi * window + 1])
             slot_rows = slot_rows.reshape(hi - lo, window)[:, :span]
-            before = np.cumsum(slot_rows, axis=1) - slot_rows
-            rows = slot_rows.sum(axis=1)
-            lengths = 6 + 4 * span + rows
+            slot_pieces = np.maximum(slot_rows, 1)
+            lengths = 4 + slot_pieces.sum(axis=1)
             ends = np.cumsum(lengths)
             starts = ends - lengths
             ids = np.empty(int(ends[-1]), dtype=np.intp)
-            block = np.arange(lo, hi)
-            ids[starts] = block
-            ids[starts + 1] = a
-            # each slot is "[" or ",[", its cells, then "]"
-            opens = starts[:, None] + 2 + 2 * ks + before
-            ids[opens] = comma_open
-            ids[opens[:, 0]] = open_
-            ids[opens + 1 + slot_rows] = close
+            ids[starts] = np.arange(lo, hi)
+            # each slot is its cells, or an empty cell, the first in an opening form
+            slot_at = (starts + 1)[:, None] + np.cumsum(slot_pieces, axis=1) - slot_pieces
+            ids[slot_at] = empty
             block_rows = slot_rows.ravel()
             row_lo, row_hi = offsets[lo * window], offsets[hi * window]
             slot_first = np.cumsum(block_rows) - block_rows
-            cell_ids = (levels[row_lo:row_hi].astype(np.intp) * top
-                        + counts[row_lo:row_hi] + (cell_base + commas))
-            cell_ids[slot_first[block_rows > 0]] -= commas
-            ids[np.repeat((opens + 1).ravel() - slot_first, block_rows)
-                + np.arange(row_hi - row_lo)] = cell_ids
+            ids[np.repeat(slot_at.ravel() - slot_first, block_rows)
+                + np.arange(row_hi - row_lo)] = (levels[row_lo:row_hi].astype(np.intp) * top
+                                                 + counts[row_lo:row_hi] + cell_base)
+            ids[slot_at] += open_form
             # then the health window, the tail and the target window
-            mid = starts + 2 + 2 * span + rows
-            ids[mid] = b
-            slots = mid[:, None] + 1 + ks
-            _put_list(ids, slots, day_health[lo:hi], health, _HEALTH_SLOTS.size)
-            ids[mid + span + 1] = c
-            ids[mid + span + 2] = tails + profile_codes[lo:hi]
-            _put_list(ids, slots + span + 2, day_targets[lo:hi], targets, target_text.size)
-            ids[ends - 1] = e
+            ids[ends - 3] = health + health_rows[lo:hi]
+            ids[ends - 2] = tails + profile_codes[lo:hi]
+            ids[ends - 1] = targets + target_rows[lo:hi]
             yield hi - lo, "".join(pool[ids].tolist())
 
 

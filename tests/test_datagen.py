@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pctsim import core, datagen
 from pctsim.core import SimConfig, run
@@ -95,6 +97,12 @@ class TestExport:
         n = export_training_records(pct_trace, path)
         assert n == pct_trace.app_ids.size * pct_trace.num_days
         assert len(read_records(path)) == n
+
+    def test_a_run_of_no_days_exports_no_records(self, tmp_path):
+        trace = run(SimConfig(population_size=50, num_days=0, policy="pct"))
+        path = tmp_path / "records.jsonl"
+        assert export_training_records(trace, path) == 0
+        assert path.read_text() == ""
 
     def test_record_schema(self, pct_trace):
         rec = next(iter_training_records(pct_trace))
@@ -368,9 +376,55 @@ class TestRenderer:
         with open(path) as fh:
             lines = fh.readlines()
         assert len(lines) == n_app * num_days
-        saw_cells = False
+        saw_cells = saw_empty_first_slot = saw_one_cell = saw_no_cells = saw_short_day = False
         for day, (starts, rows) in enumerate(trace.enc_windows):
             saw_cells |= rows.size > 0
+            saw_short_day |= day < d_max
+            for i in range(n_app):
+                slots = np.bincount(rows[starts[i]:starts[i + 1], 0], minlength=d_max + 1)
+                saw_empty_first_slot |= slots[0] == 0 and slots.any()
+                saw_one_cell |= bool(np.any(slots == 1))
+                saw_no_cells |= not slots.any()
+                assert lines[day * n_app + i] == _reference_line(trace, i, day, starts, rows)
+        assert saw_cells and saw_empty_first_slot and saw_one_cell and saw_no_cells and saw_short_day
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(40, 150), num_days=st.integers(1, 20), d_max=st.integers(1, 15),
+           policy=st.sampled_from(["pct", "heuristic", "bct"]), block=st.integers(1, 9),
+           seed=st.integers(0, 2**16))
+    def test_small_worlds_match_the_reference_records(self, n, num_days, d_max, policy,
+                                                      block, seed):
+        cfg = SimConfig(population_size=n, num_days=num_days, d_max=d_max, rng_seed=seed,
+                        policy=policy, predictor="oracle", global_mobility_scale=3.7,
+                        initial_exposed_fraction=0.05)
+        trace = run(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datagen, "_AGENT_BLOCK", block)
+            lines = "".join(text for _n, text in datagen._render_days(trace)).splitlines(True)
+        n_app = trace.app_ids.size
+        assert len(lines) == n_app * num_days
+        for day, (starts, rows) in enumerate(trace.enc_windows):
             for i in range(n_app):
                 assert lines[day * n_app + i] == _reference_line(trace, i, day, starts, rows)
-        assert saw_cells
+
+
+class TestWindowRendering:
+    @pytest.mark.parametrize("columns,dtype", [(1, np.uint8), (5, np.uint8), (16, np.uint16)])
+    def test_one_string_per_distinct_row(self, columns, dtype):
+        rng = np.random.default_rng(columns)
+        text = np.array([f"t{i}" for i in range(300)], dtype=object)
+        codes = rng.integers(0, 3, size=(40, columns)).astype(dtype)
+        codes[:, 0] += min(text.size, np.iinfo(dtype).max + 1) - 3  # the dtype's top codes
+        codes = np.concatenate((codes, codes[::3]))  # duplicate rows
+        last = codes[:2].copy()
+        last[1, 0] ^= 1  # reversed below: two rows that differ only in their last slot
+        codes = rng.permutation(np.concatenate((codes, last)))[:, ::-1]  # newest-first view
+        strings, inverse = datagen._render_windows(codes, text)
+        assert [strings[j] for j in inverse] == [",".join(text[row]) for row in codes]
+        assert len(strings) == len(set(strings)) == len({tuple(row) for row in codes.tolist()})
+
+    def test_text_before_and_after_each_window(self):
+        text = np.array(["a", "b"], dtype=object)
+        strings, inverse = datagen._render_windows(np.array([[1, 0], [1, 0], [0, 0]]),
+                                                   text, "<", ">")
+        assert strings[inverse].tolist() == ["<b,a>", "<b,a>", "<a,a>"]
