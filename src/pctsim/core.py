@@ -98,6 +98,13 @@ def _non_negative(name, value):
         raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
 
 
+def _numbers(name, values, entry):
+    """The entries of a list field, each read by ``entry``; a string is a ConfigError."""
+    if isinstance(values, str):
+        raise ConfigError(f"{name}: must be a list, got {values!r}")
+    return tuple(entry(name, v) for v in _read(name, list, values, "a list"))
+
+
 @dataclass
 class SimConfig:
     """All tunables for one run. Field names match the config file keys."""
@@ -135,11 +142,9 @@ class SimConfig:
     def __post_init__(self):
         self.policy = _NAME_ALIASES.get(str(self.policy).lower(), str(self.policy).lower())
         self.predictor = _NAME_ALIASES.get(str(self.predictor).lower(), str(self.predictor).lower())
-        self.psi_table = _read("psi_table", lambda v: tuple(map(int, v)), self.psi_table,
-                               "a list of integers")
+        self.psi_table = _numbers("psi_table", self.psi_table, _integer)
         if self.risk_thresholds is not None:
-            self.risk_thresholds = _read("risk_thresholds", lambda v: tuple(map(float, v)),
-                                         self.risk_thresholds, "a list of numbers")
+            self.risk_thresholds = _numbers("risk_thresholds", self.risk_thresholds, _number)
 
     def validate(self) -> "SimConfig":
         if _integer("population_size", self.population_size) < 2:
