@@ -304,34 +304,31 @@ class SimulationTrace:
     def recovered_ids(self):
         return set(np.flatnonzero(self.final_epi_state == STATE_R).tolist())
 
-    def day_record(self, report: DayReport) -> dict:
-        rec = {"kind": "day", **dataclasses.asdict(report)}
-        if self.yhat_hist is not None:
-            rec["y_hat"] = {
-                str(a): [round(float(v), 6) for v in row]
-                for a, row in zip(self.app_ids.tolist(), self.yhat_hist[:, report.day])
-            }
-        return rec
-
-    def header_record(self) -> dict:
-        return {
-            "kind": "header",
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "population": self.population,
-            "num_days": self.num_days,
-            "initial_counts": self.initial_counts,
-            "config": self.config,
-        }
-
     def write(self, trace_path, events_path):
-        """Persist the trace as day-record JSONL plus an event JSONL."""
+        """Persist the trace as day-record JSONL plus an event JSONL.
 
+        ``trace.jsonl`` is a header line, then one line per day: the day's
+        ``DayReport`` and, when estimates were recorded, ``"y_hat"``, each
+        app agent's window under ``str(agent)``, rounded to 6 decimals.
+        ``rint(float64(v) * 1e6) / 1e6`` is ``round(float(v), 6)`` bit for
+        bit for float32 ``v``: the product is exact, ``rint`` rounds half to
+        even, and the quotient of two exact doubles is correctly rounded.
+        """
         dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION,
+                  "run_id": self.run_id, "population": self.population,
+                  "num_days": self.num_days, "initial_counts": self.initial_counts,
+                  "config": self.config}
+        agents = self.app_ids.astype(str).tolist()
         with open(trace_path, "w") as fh:
-            fh.write(dump(self.header_record()) + "\n")
+            fh.write(dump(header) + "\n")
             for report in self.day_reports:
-                fh.write(dump(self.day_record(report)) + "\n")
+                rec = {"kind": "day", **dataclasses.asdict(report)}
+                if self.yhat_hist is not None:
+                    # one day at a time: a float64 copy of the whole history is 108 MB at 30k
+                    y_hat = self.yhat_hist[:, report.day].astype(np.float64)
+                    rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
+                fh.write(dump(rec) + "\n")
         with open(events_path, "w") as fh:
             # the bytes of dump(asdict(ev)); location names need no escaping
             fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'

@@ -1,5 +1,6 @@
 """Engine tests: config validation, seeding, conservation, determinism."""
 
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pctsim import core, messaging
@@ -357,18 +358,45 @@ class TestLevelsAndEstimates:
             if day + 1 < tr.num_days:
                 assert tr.level_hist[agent, day + 1] == 4
 
-    def test_estimates_recorded_for_pct(self):
+    def test_estimates_recorded_for_pct(self, tmp_path):
         tr = run(_small(policy="pct", predictor="oracle", num_days=10))
         assert tr.yhat_hist is not None
         assert tr.yhat_hist.shape == (tr.app_ids.size, 10, 15)
-        rec = tr.day_record(tr.day_reports[-1])
-        assert "y_hat" in rec
-        assert set(map(int, rec["y_hat"])) == set(tr.app_ids.tolist())
+        tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        rec = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[-1])
+        assert rec["day"] == 9
+        # the keys are the app agents in the string order that sort_keys gives
+        assert list(rec["y_hat"]) == sorted(map(str, tr.app_ids.tolist()))
         # row i of yhat_hist belongs to app agent app_ids[i]
         assert tr.yhat_hist[:, -1].max() > 0
         for i, agent in enumerate(tr.app_ids.tolist()):
             assert rec["y_hat"][str(agent)] == [round(float(v), 6)
                                                 for v in tr.yhat_hist[i, -1]]
+
+    @settings(max_examples=300)
+    @given(st.floats(0, 1, width=32) | st.sampled_from([k / 2**7 for k in range(129)]))
+    @example(1 / 128)
+    @example(0.0)
+    @example(-0.0)
+    @example(1.0)
+    def test_rounding_in_numpy_is_round_to_6(self, v):
+        v = np.float32(v)
+        # float() is what the writer's tolist() gives; repr tells -0.0 from 0.0
+        assert repr(float(np.rint(np.float64(v) * 1e6) / 1e6)) == repr(round(float(v), 6))
+
+    def test_written_estimates_match_the_per_value_reference(self, tmp_path):
+        tr = run(_small(policy="pct", predictor="oracle", num_days=4))
+        y = np.resize(np.float32([-0.0, 1 / 128, 1.0, 0.1234565]), tr.yhat_hist.shape)
+        tr = dataclasses.replace(tr, yhat_hist=y)
+        tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        text = (tmp_path / "trace.jsonl").read_text()
+        assert '[-0.0,0.007812,1.0,0.123457,' in text
+        for report, line in zip(tr.day_reports, text.splitlines()[1:], strict=True):
+            old = {"kind": "day", **dataclasses.asdict(report), "y_hat": {
+                str(a): [round(float(v), 6) for v in row]
+                for a, row in zip(tr.app_ids.tolist(), y[:, report.day])}}
+            assert line == dump(old)
 
     def test_estimates_skipped_when_disabled(self):
         tr = run(_small(policy="pct", predictor="oracle", num_days=5,
