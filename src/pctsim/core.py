@@ -856,10 +856,10 @@ def run(config: SimConfig) -> SimulationTrace:
     for _ in range(int(config.num_days)):
         step_day(world)
     cfg_dict = config.to_dict()
-    # a replay's run id follows the predictions file's content, not its path
-    key = (cfg_dict if world.external is None
-           else dict(cfg_dict, external_predictions=world.external.sha256))
-    run_id = f"{config_hash(key)}-s{config.rng_seed}"
+    if world.external is not None:
+        # a replay is named by its predictions file's content, not its path
+        cfg_dict["external_predictions"] = world.external.sha256
+    run_id = f"{config_hash(cfg_dict)}-s{config.rng_seed}"
     return SimulationTrace(
         config=cfg_dict,
         run_id=run_id,

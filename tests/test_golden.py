@@ -60,7 +60,7 @@ GOLDEN = {
 # estimate is the previous day's moved one day older, which is what its
 # partners already hold, so it sends nothing.
 GOLDEN_EXTERNAL = {
-    "trace": "0ddfdf770f7248b6ad2b4c62e2969ace24c1b2be24efba6c74529087fce18801",
+    "trace": "f0c0ae23e6f86730e01bc7f20543e114f4d83a45ba60e65d032f1db4e2268497",
     "events": "d0bea382e4aba4e2e26c9154cc7d79214ca083b9cf94e8d77125392f928a3e1a",
     "records": "73b1ee8245a930d1d0973e2da6691571c7aa78d9c8f184d3671f665f53bf7886",
 }
@@ -90,11 +90,9 @@ def test_outputs_are_byte_identical(policy, seed, tmp_path):
                     rng_seed=seed) == GOLDEN[(policy, seed)]
 
 
-def test_external_predictor_with_misses_is_byte_identical(tmp_path, monkeypatch):
-    # the run id follows the file's bytes; a relative path keeps the config in
-    # the trace header the same in any directory
-    monkeypatch.chdir(tmp_path)
-    with open("preds.jsonl", "w") as fh:
+def test_external_predictor_with_misses_is_byte_identical(tmp_path):
+    # the trace names the predictions file by its sha256, so its path does not matter
+    with open(tmp_path / "preds.jsonl", "w") as fh:
         for day in range(25):
             for agent in range(600):
                 if (agent + 2 * day) % 5 == 0:
@@ -102,4 +100,5 @@ def test_external_predictor_with_misses_is_byte_identical(tmp_path, monkeypatch)
                 y_hat = [((agent * 31 + day * 17 + k * 7) % 97) / 100 for k in range(15)]
                 fh.write(json.dumps({"agent_id": agent, "day": day, "y_hat": y_hat}) + "\n")
     assert _digests(tmp_path, policy="pct", predictor="external",
-                    external_predictions="preds.jsonl", rng_seed=0) == GOLDEN_EXTERNAL
+                    external_predictions=str(tmp_path / "preds.jsonl"),
+                    rng_seed=0) == GOLDEN_EXTERNAL

@@ -13,6 +13,7 @@ import pytest
 from pctsim.core import SimConfig, init_world, run, step_day
 from pctsim.datagen import export_training_records, read_records
 from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
+from pctsim.metrics import metrics_row
 from pctsim.tracing import (
     DEFAULT_PSI,
     ExternalPredictor,
@@ -535,11 +536,19 @@ class TestReplay:
         cfg = SimConfig(population_size=60, num_days=2, rng_seed=1, policy="pct",
                         predictor="external")
 
-        def run_id(path):
-            return run(cfg.replace(external_predictions=str(path))).run_id
+        def run_id(path, out=None):
+            trace = run(cfg.replace(external_predictions=str(path)))
+            # the trace header, the run id and metrics.csv name the same config
+            assert metrics_row(trace, 1)["config_hash"] == trace.run_id.rsplit("-", 1)[0]
+            if out is not None:
+                out.mkdir()
+                trace.write(out / "trace.jsonl", out / "events.jsonl")
+            return trace.run_id
 
-        same = run_id(first)
-        assert run_id(second) == same
+        same = run_id(first, tmp_path / "first")
+        assert run_id(second, tmp_path / "second") == same
+        assert ((tmp_path / "first" / "trace.jsonl").read_bytes()
+                == (tmp_path / "second" / "trace.jsonl").read_bytes())
         assert run_id(tmp_path / "a" / ".." / "preds.jsonl") == same
         second.write_text(rows.replace("0.5", "0.25", 1))
         assert run_id(second) != same
