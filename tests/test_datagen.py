@@ -1,6 +1,7 @@
 """Domain randomization, splits, and training-record export."""
 
 import dataclasses
+import gc
 import json
 
 import numpy as np
@@ -97,6 +98,29 @@ class TestExport:
         n = export_training_records(pct_trace, path)
         assert n == pct_trace.app_ids.size * pct_trace.num_days
         assert len(read_records(path)) == n
+
+    def test_read_records_parses_every_line(self, pct_trace, tmp_path):
+        path = tmp_path / "records.jsonl"
+        export_training_records(pct_trace, path)
+        text = path.read_text()
+        path.write_text(text + "\n  \n")  # blank lines are skipped
+        assert read_records(path) == [json.loads(line) for line in text.splitlines()]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_read_records_restores_the_collector(self, tmp_path, enabled):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good.write_text('{"a":1}\n')
+        bad.write_text('{"a":1}\n{"a":\n')
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert read_records(good) == [{"a": 1}]
+            assert gc.isenabled() is enabled
+            with pytest.raises(json.JSONDecodeError):
+                read_records(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_a_run_of_no_days_exports_no_records(self, tmp_path):
         trace = run(SimConfig(population_size=50, num_days=0, policy="pct"))
