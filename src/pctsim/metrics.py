@@ -141,7 +141,7 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def metrics_row(trace, seed: int, status: str = "ok") -> dict:
+def metrics_row(trace, seed: int) -> dict:
     """One CSV row of run-level metrics."""
     contacts, r = pareto_point(trace)
     cfg = trace.config
@@ -155,7 +155,7 @@ def metrics_row(trace, seed: int, status: str = "ok") -> dict:
         "r": f"{r:.6f}" if not math.isnan(r) else "nan",
         "cumulative_cases": cumulative_cases(trace),
         "false_quarantine": f"{false_quarantine_fraction(trace):.6f}",
-        "status": status,
+        "status": "ok",
     }
 
 
