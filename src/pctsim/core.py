@@ -305,27 +305,19 @@ class SimulationTrace:
         return set(np.flatnonzero(self.final_epi_state == STATE_R).tolist())
 
     def write(self, trace_path, events_path):
-        """Persist the trace as day-record JSONL plus an event JSONL.
-
-        ``trace.jsonl`` is a header line, then one line per day: the day's
-        ``DayReport`` and, when estimates were recorded, ``"y_hat"``, each
-        app agent's window under ``str(agent)``, rounded to 6 decimals.
-        ``rint(float64(v) * 1e6) / 1e6`` is ``round(float(v), 6)`` bit for
-        bit for float32 ``v``: the product is exact, ``rint`` rounds half to
-        even, and the quotient of two exact doubles is correctly rounded.
-        """
+        """Persist the trace as day-record JSONL plus an event JSONL."""
         dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION,
-                  "run_id": self.run_id, "population": self.population,
-                  "num_days": self.num_days, "initial_counts": self.initial_counts,
-                  "config": self.config}
+        header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
+                  "population": self.population, "num_days": self.num_days,
+                  "initial_counts": self.initial_counts, "config": self.config}
         agents = self.app_ids.astype(str).tolist()
         with open(trace_path, "w") as fh:
             fh.write(dump(header) + "\n")
             for report in self.day_reports:
                 rec = {"kind": "day", **dataclasses.asdict(report)}
                 if self.yhat_hist is not None:
-                    # one day at a time: a float64 copy of the whole history is 108 MB at 30k
+                    # round(float(v), 6) bit for bit: float32 * 1e6 is exact in float64, rint
+                    # ties to even; one day at a time, as the whole history is 108 MB at 30k
                     y_hat = self.yhat_hist[:, report.day].astype(np.float64)
                     rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
                 fh.write(dump(rec) + "\n")
