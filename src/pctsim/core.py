@@ -310,12 +310,12 @@ class SimulationTrace:
         header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
                   "population": self.population, "num_days": self.num_days,
                   "initial_counts": self.initial_counts, "config": self.config}
-        agents = self.app_ids.astype(str).tolist()
+        agents = None if self.yhat_hist is None else self.app_ids.astype(str).tolist()
         with open(trace_path, "w") as fh:
             fh.write(dump(header) + "\n")
             for report in self.day_reports:
                 rec = {"kind": "day", **dataclasses.asdict(report)}
-                if self.yhat_hist is not None:
+                if agents is not None:
                     # round(float(v), 6) bit for bit: float32 * 1e6 is exact in float64, rint
                     # ties to even; one day at a time, as the whole history is 108 MB at 30k
                     y_hat = self.yhat_hist[:, report.day].astype(np.float64)
