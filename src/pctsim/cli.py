@@ -1,6 +1,7 @@
 """Experiment runner: single runs, sweeps, dataset campaigns, calibration.
 
-Exit codes are a stable contract: 0 success, 1 usage or config error,
+Each command takes only the flags it reads; any other flag, or an
+abbreviated one, is a usage error. Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 runtime failure. The TRACE_SIM_SEED environment variable overrides the
 config file's rng_seed (an explicit --seed flag still wins).
 """
@@ -31,7 +32,10 @@ MAX_SCALE = 512.0
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse with usage errors mapped onto exit code 1."""
+    """Argparse with usage errors mapped onto exit code 1, and no abbreviated flags."""
+
+    def __init__(self, **kwargs):  # else a sweep would read --policy as --policies
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -85,9 +89,8 @@ def _load_config(args) -> core.SimConfig:
     return cfg.validate()
 
 
-def _sweep_worker(cfg_dict: dict) -> dict:
+def _sweep_worker(cfg: core.SimConfig) -> dict:
     """Run one sweep point and return its metrics row; never raises."""
-    cfg = core.SimConfig.from_mapping(cfg_dict)
     try:
         trace = core.run(cfg)
         return metrics.metrics_row(trace, cfg.rng_seed)
@@ -104,9 +107,8 @@ def _sweep_worker(cfg_dict: dict) -> dict:
         }
 
 
-def _datagen_worker(cfg_dict: dict, out: Path) -> tuple[dict, dict | None]:
+def _datagen_worker(cfg: core.SimConfig, out: Path) -> tuple[dict, dict | None]:
     """Run and export one campaign run: (manifest fields, metrics row or None); never raises."""
-    cfg = core.SimConfig.from_mapping(cfg_dict)
     try:
         trace = core.run(cfg)
         records_file = f"{trace.run_id}.records.jsonl"
@@ -118,9 +120,9 @@ def _datagen_worker(cfg_dict: dict, out: Path) -> tuple[dict, dict | None]:
         return {"status": f"error: {type(exc).__name__}: {exc}"}, None
 
 
-def _pareto_worker(cfg_dict: dict) -> tuple[float, float]:
+def _pareto_worker(cfg: core.SimConfig) -> tuple[float, float]:
     """(contacts, R) of one run."""
-    return metrics.pareto_point(core.run(core.SimConfig.from_mapping(cfg_dict)))
+    return metrics.pareto_point(core.run(cfg))
 
 
 @contextlib.contextmanager
@@ -138,9 +140,8 @@ def _pool(jobs: int, n_runs: int):
 
 
 def _map_runs(worker, cfg_points, pool):
-    """Iterate ``worker`` of each config's dict, in order, in ``pool`` or in-process."""
-    cfg_dicts = [c.to_dict() for c in cfg_points]
-    return (map if pool is None else pool.map)(worker, cfg_dicts)
+    """Iterate ``worker`` of each config, in order, in ``pool`` or in-process."""
+    return (map if pool is None else pool.map)(worker, cfg_points)
 
 
 def _fast(cfg: core.SimConfig) -> core.SimConfig:
@@ -338,8 +339,7 @@ def cmd_calibrate(args) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2, sort_keys=True))
     print(f"calibrated mobility scale {result['mobility_scale']:.4f}: "
           f"contacts {result['achieved_contacts']:.3f} "
-          f"(target {args.target_contacts} +- {args.tolerance}), "
-          f"mean R {result['mean_r']:.3f} (reference {args.target_r})")
+          f"(target {args.target_contacts} +- {args.tolerance}), mean R {result['mean_r']:.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -348,26 +348,25 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pctsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seeds_default=None):
-        p.add_argument("--config", required=True, help="config file (YAML or JSON)")
-        p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                       help="max concurrent runs (default: available parallelism)")
-        p.add_argument("--policy", dest="policy", default=None,
-                       help="override the config policy")
-        p.add_argument("--predictor", dest="predictor", default=None,
-                       help="override the config predictor")
-        if seeds_default is not None:
-            p.add_argument("--seeds", type=_parse_seed_list, default=seeds_default,
-                           help="seed list '0,1,2' or range '0..11'")
+    # one parent parser per shared flag; each command lists the flags it reads
+    config, jobs, policy, predictor, seeds = (argparse.ArgumentParser(add_help=False)
+                                              for _ in range(5))
+    config.add_argument("--config", required=True, help="config file (YAML or JSON)")
+    jobs.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                      help="max concurrent runs (default: available parallelism)")
+    policy.add_argument("--policy", help="override the config policy")
+    predictor.add_argument("--predictor", help="override the config predictor")
+    seeds.add_argument("--seeds", type=_parse_seed_list, default=list(range(12)),
+                       help="seed list '0,1,2' or range '0..11'")
 
-    p = sub.add_parser("run", help="single run: trace, events, metrics")
-    add_common(p)
+    p = sub.add_parser("run", parents=[config, policy, predictor],
+                       help="single run: trace, events, metrics")
     p.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("pareto", help="mobility-scale sweep to CSV")
-    add_common(p, seeds_default=list(range(12)))
+    p = sub.add_parser("pareto", parents=[config, jobs, predictor, seeds],
+                       help="mobility-scale sweep to CSV")
     p.add_argument("--scales", type=_parse_float_list, required=True,
                    help="comma-separated mobility scales")
     p.add_argument("--policies", default=None,
@@ -375,8 +374,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="pareto.csv", help="output CSV path")
     p.set_defaults(func=cmd_pareto)
 
-    p = sub.add_parser("adoption", help="adoption-rate sweep to CSV")
-    add_common(p, seeds_default=list(range(12)))
+    p = sub.add_parser("adoption", parents=[config, jobs, predictor, seeds],
+                       help="adoption-rate sweep to CSV")
     p.add_argument("--adoptions", type=_parse_float_list, required=True,
                    help="comma-separated adoption rates")
     p.add_argument("--policies", default=None,
@@ -384,20 +383,18 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="adoption.csv", help="output CSV path")
     p.set_defaults(func=cmd_adoption)
 
-    p = sub.add_parser("datagen", help="domain-randomized dataset campaign")
-    add_common(p)
+    p = sub.add_parser("datagen", parents=[config, jobs, policy, predictor],
+                       help="domain-randomized dataset campaign")
     p.add_argument("--n-runs", type=_positive_int, default=6, help="number of runs")
     p.add_argument("--out", default="dataset", help="output directory")
     p.set_defaults(func=cmd_datagen)
 
-    p = sub.add_parser("calibrate", help="fit mobility scale and risk thresholds")
-    add_common(p, seeds_default=None)
+    p = sub.add_parser("calibrate", parents=[config, jobs],
+                       help="fit mobility scale and risk thresholds")
     p.add_argument("--seeds", type=_parse_seed_list, default=None,
                    help="seed list (default: 8 seeds from the config seed)")
     p.add_argument("--target-contacts", type=float, default=DEFAULT_TARGET_CONTACTS,
                    help="target mean effective contacts per agent-day")
-    p.add_argument("--target-r", type=float, default=1.2,
-                   help="reference R reported alongside the result")
     p.add_argument("--tolerance", type=float, default=DEFAULT_CONTACT_TOLERANCE,
                    help="acceptable contacts deviation")
     p.add_argument("--out", default="calibration.json", help="output JSON path")

@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -23,6 +24,23 @@ def cfg_path(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(BASE_YAML)
     return str(path)
+
+
+# the flags each command reads
+FLAGS = {
+    "run": {"--config", "--policy", "--predictor", "--seed", "--out"},
+    "pareto": {"--config", "--jobs", "--predictor", "--seeds", "--scales", "--policies",
+               "--out"},
+    "adoption": {"--config", "--jobs", "--predictor", "--seeds", "--adoptions",
+                 "--policies", "--out"},
+    "datagen": {"--config", "--jobs", "--policy", "--predictor", "--n-runs", "--out"},
+    "calibrate": {"--config", "--jobs", "--seeds", "--target-contacts", "--tolerance",
+                  "--out"},
+}
+# the other flags of a small run of each command
+SMALL = {"run": [], "pareto": ["--scales", "1.0", "--seeds", "0"],
+         "adoption": ["--adoptions", "0.3", "--seeds", "0"], "datagen": ["--n-runs", "1"],
+         "calibrate": ["--seeds", "0"]}
 
 
 def _read_csv(path):
@@ -134,11 +152,40 @@ class TestParsingAndErrors:
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, jobs):
         out = tmp_path / "out"
+        for command in ("pareto", "adoption", "datagen", "calibrate"):
+            with pytest.raises(SystemExit) as err:
+                cli.main([command, "--config", cfg_path, "--jobs", jobs, "--out", str(out)]
+                         + SMALL[command])
+            assert err.value.code == cli.EXIT_USAGE, command
+            err_text = capsys.readouterr().err
+            assert "--jobs" in err_text and "must be at least 1" in err_text, command
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("run", "--jobs", "2"),
+        ("pareto", "--policy", "pct"),
+        ("adoption", "--policy", "pct"),
+        ("calibrate", "--policy", "pct"),
+        ("calibrate", "--predictor", "oracle"),
+        ("calibrate", "--target-r", "1.2"),
+    ])
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+            self, cfg_path, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
-            cli.main(["run", "--config", cfg_path, "--jobs", jobs, "--out", str(out)])
+            cli.main([command, "--config", cfg_path, flag, value, "--out", str(out)]
+                     + SMALL[command])
         assert err.value.code == cli.EXIT_USAGE
-        assert "--jobs" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_help_lists_exactly_the_flags_the_command_reads(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--help"])
+        assert err.value.code == cli.EXIT_OK
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == FLAGS[command] | {"--help"}
 
     @pytest.mark.parametrize("n_runs", ["0", "-3"])
     def test_n_runs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, n_runs):
