@@ -1,7 +1,8 @@
 """Experiment runner: single runs, sweeps, dataset campaigns, calibration.
 
 Each command takes only the flags it reads; any other flag, or an
-abbreviated one, is a usage error. Exit codes are a stable contract: 0 success, 1 usage or config error,
+abbreviated one, is a usage error, as is an unknown --policies name.
+Exit codes are a stable contract: 0 success, 1 usage or config error,
 2 runtime failure. The TRACE_SIM_SEED environment variable overrides the
 config file's rng_seed (an explicit --seed flag still wins).
 """
@@ -60,6 +61,14 @@ def _parse_seed_list(text):
     if not seeds:
         raise argparse.ArgumentTypeError(f"{text!r} names no seed")
     return seeds
+
+
+def _parse_policy_list(text):
+    """Accept 'pct,NT', each name read as SimConfig reads it; an unknown name is an error."""
+    try:
+        return [core.SimConfig(policy=name).validate().policy for name in text.split(",")]
+    except core.ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text):
@@ -176,9 +185,8 @@ def _sweep(args, points) -> int:
 
 def cmd_pareto(args) -> int:
     cfg = _fast(_load_config(args))
-    policies = args.policies.split(",") if args.policies else list(core.POLICIES)
     return _sweep(args, [cfg.replace(global_mobility_scale=sc, rng_seed=sd, policy=pol)
-                         for sc in args.scales for sd in args.seeds for pol in policies])
+                         for sc in args.scales for sd in args.seeds for pol in args.policies])
 
 
 def cmd_adoption(args) -> int:
@@ -194,9 +202,8 @@ def cmd_adoption(args) -> int:
         print(f"error: adoption rates {bad} outside [0, smartphone_rate="
               f"{cfg.smartphone_rate}]", file=sys.stderr)
         return EXIT_USAGE
-    policies = args.policies.split(",") if args.policies else ["bct", "heuristic", "pct"]
     return _sweep(args, [cfg.replace(adoption_rate=a, rng_seed=sd, policy=pol)
-                         for a in adoptions for sd in args.seeds for pol in policies])
+                         for a in adoptions for sd in args.seeds for pol in args.policies])
 
 
 def cmd_datagen(args) -> int:
@@ -369,7 +376,7 @@ def build_parser() -> _Parser:
                        help="mobility-scale sweep to CSV")
     p.add_argument("--scales", type=_parse_float_list, required=True,
                    help="comma-separated mobility scales")
-    p.add_argument("--policies", default=None,
+    p.add_argument("--policies", type=_parse_policy_list, default=list(core.POLICIES),
                    help="comma-separated policies (default: all)")
     p.add_argument("--out", default="pareto.csv", help="output CSV path")
     p.set_defaults(func=cmd_pareto)
@@ -378,7 +385,7 @@ def build_parser() -> _Parser:
                        help="adoption-rate sweep to CSV")
     p.add_argument("--adoptions", type=_parse_float_list, required=True,
                    help="comma-separated adoption rates")
-    p.add_argument("--policies", default=None,
+    p.add_argument("--policies", type=_parse_policy_list, default=["bct", "heuristic", "pct"],
                    help="comma-separated policies (default: bct,heuristic,pct)")
     p.add_argument("--out", default="adoption.csv", help="output CSV path")
     p.set_defaults(func=cmd_adoption)

@@ -149,6 +149,17 @@ class TestParsingAndErrors:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pareto", "adoption"])
+    def test_unknown_policy_is_a_usage_error(self, cfg_path, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--config", cfg_path, "--policies", "pct,bctt", "--jobs", "1",
+                      "--out", str(out)] + SMALL[command])
+        assert err.value.code == cli.EXIT_USAGE
+        err_text = capsys.readouterr().err
+        assert "--policies" in err_text and "'bctt'" in err_text
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, jobs):
         out = tmp_path / "out"
@@ -260,6 +271,13 @@ class TestSweepCommands:
         assert rc == 0
         assert "duplicate" in capsys.readouterr().err
         assert len(_read_csv(out)) == 2
+
+    def test_policy_names_are_read_as_in_a_config(self, cfg_path, tmp_path):
+        out = tmp_path / "adoption.csv"
+        assert cli.main(["adoption", "--config", cfg_path, "--adoptions", "0.3",
+                         "--seeds", "0", "--policies", "PCT,nt", "--jobs", "1",
+                         "--out", str(out)]) == 0
+        assert [r["policy"] for r in _read_csv(out)] == ["pct", "no_tracing"]
 
     def test_adoption_out_of_range_exit_1(self, cfg_path, tmp_path, capsys):
         rc = cli.main(["adoption", "--config", cfg_path, "--adoptions", "0.9",
