@@ -344,7 +344,6 @@ class WorldState:
         fitted = cfg.policy == "pct" and cfg.risk_thresholds is not None
         self.quantize = messaging.RiskQuantizer(
             cfg.risk_thresholds if fitted else messaging.DEFAULT_THRESHOLDS)
-        self.thresholds = self.quantize.thresholds
         self.psi = np.asarray(cfg.psi_table, dtype=np.int8)
 
         self._build_population()

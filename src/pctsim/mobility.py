@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 LOCATION_TYPES = ("household", "workplace", "school", "other")
-LOC_HOUSEHOLD, LOC_WORKPLACE, LOC_SCHOOL, LOC_OTHER = range(4)
 
 QUARANTINE_LEVEL = 4
 

@@ -559,7 +559,7 @@ class TestProtocolReference:
                     for e in world.edge_days()}
             prev_aligned = np.concatenate([before[i, :1], before[i, :-1]])
             out = messaging.diff_and_emit(
-                prev_aligned, after[i], book, world.thresholds, day=day,
+                prev_aligned, after[i], book, world.quantize.thresholds, day=day,
                 own_tokens={d: _token(agent, d) for d in book})
             n_sent += len(out)
             for rcpt, msg in out:
