@@ -30,6 +30,9 @@ DEFAULT_TARGET_CONTACTS = 5.61
 DEFAULT_CONTACT_TOLERANCE = 0.5
 MAX_BISECTION_STEPS = 40
 MAX_SCALE = 512.0
+# the fields calibrate() sets on its runs, so its result does not read them
+_SET_BY_CALIBRATION = ("policy", "predictor", "external_predictions", "global_mobility_scale",
+                       "record_observables", "record_estimates", "record_encounter_log")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,6 +79,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text):
+    """A finite number above 0, such as a target or a tolerance."""
+    value = float(text)
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
     return value
 
 
@@ -174,8 +185,24 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _sweep(args, points) -> int:
-    """Run every sweep point and write one metrics row per point to ``args.out``."""
+def _sweep(args, field, values) -> int:
+    """Run every (``field`` value, seed, policy) point; write one metrics row per point.
+
+    A value repeated on any axis is dropped with a warning, so no two
+    points are the same run, and every point is validated before any runs.
+    """
+    cfg = _fast(_load_config(args))
+    axes = []
+    for name, given in ((field, values), ("seed", args.seeds), ("policy", args.policies)):
+        axis = []
+        for value in given:
+            if value in axis:
+                print(f"warning: duplicate {name} {value} ignored", file=sys.stderr)
+            else:
+                axis.append(value)
+        axes.append(axis)
+    points = [cfg.replace(**{field: v}, rng_seed=sd, policy=pol).validate()
+              for v in axes[0] for sd in axes[1] for pol in axes[2]]
     with _pool(args.jobs, len(points)) as pool:
         rows = list(_map_runs(_sweep_worker, points, pool))
     metrics.write_metrics_csv(args.out, rows)
@@ -184,26 +211,11 @@ def _sweep(args, points) -> int:
 
 
 def cmd_pareto(args) -> int:
-    cfg = _fast(_load_config(args))
-    return _sweep(args, [cfg.replace(global_mobility_scale=sc, rng_seed=sd, policy=pol)
-                         for sc in args.scales for sd in args.seeds for pol in args.policies])
+    return _sweep(args, "global_mobility_scale", args.scales)
 
 
 def cmd_adoption(args) -> int:
-    cfg = _fast(_load_config(args))
-    adoptions = []
-    for a in args.adoptions:
-        if a in adoptions:
-            print(f"warning: duplicate adoption {a} ignored", file=sys.stderr)
-            continue
-        adoptions.append(a)
-    bad = [a for a in adoptions if not 0.0 <= a <= cfg.smartphone_rate]
-    if bad:
-        print(f"error: adoption rates {bad} outside [0, smartphone_rate="
-              f"{cfg.smartphone_rate}]", file=sys.stderr)
-        return EXIT_USAGE
-    return _sweep(args, [cfg.replace(adoption_rate=a, rng_seed=sd, policy=pol)
-                         for a in adoptions for sd in args.seeds for pol in args.policies])
+    return _sweep(args, "adoption_rate", args.adoptions)
 
 
 def cmd_datagen(args) -> int:
@@ -334,7 +346,8 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
         "target_contacts": target_contacts,
         "tolerance": tolerance,
         "seeds": list(seeds),
-        "config_hash": metrics.config_hash(cfg.to_dict()),
+        "config_hash": metrics.config_hash({k: v for k, v in cfg.to_dict().items()
+                                            if k not in _SET_BY_CALIBRATION}),
         "thresholds": [float(t) for t in thresholds],
     }
 
@@ -400,9 +413,9 @@ def build_parser() -> _Parser:
                        help="fit mobility scale and risk thresholds")
     p.add_argument("--seeds", type=_parse_seed_list, default=None,
                    help="seed list (default: 8 seeds from the config seed)")
-    p.add_argument("--target-contacts", type=float, default=DEFAULT_TARGET_CONTACTS,
+    p.add_argument("--target-contacts", type=_positive_float, default=DEFAULT_TARGET_CONTACTS,
                    help="target mean effective contacts per agent-day")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_CONTACT_TOLERANCE,
+    p.add_argument("--tolerance", type=_positive_float, default=DEFAULT_CONTACT_TOLERANCE,
                    help="acceptable contacts deviation")
     p.add_argument("--out", default="calibration.json", help="output JSON path")
     p.set_defaults(func=cmd_calibrate)

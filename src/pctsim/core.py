@@ -266,11 +266,10 @@ class SimulationTrace:
 
     ``enc_windows`` (observables recording) is the run's
     ``ObservationLog``: each day's app edges once, plus that day's held
-    levels over app senders. It reads as one ``(starts, rows)`` pair per
-    day. ``rows`` is the day's uint16 ``(k, level, count)`` table of held
-    contact levels, sorted by (receiver, k, level, count), and is cut
-    from the log when read; app agent ``app_ids[i]`` owns
-    ``rows[starts[i]:starts[i + 1]]``, and ``starts[-1] == len(rows)``.
+    levels over app senders. ``enc_windows[d]`` cuts day d's
+    ``(offsets, levels, counts)`` cells from it: the (level, count) rows
+    that app agent ``app_ids[i]`` holds for its contacts of ``k`` days
+    before d are cell ``i * window + k``.
 
     ``yhat_hist`` (estimates recording) is ``(n_app, num_days, window)``
     float32: row i holds the estimates of app agent ``app_ids[i]``.
@@ -295,14 +294,13 @@ class SimulationTrace:
     y_hist: np.ndarray
     symptom_hist: np.ndarray
     test_hist: np.ndarray
-    encounters_per_day: np.ndarray
-    final_epi_state: np.ndarray
     enc_windows: ObservationLog | None = None
     yhat_hist: np.ndarray | None = None
     encounter_log: list | None = None
 
     def recovered_ids(self):
-        return set(np.flatnonzero(self.final_epi_state == STATE_R).tolist())
+        """Agents recovered at the end of the run; none after 0 days."""
+        return set(np.flatnonzero(self.epi_hist[:, -1:] == STATE_R).tolist())
 
     def write(self, trace_path, events_path):
         """Persist the trace as day-record JSONL plus an event JSONL."""
@@ -458,7 +456,6 @@ class WorldState:
         self.y_hist = np.zeros((n, days), dtype=np.float32)
         self.symptom_hist = np.zeros((n, days), dtype=np.uint8)
         self.test_hist = np.zeros((n, days), dtype=np.int8)
-        self.encounters_per_day = np.zeros(days, dtype=np.int64)
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
                             if self.cfg.record_observables and self.app_active else None)
@@ -553,7 +550,6 @@ class WorldState:
         a, b, loc = mobility.generate_encounters(
             self.loc_indexes, self.rec_level, self.cfg.global_mobility_scale,
             self.rng["mobility"])
-        self.encounters_per_day[day] = a.size
         if self.encounter_log is not None:
             self.encounter_log.append((a.copy(), b.copy(), loc.copy()))
         if self.app_active:
@@ -829,7 +825,7 @@ def step_day(world: WorldState) -> DayReport:
         i=int(counts[STATE_I]), r=int(counts[STATE_R]),
         new_cases=int(new_cases),
         cum_cases=len(world.events),
-        encounters=int(world.encounters_per_day[day]),
+        encounters=int(a.size),
         quarantined=int(q_mask.sum()),
         quarantined_healthy=int((q_mask & healthy).sum()),
         tests_ordered=int(tests_ordered),
@@ -868,8 +864,6 @@ def run(config: SimConfig) -> SimulationTrace:
         y_hist=world.y_hist,
         symptom_hist=world.symptom_hist,
         test_hist=world.test_hist,
-        encounters_per_day=world.encounters_per_day,
-        final_epi_state=world.epi_state.copy(),
         enc_windows=world.enc_windows,
         yhat_hist=world.yhat_hist,
         encounter_log=world.encounter_log,

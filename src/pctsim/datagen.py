@@ -137,7 +137,7 @@ def _render_days(trace):
             f']{nulls}],"health":[', f"{nulls}],")
         day_targets, target_rows = _render_windows(
             target_codes[:, first:day + 1][:, ::-1], target_text, after=f"{zeros}]}}\n")
-        offsets, levels, counts = trace.enc_windows.cells(day)
+        offsets, levels, counts = trace.enc_windows[day]
         top = int(counts.max(initial=0)) + 1
         # every cell, then "" for an empty slot, in each of its three forms
         cells = [f"[{level},{count}]" for level in range(int(levels.max(initial=0)) + 1)

@@ -114,7 +114,7 @@ def effective_contacts_per_agent_day(trace) -> float:
     """Mean daily contacts per agent: each encounter involves two agents."""
     if trace.num_days == 0:
         return 0.0
-    total = int(np.sum(trace.encounters_per_day))
+    total = sum(r.encounters for r in trace.day_reports)
     return 2.0 * total / (trace.population * trace.num_days)
 
 

@@ -79,17 +79,15 @@ class LocationIndex:
 
     def __init__(self, group_of):
         gid = np.asarray(group_of, dtype=np.int64)
-        self.n_agents = gid.size
-        self.gid = gid
         # stable, so ids ascend inside each group; the -1s sort first
         order = np.argsort(gid, kind="stable")
         self.flat = order[np.count_nonzero(gid < 0):]
         member_gid = gid[self.flat]
         self.size = np.bincount(member_gid)
         self.start = np.cumsum(self.size) - self.size
-        place = np.zeros(self.n_agents, dtype=np.int64)  # agent -> index in flat
+        place = np.zeros(gid.size, dtype=np.int64)  # agent -> index in flat
         place[self.flat] = np.arange(self.flat.size)
-        has_partner = np.zeros(self.n_agents, dtype=bool)
+        has_partner = np.zeros(gid.size, dtype=bool)
         has_partner[self.flat] = self.size[member_gid] >= 2
         drawers = np.flatnonzero(has_partner)
         g = gid[drawers]

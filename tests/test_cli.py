@@ -285,6 +285,31 @@ class TestSweepCommands:
         assert rc == cli.EXIT_USAGE
         assert "smartphone_rate" in capsys.readouterr().err
 
+    def test_pareto_drops_repeats_on_every_axis(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "pareto.csv"
+        rc = cli.main(["pareto", "--config", cfg_path, "--scales", "1,1.0", "--seeds", "0,0",
+                       "--policies", "pct,PCT", "--jobs", "1", "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.count("duplicate") == 3
+        assert [(r["mobility_scale"], r["seed"], r["policy"]) for r in _read_csv(out)] == \
+            [("1.0", "0", "pct")]
+
+    @pytest.mark.parametrize("command,flag,values", [
+        ("pareto", "--scales", "1.0,-1,nan"), ("pareto", "--scales", "nan"),
+        ("pareto", "--seeds", "0,-1"), ("adoption", "--adoptions", "0.3,0.9")])
+    def test_every_point_is_checked_before_any_run(self, cfg_path, tmp_path, monkeypatch,
+                                                   capsys, command, flag, values):
+        runs = []
+        monkeypatch.setattr(cli, "_sweep_worker", runs.append)
+        args = {"pareto": ["--scales", "1.0"], "adoption": ["--adoptions", "0.3"]}[command]
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, "--config", cfg_path, *args, "--seeds", "0", f"{flag}={values}",
+                       "--policies", "no_tracing", "--jobs", "1", "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert runs == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDatagenCommand:
     def test_campaign_outputs_and_determinism(self, cfg_path, tmp_path):
@@ -352,6 +377,37 @@ class TestCalibrateCommand:
         assert abs(result["achieved_contacts"] - 1.0) <= 0.5
         assert len(result["thresholds"]) == 15
         assert result["thresholds"] == sorted(result["thresholds"])
+
+    @pytest.mark.parametrize("flag", ["--target-contacts", "--tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])
+    def test_target_and_tolerance_must_be_finite_and_positive(self, cfg_path, tmp_path,
+                                                              monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(cli, "calibrate", lambda *a, **k: pytest.fail("calibration ran"))
+        out = tmp_path / "cal.json"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["calibrate", "--config", cfg_path, "--seeds", "0", f"{flag}={value}",
+                      "--out", str(out)])
+        assert err.value.code == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_hash_covers_only_what_calibration_reads(self, tmp_path):
+        base = "population_size: 200\nnum_days: 8\nrng_seed: 0\n"
+        files = {}
+        for name, extra in [("nt", ""), ("bct", "policy: bct\n"),
+                            ("pct", "policy: pct\npredictor: noisy_oracle\n"
+                                    "global_mobility_scale: 2.5\nrecord_observables: false\n"),
+                            ("careful", "carefulness: 0.5\n")]:
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(base + extra)
+            files[name] = tmp_path / f"{name}.json"
+            assert cli.main(["calibrate", "--config", str(cfg), "--seeds", "0,1",
+                             "--target-contacts", "1.0", "--tolerance", "0.5", "--jobs", "1",
+                             "--out", str(files[name])]) == 0
+        assert files["nt"].read_bytes() == files["bct"].read_bytes() == files["pct"].read_bytes()
+        hashes = {name: json.loads(path.read_text())["config_hash"]
+                  for name, path in files.items()}
+        assert hashes["careful"] != hashes["nt"]
 
     def test_parallel_jobs_write_identical_calibration(self, tmp_path, monkeypatch):
         pools = []

@@ -460,8 +460,9 @@ class TestHeuristicThroughEngine:
             assert has_positive.shape == n_symptoms.shape == max_level.shape == app.shape
             bits = [bin(int(m)).count("1") for m in world.symptom_hist[app, day]]
             assert n_symptoms.tolist() == bits
-            starts, rows = world.enc_windows[day]
-            top = [int(rows[lo:hi, 1].max(initial=0))
+            offsets, levels, _counts = world.enc_windows[day]
+            starts = offsets[::world.window]  # each app agent's first row
+            top = [int(levels[lo:hi].max(initial=0))
                    for lo, hi in zip(starts[:-1], starts[1:])]
             assert max_level.tolist() == top
         assert any(obs[0].any() for obs, _ in days)
@@ -696,18 +697,17 @@ class TestEdgeLedger:
 
 
 def _snapshot(world, day):
-    """Day ``day``'s (starts, rows) table from the live rings: one packed-key sort."""
+    """Day ``day``'s (offsets, levels, counts) cells from the live rings: one packed-key sort."""
     w, days = world.window, world.edge_days()
     key = np.concatenate([
         ((e.receiver.astype(np.int64) * w + (day - e.day)) * 16 + world.held_levels(e)) * 65536
         + np.minimum(e.count, 65535) for e in days]).view(np.uint64)
     key.sort()
-    rows = np.empty((key.size, 3), dtype=np.uint16)
-    rows[:, 0] = (key >> np.uint64(20)) % np.uint64(w)
-    rows[:, 1] = (key >> np.uint64(16)) & np.uint64(15)
-    rows[:, 2] = key & np.uint64(65535)
-    starts = np.searchsorted(key, (np.arange(world.app_ids.size) * w << 20).astype(np.uint64))
-    return np.append(starts, key.size), rows
+    # cell c = receiver * w + k holds the keys in [c << 20, (c + 1) << 20)
+    bounds = (np.arange(world.app_ids.size * w + 1) << 20).astype(np.uint64)
+    return (np.searchsorted(key, bounds),
+            ((key >> np.uint64(16)) & np.uint64(15)).astype(np.uint8),
+            (key & np.uint64(65535)).astype(np.uint16))
 
 
 class TestObservationLog:
@@ -724,12 +724,18 @@ class TestObservationLog:
             pass
         log = world.enc_windows
         assert len(log) == len(snapshots) == world.cfg.num_days
-        for day, (starts, rows) in enumerate(snapshots):
-            logged_starts, logged_rows = log[day]
-            assert logged_starts.tolist() == starts.tolist()
-            assert logged_rows.dtype == rows.dtype
-            assert logged_rows.tolist() == rows.tolist()
-        assert sum(rows.shape[0] for _starts, rows in snapshots) > 1000
+        for day, cells in enumerate(snapshots):
+            logged = log[day]
+            for got, want in zip(logged, cells):
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+            # a negative day counts from the last
+            for got, want in zip(log[day - len(log)], logged):
+                assert np.array_equal(got, want)
+        assert sum(levels.size for _offsets, levels, _counts in snapshots) > 1000
+        with pytest.raises(IndexError):
+            log[len(log)]
+        assert len(list(log)) == len(log)
 
 
 def _reference_profile(world, agent):

@@ -219,13 +219,13 @@ class TestExport:
         assert "truncated" in str(err.value)
 
     def test_missing_last_day_rejected(self, pct_trace):
-        cut = dataclasses.replace(pct_trace, enc_windows=pct_trace.enc_windows[:-1])
+        cut = dataclasses.replace(pct_trace, num_days=pct_trace.num_days + 1)
         with pytest.raises(ValueError) as err:
             list(iter_training_records(cut))
         assert "truncated" in str(err.value)
 
     def test_failed_export_leaves_no_file(self, pct_trace, tmp_path):
-        cut = dataclasses.replace(pct_trace, enc_windows=pct_trace.enc_windows[:-1])
+        cut = dataclasses.replace(pct_trace, num_days=pct_trace.num_days + 1)
         with pytest.raises(ValueError):
             export_training_records(cut, tmp_path / "records.jsonl")
         assert list(tmp_path.iterdir()) == []
@@ -233,7 +233,7 @@ class TestExport:
     def test_failed_export_keeps_the_previous_file(self, pct_trace, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text("previous\n")
-        cut = dataclasses.replace(pct_trace, enc_windows=pct_trace.enc_windows[:-1])
+        cut = dataclasses.replace(pct_trace, num_days=pct_trace.num_days + 1)
         with pytest.raises(ValueError):
             export_training_records(cut, path)
         assert list(tmp_path.iterdir()) == [path]
@@ -306,9 +306,9 @@ class TestCanonicalLines:
         assert list(iter_training_records(trace)) == read_records(path)
 
     def test_dense_trace_covers_wide_cells_and_empty_windows(self, dense_trace):
-        windows = dense_trace.enc_windows
-        assert max(int(rows[:, 2].max(initial=0)) for _starts, rows in windows) >= 10
-        assert any(np.any(np.diff(starts) == 0) for starts, _rows in windows)
+        windows, window = dense_trace.enc_windows, int(dense_trace.config["d_max"]) + 1
+        assert max(int(counts.max(initial=0)) for _offsets, _levels, counts in windows) >= 10
+        assert any(np.any(np.diff(offsets[::window]) == 0) for offsets, _l, _c in windows)
 
 
 class TestObservationStore:
@@ -317,42 +317,48 @@ class TestObservationStore:
         return pct_trace if request.param == "pct" else long_trace
 
     def test_one_table_per_day(self, trace):
+        window = int(trace.config["d_max"]) + 1
         assert len(trace.enc_windows) == trace.num_days
-        for starts, rows in trace.enc_windows:
-            assert rows.dtype == np.uint16 and rows.shape[1] == 3
-            assert starts.shape == (trace.app_ids.size + 1,)
+        for offsets, levels, counts in trace.enc_windows:
+            assert offsets.dtype == np.intp
+            assert offsets.shape == (trace.app_ids.size * window + 1,)
+            assert levels.dtype == np.uint8 and counts.dtype == np.uint16
+            assert levels.shape == counts.shape
+            assert np.all(levels <= 15)
 
     def test_starts_bound_the_rows(self, trace):
-        for starts, rows in trace.enc_windows:
-            assert starts[0] == 0
-            assert np.all(np.diff(starts) >= 0)
-            assert starts[-1] == len(rows)
+        for offsets, levels, _counts in trace.enc_windows:
+            assert offsets[0] == 0
+            assert np.all(np.diff(offsets) >= 0)
+            assert offsets[-1] == len(levels)
 
     def test_each_agents_rows_sorted(self, trace):
-        for starts, rows in trace.enc_windows:
-            for lo, hi in zip(starts[:-1], starts[1:]):
-                own = rows[lo:hi].tolist()
-                assert own == sorted(own)
+        # by (k, level, count): an agent's cells run in k order, each sorted
+        for offsets, levels, counts in trace.enc_windows:
+            cell = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+            order = np.lexsort((counts, levels, cell))
+            assert np.array_equal(order, np.arange(levels.size))
 
     def test_log_is_a_third_of_the_daily_tables(self, pct_trace):
-        # each edge is logged once, where the daily (k, level, count) tables
-        # copy it into every day of the window it stays in
-        tables = sum(rows.shape[0] for _starts, rows in pct_trace.enc_windows) * 6
+        # each edge is logged once, where daily (k, level, count) uint16 tables
+        # would copy it into every day of the window it stays in
+        tables = sum(levels.size for _offsets, levels, _counts in pct_trace.enc_windows) * 6
         assert 0 < 3 * pct_trace.enc_windows.nbytes <= tables
 
     def test_offsets_stay_in_the_window(self, trace):
         d_max = int(trace.config["d_max"])
-        for day, (_starts, rows) in enumerate(trace.enc_windows):
-            assert np.all(rows[:, 0] <= min(day, d_max))
-        top = max(int(rows[:, 0].max(initial=0)) for _s, rows in trace.enc_windows)
+        top = 0
+        for day, (offsets, _levels, _counts) in enumerate(trace.enc_windows):
+            slots = np.flatnonzero(np.diff(offsets)) % (d_max + 1)  # k of each held cell
+            assert np.all(slots <= min(day, d_max))
+            top = max(top, int(slots.max(initial=0)))
         assert top == min(trace.num_days - 1, d_max)
 
 
-def _reference_line(trace, i, day, starts, rows):
-    """One record built as a dict from the trace arrays and that day's table."""
+def _reference_line(trace, i, day, offsets, levels, counts):
+    """One record built as a dict from the trace arrays and that day's cells."""
     window = int(trace.config["d_max"]) + 1
     agent = int(trace.app_ids[i])
-    own = rows[starts[i]:starts[i + 1]].tolist()
     health, encounters, targets = [], [], []
     for k in range(window):
         d = day - k
@@ -363,7 +369,9 @@ def _reference_line(trace, i, day, starts, rows):
             continue
         health.append({"symptoms": symptom_names_from_mask(int(trace.symptom_hist[agent, d])),
                        "test": TEST_CODE_NAMES[int(trace.test_hist[agent, d])]})
-        encounters.append([[level, count] for slot, level, count in own if slot == k])
+        lo, hi = offsets[i * window + k], offsets[i * window + k + 1]
+        encounters.append([list(cell) for cell in zip(levels[lo:hi].tolist(),
+                                                      counts[lo:hi].tolist())])
         targets.append(float(trace.y_hist[agent, d]))
     record = {"schema_version": RECORD_SCHEMA_VERSION, "run_id": trace.run_id,
               "agent_id": agent, "day": day, "profile": core.agent_profile(trace, [agent])[agent],
@@ -401,15 +409,16 @@ class TestRenderer:
             lines = fh.readlines()
         assert len(lines) == n_app * num_days
         saw_cells = saw_empty_first_slot = saw_one_cell = saw_no_cells = saw_short_day = False
-        for day, (starts, rows) in enumerate(trace.enc_windows):
-            saw_cells |= rows.size > 0
+        for day, cells in enumerate(trace.enc_windows):
+            offsets = cells[0]
+            saw_cells |= offsets[-1] > 0
             saw_short_day |= day < d_max
             for i in range(n_app):
-                slots = np.bincount(rows[starts[i]:starts[i + 1], 0], minlength=d_max + 1)
+                slots = np.diff(offsets[i * (d_max + 1):(i + 1) * (d_max + 1) + 1])
                 saw_empty_first_slot |= slots[0] == 0 and slots.any()
                 saw_one_cell |= bool(np.any(slots == 1))
                 saw_no_cells |= not slots.any()
-                assert lines[day * n_app + i] == _reference_line(trace, i, day, starts, rows)
+                assert lines[day * n_app + i] == _reference_line(trace, i, day, *cells)
         assert saw_cells and saw_empty_first_slot and saw_one_cell and saw_no_cells and saw_short_day
 
     @settings(max_examples=20, deadline=None)
@@ -427,9 +436,9 @@ class TestRenderer:
             lines = "".join(text for _n, text in datagen._render_days(trace)).splitlines(True)
         n_app = trace.app_ids.size
         assert len(lines) == n_app * num_days
-        for day, (starts, rows) in enumerate(trace.enc_windows):
+        for day, cells in enumerate(trace.enc_windows):
             for i in range(n_app):
-                assert lines[day * n_app + i] == _reference_line(trace, i, day, starts, rows)
+                assert lines[day * n_app + i] == _reference_line(trace, i, day, *cells)
 
 
 class TestWindowRendering:

@@ -98,17 +98,18 @@ def _quarantined_healthy(levels, states):
     return int(((levels == 4) & healthy).sum())
 
 
-def _fake_trace(levels, states, encounters_per_day=None):
+def _fake_trace(levels, states, encounters=None):
     levels, states = np.asarray(levels), np.asarray(states)
+    if encounters is None:
+        encounters = np.zeros(levels.shape[1], int)
     return SimpleNamespace(
         level_hist=levels,
         epi_hist=states,
-        day_reports=[SimpleNamespace(quarantined_healthy=_quarantined_healthy(lv, st))
-                     for lv, st in zip(levels.T, states.T)],
+        day_reports=[SimpleNamespace(quarantined_healthy=_quarantined_healthy(lv, st),
+                                     encounters=int(n))
+                     for lv, st, n in zip(levels.T, states.T, encounters)],
         population=levels.shape[0],
         num_days=levels.shape[1],
-        encounters_per_day=encounters_per_day
-        if encounters_per_day is not None else np.zeros(levels.shape[1], int),
     )
 
 
@@ -169,14 +170,14 @@ class TestEffectiveContacts:
 
     def test_factor_two_convention(self):
         tr = _fake_trace([[1], [1]], [[STATE_S], [STATE_S]],
-                         encounters_per_day=np.array([1]))
+                         encounters=np.array([1]))
         assert effective_contacts_per_agent_day(tr) == 1.0
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(1)
         counts = rng.integers(0, 50, 20)
         tr = _fake_trace(np.ones((7, 20)), np.zeros((7, 20)),
-                         encounters_per_day=counts)
+                         encounters=counts)
         assert effective_contacts_per_agent_day(tr) == \
             pytest.approx(2 * counts.sum() / (7 * 20))
 

@@ -51,11 +51,10 @@ class TestLocationIndex:
     def test_hand_built_groups(self):
         # groups 0: {1, 4, 7}, 1: {3}, 2: {0, 5, 6}; agent 2 is in none
         index = LocationIndex(np.array([2, 0, -1, 1, 0, 2, 2, 0]))
-        assert index.n_agents == 8
         assert index.flat.tolist() == [1, 4, 7, 3, 0, 5, 6]
         assert index.start.tolist() == [0, 3, 4]
         assert index.size.tolist() == [3, 1, 3]
-        assert index.gid.tolist() == [2, 0, -1, 1, 0, 2, 2, 0]
+        assert _labels(index, 8).tolist() == [2, 0, -1, 1, 0, 2, 2, 0]
         # the members of groups of two or more, with their places in flat
         assert index.drawers.tolist() == [0, 1, 4, 5, 6, 7]
         assert index.pos.tolist() == [0, 0, 1, 1, 2, 2]
@@ -123,8 +122,8 @@ class TestGenerateEncounters:
 
     def test_pairs_stay_within_groups(self):
         rng = np.random.default_rng(4)
-        idx = {"workplace": LocationIndex(np.array([0, 0, 0, 1, 1, 2, 2, 2]))}
-        gid = idx["workplace"].gid
+        gid = np.array([0, 0, 0, 1, 1, 2, 2, 2])
+        idx = {"workplace": LocationIndex(gid)}
         for _ in range(100):
             a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8), 1.0, rng)
             assert np.all(gid[a] == gid[b])
@@ -227,6 +226,13 @@ def _assert_same_days(pools, rec_level, scale, seed, days=3):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _labels(index, n):
+    """Each agent's group label in an index, -1 for none: its groups read back from ``flat``."""
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[index.flat] = np.repeat(np.arange(index.size.size), index.size)
+    return labels
+
+
 @st.composite
 def _world(draw):
     n = draw(st.integers(1, 40))
@@ -254,6 +260,6 @@ class TestEncountersMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 9001])
     def test_default_world(self, seed):
         world = core.WorldState(core.SimConfig(rng_seed=seed))
-        pools = {name: index.gid for name, index in world.loc_indexes.items()}
+        pools = {name: _labels(index, world.n) for name, index in world.loc_indexes.items()}
         levels = np.random.default_rng(seed).integers(0, 5, world.n).astype(np.int8)
         _assert_same_days(pools, levels, 1.0, seed)
