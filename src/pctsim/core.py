@@ -271,8 +271,10 @@ class SimulationTrace:
     that app agent ``app_ids[i]`` holds for its contacts of ``k`` days
     before d are cell ``i * window + k``.
 
-    ``yhat_hist`` (estimates recording) is ``(n_app, num_days, window)``
-    float32: row i holds the estimates of app agent ``app_ids[i]``.
+    The ``(population, num_days)`` histories are column-major. ``yhat_hist``
+    (estimates recording) is ``(n_app, num_days, window)`` float32, row i for
+    ``app_ids[i]``, and views a day-major buffer: ``yhat_hist[:, d]`` is
+    contiguous, and ``ravel(order="K")`` reads all of it without a copy.
 
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
     every agent, indexed by agent id; ``agent_profile`` reads them.
@@ -451,18 +453,18 @@ class WorldState:
 
     def _init_trace_buffers(self):
         n, days = self.n, int(self.cfg.num_days)
-        self.epi_hist = np.zeros((n, days), dtype=np.int8)
-        self.level_hist = np.zeros((n, days), dtype=np.int8)
-        self.y_hist = np.zeros((n, days), dtype=np.float32)
-        self.symptom_hist = np.zeros((n, days), dtype=np.uint8)
-        self.test_hist = np.zeros((n, days), dtype=np.int8)
+        self.epi_hist = np.zeros((n, days), dtype=np.int8, order="F")
+        self.level_hist = np.zeros((n, days), dtype=np.int8, order="F")
+        self.y_hist = np.zeros((n, days), dtype=np.float32, order="F")
+        self.symptom_hist = np.zeros((n, days), dtype=np.uint8, order="F")
+        self.test_hist = np.zeros((n, days), dtype=np.int8, order="F")
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
                             if self.cfg.record_observables and self.app_active else None)
         record_estimates = (self.cfg.record_estimates
                             and self.cfg.policy in ("pct", "heuristic") and days > 0)
-        self.yhat_hist = (np.zeros((self.app_ids.size, days, self.window), dtype=np.float32)
-                          if record_estimates else None)
+        self.yhat_hist = (np.zeros((days, self.app_ids.size, self.window), dtype=np.float32)
+                          .transpose(1, 0, 2) if record_estimates else None)
         self.encounter_log = [] if self.cfg.record_encounter_log else None
         counts = np.bincount(self.epi_state, minlength=4)
         self.initial_counts = {"s": int(counts[STATE_S]), "e": int(counts[STATE_E]),
@@ -531,17 +533,17 @@ class WorldState:
     # the six daily phases
 
     def _phase_progression(self, day):
-        infected = self.exposure_day >= 0
-        t_mid = np.where(infected, day + 0.5 - self.exposure_day, 0.0)
-        state = self.epi_state.copy()
-        state[infected & (t_mid >= self.onset)] = STATE_I
-        state[infected & (t_mid >= self.recovery)] = STATE_R
-        # forward-only transitions: t_mid grows with day, thresholds fixed
-        self.epi_state = state
+        # only E and I agents move: t_mid grows with day and the thresholds are
+        # fixed, so a recovered agent stays R at y 0
+        live = np.flatnonzero((self.epi_state == STATE_E) | (self.epi_state == STATE_I))
+        t_mid = day + 0.5 - self.exposure_day[live]
+        state = self.epi_state[live]
+        state[t_mid >= self.onset[live]] = STATE_I
+        state[t_mid >= self.recovery[live]] = STATE_R
+        self.epi_state[live] = state
         y = np.zeros(self.n)
-        y[infected] = virology.evl_tent(
-            t_mid[infected], self.onset[infected], self.peak[infected],
-            self.recovery[infected], self.peak_evl[infected])
+        y[live] = virology.evl_tent(t_mid, self.onset[live], self.peak[live],
+                                    self.recovery[live], self.peak_evl[live])
         self.y_today = y
         self.y_hist[:, day] = y
 
@@ -578,16 +580,17 @@ class WorldState:
         rng = self.rng["transmission"]
         new_cases = 0
         cand_infectee, cand_infector, cand_loc = [], [], []
-        for src, dst in ((a, b), (b, a)):
-            mask = (self.epi_state[src] == STATE_I) & (self.epi_state[dst] == STATE_S)
-            if not mask.any():
+        state_a, state_b = self.epi_state[a], self.epi_state[b]
+        for src, dst, s_src, s_dst in ((a, b, state_a, state_b), (b, a, state_b, state_a)):
+            trial = np.flatnonzero((s_src == STATE_I) & (s_dst == STATE_S))
+            if not trial.size:
                 continue
             p = virology.transmission_probability(
-                self.y_today[src[mask]], cfg.transmission_base_rate, 1.0, cfg.carefulness)
-            hit = rng.random(p.size) < p
-            cand_infectee.append(dst[mask][hit])
-            cand_infector.append(src[mask][hit])
-            cand_loc.append(loc[mask][hit])
+                self.y_today[src[trial]], cfg.transmission_base_rate, 1.0, cfg.carefulness)
+            trial = trial[rng.random(p.size) < p]
+            cand_infectee.append(dst[trial])
+            cand_infector.append(src[trial])
+            cand_loc.append(loc[trial])
         if cand_infectee:
             infectees = np.concatenate(cand_infectee)
             infectors = np.concatenate(cand_infector)
@@ -623,7 +626,7 @@ class WorldState:
         reported_any = reported != 0
         self.episode_attempted[~reported_any] = False
         new_episode = reported_any & ~self.reported_any_prev & ~self.episode_attempted
-        can_test = np.isin(self.test_code, (TEST_NONE, TEST_NEGATIVE))
+        can_test = (self.test_code == TEST_NONE) | (self.test_code == TEST_NEGATIVE)
         candidates = np.flatnonzero(new_episode & can_test)
         ordered = np.zeros(0, dtype=np.int64)
         if candidates.size:
@@ -631,7 +634,8 @@ class WorldState:
             ordered = candidates[take]
             self.test_code[ordered] = TEST_PENDING
             self.result_day[ordered] = day + cfg.test_delay_days
-            self.infected_at_order[ordered] = np.isin(self.epi_state[ordered], (STATE_E, STATE_I))
+            state = self.epi_state[ordered]
+            self.infected_at_order[ordered] = (state == STATE_E) | (state == STATE_I)
         self.episode_attempted[new_episode] = True
         self.reported_any_prev = reported_any
 

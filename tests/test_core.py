@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pctsim import core, messaging
+from pctsim import core, messaging, virology
 from pctsim.core import (
     ConfigError,
     SimConfig,
@@ -819,3 +819,58 @@ class TestKeepHeap:
             out.mkdir()
             assert _digests(out, policy="pct", predictor="noisy_oracle",
                             rng_seed=0) == GOLDEN[("pct", 0)]
+
+
+def _progression_reference(world, day):
+    """Day ``day``'s (epi_state, y) from the formula over every agent ever exposed."""
+    infected = world.exposure_day >= 0
+    t_mid = np.where(infected, day + 0.5 - world.exposure_day, 0.0)
+    state = world.epi_state.copy()
+    state[infected & (t_mid >= world.onset)] = STATE_I
+    state[infected & (t_mid >= world.recovery)] = STATE_R
+    y = np.zeros(world.n)
+    y[infected] = virology.evl_tent(t_mid[infected], world.onset[infected], world.peak[infected],
+                                    world.recovery[infected], world.peak_evl[infected])
+    return state, y
+
+
+# (when exposed, onset, onset to peak, peak to recovery, peak EVL): -1 never, 0 a
+# seed exposed before day 0's step, e >= 1 infected in day e - 1's transmission
+_COURSE = st.tuples(st.integers(-1, 30), st.floats(0.5, 4.0), st.floats(0.05, 2.0),
+                    st.floats(0.05, 12.0), st.floats(0.5, 1.0))
+
+
+class TestLiveProgression:
+    @settings(max_examples=60, deadline=None)
+    @given(courses=st.lists(_COURSE, min_size=2, max_size=40), days=st.integers(1, 40))
+    # a seed that skips I on day 1, a seed at I on day 0, a day-0 infectee that
+    # skips I on day 1, and agents recovered for most of 40 days
+    @example(courses=[(0, 0.6, 0.1, 0.1, 1.0), (0, 0.5, 0.5, 1.0, 0.9),
+                      (1, 0.5, 0.05, 0.05, 0.7), (-1, 1.0, 1.0, 1.0, 1.0)], days=40)
+    def test_matches_the_all_infected_formula(self, courses, days):
+        world = init_world(_small(population_size=len(courses), num_days=days,
+                                  initial_exposed_fraction=0.0))
+        exposed, onset, rise, fall, peak_evl = map(np.asarray, zip(*courses))
+        world.onset[:], world.peak[:] = onset, onset + rise
+        world.recovery[:], world.peak_evl[:] = onset + rise + fall, peak_evl
+        world.epi_state[exposed == 0], world.exposure_day[exposed == 0] = STATE_E, 0
+        for day in range(days):
+            state, y = _progression_reference(world, day)
+            world._phase_progression(day)
+            assert world.epi_state.tolist() == state.tolist()
+            assert world.y_today.tobytes() == y.tobytes()
+            assert world.y_hist[:, day].tobytes() == y.astype(np.float32).tobytes()
+            infected = exposed == day + 1
+            world.epi_state[infected], world.exposure_day[infected] = STATE_E, day
+
+
+class TestHistoryLayout:
+    def test_each_day_is_one_contiguous_block(self):
+        world = init_world(_small(policy="pct", predictor="noisy_oracle", num_days=4))
+        for _ in range(4):
+            step_day(world)
+        for name in ("epi_hist", "level_hist", "y_hist", "symptom_hist", "test_hist", "yhat_hist"):
+            hist = getattr(world, name)
+            assert all(hist[:, d].flags.c_contiguous for d in range(4)), name
+        # so calibration reads every estimate without copying the history
+        assert np.shares_memory(world.yhat_hist.ravel(order="K"), world.yhat_hist)
