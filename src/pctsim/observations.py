@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_K_SHIFT, _LEVEL_SHIFT = np.uint64(20), np.uint64(16)
-_LEVEL_MASK, _COUNT_MASK = np.uint64(15), np.uint64(65535)
-
 
 class ObservationLog:
     """Per-day app edges and held levels, read as one day's cells at a time.
@@ -53,19 +50,22 @@ class ObservationLog:
     def __getitem__(self, d):
         day = range(len(self))[d]
         held = self._held[day]
-        parts = []
-        for k in range(held.shape[1]):
-            receiver, sender, count = self._edges[day - k]
-            parts.append(((receiver.astype(np.int64) * self.window + k) * 16
-                          + held[sender, k]) * 65536 + count)
-        key = np.concatenate(parts).view(np.uint64)
+        edges = [self._edges[day - k] for k in range(held.shape[1])]
+        key = np.empty(sum(receiver.size for receiver, _, _ in edges), dtype=np.uint64)
+        rows = np.zeros((self.n_app, self.window), dtype=np.intp)  # per cell
+        end = 0
+        for k, (receiver, sender, count) in enumerate(edges):
+            key[end:end + receiver.size] = ((receiver.astype(np.int64) * self.window + k) * 16
+                                            + held[:, k].take(sender)) * 65536 + count
+            end += receiver.size
+            rows[:, k] = np.bincount(receiver, minlength=self.n_app)
         key.sort()
-        cells = self.n_app * self.window
-        offsets = np.zeros(cells + 1, dtype=np.intp)
-        np.cumsum(np.bincount((key >> _K_SHIFT).view(np.int64), minlength=cells),
-                  out=offsets[1:])
-        return (offsets, ((key >> _LEVEL_SHIFT) & _LEVEL_MASK).astype(np.uint8),
-                (key & _COUNT_MASK).astype(np.uint16))
+        offsets = np.zeros(rows.size + 1, dtype=np.intp)
+        np.cumsum(rows, out=offsets[1:])
+        # level and count bits narrowed as they are read, with no uint64 temporary
+        levels = np.right_shift(key, 16, out=np.empty(key.size, np.uint8), casting="unsafe")
+        levels &= 15
+        return offsets, levels, key.astype(np.uint16)
 
     @property
     def nbytes(self) -> int:
