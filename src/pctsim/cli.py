@@ -336,7 +336,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
                               rng_seed=seeds[0], record_observables=False,
                               record_estimates=True, record_encounter_log=False)
     trace = core.run(traffic_cfg)
-    samples = trace.yhat_hist.ravel()
+    samples = trace.yhat_hist.ravel(order="K")
     samples = samples[samples > 0.0]
     thresholds = messaging.calibrate_thresholds(samples.astype(np.float64))
     return {
