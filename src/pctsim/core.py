@@ -48,6 +48,7 @@ CONDITION_PREVALENCE = (
 )
 
 QUARANTINE_DAYS = 14
+_POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.int64)  # symptoms in a mask
 TRACE_SCHEMA_VERSION = 1
 
 # glibc's mallopt parameters (malloc.h) and the values _keep_heap sets
@@ -249,9 +250,9 @@ class DayReport:
 class EdgeDay:
     """One day of directed app contacts, one row per (receiver, sender) pair.
 
-    Receiver and sender are int32 indexes into ``app_ids``; ``count`` is the pair's
-    number of encounters that day, clipped to 65535 in uint16. The level the
-    receiver holds depends only on (sender, day): see ``WorldState.held_levels``.
+    Receiver and sender are int32 indexes into ``app_ids``, a met pair as two mirrored
+    rows, in no set order; ``count`` is the pair's encounters that day, clipped to 65535
+    in uint16. The level the receiver holds depends only on (sender, day): see ``held_levels``.
     """
 
     day: int
@@ -439,9 +440,9 @@ class WorldState:
     def _init_app_state(self):
         cfg = self.cfg
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
-        shape = (self.app_ids.size, self.window)
-        # rings over slot day % window: the edges, and per (app sender, slot) the
-        # level it last sent for that day, which its partners hold, and the partner count
+        shape = (self.window, self.app_ids.size)
+        # rings over slot day % window: the edges, and per (slot, app sender), a row a slot,
+        # the level it last sent for that day, which its partners hold, and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
         self.held = np.full(shape, self.quantize(0.0), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
@@ -509,20 +510,19 @@ class WorldState:
         return [e for e in self.edges if e is not None]
 
     def held_levels(self, e: EdgeDay) -> np.ndarray:
-        """The level each receiver of ``e`` holds for its sender."""
-        return self.held[e.sender, e.day % self.window]
+        """The level each receiver of ``e`` holds for its sender: a gather from one ring row."""
+        return self.held[e.day % self.window].take(e.sender)
 
     def observables_for(self, day):
         """The heuristic's evidence for every app agent as of ``day``.
 
-        Returns three arrays over ``app_ids``: a positive test anywhere in
-        the window, the number of symptoms reported today, and the highest
-        risk level held from any contact in the window.
+        Returns three arrays over ``app_ids``: a positive test in the window
+        (a positive is never replaced, so one today), the number of symptoms
+        reported today, and the highest risk level held from any contact in the window.
         """
         app = self.app_ids
-        tests = self.test_hist[app, max(day - self.cfg.d_max, 0):day + 1]
-        has_positive = np.any(tests == TEST_POSITIVE, axis=1)
-        n_symptoms = np.unpackbits(self.symptom_hist[app, day][:, None], axis=1).sum(axis=1)
+        has_positive = self.test_hist[:, day][app] == TEST_POSITIVE
+        n_symptoms = _POPCOUNT.take(self.symptom_hist[:, day][app])
         # held's dtype: np.maximum.at is ~30x slower when the dtypes differ
         top = np.zeros(app.size, dtype=np.int8)
         for e in self.edge_days():
@@ -559,21 +559,21 @@ class WorldState:
         return a, b, loc
 
     def _register_app_contacts(self, a, b, day):
-        """Today's app-pair encounters, both directions, replace the oldest day.
+        """Today's app-pair encounters, counted once per pair and mirrored, replace the oldest day.
 
         Each receiver starts out holding the level the sender last sent for
         yesterday. An update sent yesterday to the replaced day is dropped.
         """
-        both = self.has_app[a] & self.has_app[b]
+        both = np.flatnonzero(self.has_app[a] & self.has_app[b])  # two bool masks take ~3x as long
         x, y = self._app_index[a[both]], self._app_index[b[both]]
         n_app = self.app_ids.size
-        keys, count = np.unique(np.concatenate([x * n_app + y, y * n_app + x]),
-                                return_counts=True)
-        receiver, sender = np.array(np.divmod(keys, n_app), dtype=np.int32)
-        slot = day % self.window
-        self.edges[slot] = EdgeDay(day, receiver, sender, np.minimum(count, 65535).astype(np.uint16))
-        self.held[:, slot] = self.held[:, (day - 1) % self.window]
-        self.outdeg[:, slot] = np.bincount(sender, minlength=n_app)
+        keys, count = np.unique(np.minimum(x, y) * n_app + np.maximum(x, y), return_counts=True)
+        pairs = np.array(np.divmod(keys, n_app), dtype=np.int32)  # rows lo, hi
+        receiver, slot = pairs.ravel(), day % self.window
+        count = np.tile(np.minimum(count, 65535).astype(np.uint16), 2)
+        self.edges[slot] = EdgeDay(day, receiver, pairs[::-1].ravel(), count)
+        self.held[slot] = self.held[(day - 1) % self.window]
+        self.outdeg[slot] = np.bincount(receiver, minlength=n_app)
 
     def _phase_transmission(self, day, a, b, loc):
         cfg = self.cfg
@@ -697,7 +697,7 @@ class WorldState:
         self.bct_flag = np.zeros(self.n, dtype=bool)
         for e in self.edge_days():
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
-        return int(self.outdeg[flaggers].sum())
+        return int(self.outdeg[:, flaggers].sum())
 
     def _predict(self, day):
         """(n_app, window) predictions, newest-first."""
@@ -732,15 +732,15 @@ class WorldState:
 
         Slot k of an agent's history covers day ``day - k``; a changed slot
         sends its new level to every partner the agent met that day, one
-        message per edge, and ``held`` takes it. A failed external
-        prediction is yesterday's estimate moved one day older, which
+        message per edge, and ``held``'s row of that day takes it. A failed
+        external prediction is yesterday's estimate moved one day older, which
         quantizes to what its partners hold, so it sends nothing.
         """
         span = min(day + 1, self.window)  # slots of days that have edges
         cols = (day - np.arange(span)) % self.window
-        changed = qlev[:, :span] != self.held[:, cols]
-        self.held[:, cols] = qlev[:, :span]
-        sent = int(np.einsum("ij,ij->", self.outdeg[:, cols], changed, dtype=np.int64))
+        changed = qlev[:, :span].T != self.held[cols]
+        self.held[cols] = qlev[:, :span].T
+        sent = int(np.einsum("ij,ij->", self.outdeg[cols], changed, dtype=np.int64))
         self.policy_level[self.app_ids] = levels
         if self.yhat_hist is not None:
             self.yhat_hist[:, day] = y_hat
@@ -750,7 +750,7 @@ class WorldState:
         """Log today's app edges and the levels held before today's sends, newest day first."""
         e = self.edges[day % self.window]
         cols = (day - np.arange(min(day + 1, self.window))) % self.window
-        self.enc_windows.append(e.receiver, e.sender, e.count, self.held[:, cols])
+        self.enc_windows.append(e.receiver, e.sender, e.count, self.held[cols].T)
 
     def _phase_levels(self, day):
         cfg = self.cfg

@@ -50,7 +50,7 @@ def calibrate_thresholds(samples) -> np.ndarray:
     epsilon spacing so the result is strictly increasing.
 
     Args:
-        samples: predicted infectiousness values in [0, 1].
+        samples: predicted infectiousness values in [0, 1], an array or a sequence.
 
     Returns:
         Array of 15 strictly increasing cut points.
@@ -58,7 +58,7 @@ def calibrate_thresholds(samples) -> np.ndarray:
     Raises:
         ValueError: on empty input or values outside [0, 1].
     """
-    samples = np.asarray(list(samples), dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("calibrate_thresholds: empty sample")
     if samples.min() < 0.0 or samples.max() > 1.0:

@@ -39,7 +39,9 @@ class ObservationLog:
 
         ``held[j, k]`` is the level that app sender ``j``'s partners of
         ``k`` days ago hold for it, one column per day of the window the
-        run has reached. The arrays are kept, not copied: do not write to them.
+        run has reached. The engine passes the transpose of its (day, sender)
+        rows, so each column is contiguous. The arrays are kept, not copied:
+        do not write to them.
         """
         self._edges.append((receiver, sender, count))
         self._held.append(held)

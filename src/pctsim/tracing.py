@@ -34,6 +34,14 @@ import numpy as np
 DEFAULT_PSI = (1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4)
 
 
+# The ladder's (score, level) for each 5-bit evidence code, bits from the
+# highest: a positive test, two or more symptoms or a received level of 12 or
+# more, a received level of 8 or more, a symptom, a received level of 4 or more
+_POS, _STRONG, _MEDIUM, _SYMPTOM, _WEAK = (np.arange(32) >> np.arange(4, -1, -1)[:, None] & 1).astype(bool)
+_SCORE = np.select([_POS, _STRONG, _MEDIUM, _SYMPTOM | _WEAK], [1.0, 0.75, 0.5, 0.25], 0.0)
+_LEVEL = np.select([_POS, _STRONG, _MEDIUM | _SYMPTOM], [4, 3, 2], 1).astype(np.int8)
+
+
 def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
     """Rule ladder over per-agent evidence arrays.
 
@@ -43,17 +51,14 @@ def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
     level of 12 or more, give level 3 (0.75); a received level of 8 or
     more gives level 2 (0.5); a single symptom gives level 2 at 0.25; a
     received level of 4 to 7 is weak evidence at level 1 (0.25). No
-    evidence keeps the baseline level 1 at score 0.
+    evidence keeps the baseline level 1 at score 0. Each agent's evidence
+    is packed into one 5-bit code and both answers are looked up.
     """
-    pos = np.asarray(has_positive_test, dtype=bool)
     n_sym = np.asarray(n_symptoms_today)
     top = np.asarray(max_received_level)
-    strong = (n_sym >= 2) | (top >= 12)
-    medium = top >= 8
-    weak = (n_sym >= 1) | (top >= 4)
-    score = np.select([pos, strong, medium, weak], [1.0, 0.75, 0.5, 0.25], 0.0)
-    level = np.select([pos, strong, medium | (n_sym >= 1)], [4, 3, 2], 1).astype(np.int8)
-    return score, level
+    code = (np.asarray(has_positive_test, dtype=np.intp) << 4 | ((n_sym >= 2) | (top >= 12)) << 3
+            | (top >= 8) << 2 | (n_sym >= 1) << 1 | (top >= 4))
+    return _SCORE[code], _LEVEL[code]
 
 
 class ExternalPredictor:

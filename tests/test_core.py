@@ -481,6 +481,46 @@ class TestHeuristicThroughEngine:
         assert sum(r.messages for r in uniform.day_reports) > 0
 
 
+def _observables_reference(world, day):
+    """The heuristic's evidence by the window formula: a positive anywhere in the
+    window's ``test_hist`` columns, ``unpackbits`` of today's symptom masks, and the
+    highest level over a (sender, slot) gather of the ``(n_app, window)`` held levels."""
+    app = world.app_ids
+    tests = world.test_hist[app, max(day - world.cfg.d_max, 0):day + 1]
+    has_positive = np.any(tests == TEST_POSITIVE, axis=1)
+    n_symptoms = np.unpackbits(world.symptom_hist[app, day][:, None], axis=1).sum(axis=1)
+    held = world.held.T
+    top = np.zeros(app.size, dtype=np.int8)
+    for e in world.edge_days():
+        np.maximum.at(top, e.receiver, held[e.sender, e.day % world.window])
+    return has_positive, n_symptoms, top.astype(np.int64)
+
+
+class TestObservablesReference:
+    @pytest.mark.parametrize("d_max", [1, 14, 15])
+    def test_matches_the_window_formula(self, d_max):
+        cfg = _small(policy="heuristic", population_size=600, num_days=20, d_max=d_max,
+                     initial_exposed_fraction=0.05, global_mobility_scale=3.75)
+        assert min(cfg.symptom_dropout, cfg.symptom_dropin, cfg.all_levels_dropout,
+                   cfg.quarantine_dropout_test, cfg.quarantine_dropout_household) > 0
+        world = init_world(cfg)
+        pairs = []
+        _spy_publish(world, lambda w, day, _y: pairs.append(
+            (w.observables_for(day), _observables_reference(w, day))))
+        for _ in range(cfg.num_days):
+            step_day(world)
+        assert len(pairs) == cfg.num_days
+        for got, want in pairs:
+            for g, x in zip(got, want):
+                assert np.array_equal(g, x)
+        # the window's positives are today's only because a positive is never replaced
+        positive = world.test_hist == TEST_POSITIVE
+        assert np.array_equal(np.maximum.accumulate(positive, axis=1), positive)
+        assert positive[:, -1].sum() > 0
+        assert any(want[0].any() and want[1].max() >= 2 and want[2].max() >= 12
+                   for _got, want in pairs)
+
+
 class TestFalseNegativeRate:
     def test_negative_results_occur_at_configured_rate(self):
         # with symptom drop-ins disabled, only truly infected agents ever
@@ -521,7 +561,7 @@ def _stepped(policy, at_publish=None, **kw):
 
     _spy_publish(world, read)
     for day in range(world.cfg.num_days):
-        shared = world.held[:, (day - 1) % world.window].copy()
+        shared = world.held[(day - 1) % world.window].copy()
         before = estimates[-1]
         report = step_day(world)
         yield world, day, report, shared, before, estimates[-1]
@@ -642,12 +682,12 @@ class TestFailedPredictions:
             changed = world.held != entered[day]
             assert report.messages == int((world.outdeg * changed).sum())
             failed = missing[app, day]
-            assert not changed[failed].any()
+            assert not changed[:, failed].any()
             span = min(day + 1, w)
             cols = (day - np.arange(span)) % w
             own = world.quantize(g[np.ix_(app, day + w - np.arange(span))])
-            assert np.array_equal(world.held[~failed][:, cols], own[~failed])
-            sends[:, day - np.arange(span)] += changed[:, cols]
+            assert np.array_equal(world.held[cols][:, ~failed], own[~failed].T)
+            sends[:, day - np.arange(span)] += changed[cols].T
             total += report.messages
         assert sends.max() == 1
         assert missing[app].mean() > 0.1 and total > 1000
@@ -694,6 +734,45 @@ class TestEdgeLedger:
                            for r, s in zip(app[e.receiver].tolist(), app[e.sender].tolist()))
                 held = world.held_levels(e)
                 assert np.all((held >= 0) & (held <= 15))
+
+
+def _directed_registration(world, a, b):
+    """A day's edges by the directed formula: one ``np.unique`` over both directions
+    of every app pair. Returns (receiver, sender, count, outdeg)."""
+    both = world.has_app[a] & world.has_app[b]
+    x, y = world._app_index[a[both]], world._app_index[b[both]]
+    n_app = world.app_ids.size
+    keys, count = np.unique(np.concatenate([x * n_app + y, y * n_app + x]), return_counts=True)
+    receiver, sender = np.divmod(keys, n_app)
+    return receiver, sender, np.minimum(count, 65535), np.bincount(sender, minlength=n_app)
+
+
+def _rows(*columns):
+    """The rows of equal-length columns in lexicographic order, so equal multisets compare equal."""
+    table = np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1)
+    return table[np.lexsort(table.T[::-1])]
+
+
+class TestRegistration:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(30, 300), policy=st.sampled_from(["bct", "heuristic", "pct"]),
+           adoption=st.floats(0.1, 0.6), days=st.integers(1, 8),
+           d_max=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+    def test_pair_keys_match_the_directed_formula(self, n, policy, adoption, days, d_max, seed):
+        world = init_world(_small(policy=policy, population_size=n, num_days=days,
+                                  adoption_rate=adoption, d_max=d_max, rng_seed=seed,
+                                  global_mobility_scale=3.75, record_encounter_log=True))
+        for day in range(days):
+            step_day(world)
+            e = world.edges[day % world.window]
+            receiver, sender, count, outdeg = _directed_registration(
+                world, *world.encounter_log[day][:2])
+            assert e.day == day
+            assert (e.receiver.dtype, e.sender.dtype, e.count.dtype) == (np.int32, np.int32,
+                                                                         np.uint16)
+            assert np.array_equal(_rows(e.receiver, e.sender, e.count),
+                                  _rows(receiver, sender, count))
+            assert np.array_equal(world.outdeg[day % world.window], outdeg)
 
 
 def _snapshot(world, day):

@@ -29,6 +29,17 @@ def _ladder(pos, n_sym, top):
     return float(score[0]), int(level[0])
 
 
+def _select_ladder(pos, n_sym, top):
+    """The ladder as two ``np.select`` calls over the evidence arrays."""
+    pos, n_sym, top = np.asarray(pos, dtype=bool), np.asarray(n_sym), np.asarray(top)
+    strong = (n_sym >= 2) | (top >= 12)
+    medium = top >= 8
+    weak = (n_sym >= 1) | (top >= 4)
+    score = np.select([pos, strong, medium, weak], [1.0, 0.75, 0.5, 0.25], 0.0)
+    level = np.select([pos, strong, medium | (n_sym >= 1)], [4, 3, 2], 1).astype(np.int8)
+    return score, level
+
+
 def _documented_ladder(pos, n_sym, top):
     """The ladder as the README states it, rule by rule."""
     if pos:
@@ -92,6 +103,18 @@ class TestHeuristicLadder:
         for i in range(pos.size):
             expected = _documented_ladder(bool(pos[i]), int(n_sym[i]), int(top[i]))
             assert (float(score[i]), int(level[i])) == expected, (pos[i], n_sym[i], top[i])
+
+    @pytest.mark.parametrize("dtypes", [(np.int64, np.int64), (np.uint64, np.int8)],
+                             ids=["int64", "uint64-int8"])
+    def test_lookup_matches_the_select_formula(self, dtypes):
+        pos, n_sym, top = (g.ravel() for g in np.meshgrid(
+            [False, True], np.arange(6), np.arange(16), indexing="ij"))
+        n_sym, top = n_sym.astype(dtypes[0]), top.astype(dtypes[1])
+        score, level = policy_heuristic(pos, n_sym, top)
+        want_score, want_level = _select_ladder(pos, n_sym, top)
+        assert score.dtype == want_score.dtype and level.dtype == want_level.dtype
+        assert score.tobytes() == want_score.tobytes()
+        assert level.tobytes() == want_level.tobytes()
 
 
 def _quiet_world(policy, **kw):
@@ -175,7 +198,7 @@ class TestBctPolicy:
         def inject(w, day):
             for e in w.edge_days():
                 mine = e.receiver == 0  # agent is app_ids[0]
-                w.held[e.sender[mine], e.day % w.window] = N_RISK_LEVELS - 1
+                w.held[e.day % w.window, e.sender[mine]] = N_RISK_LEVELS - 1
                 held.append(int((w.held_levels(e)[mine] == N_RISK_LEVELS - 1).sum()))
 
         levels = _levels_after(world, inject, 25)
@@ -390,7 +413,7 @@ class TestPctPolicy:
         assert nan.day_reports[0].messages > 0
         assert nan.policy_level[agent] == 1
         # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
-        assert np.all(nan.held[0] == nan.quantize(0.0))
+        assert np.all(nan.held[:, 0] == nan.quantize(0.0))
         assert np.array_equal(nan.external.y_hat[0, 0], np.zeros(15))
         assert np.array_equal(nan.policy_level, missing.policy_level)
         assert np.array_equal(nan.yhat_hist, missing.yhat_hist)
