@@ -56,7 +56,7 @@ def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
     """
     n_sym = np.asarray(n_symptoms_today)
     top = np.asarray(max_received_level)
-    code = (np.asarray(has_positive_test, dtype=np.intp) << 4 | ((n_sym >= 2) | (top >= 12)) << 3
+    code = (np.asarray(has_positive_test, dtype=bool) << 4 | ((n_sym >= 2) | (top >= 12)) << 3
             | (top >= 8) << 2 | (n_sym >= 1) << 1 | (top >= 4))
     return _SCORE[code], _LEVEL[code]
 
