@@ -75,5 +75,5 @@ replay = run(cfg.replace(predictor="external", external_predictions=str(preds)))
 messages = sum(r.messages for r in oracle.day_reports)
 print(f"\noracle run: {len(oracle.events)} infections, {messages} messages")
 print(f"its targets replayed through predictor: external: {len(replay.events)} infections")
-if replay.events != oracle.events or replay.day_reports != oracle.day_reports:
+if not np.array_equal(replay.events, oracle.events) or replay.day_reports != oracle.day_reports:
     raise SystemExit("the replay diverged from the oracle run")

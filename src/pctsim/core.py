@@ -48,6 +48,7 @@ CONDITION_PREVALENCE = (
 )
 
 QUARANTINE_DAYS = 14
+EVENT_LOCATIONS = (*mobility.LOCATION_TYPES, "external")  # code -1: a seed
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.int64)  # symptoms in a mask
 TRACE_SCHEMA_VERSION = 1
 
@@ -222,14 +223,6 @@ def load_config(path) -> SimConfig:
 
 
 @dataclass
-class InfectionEvent:
-    day: int
-    infector: int  # EXTERNAL_SEED (-1) for seeded cases
-    infectee: int
-    location: str
-
-
-@dataclass
 class DayReport:
     day: int
     s: int
@@ -279,6 +272,9 @@ class SimulationTrace:
 
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
     every agent, indexed by agent id; ``agent_profile`` reads them.
+
+    ``events`` is ``(m, 4)`` int64 in infection order, a row ``(day, infector, infectee,
+    location)``; a seed has infector EXTERNAL_SEED and location -1 (``EVENT_LOCATIONS``).
     """
 
     config: dict
@@ -291,7 +287,7 @@ class SimulationTrace:
     conditions: np.ndarray
     initial_counts: dict
     day_reports: list
-    events: list
+    events: np.ndarray
     epi_hist: np.ndarray
     level_hist: np.ndarray
     y_hist: np.ndarray
@@ -302,8 +298,8 @@ class SimulationTrace:
     encounter_log: list | None = None
 
     def recovered_ids(self):
-        """Agents recovered at the end of the run; none after 0 days."""
-        return set(np.flatnonzero(self.epi_hist[:, -1:] == STATE_R).tolist())
+        """Sorted ids of the agents recovered at the end of the run; none after 0 days."""
+        return np.flatnonzero(self.epi_hist[:, -1:] == STATE_R)
 
     def write(self, trace_path, events_path):
         """Persist the trace as day-record JSONL plus an event JSONL."""
@@ -323,9 +319,10 @@ class SimulationTrace:
                     rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
                 fh.write(dump(rec) + "\n")
         with open(events_path, "w") as fh:
-            # the bytes of dump(asdict(ev)); location names need no escaping
+            # one sort_keys JSON object a row; location names need no escaping
             fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
-                          % (ev.day, ev.infectee, ev.infector, ev.location) for ev in self.events)
+                          % (day, infectee, infector, EVENT_LOCATIONS[loc])
+                          for day, infector, infectee, loc in self.events.tolist())
 
 
 class WorldState:
@@ -418,11 +415,15 @@ class WorldState:
         self.asymptomatic = np.zeros(n, dtype=bool)
         self.symptom_mask = np.zeros(n, dtype=np.uint8)
         self.rec_level = np.ones(n, dtype=np.int8)
-        self.events: list[InfectionEvent] = []
+        # who infected each agent and where (an EVENT_LOCATIONS code), and the infected in order
+        self.infector = np.full(n, EXTERNAL_SEED, dtype=np.int32)
+        self.infection_loc = np.full(n, -1, dtype=np.int8)
+        self.infection_order = np.zeros(n, dtype=np.int32)
+        self.n_infected = 0
 
         n_seed = int(round(self.cfg.initial_exposed_fraction * n))
         seeds = np.sort(self.rng["disease"].choice(n, size=n_seed, replace=False)) if n_seed else np.zeros(0, dtype=np.int64)
-        self._expose(seeds, day=0, infectors=None, locations=None)
+        self._expose(seeds, day=0)
 
         # testing state (symptoms and tests are modeled for app agents)
         self.test_code = np.full(n, TEST_NONE, dtype=np.int8)
@@ -474,8 +475,14 @@ class WorldState:
     # ------------------------------------------------------------------
     # helpers
 
-    def _expose(self, agents, day, infectors, locations):
-        """Mark agents Exposed at ``day`` and sample their disease courses."""
+    @property
+    def events(self) -> np.ndarray:
+        """The infections so far, as ``SimulationTrace.events``."""
+        i = self.infection_order[:self.n_infected]
+        return np.column_stack((self.exposure_day[i], self.infector[i], i, self.infection_loc[i]))
+
+    def _expose(self, agents, day, infectors=None, locations=None):
+        """Mark agents Exposed at ``day``, in this order, and sample their disease courses."""
         agents = np.asarray(agents, dtype=np.int64)
         if agents.size == 0:
             return
@@ -491,12 +498,11 @@ class WorldState:
         self.peak_evl[agents] = courses["peak_evl"]
         self.asymptomatic[agents] = courses["is_asymptomatic"]
         self.symptom_mask[agents] = courses["symptom_mask"]
-        for i, agent in enumerate(agents.tolist()):
-            if infectors is None:
-                self.events.append(InfectionEvent(day, EXTERNAL_SEED, agent, "external"))
-            else:
-                self.events.append(InfectionEvent(
-                    day, int(infectors[i]), agent, mobility.LOCATION_TYPES[int(locations[i])]))
+        if infectors is not None:
+            self.infector[agents] = infectors
+            self.infection_loc[agents] = locations
+        self.infection_order[self.n_infected:self.n_infected + agents.size] = agents
+        self.n_infected += agents.size
 
     def ground_truth_window(self, day) -> np.ndarray:
         """(n_app, window) matrix of app agents' y values, newest-first, zero before day 0."""
@@ -828,7 +834,7 @@ def step_day(world: WorldState) -> DayReport:
         s=int(counts[STATE_S]), e=int(counts[STATE_E]),
         i=int(counts[STATE_I]), r=int(counts[STATE_R]),
         new_cases=int(new_cases),
-        cum_cases=len(world.events),
+        cum_cases=world.n_infected,
         encounters=int(a.size),
         quarantined=int(q_mask.sum()),
         quarantined_healthy=int((q_mask & healthy).sum()),

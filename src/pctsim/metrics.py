@@ -38,8 +38,10 @@ def estimate_r(events, recovered, window=None) -> float:
     """Children-per-recovered-parent ratio over the infection tree.
 
     Args:
-        events: iterable of (day, infector, infectee, *rest); infector is
-            EXTERNAL_SEED (-1) for seeded cases.
+        events: ``(m, k >= 3)`` integer array, or iterable of tuples, of
+            (day, infector, infectee, *rest); infector is EXTERNAL_SEED (-1)
+            for seeded cases. Agent ids index agents: work is linear in the
+            largest id.
         recovered: set/array of agent ids recovered by the end of the run.
         window: optional (start, end) half-open range; a parent counts
             only if its own exposure day lies in the window. Children of
@@ -50,45 +52,40 @@ def estimate_r(events, recovered, window=None) -> float:
 
     Raises:
         ValueError: if any agent is infected more than once, infects
-            itself, or has an infector that never appears as an infectee
-            (a broken tree).
+            itself, has an infector that never appears as an infectee
+            (a broken tree), or is infected before its infector.
     """
-    recovered = set(int(a) for a in np.asarray(list(recovered)).ravel()) if not isinstance(recovered, set) else recovered
-    exposure_day: dict[int, int] = {}
-    parent_of: dict[int, int] = {}
-    rows = []
-    for ev in events:
-        if hasattr(ev, "infectee"):
-            day, infector, infectee = int(ev.day), int(ev.infector), int(ev.infectee)
-        else:
-            day, infector, infectee = int(ev[0]), int(ev[1]), int(ev[2])
-        if infectee in parent_of:
-            raise ValueError(f"agent {infectee} has multiple infection events")
-        if infector == infectee:
-            raise ValueError(f"agent {infectee} infects itself")
-        parent_of[infectee] = infector
-        exposure_day[infectee] = day
-        rows.append((day, infector, infectee))
-    for day, infector, infectee in rows:
-        if infector == EXTERNAL_SEED:
-            continue
-        if infector not in exposure_day:
-            raise ValueError(f"infector {infector} was never infected")
-        if exposure_day[infector] > day:
-            raise ValueError(f"event at day {day} precedes infector {infector}'s exposure")
+    if not isinstance(events, np.ndarray):
+        events = np.array([ev[:3] for ev in events], dtype=np.int64).reshape(-1, 3)
+    day, infector, infectee = events[:, :3].T
+    # per agent id: how often it is infected, and on which day
+    n = int(max(infectee.max(initial=0), infector.max(initial=0))) + 1
+    infections = np.bincount(infectee, minlength=n)
+    if infections.max(initial=0) > 1:
+        raise ValueError(f"agent {infections.argmax()} has multiple infection events")
+    if np.any(infector == infectee):
+        raise ValueError(f"agent {infectee[infector == infectee][0]} infects itself")
+    exposed_on = np.zeros(n, dtype=np.int64)
+    exposed_on[infectee] = day
+    seeded = infector == EXTERNAL_SEED
+    source, when = infector[~seeded], day[~seeded]
+    unknown = (source < 0) | (infections.take(source, mode="clip") == 0)
+    if unknown.any():
+        raise ValueError(f"infector {source[unknown][0]} was never infected")
+    early = exposed_on.take(source, mode="clip") > when
+    if early.any():
+        raise ValueError(f"event at day {when[early][0]} precedes infector "
+                         f"{source[early][0]}'s exposure")
 
-    def in_window(d):
-        return window is None or (window[0] <= d < window[1])
-
-    parents = {
-        a
-        for a, p in parent_of.items()
-        if p != EXTERNAL_SEED and a in recovered and in_window(exposure_day[a])
-    }
-    if not parents:
+    if isinstance(recovered, (set, frozenset)):
+        recovered = list(recovered)
+    counted = ~seeded & np.isin(infectee, np.asarray(recovered, dtype=np.int64))
+    if window is not None:
+        counted &= (window[0] <= day) & (day < window[1])
+    parents = infectee[counted]
+    if not parents.size:
         return math.nan
-    children = sum(1 for _, infector, _i in rows if infector in parents)
-    return children / len(parents)
+    return int(np.isin(infector, parents).sum()) / parents.size
 
 
 def default_r_window(num_days: int) -> tuple[int, int]:
@@ -116,11 +113,6 @@ def effective_contacts_per_agent_day(trace) -> float:
         return 0.0
     total = sum(r.encounters for r in trace.day_reports)
     return 2.0 * total / (trace.population * trace.num_days)
-
-
-def cumulative_cases(trace) -> int:
-    """Total infections including external seeds (equals len(events))."""
-    return len(trace.events)
 
 
 def pareto_point(trace, window=None):
@@ -153,7 +145,7 @@ def metrics_row(trace, seed: int) -> dict:
         "mobility_scale": cfg["global_mobility_scale"],
         "contacts": f"{contacts:.6f}",
         "r": f"{r:.6f}" if not math.isnan(r) else "nan",
-        "cumulative_cases": cumulative_cases(trace),
+        "cumulative_cases": len(trace.events),  # seeds included
         "false_quarantine": f"{false_quarantine_fraction(trace):.6f}",
         "status": "ok",
     }

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pctsim import core, messaging, virology
 from pctsim.core import (
+    EVENT_LOCATIONS,
     ConfigError,
     SimConfig,
     init_world,
@@ -97,10 +98,9 @@ class TestConfigValidation:
 class TestSeedingAndPopulation:
     def test_initial_seed_count(self):
         tr = run(SimConfig(population_size=3000, num_days=1, rng_seed=0))
-        seeds = [ev for ev in tr.events if ev.day == 0
-                 and ev.infector == EXTERNAL_SEED]
+        seeds = tr.events[(tr.events[:, 0] == 0) & (tr.events[:, 1] == EXTERNAL_SEED)]
         assert len(seeds) == 12
-        assert all(ev.location == "external" for ev in seeds)
+        assert {EVENT_LOCATIONS[code] for code in seeds[:, 3].tolist()} == {"external"}
         assert tr.initial_counts["e"] == 12
         assert tr.initial_counts["s"] == 2988
 
@@ -113,7 +113,7 @@ class TestSeedingAndPopulation:
 
     def test_zero_initial_exposed_stays_quiet(self):
         tr = run(_small(initial_exposed_fraction=0.0))
-        assert tr.events == []
+        np.testing.assert_array_equal(tr.events, np.zeros((0, 4), dtype=np.int64))
         assert np.all(tr.epi_hist == STATE_S)
 
     def test_households_partition_population(self):
@@ -277,20 +277,31 @@ class TestRunInvariants:
         assert np.all(diffs >= 0)
 
     def test_each_infectee_infected_once(self, trace):
-        infectees = [ev.infectee for ev in trace.events]
+        infectees = trace.events[:, 2].tolist()
         assert len(infectees) == len(set(infectees))
 
     def test_infection_closure(self, trace):
         """Every non-seed infection has an infectious infector and a
         same-day encounter between the pair."""
-        for ev in trace.events:
-            if ev.infector == EXTERNAL_SEED:
+        pairs_on = {}
+        for day, infector, infectee, _loc in trace.events.tolist():
+            if infector == EXTERNAL_SEED:
                 continue
-            assert trace.epi_hist[ev.infector, ev.day] == STATE_I
-            a, b, _loc = trace.encounter_log[ev.day]
-            pairs = set(zip(a.tolist(), b.tolist()))
-            assert (ev.infector, ev.infectee) in pairs \
-                or (ev.infectee, ev.infector) in pairs
+            assert trace.epi_hist[infector, day] == STATE_I
+            if day not in pairs_on:
+                a, b, _loc = trace.encounter_log[day]
+                pairs_on[day] = set(zip(a.tolist(), b.tolist()))
+            pairs = pairs_on[day]
+            assert (infector, infectee) in pairs or (infectee, infector) in pairs
+
+    def test_event_columns_follow_the_world(self):
+        world = init_world(_small(policy="bct"))
+        cum_cases = [step_day(world).cum_cases for _ in range(world.cfg.num_days)]
+        events = world.events
+        np.testing.assert_array_equal(world.exposure_day[events[:, 2]], events[:, 0])
+        assert (world.exposure_day >= 0).sum() == len(events) > 0
+        assert np.all(np.diff(events[:, 0]) >= 0)
+        assert cum_cases == [int((events[:, 0] <= d).sum()) for d in range(len(cum_cases))]
 
     def test_seed_variance(self):
         totals = {len(run(_small(rng_seed=s, num_days=15)).events)
@@ -477,7 +488,7 @@ class TestHeuristicThroughEngine:
                      initial_exposed_fraction=0.05, global_mobility_scale=3.75)
         uniform, cut = run(cfg), run(cfg.replace(risk_thresholds=fitted))
         assert cut.day_reports == uniform.day_reports
-        assert cut.events == uniform.events
+        np.testing.assert_array_equal(cut.events, uniform.events)
         assert sum(r.messages for r in uniform.day_reports) > 0
 
 

@@ -168,7 +168,7 @@ class TestExport:
         assert all(t == 0.0 for t in first["targets"][1:])
 
     def test_never_infected_targets_all_zero(self, pct_trace):
-        infected = {ev.infectee for ev in pct_trace.events}
+        infected = set(pct_trace.events[:, 2].tolist())
         clean = [a for a in pct_trace.app_ids.tolist() if a not in infected]
         assert clean
         target_sums = {a: 0.0 for a in clean}

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pctsim import metrics
-from pctsim.core import POLICIES, SimConfig, run
+from pctsim.core import EVENT_LOCATIONS, POLICIES, SimConfig, run
 from pctsim.metrics import (
     CSV_FIELDS,
     EXTERNAL_SEED,
@@ -21,6 +21,12 @@ from pctsim.metrics import (
     estimate_r,
     false_quarantine_fraction,
 )
+
+
+# the same events as a list of tuples and as an (m, 3) array
+_LIST_OR_ARRAY = pytest.mark.parametrize(
+    "as_input", [list, lambda events: np.array(events, dtype=np.int64).reshape(-1, 3)],
+    ids=["list", "array"])
 
 
 class TestEstimateR:
@@ -61,31 +67,35 @@ class TestEstimateR:
         # parent exposed outside the window is not counted
         assert math.isnan(estimate_r(events, {1}, window=(3, 10)))
 
-    def test_multi_parent_rejected(self):
+    @_LIST_OR_ARRAY
+    def test_multi_parent_rejected(self, as_input):
         events = [(0, EXTERNAL_SEED, 0), (1, 0, 1), (2, 0, 1)]
         with pytest.raises(ValueError):
-            estimate_r(events, set())
+            estimate_r(as_input(events), set())
 
-    def test_self_infection_rejected(self):
+    @_LIST_OR_ARRAY
+    def test_self_infection_rejected(self, as_input):
         with pytest.raises(ValueError):
-            estimate_r([(1, 2, 2)], set())
+            estimate_r(as_input([(1, 2, 2)]), set())
 
-    def test_unknown_infector_rejected(self):
+    @_LIST_OR_ARRAY
+    def test_unknown_infector_rejected(self, as_input):
         with pytest.raises(ValueError):
-            estimate_r([(3, 7, 1)], set())
+            estimate_r(as_input([(3, 7, 1)]), set())
 
-    def test_day_order_violation_rejected(self):
+    @_LIST_OR_ARRAY
+    def test_day_order_violation_rejected(self, as_input):
         events = [(5, EXTERNAL_SEED, 0), (2, 0, 1)]
         with pytest.raises(ValueError):
-            estimate_r(events, set())
+            estimate_r(as_input(events), set())
 
     def test_accepts_event_objects_and_arrays(self):
-        from pctsim.core import InfectionEvent
-        events = [InfectionEvent(0, EXTERNAL_SEED, 0, "external"),
-                  InfectionEvent(1, 0, 1, "household"),
-                  InfectionEvent(2, 1, 2, "other")]
-        assert estimate_r(events, {1}) == 1.0
-        assert estimate_r(events, np.array([1])) == 1.0
+        # tuples that name the location, and the same rows as trace.events codes them
+        tuples = [(0, EXTERNAL_SEED, 0, "external"), (1, 0, 1, "household"), (2, 1, 2, "other")]
+        rows = np.array([(0, EXTERNAL_SEED, 0, -1), (1, 0, 1, 0), (2, 1, 2, 3)], dtype=np.int64)
+        assert [EVENT_LOCATIONS[code] for code in rows[:, 3].tolist()] == [t[3] for t in tuples]
+        assert estimate_r(tuples, {1}) == estimate_r(rows, {1}) == 1.0
+        assert estimate_r(tuples, np.array([1])) == estimate_r(rows, np.array([1])) == 1.0
 
     def test_default_window(self):
         assert default_r_window(50) == (0, 36)

@@ -546,7 +546,7 @@ class TestReplay:
                                      "y_hat": rec["targets"]}) + "\n")
         replay = run(cfg.replace(predictor="external", external_predictions=str(preds)))
         assert len(oracle.events) > 50 and sum(r.messages for r in oracle.day_reports) > 500
-        assert replay.events == oracle.events
+        np.testing.assert_array_equal(replay.events, oracle.events)
         assert replay.day_reports == oracle.day_reports
 
     def test_the_run_id_follows_the_file_not_its_path(self, tmp_path):
