@@ -176,6 +176,11 @@ class SimConfig:
             raise ConfigError(f"predictor: unknown value {self.predictor!r}, expected one of {PREDICTORS}")
         for name in ("predictor_add_sigma", "predictor_mul_sigma"):
             _non_negative(name, getattr(self, name))
+        for name in ("record_observables", "record_estimates", "record_encounter_log"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name}: must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.external_predictions, (str, type(None))):
+            raise ConfigError(f"external_predictions: must be a path, got {self.external_predictions!r}")
         if self.predictor == "external" and self.policy == "pct" and not self.external_predictions:
             raise ConfigError("external_predictions: required when predictor is 'external'")
         if not 0 <= _integer("bct_quarantine_level", self.bct_quarantine_level) <= 4:
@@ -429,8 +434,6 @@ class WorldState:
         self.test_code = np.full(n, TEST_NONE, dtype=np.int8)
         self.result_day = np.full(n, -1, dtype=np.int64)
         self.infected_at_order = np.zeros(n, dtype=bool)
-        self.episode_attempted = np.zeros(n, dtype=bool)
-        self.reported_any_prev = np.zeros(n, dtype=bool)
         self.new_positive_today = np.zeros(n, dtype=bool)
 
         # escalation timers: the last day the timer governs, -1 once quit
@@ -448,7 +451,6 @@ class WorldState:
         self.held = np.full(shape, self.quantize(0.0), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.n, dtype=bool)
-        self.bct_broadcast_done = np.zeros(self.app_ids.size, dtype=bool)
         self.external = (tracing.ExternalPredictor(cfg.external_predictions, self.app_ids,
                                                    int(cfg.num_days), self.window)
                          if cfg.policy == "pct" and cfg.predictor == "external" else None)
@@ -584,29 +586,24 @@ class WorldState:
     def _phase_transmission(self, day, a, b, loc):
         cfg = self.cfg
         rng = self.rng["transmission"]
-        new_cases = 0
         cand_infectee, cand_infector, cand_loc = [], [], []
         state_a, state_b = self.epi_state[a], self.epi_state[b]
         for src, dst, s_src, s_dst in ((a, b, state_a, state_b), (b, a, state_b, state_a)):
             trial = np.flatnonzero((s_src == STATE_I) & (s_dst == STATE_S))
-            if not trial.size:
-                continue
             p = virology.transmission_probability(
                 self.y_today[src[trial]], cfg.transmission_base_rate, 1.0, cfg.carefulness)
             trial = trial[rng.random(p.size) < p]
             cand_infectee.append(dst[trial])
             cand_infector.append(src[trial])
             cand_loc.append(loc[trial])
-        if cand_infectee:
-            infectees = np.concatenate(cand_infectee)
-            infectors = np.concatenate(cand_infector)
-            locs = np.concatenate(cand_loc)
-            # one infection per agent per day: the first successful trial wins
-            _, first = np.unique(infectees, return_index=True)
-            first.sort()
-            self._expose(infectees[first], day, infectors[first], locs[first])
-            new_cases = first.size
-        return new_cases
+        infectees = np.concatenate(cand_infectee)
+        infectors = np.concatenate(cand_infector)
+        locs = np.concatenate(cand_loc)
+        # one infection per agent per day: the first successful trial wins
+        _, first = np.unique(infectees, return_index=True)
+        first.sort()
+        self._expose(infectees[first], day, infectors[first], locs[first])
+        return first.size
 
     def _phase_testing(self, day):
         cfg = self.cfg
@@ -614,59 +611,48 @@ class WorldState:
         n = self.n
         self.new_positive_today[:] = False
 
-        t_mid = np.where(self.exposure_day >= 0, day + 0.5 - self.exposure_day, -1.0)
+        t_mid = day + 0.5 - self.exposure_day  # y_today > 0 only for the exposed
         symptomatic = (self.has_app & (self.y_today > 0) & ~self.asymptomatic
                        & (t_mid >= self.symptom_onset))
         reported = np.zeros(n, dtype=np.uint8)
         idx = np.flatnonzero(symptomatic)
-        if idx.size:
-            keep = rng.random((idx.size, len(virology.SYMPTOM_NAMES))) >= cfg.symptom_dropout
-            reported[idx] = self.symptom_mask[idx] & np.packbits(keep, axis=1, bitorder="little")[:, 0]
+        keep = rng.random((idx.size, len(virology.SYMPTOM_NAMES))) >= cfg.symptom_dropout
+        reported[idx] = self.symptom_mask[idx] & np.packbits(keep, axis=1, bitorder="little")[:, 0]
         n_app = self.app_ids.size
-        if n_app and cfg.symptom_dropin > 0:
+        if cfg.symptom_dropin > 0:
             draws = rng.random(n_app) < cfg.symptom_dropin
             flags = rng.integers(0, len(virology.SYMPTOM_NAMES), n_app)
             reported[self.app_ids[draws]] |= np.uint8(1) << flags[draws].astype(np.uint8)
         self.symptom_hist[:, day] = reported
 
-        reported_any = reported != 0
-        self.episode_attempted[~reported_any] = False
-        new_episode = reported_any & ~self.reported_any_prev & ~self.episode_attempted
+        # a new symptom episode: a report today and none yesterday
+        new_episode = (reported != 0) & ((self.symptom_hist[:, day - 1] == 0) if day else True)
         can_test = (self.test_code == TEST_NONE) | (self.test_code == TEST_NEGATIVE)
         candidates = np.flatnonzero(new_episode & can_test)
-        ordered = np.zeros(0, dtype=np.int64)
-        if candidates.size:
-            take = rng.random(candidates.size) < cfg.carefulness
-            ordered = candidates[take]
-            self.test_code[ordered] = TEST_PENDING
-            self.result_day[ordered] = day + cfg.test_delay_days
-            state = self.epi_state[ordered]
-            self.infected_at_order[ordered] = (state == STATE_E) | (state == STATE_I)
-        self.episode_attempted[new_episode] = True
-        self.reported_any_prev = reported_any
+        ordered = candidates[rng.random(candidates.size) < cfg.carefulness]
+        self.test_code[ordered] = TEST_PENDING
+        self.result_day[ordered] = day + cfg.test_delay_days
+        state = self.epi_state[ordered]
+        self.infected_at_order[ordered] = (state == STATE_E) | (state == STATE_I)
 
         due = np.flatnonzero((self.test_code == TEST_PENDING) & (self.result_day == day))
-        n_positive = 0
-        if due.size:
-            true_pos = self.infected_at_order[due] & (rng.random(due.size) >= cfg.test_false_negative_rate)
-            pos = due[true_pos]
-            self.test_code[pos] = TEST_POSITIVE
-            self.test_code[due[~true_pos]] = TEST_NEGATIVE
-            n_positive = pos.size
-            if pos.size:
-                self.new_positive_today[pos] = True
-                self.iso_until[pos] = day + QUARANTINE_DAYS
-                # the members of the positives' households, from the household
-                # pool; a positive counts as a mate only of another positive
-                hh = self.loc_indexes["household"]
-                g, n_pos = np.unique(self.household_id[pos], return_counts=True)
-                size = hh.size[g]
-                offset = np.repeat(hh.start[g] - np.cumsum(size) + size, size)
-                members = hh.flat[offset + np.arange(offset.size)]
-                mates = members[(np.repeat(n_pos, size) > 1) | ~self.new_positive_today[members]]
-                self.hh_until[mates] = np.maximum(self.hh_until[mates], day + QUARANTINE_DAYS)
+        true_pos = self.infected_at_order[due] & (rng.random(due.size) >= cfg.test_false_negative_rate)
+        pos = due[true_pos]
+        self.test_code[pos] = TEST_POSITIVE
+        self.test_code[due[~true_pos]] = TEST_NEGATIVE
+        self.new_positive_today[pos] = True
+        self.iso_until[pos] = day + QUARANTINE_DAYS
+        # the members of the positives' households, from the household
+        # pool; a positive counts as a mate only of another positive
+        hh = self.loc_indexes["household"]
+        g, n_pos = np.unique(self.household_id[pos], return_counts=True)
+        size = hh.size[g]
+        offset = np.repeat(hh.start[g] - np.cumsum(size) + size, size)
+        members = hh.flat[offset + np.arange(offset.size)]
+        mates = members[(np.repeat(n_pos, size) > 1) | ~self.new_positive_today[members]]
+        self.hh_until[mates] = day + QUARANTINE_DAYS
         self.test_hist[:, day] = self.test_code
-        return ordered.size, n_positive
+        return ordered.size, pos.size
 
     def _phase_app_pass(self, day):
         """Run the active policy and send today's messages.
@@ -696,10 +682,8 @@ class WorldState:
         flag quarantine itself is applied by the escalation layer via
         ``bct_until``, so the daily quarantine dropout can act on it.
         """
-        flagged = np.flatnonzero(self.bct_flag)
-        self.bct_until[flagged] = np.maximum(self.bct_until[flagged], day + QUARANTINE_DAYS)
-        flaggers = self.new_positive_today[self.app_ids] & ~self.bct_broadcast_done
-        self.bct_broadcast_done |= flaggers
+        self.bct_until[self.bct_flag] = day + QUARANTINE_DAYS
+        flaggers = self.new_positive_today[self.app_ids]  # a positive result is final
         self.bct_flag = np.zeros(self.n, dtype=bool)
         for e in self.edge_days():
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
@@ -764,8 +748,8 @@ class WorldState:
 
         def drop_out(until, p):
             live = until > day  # the timer governs tomorrow
-            idx = np.flatnonzero(live)
-            if idx.size and p > 0:
+            if p > 0:
+                idx = np.flatnonzero(live)
                 quit_ = idx[rng.random(idx.size) < p]
                 until[quit_] = -1
                 live[quit_] = False
@@ -776,8 +760,7 @@ class WorldState:
         bct_live = drop_out(self.bct_until, cfg.quarantine_dropout_test)
 
         levels = self.policy_level.copy()
-        levels[iso_live] = np.maximum(levels[iso_live], 4)
-        levels[hh_live] = np.maximum(levels[hh_live], 4)
+        levels[iso_live | hh_live] = 4
         levels[bct_live] = np.maximum(levels[bct_live], cfg.bct_quarantine_level)
         ignore = rng.random(self.n) < cfg.all_levels_dropout
         levels[ignore] = 0

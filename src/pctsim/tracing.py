@@ -61,6 +61,14 @@ def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
     return _SCORE[code], _LEVEL[code]
 
 
+def _integer_key(rec, name, path, line_no):
+    """``rec[name]`` as an int; a string, a bool or a fractional value is a ValueError."""
+    value = rec[name]
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{path} line {line_no}: {name} must be an integer, got {value!r}")
+
+
 class ExternalPredictor:
     """Replay predictions from a JSONL file, read once into two arrays.
 
@@ -70,9 +78,11 @@ class ExternalPredictor:
     clipped to [0, 1]. ``ok[day, i]`` marks the cells read from the file:
     the last line for an (agent, day) counts, and it must have a 1-D y_hat
     of ``window`` finite values. Lines for agents outside ``app_ids`` or
-    days outside [0, num_days) are ignored. A cell that is not ok, a failed
-    prediction, holds the previous day's estimate moved one day older, its
-    newest slot repeated (zeros on day 0): the levels its partners hold.
+    days outside [0, num_days) are ignored. An agent_id or day that is not
+    an integer (a string, a bool or a fractional value) is a ValueError
+    naming the line. A cell that is not ok, a failed prediction, holds the
+    previous day's estimate moved one day older, its newest slot repeated
+    (zeros on day 0): the levels its partners hold.
     ``sha256`` is the digest of the file's bytes.
     """
 
@@ -82,12 +92,13 @@ class ExternalPredictor:
         self.ok = np.zeros((num_days, len(row_of)), dtype=bool)
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, 1):
                 digest.update(line)
                 if not line.strip():
                     continue
                 rec = json.loads(line.decode())
-                i, day = row_of.get(int(rec["agent_id"])), int(rec["day"])
+                i, day = (row_of.get(_integer_key(rec, "agent_id", path, line_no)),
+                          _integer_key(rec, "day", path, line_no))
                 if i is None or not 0 <= day < num_days:
                     continue
                 pred = np.asarray(rec["y_hat"], dtype=np.float64)

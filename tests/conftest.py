@@ -1,9 +1,8 @@
-"""Shared fixtures: the cached calibrated operating point, a memoized
+"""Shared fixtures: the calibrated operating point, a memoized
 policy-run grid, and the per-criterion acceptance summary printed after
 the run."""
 
 import json
-import os
 import re
 import time
 
@@ -40,20 +39,12 @@ def base_config() -> core.SimConfig:
 
 
 @pytest.fixture(scope="session")
-def calibration(request, tmp_path_factory, base_config):
+def calibration(tmp_path_factory):
     """Calibrated mobility scale and risk thresholds for the default config.
 
-    Runs the real calibrate command once and caches the result JSON in the
-    pytest cache keyed by the config hash, so repeated test sessions skip
-    the sweep. Set PCTSIM_CALIB_REFRESH=1 to force a fresh calibration.
-    Without the cache plugin (``-p no:cacheprovider``) every session
-    calibrates afresh.
+    Runs the real calibrate command once per session, never from a cache:
+    the calibration must follow the engine the session tests.
     """
-    key = "pctsim/calibration-" + metrics.config_hash(base_config.to_dict())
-    cache = getattr(request.config, "cache", None)
-    cached = cache.get(key, None) if cache is not None else None
-    if cached is not None and not os.environ.get("PCTSIM_CALIB_REFRESH"):
-        return cached
     tmp = tmp_path_factory.mktemp("calibration")
     cfg_path = tmp / "config.yaml"
     cfg_path.write_text("rng_seed: 0\n")
@@ -66,8 +57,6 @@ def calibration(request, tmp_path_factory, base_config):
     assert rc == 0, "calibrate command failed"
     result = json.loads(out_path.read_text())
     result["duration_s"] = duration
-    if cache is not None:
-        cache.set(key, result)
     return result
 
 

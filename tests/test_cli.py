@@ -104,6 +104,10 @@ class TestParsingAndErrors:
         ("psi_table: [1.5, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4]", "psi_table"),
         ("risk_thresholds: [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07, 0.08, 0.09, 0.1,"
          " 0.11, 0.12, 0.13, 0.14, true]", "risk_thresholds"),
+        ('policy: pct\nrecord_estimates: "false"', "record_estimates"),
+        ("record_observables: 0", "record_observables"),
+        ("record_encounter_log: [true]", "record_encounter_log"),
+        ("policy: pct\npredictor: external\nexternal_predictions: 5", "external_predictions"),
     ])
     def test_value_of_the_wrong_type_exit_1(self, tmp_path, capsys, line, field):
         path = tmp_path / "bad.yaml"

@@ -58,6 +58,10 @@ class TestConfigValidation:
         ("population_size", float("nan")),
         ("num_days", float("inf")),
         ("d_max", 2.5),
+        ("record_observables", 1),
+        ("record_estimates", "false"),
+        ("record_encounter_log", None),
+        ("external_predictions", 5),
     ])
     def test_errors_name_the_field(self, field, value):
         with pytest.raises(ConfigError) as err:

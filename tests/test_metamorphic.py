@@ -4,7 +4,8 @@ Every stream is spawned from the config seed and drawn in a fixed order,
 so policies can be compared on identical worlds. These relations hold
 whatever the trace bytes are, so they guard refactors that no golden
 digest can name: a draw leaked across streams, a level moved by mistake,
-or state that one run leaves for the next.
+or state that one run leaves for the next. The world's invariants are
+checked after every day of a stepped run.
 """
 
 import filecmp
@@ -13,7 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pctsim.core import POLICIES, SimConfig, run
+from pctsim.core import POLICIES, QUARANTINE_DAYS, SimConfig, init_world, run, step_day
+from pctsim.virology import TEST_PENDING, TEST_POSITIVE
 
 _NO_DROPOUTS = dict(symptom_dropout=0.0, symptom_dropin=0.0, quarantine_dropout_test=0.0,
                     quarantine_dropout_household=0.0, all_levels_dropout=0.0)
@@ -68,3 +70,33 @@ def test_two_runs_write_the_same_bytes(cfg, policy, predictor, tmp_path_factory)
         run(cfg).write(out / f"{name}.trace.jsonl", out / f"{name}.events.jsonl")
     for kind in ("trace", "events"):
         assert filecmp.cmp(out / f"a.{kind}.jsonl", out / f"b.{kind}.jsonl", shallow=False)
+
+
+def _check_invariants(world, report):
+    """What holds at the end of every day, whatever the draws."""
+    day = report.day
+    assert report.s + report.e + report.i + report.r == world.n
+    assert np.all((world.rec_level >= 0) & (world.rec_level <= 4))
+    assert np.all((world.held >= 0) & (world.held <= 15))
+    assert np.all(np.bincount(world.infection_order[:world.n_infected]) <= 1)
+    for until in (world.iso_until, world.hh_until, world.bct_until):
+        assert until.max() <= day + QUARANTINE_DAYS
+    for e in world.edge_days():
+        assert world.outdeg[e.day % world.window].sum() == e.receiver.size
+    if day:
+        was_positive = world.test_hist[:, day - 1] == TEST_POSITIVE
+        assert np.all(world.test_hist[was_positive, day] == TEST_POSITIVE)
+    # a test is ordered on the first day of a run of symptom reports
+    pending = np.flatnonzero(world.test_code == TEST_PENDING)
+    order = world.result_day[pending] - world.cfg.test_delay_days
+    assert np.all(world.symptom_hist[pending, order] != 0)
+    assert np.all((order == 0) | (world.symptom_hist[pending, order - 1] == 0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=small_worlds(), policy=st.sampled_from(POLICIES),
+       predictor=st.sampled_from(["oracle", "noisy_oracle"]))
+def test_the_world_invariants_hold_every_day(cfg, policy, predictor):
+    world = init_world(cfg.replace(policy=policy, predictor=predictor))
+    for _ in range(cfg.num_days):
+        _check_invariants(world, step_day(world))

@@ -531,6 +531,11 @@ class TestExternalPredictor:
         assert not table.ok.any()
         assert not table.y_hat.any()
 
+    @pytest.mark.parametrize("agent,day", [(3.7, 1), (3, 1.9), ("3", 1), (3, True), (None, 1)])
+    def test_a_key_that_is_not_an_integer_names_its_line(self, tmp_path, agent, day):
+        with pytest.raises(ValueError, match=r"preds\.jsonl line 2: (agent_id|day) must be an integer"):
+            _table(tmp_path, [(5, 1, [0.5] * 3), (agent, day, [0.5] * 3)])
+
 
 class TestReplay:
     def test_replaying_the_targets_gives_the_oracle_run(self, tmp_path):
