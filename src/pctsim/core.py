@@ -270,13 +270,18 @@ class SimulationTrace:
     that app agent ``app_ids[i]`` holds for its contacts of ``k`` days
     before d are cell ``i * window + k``.
 
-    The ``(population, num_days)`` histories are column-major. ``yhat_hist``
-    (estimates recording) is ``(n_app, num_days, window)`` float32, row i for
-    ``app_ids[i]``, and views a day-major buffer: ``yhat_hist[:, d]`` is
-    contiguous, and ``ravel(order="K")`` reads all of it without a copy.
+    The four stored ``(population, num_days)`` histories are column-major.
+    ``yhat_hist`` (estimates recording) is ``(n_app, num_days, window)``
+    float32, row i for ``app_ids[i]``, and views a day-major buffer:
+    ``yhat_hist[:, d]`` is contiguous, and ``ravel(order="K")`` reads all of
+    it without a copy.
 
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
     every agent, indexed by agent id; ``agent_profile`` reads them.
+    ``exposure_day`` (-1: never exposed), ``onset``, ``peak``, ``recovery``
+    and ``peak_evl`` are every agent's disease course, from which
+    ``ground_truth`` derives y. ``y_hist``, the ``(population, num_days)``
+    float32 ground truth, is computed from them on first read.
 
     ``events`` is ``(m, 4)`` int64 in infection order, a row ``(day, infector, infectee,
     location)``; a seed has infector EXTERNAL_SEED and location -1 (``EVENT_LOCATIONS``).
@@ -295,12 +300,20 @@ class SimulationTrace:
     events: np.ndarray
     epi_hist: np.ndarray
     level_hist: np.ndarray
-    y_hist: np.ndarray
     symptom_hist: np.ndarray
     test_hist: np.ndarray
+    exposure_day: np.ndarray
+    onset: np.ndarray
+    peak: np.ndarray
+    recovery: np.ndarray
+    peak_evl: np.ndarray
     enc_windows: ObservationLog | None = None
     yhat_hist: np.ndarray | None = None
     encounter_log: list | None = None
+
+    @functools.cached_property
+    def y_hist(self) -> np.ndarray:
+        return ground_truth(self, np.arange(self.population), np.arange(self.num_days))
 
     def recovered_ids(self):
         """Sorted ids of the agents recovered at the end of the run; none after 0 days."""
@@ -459,7 +472,6 @@ class WorldState:
         n, days = self.n, int(self.cfg.num_days)
         self.epi_hist = np.zeros((n, days), dtype=np.int8, order="F")
         self.level_hist = np.zeros((n, days), dtype=np.int8, order="F")
-        self.y_hist = np.zeros((n, days), dtype=np.float32, order="F")
         self.symptom_hist = np.zeros((n, days), dtype=np.uint8, order="F")
         self.test_hist = np.zeros((n, days), dtype=np.int8, order="F")
         self.day_reports: list[DayReport] = []
@@ -509,8 +521,12 @@ class WorldState:
     def ground_truth_window(self, day) -> np.ndarray:
         """(n_app, window) matrix of app agents' y values, newest-first, zero before day 0."""
         out = np.zeros((self.app_ids.size, self.window), dtype=np.float64)
-        span = min(day + 1, self.window)
-        out[:, :span] = self.y_hist[self.app_ids, day + 1 - span:day + 1][:, ::-1]
+        days = np.arange(day, max(day - self.window, -1), -1)
+        # only a course short of recovery at the oldest day's midpoint can be nonzero;
+        # a never-exposed agent's recovery is NaN, which compares false
+        app = self.app_ids
+        live = np.flatnonzero(days[-1] + 0.5 - self.exposure_day[app] < self.recovery[app])
+        out[live, :days.size] = ground_truth(self, app[live], days)
         return out
 
     def edge_days(self) -> list[EdgeDay]:
@@ -553,7 +569,6 @@ class WorldState:
         y[live] = virology.evl_tent(t_mid, self.onset[live], self.peak[live],
                                     self.recovery[live], self.peak_evl[live])
         self.y_today = y
-        self.y_hist[:, day] = y
 
     def _phase_encounters(self, day):
         self.level_hist[:, day] = self.rec_level
@@ -854,13 +869,38 @@ def run(config: SimConfig) -> SimulationTrace:
         events=world.events,
         epi_hist=world.epi_hist,
         level_hist=world.level_hist,
-        y_hist=world.y_hist,
         symptom_hist=world.symptom_hist,
         test_hist=world.test_hist,
+        exposure_day=world.exposure_day,
+        onset=world.onset,
+        peak=world.peak,
+        recovery=world.recovery,
+        peak_evl=world.peak_evl,
         enc_windows=world.enc_windows,
         yhat_hist=world.yhat_hist,
         encounter_log=world.encounter_log,
     )
+
+
+def ground_truth(world, agents, days) -> np.ndarray:
+    """Ground-truth infectiousness y of ``agents`` (rows) on ``days`` (columns), float32.
+
+    The progression phase's arithmetic: the EVL at the day's midpoint,
+    ``d + 0.5 - exposure_day`` days after exposure, and 0 for an agent never
+    exposed. It is 0 before exposure, on the exposure day (infectiousness
+    onset is at least ``virology.ONSET_MIN`` = 0.5) and from recovery on, so
+    it equals the day's ``y_today`` wherever that was computed.
+    ``world`` is a WorldState or a SimulationTrace.
+    """
+    agents = np.asarray(agents, dtype=np.int64)
+    days = np.asarray(days, dtype=np.int64)
+    y = np.zeros((agents.size, days.size), dtype=np.float32)
+    rows = np.flatnonzero(world.exposure_day[agents] >= 0)
+    exposed = agents[rows, None]
+    y[rows] = virology.evl_tent(days + 0.5 - world.exposure_day[exposed], world.onset[exposed],
+                                world.peak[exposed], world.recovery[exposed],
+                                world.peak_evl[exposed])
+    return y
 
 
 def agent_profile(world, agents) -> dict:

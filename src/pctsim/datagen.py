@@ -113,7 +113,7 @@ def _render_days(trace):
     window = int(trace.config["d_max"]) + 1
     app = trace.app_ids
     n_app = app.size
-    target_text, target_codes = _render_floats(trace.y_hist[app])
+    target_text, target_codes = _render_floats(core.ground_truth(trace, app, np.arange(trace.num_days)))
     health_codes = (trace.symptom_hist[app].astype(np.uint8) * len(TEST_CODE_NAMES)
                     + trace.test_hist[app].astype(np.uint8))
     # one tail per distinct (age band, sex, conditions), from its first agent's profile

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 
 import numpy as np
 
@@ -61,12 +62,14 @@ def policy_heuristic(has_positive_test, n_symptoms_today, max_received_level):
     return _SCORE[code], _LEVEL[code]
 
 
-def _integer_key(rec, name, path, line_no):
-    """``rec[name]`` as an int; a string, a bool or a fractional value is a ValueError."""
+def _integer_key(rec, name, source, number):
+    """``rec[name]`` as an int; a string, a bool or a fractional value is a ValueError
+    naming ``rec`` as ``f"{source} {number}"``, a file line or a list entry."""
     value = rec[name]
-    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and value.is_integer():
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise ValueError(f"{path} line {line_no}: {name} must be an integer, got {value!r}")
+    raise ValueError(f"{source} {number}: {name} must be an integer, got {value!r}")
 
 
 class ExternalPredictor:
@@ -90,15 +93,15 @@ class ExternalPredictor:
         row_of = {agent: i for i, agent in enumerate(np.asarray(app_ids).tolist())}
         self.y_hat = np.zeros((num_days, len(row_of), window))
         self.ok = np.zeros((num_days, len(row_of)), dtype=bool)
-        digest = hashlib.sha256()
+        digest, where = hashlib.sha256(), f"{path} line"
         with open(path, "rb") as fh:
             for line_no, line in enumerate(fh, 1):
                 digest.update(line)
                 if not line.strip():
                     continue
                 rec = json.loads(line.decode())
-                i, day = (row_of.get(_integer_key(rec, "agent_id", path, line_no)),
-                          _integer_key(rec, "day", path, line_no))
+                i, day = (row_of.get(_integer_key(rec, "agent_id", where, line_no)),
+                          _integer_key(rec, "day", where, line_no))
                 if i is None or not 0 <= day < num_days:
                     continue
                 pred = np.asarray(rec["y_hat"], dtype=np.float64)
@@ -121,16 +124,20 @@ def evaluate_predictor(records, predictions) -> float:
     ``records`` are exported training records (dicts with run_id,
     agent_id, day, targets); ``predictions`` are dicts with the same keys
     and y_hat. Every record must have a matching prediction of the same
-    window length; extra predictions are ignored.
+    window length; extra predictions are ignored. An agent_id or day that
+    is not an integer (a string, a bool or a fractional value) is a
+    ValueError naming the key and the entry's index in its list.
     """
     table = {}
-    for pred in predictions:
-        key = (pred.get("run_id"), int(pred["agent_id"]), int(pred["day"]))
+    for i, pred in enumerate(predictions):
+        key = (pred.get("run_id"), _integer_key(pred, "agent_id", "prediction", i),
+               _integer_key(pred, "day", "prediction", i))
         table[key] = np.asarray(pred["y_hat"], dtype=np.float64)
     total = 0.0
     n = 0
-    for rec in records:
-        key = (rec.get("run_id"), int(rec["agent_id"]), int(rec["day"]))
+    for i, rec in enumerate(records):
+        key = (rec.get("run_id"), _integer_key(rec, "agent_id", "record", i),
+               _integer_key(rec, "day", "record", i))
         if key not in table:
             raise ValueError(f"missing prediction for record {key}")
         target = np.asarray(rec["targets"], dtype=np.float64)

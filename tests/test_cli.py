@@ -3,11 +3,16 @@
 import csv
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import pctsim
 from pctsim import cli
 
 BASE_YAML = """\
@@ -222,6 +227,20 @@ class TestRunCommand:
             assert (out_a / name).exists()
             assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
         assert "contacts" in capsys.readouterr().out
+
+    def test_runs_without_scipy(self, cfg_path, tmp_path):
+        # scipy is a test dependency only: the package must run where it is missing
+        out = tmp_path / "o"
+        script = ("import sys; sys.modules['scipy'] = None; from pctsim import cli; "
+                  f"sys.exit(cli.main(['run', '--config', {cfg_path!r}, '--out', {str(out)!r}]))")
+        env = {k: v for k, v in os.environ.items() if k != "TRACE_SIM_SEED"}
+        src = str(Path(pctsim.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["events.jsonl", "metrics.csv",
+                                                          "trace.jsonl"]
 
     def test_seed_precedence_env_over_file_flag_over_env(
             self, cfg_path, tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from pctsim.core import (
     run,
     step_day,
 )
-from pctsim.metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S
+from pctsim.metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, metrics_row
 from pctsim.tracing import policy_heuristic
 from pctsim.virology import TEST_NEGATIVE, TEST_PENDING, TEST_POSITIVE
 
@@ -953,7 +953,8 @@ class TestLiveProgression:
             world._phase_progression(day)
             assert world.epi_state.tolist() == state.tolist()
             assert world.y_today.tobytes() == y.tobytes()
-            assert world.y_hist[:, day].tobytes() == y.astype(np.float32).tobytes()
+            derived = core.ground_truth(world, np.arange(world.n), [day])[:, 0]
+            assert derived.tobytes() == y.astype(np.float32).tobytes()
             infected = exposed == day + 1
             world.epi_state[infected], world.exposure_day[infected] = STATE_E, day
 
@@ -963,8 +964,24 @@ class TestHistoryLayout:
         world = init_world(_small(policy="pct", predictor="noisy_oracle", num_days=4))
         for _ in range(4):
             step_day(world)
-        for name in ("epi_hist", "level_hist", "y_hist", "symptom_hist", "test_hist", "yhat_hist"):
+        for name in ("epi_hist", "level_hist", "symptom_hist", "test_hist", "yhat_hist"):
             hist = getattr(world, name)
             assert all(hist[:, d].flags.c_contiguous for d in range(4)), name
         # so calibration reads every estimate without copying the history
         assert np.shares_memory(world.yhat_hist.ravel(order="K"), world.yhat_hist)
+
+    def test_the_ground_truth_is_derived_on_first_read(self):
+        cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6,
+                     initial_exposed_fraction=0.1)
+        world = init_world(cfg)
+        truth = []
+        for _ in range(6):
+            step_day(world)
+            truth.append(world.y_today.astype(np.float32))
+        assert not hasattr(world, "y_hist")
+        assert max(y.max() for y in truth) > 0
+        trace = run(cfg)
+        metrics_row(trace, 0)
+        assert "y_hist" not in vars(trace)
+        assert trace.y_hist.tobytes() == np.column_stack(truth).tobytes()
+        assert "y_hist" in vars(trace)

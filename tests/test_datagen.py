@@ -84,6 +84,21 @@ class TestMakeSplit:
             make_split(["only"])
 
 
+def _inject_target(monkeypatch, agent, day, value):
+    """Make ``core.ground_truth``, which the export reads targets from, give ``value``
+    for (agent, day) whenever it is asked for them; returns the list of calls."""
+    derive, asked = core.ground_truth, []
+
+    def ground_truth(world, agents, days):
+        asked.append((agents, days))
+        y = derive(world, agents, days)
+        y[np.ix_(np.asarray(agents) == agent, np.asarray(days) == day)] = value
+        return y
+
+    monkeypatch.setattr(core, "ground_truth", ground_truth)
+    return asked
+
+
 @pytest.fixture(scope="module")
 def pct_trace():
     cfg = SimConfig(population_size=200, num_days=12, rng_seed=11,
@@ -240,24 +255,22 @@ class TestExport:
         assert path.read_text() == "previous\n"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_target_rejected(self, pct_trace, tmp_path, value):
-        y_hist = pct_trace.y_hist.copy()
-        y_hist[pct_trace.app_ids[0], 3] = value
-        broken = dataclasses.replace(pct_trace, y_hist=y_hist)
+    def test_non_finite_target_rejected(self, monkeypatch, pct_trace, tmp_path, value):
+        _inject_target(monkeypatch, pct_trace.app_ids[0], 3, value)
         with pytest.raises(ValueError) as err:
-            export_training_records(broken, tmp_path / "records.jsonl")
+            export_training_records(pct_trace, tmp_path / "records.jsonl")
         assert "non-finite" in str(err.value)
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ValueError):
-            next(iter_training_records(broken))
+            next(iter_training_records(pct_trace))
 
-    def test_non_finite_target_outside_the_app_is_not_exported(self, pct_trace, tmp_path):
+    def test_non_finite_target_outside_the_app_is_not_exported(self, monkeypatch, pct_trace,
+                                                               tmp_path):
         outside = np.setdiff1d(np.arange(pct_trace.population), pct_trace.app_ids)
-        y_hist = pct_trace.y_hist.copy()
-        y_hist[outside[0], 3] = np.nan
-        n = export_training_records(dataclasses.replace(pct_trace, y_hist=y_hist),
-                                    tmp_path / "records.jsonl")
+        asked = _inject_target(monkeypatch, outside[0], 3, np.nan)
+        n = export_training_records(pct_trace, tmp_path / "records.jsonl")
         assert n == pct_trace.app_ids.size * pct_trace.num_days
+        assert asked
 
     def test_records_are_valid_json_lines(self, pct_trace, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -14,7 +14,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pctsim.core import POLICIES, QUARANTINE_DAYS, SimConfig, init_world, run, step_day
+from pctsim.core import (
+    POLICIES,
+    QUARANTINE_DAYS,
+    SimConfig,
+    ground_truth,
+    init_world,
+    run,
+    step_day,
+)
 from pctsim.virology import TEST_PENDING, TEST_POSITIVE
 
 _NO_DROPOUTS = dict(symptom_dropout=0.0, symptom_dropin=0.0, quarantine_dropout_test=0.0,
@@ -91,6 +99,9 @@ def _check_invariants(world, report):
     order = world.result_day[pending] - world.cfg.test_delay_days
     assert np.all(world.symptom_hist[pending, order] != 0)
     assert np.all((order == 0) | (world.symptom_hist[pending, order - 1] == 0))
+    # the ground truth derived from the courses is the day's progression y
+    derived = ground_truth(world, np.arange(world.n), [day])[:, 0]
+    assert derived.tobytes() == world.y_today.astype(np.float32).tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -312,40 +312,43 @@ class TestBctFanout:
 
 
 def _pct_run(predictor, days=12, **kw):
-    """Step a small pct world and return it (estimates recorded)."""
+    """Step a small pct world; return it (estimates recorded) and its app agents'
+    ground truth, each day's ``y_today`` as float32, one column a day."""
     base = dict(population_size=400, num_days=days, rng_seed=4, policy="pct",
                 predictor=predictor, initial_exposed_fraction=0.1,
                 global_mobility_scale=3.75)
     base.update(kw)
     world = init_world(SimConfig(**base))
-    for _ in range(days):
+    truth = np.zeros((world.app_ids.size, days), dtype=np.float32)
+    for day in range(days):
         step_day(world)
-    return world
+        truth[:, day] = world.y_today[world.app_ids]
+    return world, truth
 
 
-def _truth_windows(world):
+def _truth_windows(world, truth):
     """(app agents, days, window) ground truth, newest-first, 0 before day 0."""
     app, days, window = world.app_ids, world.cfg.num_days, world.window
-    padded = np.concatenate([np.zeros((app.size, window - 1)), world.y_hist[app]], axis=1)
+    padded = np.concatenate([np.zeros((app.size, window - 1)), truth], axis=1)
     idx = np.arange(days)[:, None] + window - 1 - np.arange(window)[None, :]
     return padded[:, idx]
 
 
 class TestOraclePredictors:
     def test_oracle_returns_equal_copy(self):
-        world = _pct_run("oracle")
-        truth = _truth_windows(world)
+        world, truth = _pct_run("oracle")
+        truth = _truth_windows(world, truth)
         assert truth.max() > 0
         assert np.array_equal(world.yhat_hist, truth.astype(np.float32))
 
     def test_noisy_oracle_zero_sigma_is_identity(self):
-        oracle = _pct_run("oracle")
-        noisy = _pct_run("noisy_oracle", predictor_add_sigma=0.0, predictor_mul_sigma=0.0)
+        oracle, _ = _pct_run("oracle")
+        noisy, _ = _pct_run("noisy_oracle", predictor_add_sigma=0.0, predictor_mul_sigma=0.0)
         assert np.array_equal(noisy.yhat_hist, oracle.yhat_hist)
         assert np.array_equal(noisy.level_hist, oracle.level_hist)
 
     def test_noisy_oracle_clipped_to_unit_interval(self):
-        world = _pct_run("noisy_oracle", predictor_add_sigma=0.5, predictor_mul_sigma=0.5)
+        world, _ = _pct_run("noisy_oracle", predictor_add_sigma=0.5, predictor_mul_sigma=0.5)
         est = world.yhat_hist
         assert est.min() >= 0.0 and est.max() <= 1.0
         assert est.min() == 0.0 and est.max() == 1.0
@@ -353,10 +356,10 @@ class TestOraclePredictors:
     def test_additive_noise_mean_after_clipping(self):
         # at ground truth 0 with additive sigma s, clipping a centered
         # gaussian at zero leaves mean s / sqrt(2 pi)
-        world = _pct_run("noisy_oracle", days=20, population_size=600,
-                         predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
+        world, truth = _pct_run("noisy_oracle", days=20, population_size=600,
+                                predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
         est = world.yhat_hist
-        at_zero = est[_truth_windows(world) == 0]
+        at_zero = est[_truth_windows(world, truth) == 0]
         assert at_zero.size > 50_000
         assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
 
@@ -480,6 +483,23 @@ class TestEvaluatePredictor:
     def test_zero_records_raises(self):
         with pytest.raises(ValueError):
             evaluate_predictor([], [])
+
+    @pytest.mark.parametrize("agent,day", [(3.7, True), ("3", "1")])
+    def test_a_key_that_is_not_an_integer_is_rejected(self, agent, day):
+        recs = [_record("r0", 1, 0, [0.0] * 3), _record("r0", 3, 1, [0.5] * 3)]
+        preds = [_prediction("r0", 1, 0, [0.0] * 3), _prediction("r0", 3, 1, [0.5] * 3)]
+        bad_recs = [recs[0], _record("r0", agent, day, [0.5] * 3)]
+        bad_preds = [preds[0], _prediction("r0", agent, day, [0.5] * 3)]
+        assert evaluate_predictor(recs, preds) == 0.0
+        with pytest.raises(ValueError, match=r"^prediction 1: agent_id must be an integer"):
+            evaluate_predictor(recs, bad_preds)
+        with pytest.raises(ValueError, match=r"^record 1: agent_id must be an integer"):
+            evaluate_predictor(bad_recs, preds)
+
+    def test_numpy_integer_keys_are_integers(self):
+        recs = [_record("r0", 3, 1, [0.5] * 3)]
+        preds = [_prediction("r0", np.int64(3), np.int32(1), [0.5] * 3)]
+        assert evaluate_predictor(recs, preds) == 0.0
 
 
 def _table(tmp_path, rows, app_ids=(3, 5, 8), num_days=4, window=3):

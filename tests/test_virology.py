@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pctsim import virology
-from pctsim.core import SimConfig, init_world, step_day
+from pctsim.core import SimConfig, ground_truth, init_world, step_day
 from pctsim.virology import (
     evl_tent,
     sample_disease_courses,
@@ -67,27 +67,33 @@ def world():
     return w
 
 
+@pytest.fixture(scope="module")
+def y_hist(world):
+    """The run's ground truth, derived from the courses for every agent and day."""
+    return ground_truth(world, np.arange(world.n), np.arange(world.cfg.num_days))
+
+
 def _course_t(w, agent, day):
     """Days since exposure at the midpoint of ``day``."""
     return day + 0.5 - w.exposure_day[agent]
 
 
 class TestGroundTruth:
-    def test_susceptible_agent_is_zero(self, world):
+    def test_susceptible_agent_is_zero(self, world, y_hist):
         never = world.exposure_day < 0
         assert never.any()
-        assert np.all(world.y_hist[never] == 0.0)
+        assert np.all(y_hist[never] == 0.0)
 
-    def test_past_recovery_is_zero(self, world):
+    def test_past_recovery_is_zero(self, world, y_hist):
         checked = 0
         for agent in np.flatnonzero(world.exposure_day >= 0).tolist():
             for day in range(world.cfg.num_days):
                 if _course_t(world, agent, day) >= world.recovery[agent]:
-                    assert world.y_hist[agent, day] == 0.0
+                    assert y_hist[agent, day] == 0.0
                     checked += 1
         assert checked > 0
 
-    def test_day_midpoint_convention(self, world):
+    def test_day_midpoint_convention(self, world, y_hist):
         exposed = np.flatnonzero(world.exposure_day >= 0)
         assert exposed.size > 40
         for agent in exposed.tolist():
@@ -95,23 +101,23 @@ class TestGroundTruth:
             expected = evl_tent(days + 0.5 - world.exposure_day[agent], world.onset[agent],
                                 world.peak[agent], world.recovery[agent],
                                 world.peak_evl[agent])
-            assert world.y_hist[agent, days] == pytest.approx(expected, rel=1e-6, abs=1e-7)
-        assert world.y_hist.max() > 0
+            assert y_hist[agent, days] == pytest.approx(expected, rel=1e-6, abs=1e-7)
+        assert y_hist.max() > 0
 
-    def test_before_exposure_is_zero(self, world):
+    def test_before_exposure_is_zero(self, world, y_hist):
         late = np.flatnonzero(world.exposure_day > 0)
         assert late.size > 0
         for agent in late.tolist():
-            assert np.all(world.y_hist[agent, :world.exposure_day[agent]] == 0.0)
+            assert np.all(y_hist[agent, :world.exposure_day[agent]] == 0.0)
 
-    def test_peak_day_is_history_max(self, world):
+    def test_peak_day_is_history_max(self, world, y_hist):
         seeds = np.flatnonzero(world.exposure_day == 0)
         assert seeds.size > 20
         for agent in seeds.tolist():
             assert world.recovery[agent] < world.cfg.num_days
             # the day whose midpoint is nearest the peak carries the max
             peak_day = int(np.floor(world.peak[agent] - 0.5))
-            assert int(np.argmax(world.y_hist[agent])) in {peak_day, peak_day + 1}
+            assert int(np.argmax(y_hist[agent])) in {peak_day, peak_day + 1}
 
 
 class TestSampledCourses:
