@@ -217,9 +217,15 @@ class SimConfig:
 
 
 def load_config(path) -> SimConfig:
-    """Read a flat key-value config file (YAML or JSON) into a SimConfig."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    """Read a flat key-value config file (YAML or JSON) into a SimConfig.
+
+    A path that cannot be read, such as a directory, is a ConfigError naming it.
+    """
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror or exc}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -271,10 +277,18 @@ class SimulationTrace:
     before d are cell ``i * window + k``.
 
     The four stored ``(population, num_days)`` histories are column-major.
-    ``yhat_hist`` (estimates recording) is ``(n_app, num_days, window)``
-    float32, row i for ``app_ids[i]``, and views a day-major buffer:
-    ``yhat_hist[:, d]`` is contiguous, and ``ravel(order="K")`` reads all of
-    it without a copy.
+
+    The estimates (recorded for pct and the heuristic) are not stored:
+    ``estimates()`` yields each day's ``(n_app, window)`` float32 estimates,
+    row i for ``app_ids[i]``, recomputed by the code the engine ran. For pct
+    that is ``predict`` from the same inputs: the disease courses, the
+    ``"predictor"`` stream from ``predictor_state``, its state before the
+    run's first draw, or ``external``, the run's replayed predictions. For the
+    heuristic it is the day's score, ``heuristic_score[:, d]``
+    (``(n_app, num_days)`` float32), on every slot. ``yhat_hist``, the
+    ``(n_app, num_days, window)`` history, is built from them on first read;
+    it views a day-major buffer, so ``yhat_hist[:, d]`` is contiguous and
+    ``ravel(order="K")`` reads all of it without a copy.
 
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
     every agent, indexed by agent id; ``agent_profile`` reads them.
@@ -307,13 +321,52 @@ class SimulationTrace:
     peak: np.ndarray
     recovery: np.ndarray
     peak_evl: np.ndarray
+    predictor_state: dict
+    external: tracing.ExternalPredictor | None = None
+    heuristic_score: np.ndarray | None = None
     enc_windows: ObservationLog | None = None
-    yhat_hist: np.ndarray | None = None
     encounter_log: list | None = None
 
     @functools.cached_property
     def y_hist(self) -> np.ndarray:
         return ground_truth(self, np.arange(self.population), np.arange(self.num_days))
+
+    @functools.cached_property
+    def cfg(self) -> SimConfig:
+        return SimConfig.from_mapping(self.config)
+
+    @property
+    def window(self) -> int:
+        return int(self.config["d_max"]) + 1
+
+    @property
+    def _records_estimates(self) -> bool:
+        """Whether the run recorded estimates: pct or the heuristic, recording on, days > 0."""
+        cfg = self.cfg
+        return cfg.record_estimates and cfg.policy in ("pct", "heuristic") and self.num_days > 0
+
+    def estimates(self):
+        """Each day's ``(n_app, window)`` float32 estimates, in day order; none unless recorded."""
+        if not self._records_estimates:
+            return
+        if self.cfg.policy == "heuristic":
+            for day in range(self.num_days):
+                yield np.broadcast_to(self.heuristic_score[:, day, None],
+                                      (self.app_ids.size, self.window))
+            return
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.predictor_state
+        for day in range(self.num_days):
+            yield predict(self, day, rng).astype(np.float32)
+
+    @functools.cached_property
+    def yhat_hist(self) -> np.ndarray | None:
+        if not self._records_estimates:
+            return None
+        hist = np.empty((self.num_days, self.app_ids.size, self.window), dtype=np.float32)
+        for day, y_hat in enumerate(self.estimates()):
+            hist[day] = y_hat
+        return hist.transpose(1, 0, 2)
 
     def recovered_ids(self):
         """Sorted ids of the agents recovered at the end of the run; none after 0 days."""
@@ -325,15 +378,16 @@ class SimulationTrace:
         header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
                   "population": self.population, "num_days": self.num_days,
                   "initial_counts": self.initial_counts, "config": self.config}
-        agents = None if self.yhat_hist is None else self.app_ids.astype(str).tolist()
+        agents = self.app_ids.astype(str).tolist() if self._records_estimates else None
+        estimates = self.estimates()
         with open(trace_path, "w") as fh:
             fh.write(dump(header) + "\n")
             for report in self.day_reports:
                 rec = {"kind": "day", **dataclasses.asdict(report)}
                 if agents is not None:
                     # round(float(v), 6) bit for bit: float32 * 1e6 is exact in float64, rint
-                    # ties to even; one day at a time, as the whole history is 108 MB at 30k
-                    y_hat = self.yhat_hist[:, report.day].astype(np.float64)
+                    # ties to even; one day at a time, as the whole history would be 54 MB at 30k
+                    y_hat = next(estimates).astype(np.float64)
                     rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
                 fh.write(dump(rec) + "\n")
         with open(events_path, "w") as fh:
@@ -355,6 +409,8 @@ class WorldState:
         seq = np.random.SeedSequence(int(cfg.rng_seed))
         self.rng = {name: np.random.default_rng(child)
                     for name, child in zip(_RNG_STREAMS, seq.spawn(len(_RNG_STREAMS)))}
+        # the trace replays the noisy oracle's draws from here
+        self.predictor_state = self.rng["predictor"].bit_generator.state
         # fitted cut points are for the pct predictor; the heuristic's
         # 0.25-step scores stay on the uniform grid
         fitted = cfg.policy == "pct" and cfg.risk_thresholds is not None
@@ -464,9 +520,14 @@ class WorldState:
         self.held = np.full(shape, self.quantize(0.0), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.n, dtype=bool)
-        self.external = (tracing.ExternalPredictor(cfg.external_predictions, self.app_ids,
-                                                   int(cfg.num_days), self.window)
-                         if cfg.policy == "pct" and cfg.predictor == "external" else None)
+        self.external = None
+        if cfg.policy == "pct" and cfg.predictor == "external":
+            try:
+                self.external = tracing.ExternalPredictor(
+                    cfg.external_predictions, self.app_ids, int(cfg.num_days), self.window)
+            except OSError as exc:
+                raise ConfigError(f"external_predictions: {cfg.external_predictions}: "
+                                  f"{exc.strerror or exc}") from None
 
     def _init_trace_buffers(self):
         n, days = self.n, int(self.cfg.num_days)
@@ -477,10 +538,9 @@ class WorldState:
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
                             if self.cfg.record_observables and self.app_active else None)
-        record_estimates = (self.cfg.record_estimates
-                            and self.cfg.policy in ("pct", "heuristic") and days > 0)
-        self.yhat_hist = (np.zeros((days, self.app_ids.size, self.window), dtype=np.float32)
-                          .transpose(1, 0, 2) if record_estimates else None)
+        self.heuristic_score = (np.zeros((days, self.app_ids.size), dtype=np.float32).T
+                                if self.cfg.record_estimates and self.cfg.policy == "heuristic"
+                                else None)
         self.encounter_log = [] if self.cfg.record_encounter_log else None
         counts = np.bincount(self.epi_state, minlength=4)
         self.initial_counts = {"s": int(counts[STATE_S]), "e": int(counts[STATE_E]),
@@ -517,17 +577,6 @@ class WorldState:
             self.infection_loc[agents] = locations
         self.infection_order[self.n_infected:self.n_infected + agents.size] = agents
         self.n_infected += agents.size
-
-    def ground_truth_window(self, day) -> np.ndarray:
-        """(n_app, window) matrix of app agents' y values, newest-first, zero before day 0."""
-        out = np.zeros((self.app_ids.size, self.window), dtype=np.float64)
-        days = np.arange(day, max(day - self.window, -1), -1)
-        # only a course short of recovery at the oldest day's midpoint can be nonzero;
-        # a never-exposed agent's recovery is NaN, which compares false
-        app = self.app_ids
-        live = np.flatnonzero(days[-1] + 0.5 - self.exposure_day[app] < self.recovery[app])
-        out[live, :days.size] = ground_truth(self, app[live], days)
-        return out
 
     def edge_days(self) -> list[EdgeDay]:
         """The edge tables of the window's days, in ring order."""
@@ -704,21 +753,8 @@ class WorldState:
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
         return int(self.outdeg[:, flaggers].sum())
 
-    def _predict(self, day):
-        """(n_app, window) predictions, newest-first."""
-        cfg = self.cfg
-        if cfg.predictor == "external":
-            return self.external.y_hat[day]
-        y = self.ground_truth_window(day)
-        if cfg.predictor == "noisy_oracle":
-            y = np.clip(
-                y * (1.0 + self.rng["predictor"].normal(0.0, cfg.predictor_mul_sigma, y.shape))
-                + self.rng["predictor"].normal(0.0, cfg.predictor_add_sigma, y.shape),
-                0.0, 1.0)
-        return y
-
     def _app_pass_pct(self, day):
-        y_hat = self._predict(day)
+        y_hat = predict(self, day, self.rng["predictor"])
         qlev = self.quantize(y_hat)
         levels = self.psi[qlev[:, 0]]
         if self.external is not None:
@@ -727,6 +763,8 @@ class WorldState:
 
     def _app_pass_heuristic(self, day):
         score, levels = tracing.policy_heuristic(*self.observables_for(day))
+        if self.heuristic_score is not None:
+            self.heuristic_score[:, day] = score
         shape = (score.size, self.window)  # the score is the same on every day
         y_hat = np.broadcast_to(score[:, None], shape)
         qlev = np.broadcast_to(self.quantize(score)[:, None], shape)
@@ -747,8 +785,6 @@ class WorldState:
         self.held[cols] = qlev[:, :span].T
         sent = int(np.einsum("ij,ij->", self.outdeg[cols], changed, dtype=np.int64))
         self.policy_level[self.app_ids] = levels
-        if self.yhat_hist is not None:
-            self.yhat_hist[:, day] = y_hat
         return sent
 
     def _snapshot_enc_windows(self, day):
@@ -876,8 +912,10 @@ def run(config: SimConfig) -> SimulationTrace:
         peak=world.peak,
         recovery=world.recovery,
         peak_evl=world.peak_evl,
+        predictor_state=world.predictor_state,
+        external=world.external,
+        heuristic_score=world.heuristic_score,
         enc_windows=world.enc_windows,
-        yhat_hist=world.yhat_hist,
         encounter_log=world.encounter_log,
     )
 
@@ -900,6 +938,56 @@ def ground_truth(world, agents, days) -> np.ndarray:
     y[rows] = virology.evl_tent(days + 0.5 - world.exposure_day[exposed], world.onset[exposed],
                                 world.peak[exposed], world.recovery[exposed],
                                 world.peak_evl[exposed])
+    return y
+
+
+def ground_truth_window(world, day) -> np.ndarray:
+    """(n_app, window) float64 y of the app agents, newest-first, zero before day 0.
+
+    ``world`` is a WorldState or a SimulationTrace.
+    """
+    out = np.zeros((world.app_ids.size, world.window), dtype=np.float64)
+    days = np.arange(day, max(day - world.window, -1), -1)
+    # only a course short of recovery at the oldest day's midpoint can be nonzero;
+    # a never-exposed agent's recovery is NaN, which compares false
+    app = world.app_ids
+    live = np.flatnonzero(days[-1] + 0.5 - world.exposure_day[app] < world.recovery[app])
+    out[live, :days.size] = ground_truth(world, app[live], days)
+    return out
+
+
+def _normal(rng, sigma, shape):
+    """``rng.normal(0.0, sigma, shape)`` bit for bit, leaving ``rng`` in the same state.
+
+    numpy's normal is ``loc + scale * z`` per draw; the ``+ 0.0`` turns -0.0 into 0.0 as
+    it does. Filling the draws and scaling them in place is about 5% faster at (1800, 15).
+    A ``sigma`` of -0.0, which numpy rejects, draws as 0.0.
+    """
+    z = rng.standard_normal(shape)
+    z *= sigma
+    z += 0.0
+    return z
+
+
+def predict(world, day, rng) -> np.ndarray:
+    """pct's (n_app, window) estimates on ``day``, newest-first.
+
+    The oracle is ``ground_truth_window``; the noisy oracle scales it by
+    ``1 + N(0, mul_sigma)``, adds ``N(0, add_sigma)`` and clips to [0, 1], drawing
+    both from ``rng``, the ``"predictor"`` stream as the day found it; the external
+    predictor replays ``world.external``. ``world`` is a WorldState or a
+    SimulationTrace; an agent exposed after ``day`` reads 0 from either.
+    """
+    cfg = world.cfg
+    if cfg.predictor == "external":
+        return world.external.y_hat[day]
+    y = ground_truth_window(world, day)
+    if cfg.predictor == "noisy_oracle":
+        y_hat = _normal(rng, cfg.predictor_mul_sigma, y.shape)
+        y_hat += 1.0
+        y_hat *= y
+        y_hat += _normal(rng, cfg.predictor_add_sigma, y.shape)
+        y = np.clip(y_hat, 0.0, 1.0, out=y_hat)
     return y
 
 

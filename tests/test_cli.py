@@ -60,6 +60,23 @@ class TestParsingAndErrors:
         assert rc == cli.EXIT_USAGE
         assert "nope.yaml" in capsys.readouterr().err
 
+    def test_config_path_of_a_directory_exit_1(self, tmp_path, capsys):
+        rc = cli.main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_external_predictions_of_a_directory_exit_1(self, tmp_path, capsys):
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(BASE_YAML + "policy: pct\npredictor: external\n"
+                       f"external_predictions: {json.dumps(str(preds))}\n")
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: external_predictions: ") and str(preds) in err
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["pareto"])  # missing required --config/--scales

@@ -5,6 +5,7 @@ import filecmp
 import json
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from pctsim.core import (
     EVENT_LOCATIONS,
     ConfigError,
     SimConfig,
+    WorldState,
     init_world,
     load_config,
     run,
     step_day,
 )
+from pctsim.datagen import export_training_records
 from pctsim.metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, metrics_row
 from pctsim.tracing import policy_heuristic
 from pctsim.virology import TEST_NEGATIVE, TEST_PENDING, TEST_POSITIVE
@@ -401,8 +404,11 @@ class TestLevelsAndEstimates:
 
     def test_written_estimates_match_the_per_value_reference(self, tmp_path):
         tr = run(_small(policy="pct", predictor="oracle", num_days=4))
-        y = np.resize(np.float32([-0.0, 1 / 128, 1.0, 0.1234565]), tr.yhat_hist.shape)
-        tr = dataclasses.replace(tr, yhat_hist=y)
+        # the values reach the writer through the replay source, day-major
+        y = np.resize(np.float32([-0.0, 1 / 128, 1.0, 0.1234565]),
+                      (tr.num_days, tr.app_ids.size, tr.window))
+        tr = dataclasses.replace(tr, config={**tr.config, "predictor": "external"},
+                                 external=SimpleNamespace(y_hat=y.astype(np.float64)))
         tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
         dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         text = (tmp_path / "trace.jsonl").read_text()
@@ -410,7 +416,7 @@ class TestLevelsAndEstimates:
         for report, line in zip(tr.day_reports, text.splitlines()[1:], strict=True):
             old = {"kind": "day", **dataclasses.asdict(report), "y_hat": {
                 str(a): [round(float(v), 6) for v in row]
-                for a, row in zip(tr.app_ids.tolist(), y[:, report.day])}}
+                for a, row in zip(tr.app_ids.tolist(), y[report.day])}}
             assert line == dump(old)
 
     def test_estimates_skipped_when_disabled(self):
@@ -432,15 +438,20 @@ def _spy_publish(world, read):
 
 @pytest.fixture(scope="module")
 def heuristic_days():
-    """A heuristic world stepped day by day: (world, per-day snapshots)."""
+    """A heuristic world stepped day by day: (world, per-day snapshots).
+
+    A day's snapshot is its observables, the estimates the engine published
+    (float32) and the policy levels.
+    """
     world = init_world(_small(policy="heuristic", population_size=600, num_days=20,
                               initial_exposed_fraction=0.05, global_mobility_scale=3.75))
-    observed = []
-    _spy_publish(world, lambda w, day, _y: observed.append(w.observables_for(day)))
+    observed, published = [], []
+    _spy_publish(world, lambda w, day, y_hat: (observed.append(w.observables_for(day)),
+                                               published.append(y_hat.astype(np.float32))))
     days = []
     for day in range(world.cfg.num_days):
         step_day(world)
-        days.append((observed[day], world.policy_level.copy()))
+        days.append((observed[day], published[day], world.policy_level.copy()))
     return world, days
 
 
@@ -449,10 +460,10 @@ class TestHeuristicThroughEngine:
         world, days = heuristic_days
         app = world.app_ids
         seen = set()
-        for day, (obs, policy_level) in enumerate(days):
+        for obs, y_hat, policy_level in days:
             score, level = policy_heuristic(*obs)
             assert np.array_equal(policy_level[app], level)
-            assert np.array_equal(world.yhat_hist[:, day],
+            assert np.array_equal(y_hat,
                                   np.repeat(score[:, None], world.window, axis=1))
             seen.update(level.tolist())
         assert seen == {1, 2, 3, 4}
@@ -461,7 +472,7 @@ class TestHeuristicThroughEngine:
         world, days = heuristic_days
         app = world.app_ids
         hits = 0
-        for day, (_obs, policy_level) in enumerate(days):
+        for day, (_obs, _y_hat, policy_level) in enumerate(days):
             window = world.test_hist[app, max(day - world.cfg.d_max, 0):day + 1]
             positive = app[(window == TEST_POSITIVE).any(axis=1)]
             assert np.all(policy_level[positive] == 4)
@@ -471,7 +482,7 @@ class TestHeuristicThroughEngine:
     def test_observables_match_the_recorded_windows(self, heuristic_days):
         world, days = heuristic_days
         app = world.app_ids
-        for day, ((has_positive, n_symptoms, max_level), _level) in enumerate(days):
+        for day, ((has_positive, n_symptoms, max_level), _y_hat, _level) in enumerate(days):
             assert has_positive.shape == n_symptoms.shape == max_level.shape == app.shape
             bits = [bin(int(m)).count("1") for m in world.symptom_hist[app, day]]
             assert n_symptoms.tolist() == bits
@@ -480,8 +491,8 @@ class TestHeuristicThroughEngine:
             top = [int(levels[lo:hi].max(initial=0))
                    for lo, hi in zip(starts[:-1], starts[1:])]
             assert max_level.tolist() == top
-        assert any(obs[0].any() for obs, _ in days)
-        assert any(obs[2].max() >= 12 for obs, _ in days)
+        assert any(obs[0].any() for obs, _, _ in days)
+        assert any(obs[2].max() >= 12 for obs, _, _ in days)
 
     def test_fitted_thresholds_are_pct_only(self):
         # default.yaml's cuts top out near 0.2, where a 0.25 heuristic score
@@ -714,6 +725,8 @@ class TestFailedPredictions:
         cfg, g, missing = _steady_predictions(tmp_path)
         w = cfg.d_max + 1
         world = init_world(cfg)
+        published = []
+        _spy_publish(world, lambda _w, _day, y_hat: published.append(y_hat.astype(np.float32)))
         for _ in range(cfg.num_days):
             step_day(world)
         shifted = unseen = 0
@@ -729,7 +742,7 @@ class TestFailedPredictions:
                 else:
                     expected = g[agent, last + w - np.maximum(np.arange(w) - (day - last), 0)]
                     shifted += 1
-                assert np.array_equal(world.yhat_hist[i, day], expected.astype(np.float32))
+                assert np.array_equal(published[day][i], expected.astype(np.float32))
         assert shifted > 500 and unseen > 20
 
 
@@ -961,14 +974,19 @@ class TestLiveProgression:
 
 class TestHistoryLayout:
     def test_each_day_is_one_contiguous_block(self):
-        world = init_world(_small(policy="pct", predictor="noisy_oracle", num_days=4))
+        cfg = _small(policy="pct", predictor="noisy_oracle", num_days=4)
+        world = init_world(cfg)
         for _ in range(4):
             step_day(world)
-        for name in ("epi_hist", "level_hist", "symptom_hist", "test_hist", "yhat_hist"):
+        for name in ("epi_hist", "level_hist", "symptom_hist", "test_hist"):
             hist = getattr(world, name)
             assert all(hist[:, d].flags.c_contiguous for d in range(4)), name
+        # the estimate history is the trace's, built on first read
+        assert not hasattr(world, "yhat_hist")
+        trace = run(cfg)
+        assert all(trace.yhat_hist[:, d].flags.c_contiguous for d in range(4))
         # so calibration reads every estimate without copying the history
-        assert np.shares_memory(world.yhat_hist.ravel(order="K"), world.yhat_hist)
+        assert np.shares_memory(trace.yhat_hist.ravel(order="K"), trace.yhat_hist)
 
     def test_the_ground_truth_is_derived_on_first_read(self):
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6,
@@ -985,3 +1003,91 @@ class TestHistoryLayout:
         assert "y_hist" not in vars(trace)
         assert trace.y_hist.tobytes() == np.column_stack(truth).tobytes()
         assert "y_hist" in vars(trace)
+
+
+def _run_publishing(cfg):
+    """``run(cfg)``, and the y_hat that each day's ``_publish`` was given, as float32."""
+    published = []
+    publish = WorldState._publish
+
+    def spy(world, day, y_hat, *args):
+        published.append(y_hat.astype(np.float32))
+        return publish(world, day, y_hat, *args)
+
+    with mock.patch.object(WorldState, "_publish", spy):
+        trace = run(cfg)
+    return trace, published
+
+
+def _predictions_with_misses(path, n, days, window, seed):
+    """Replay rows for every agent and day but about a fifth, some values out of [0, 1]."""
+    rng = np.random.default_rng(seed)
+    with open(path, "w") as fh:
+        for agent, day in zip(*np.nonzero(rng.random((n, days)) >= 0.2)):
+            fh.write(json.dumps({"agent_id": int(agent), "day": int(day),
+                                 "y_hat": (rng.random(window) * 1.2 - 0.1).tolist()}) + "\n")
+
+
+class TestDerivedEstimates:
+    """A trace derives each day's estimates from the inputs of the engine's predictor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(20, 200), days=st.integers(1, 15), d_max=st.integers(1, 15),
+           seed=st.integers(0, 2**32 - 1), dropouts=st.booleans(),
+           source=st.sampled_from(["oracle", "noisy_oracle", "external", "heuristic"]))
+    def test_each_day_is_what_the_engine_published(self, tmp_path_factory, n, days, d_max,
+                                                   seed, dropouts, source):
+        cfg = _small(population_size=n, num_days=days, d_max=d_max, rng_seed=seed,
+                     initial_exposed_fraction=0.1, global_mobility_scale=3.75,
+                     policy="heuristic" if source == "heuristic" else "pct",
+                     predictor="oracle" if source == "heuristic" else source,
+                     record_observables=False, record_estimates=True)
+        if not dropouts:
+            cfg = cfg.replace(symptom_dropout=0.0, symptom_dropin=0.0,
+                              quarantine_dropout_test=0.0, quarantine_dropout_household=0.0,
+                              all_levels_dropout=0.0)
+        if source == "external":
+            path = tmp_path_factory.mktemp("replay") / "preds.jsonl"
+            _predictions_with_misses(path, n, days, d_max + 1, seed)
+            cfg = cfg.replace(external_predictions=str(path))
+        trace, published = _run_publishing(cfg)
+        derived = list(trace.estimates())
+        assert len(published) == len(derived) == days
+        for y_hat, estimate in zip(published, derived):
+            assert estimate.dtype == np.float32
+            assert estimate.tobytes() == y_hat.tobytes()
+        assert "yhat_hist" not in vars(trace)
+
+    def test_no_step_of_a_run_builds_the_estimate_history(self, tmp_path):
+        cfg = _small(policy="pct", predictor="noisy_oracle", num_days=8,
+                     initial_exposed_fraction=0.1)
+        assert not hasattr(init_world(cfg), "yhat_hist")
+        trace, published = _run_publishing(cfg)
+        assert "yhat_hist" not in vars(trace)
+        export_training_records(trace, tmp_path / "records.jsonl")
+        assert "yhat_hist" not in vars(trace)
+        metrics_row(trace, 0)
+        assert "yhat_hist" not in vars(trace)
+        trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        assert "yhat_hist" not in vars(trace)
+        assert trace.yhat_hist.transpose(1, 0, 2).tobytes() == np.stack(published).tobytes()
+
+    def test_the_history_is_none_unless_recorded(self):
+        for cfg in (_small(policy="pct", record_estimates=False, num_days=3),
+                    _small(policy="heuristic", record_estimates=False, num_days=3),
+                    _small(policy="bct", num_days=3), _small(policy="pct", num_days=0)):
+            trace = run(cfg)
+            assert trace.yhat_hist is None and list(trace.estimates()) == []
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.1, 0.5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 9001])
+    def test_normal_draws_are_numpys_bit_for_bit(self, seed, sigma):
+        # numpy rejects a scale of -0.0, which validation lets through as 0
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for shape in ((40, 15), (0, 15), (7,)):
+            got, want = core._normal(ours, sigma, shape), numpys.normal(0.0, abs(sigma), shape)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert ours.bit_generator.state == numpys.bit_generator.state
+        if sigma == 0.0:  # z * 0 is -0.0 for half the draws; both give +0.0
+            assert not np.signbit(got).any()

@@ -4,14 +4,17 @@ Refactors of the engine must not move a single byte of what a run writes.
 Each case runs one policy at one seed with recording on and pins the
 sha256 of ``trace.jsonl``, ``events.jsonl`` and the exported training
 records (no_tracing records no observables, so it exports none).
+``configs/default.yaml`` runs pct with the noisy oracle, fitted cut points
+and 3000 agents; its cases pin the estimates that ``pctsim run`` writes.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from pctsim.core import SimConfig, run
+from pctsim.core import SimConfig, load_config, run
 from pctsim.datagen import export_training_records
 
 GOLDEN = {
@@ -65,15 +68,34 @@ GOLDEN_EXTERNAL = {
     "records": "73b1ee8245a930d1d0973e2da6691571c7aa78d9c8f184d3671f665f53bf7886",
 }
 
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+# configs/default.yaml as shipped, at two seeds
+GOLDEN_DEFAULT = {
+    0: {
+        "trace": "70aefd579b62a7a308bceb95ffbc6140544fb16cc4951356e53ae1ecd57b8f94",
+        "events": "9d4c6b541a6f468fd9da54a001d3afe0b4fb7a0faf644c334df1e99edf8a9665",
+        "records": "877983a723c7c474e485bea7f1dcc00e273a408355b279240252498dd349bb73",
+    },
+    3: {
+        "trace": "980cc9447a62fcfbbacf3c1f29bb6a9e5b674398cec112bcd05370b0cc77a454",
+        "events": "7e414cf806f05ffbb71be232a72511392de0e22a8b6ca7f257a3862b60d2f06c",
+        "records": "0f56243dafa662195c9d677ce597cab720aaa621fcb940e4a0c61f8e289093bf",
+    },
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _digests(tmp_path, **kw):
-    cfg = SimConfig(population_size=600, num_days=25, initial_exposed_fraction=0.02,
-                    global_mobility_scale=3.75, record_observables=True,
-                    record_estimates=True, **kw)
+    return _written(tmp_path, SimConfig(
+        population_size=600, num_days=25, initial_exposed_fraction=0.02,
+        global_mobility_scale=3.75, record_observables=True, record_estimates=True, **kw))
+
+
+def _written(tmp_path, cfg):
+    """The digests of the files that a run of ``cfg`` writes."""
     trace = run(cfg)
     trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
     out = {"trace": _sha256(tmp_path / "trace.jsonl"),
@@ -102,3 +124,10 @@ def test_external_predictor_with_misses_is_byte_identical(tmp_path):
     assert _digests(tmp_path, policy="pct", predictor="external",
                     external_predictions=str(tmp_path / "preds.jsonl"),
                     rng_seed=0) == GOLDEN_EXTERNAL
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DEFAULT))
+def test_default_config_is_byte_identical(seed, tmp_path):
+    cfg = load_config(DEFAULT_CONFIG).replace(rng_seed=seed)
+    assert (cfg.policy, cfg.predictor) == ("pct", "noisy_oracle")
+    assert _written(tmp_path, cfg) == GOLDEN_DEFAULT[seed]

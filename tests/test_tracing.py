@@ -6,11 +6,13 @@ psi table through ``init_world``/``step_day``.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from pctsim.core import SimConfig, init_world, run, step_day
+from pctsim import core
+from pctsim.core import SimConfig, WorldState, init_world, run, step_day
 from pctsim.datagen import export_training_records, read_records
 from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
 from pctsim.metrics import metrics_row
@@ -312,18 +314,29 @@ class TestBctFanout:
 
 
 def _pct_run(predictor, days=12, **kw):
-    """Step a small pct world; return it (estimates recorded) and its app agents'
-    ground truth, each day's ``y_today`` as float32, one column a day."""
+    """Run a small pct world (estimates recorded); return its trace and, collected while
+    stepping, its app agents' ground truth, each day's ``y_today`` as float32, one
+    column a day, and the estimates the engine published, float32 (n_app, days, window)."""
     base = dict(population_size=400, num_days=days, rng_seed=4, policy="pct",
                 predictor=predictor, initial_exposed_fraction=0.1,
                 global_mobility_scale=3.75)
     base.update(kw)
-    world = init_world(SimConfig(**base))
-    truth = np.zeros((world.app_ids.size, days), dtype=np.float32)
-    for day in range(days):
-        step_day(world)
-        truth[:, day] = world.y_today[world.app_ids]
-    return world, truth
+    truth, published = [], []
+    step, publish = core.step_day, WorldState._publish
+
+    def stepping(world):
+        report = step(world)
+        truth.append(world.y_today[world.app_ids].astype(np.float32))
+        return report
+
+    def publishing(world, day, y_hat, *args):
+        published.append(y_hat.astype(np.float32))
+        return publish(world, day, y_hat, *args)
+
+    with (mock.patch.object(core, "step_day", stepping),
+          mock.patch.object(WorldState, "_publish", publishing)):
+        trace = run(SimConfig(**base))
+    return trace, np.column_stack(truth), np.stack(published, axis=1)
 
 
 def _truth_windows(world, truth):
@@ -335,39 +348,47 @@ def _truth_windows(world, truth):
 
 
 class TestOraclePredictors:
+    # each test checks what the engine published and what the trace derives
+
     def test_oracle_returns_equal_copy(self):
-        world, truth = _pct_run("oracle")
-        truth = _truth_windows(world, truth)
+        trace, truth, published = _pct_run("oracle")
+        truth = _truth_windows(trace, truth).astype(np.float32)
         assert truth.max() > 0
-        assert np.array_equal(world.yhat_hist, truth.astype(np.float32))
+        assert np.array_equal(published, truth)
+        assert np.array_equal(trace.yhat_hist, truth)
 
     def test_noisy_oracle_zero_sigma_is_identity(self):
-        oracle, _ = _pct_run("oracle")
-        noisy, _ = _pct_run("noisy_oracle", predictor_add_sigma=0.0, predictor_mul_sigma=0.0)
+        oracle, _, oracle_published = _pct_run("oracle")
+        noisy, _, noisy_published = _pct_run("noisy_oracle", predictor_add_sigma=0.0,
+                                             predictor_mul_sigma=0.0)
+        assert np.array_equal(noisy_published, oracle_published)
         assert np.array_equal(noisy.yhat_hist, oracle.yhat_hist)
         assert np.array_equal(noisy.level_hist, oracle.level_hist)
 
     def test_noisy_oracle_clipped_to_unit_interval(self):
-        world, _ = _pct_run("noisy_oracle", predictor_add_sigma=0.5, predictor_mul_sigma=0.5)
-        est = world.yhat_hist
-        assert est.min() >= 0.0 and est.max() <= 1.0
-        assert est.min() == 0.0 and est.max() == 1.0
+        trace, _, published = _pct_run("noisy_oracle", predictor_add_sigma=0.5,
+                                       predictor_mul_sigma=0.5)
+        for est in (published, trace.yhat_hist):
+            assert est.min() >= 0.0 and est.max() <= 1.0
+            assert est.min() == 0.0 and est.max() == 1.0
 
     def test_additive_noise_mean_after_clipping(self):
         # at ground truth 0 with additive sigma s, clipping a centered
         # gaussian at zero leaves mean s / sqrt(2 pi)
-        world, truth = _pct_run("noisy_oracle", days=20, population_size=600,
-                                predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
-        est = world.yhat_hist
-        at_zero = est[_truth_windows(world, truth) == 0]
-        assert at_zero.size > 50_000
-        assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
+        trace, truth, published = _pct_run("noisy_oracle", days=20, population_size=600,
+                                           predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
+        zero = _truth_windows(trace, truth) == 0
+        for est in (published, trace.yhat_hist):
+            at_zero = est[zero]
+            assert at_zero.size > 50_000
+            assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
 
 
-def _external_world(tmp_path, y_hat_for):
+def _external_world(tmp_path, y_hat_for, published=None):
     """A one-day pct world replaying ``y_hat_for(agent)`` for every agent.
 
-    An agent for which ``y_hat_for`` returns None has no prediction.
+    An agent for which ``y_hat_for`` returns None has no prediction. The
+    estimates the engine publishes are appended to ``published`` as float32.
     """
     n = 60
     path = tmp_path / "preds.jsonl"
@@ -376,6 +397,14 @@ def _external_world(tmp_path, y_hat_for):
         for a in range(n) if y_hat_for(a) is not None))
     world = init_world(SimConfig(population_size=n, num_days=1, rng_seed=1, policy="pct",
                                  predictor="external", external_predictions=str(path)))
+    if published is not None:
+        publish = world._publish
+
+        def spy(day, y_hat, *args):
+            published.append(y_hat.astype(np.float32))
+            return publish(day, y_hat, *args)
+
+        world._publish = spy
     step_day(world)
     return world
 
@@ -402,24 +431,29 @@ class TestPctPolicy:
         assert world.policy_level[app].tolist() == [4 - 3 * (a % 2) for a in app.tolist()]
 
     def test_returns_estimate_unchanged(self, tmp_path):
-        world = _external_world(tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2)
+        published = []
+        world = _external_world(tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2,
+                                published)
         for i, agent in enumerate(world.app_ids.tolist()):
             expected = np.linspace(0, 0.9, 15) * (agent % 3) / 2
             assert np.array_equal(world.external.y_hat[0, i], expected)
-            assert np.array_equal(world.yhat_hist[i, 0], expected.astype(np.float32))
+            assert np.array_equal(published[0][i], expected.astype(np.float32))
 
     def test_non_finite_prediction_fails_like_a_missing_one(self, tmp_path):
         agent = int(_external_world(tmp_path, lambda a: [0.99] * 15).app_ids[0])
+        nan_published, missing_published = [], []
         nan = _external_world(
-            tmp_path, lambda a: [0.99] * 14 + [float("nan") if a == agent else 0.99])
-        missing = _external_world(tmp_path, lambda a: None if a == agent else [0.99] * 15)
+            tmp_path, lambda a: [0.99] * 14 + [float("nan") if a == agent else 0.99],
+            nan_published)
+        missing = _external_world(tmp_path, lambda a: None if a == agent else [0.99] * 15,
+                                  missing_published)
         assert nan.day_reports[0].messages > 0
         assert nan.policy_level[agent] == 1
         # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
         assert np.all(nan.held[:, 0] == nan.quantize(0.0))
         assert np.array_equal(nan.external.y_hat[0, 0], np.zeros(15))
         assert np.array_equal(nan.policy_level, missing.policy_level)
-        assert np.array_equal(nan.yhat_hist, missing.yhat_hist)
+        assert np.array_equal(nan_published, missing_published)
         assert nan.day_reports == missing.day_reports
 
     def test_level_is_psi_of_todays_quantized_estimate(self):
