@@ -446,8 +446,12 @@ def heuristic_days():
     world = init_world(_small(policy="heuristic", population_size=600, num_days=20,
                               initial_exposed_fraction=0.05, global_mobility_scale=3.75))
     observed, published = [], []
-    _spy_publish(world, lambda w, day, y_hat: (observed.append(w.observables_for(day)),
-                                               published.append(y_hat.astype(np.float32))))
+
+    def read(w, day, y_hat):
+        observed.append(w.observables_for(day))
+        published.append(y_hat.astype(np.float32))
+
+    _spy_publish(world, read)
     days = []
     for day in range(world.cfg.num_days):
         step_day(world)
