@@ -90,6 +90,13 @@ def _positive_float(text):
     return value
 
 
+def _out_dir(text):
+    """An output directory: the part of the path that exists must be one."""
+    if next(p for p in (Path(text), *Path(text).parents) if p.exists()).is_dir():
+        return text
+    raise argparse.ArgumentTypeError(f"{text} is not a directory, nor inside one")
+
+
 def _load_config(args) -> core.SimConfig:
     cfg = core.load_config(args.config)
     env_seed = os.environ.get("TRACE_SIM_SEED")
@@ -382,7 +389,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", parents=[config, policy, predictor],
                        help="single run: trace, events, metrics")
     p.add_argument("--seed", type=int, default=None, help="override rng_seed")
-    p.add_argument("--out", default="out", help="output directory")
+    p.add_argument("--out", type=_out_dir, default="out", help="output directory")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("pareto", parents=[config, jobs, predictor, seeds],
@@ -406,7 +413,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("datagen", parents=[config, jobs, policy, predictor],
                        help="domain-randomized dataset campaign")
     p.add_argument("--n-runs", type=_positive_int, default=6, help="number of runs")
-    p.add_argument("--out", default="dataset", help="output directory")
+    p.add_argument("--out", type=_out_dir, default="dataset", help="output directory")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("calibrate", parents=[config, jobs],

@@ -50,6 +50,7 @@ CONDITION_PREVALENCE = (
 QUARANTINE_DAYS = 14
 EVENT_LOCATIONS = (*mobility.LOCATION_TYPES, "external")  # code -1: a seed
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.int64)  # symptoms in a mask
+_N_TESTS = len(virology.TEST_CODE_NAMES)  # a health code is symptom mask * _N_TESTS + test code
 TRACE_SCHEMA_VERSION = 1
 
 # glibc's mallopt parameters (malloc.h) and the values _keep_heap sets
@@ -276,7 +277,8 @@ class SimulationTrace:
     that app agent ``app_ids[i]`` holds for its contacts of ``k`` days
     before d are cell ``i * window + k``.
 
-    The four stored ``(population, num_days)`` histories are column-major.
+    Stored, column-major: ``level_hist`` and the app agents' ``health_hist`` (uint8 symptom
+    mask * 4 + test code), split into ``symptom_hist`` and ``test_hist`` on first read.
 
     The estimates (recorded for pct and the heuristic) are not stored:
     ``estimates()`` yields each day's ``(n_app, window)`` float32 estimates,
@@ -293,9 +295,9 @@ class SimulationTrace:
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
     every agent, indexed by agent id; ``agent_profile`` reads them.
     ``exposure_day`` (-1: never exposed), ``onset``, ``peak``, ``recovery``
-    and ``peak_evl`` are every agent's disease course, from which
-    ``ground_truth`` derives y. ``y_hist``, the ``(population, num_days)``
-    float32 ground truth, is computed from them on first read.
+    and ``peak_evl`` are every agent's disease course. ``ground_truth`` derives y
+    and ``epi_states`` the states (a seed's from day 0) from them, and so ``y_hist``
+    and ``epi_hist``, their ``(population, num_days)`` histories, on first read.
 
     ``events`` is ``(m, 4)`` int64 in infection order, a row ``(day, infector, infectee,
     location)``; a seed has infector EXTERNAL_SEED and location -1 (``EVENT_LOCATIONS``).
@@ -312,10 +314,8 @@ class SimulationTrace:
     initial_counts: dict
     day_reports: list
     events: np.ndarray
-    epi_hist: np.ndarray
     level_hist: np.ndarray
-    symptom_hist: np.ndarray
-    test_hist: np.ndarray
+    health_hist: np.ndarray
     exposure_day: np.ndarray
     onset: np.ndarray
     peak: np.ndarray
@@ -330,6 +330,20 @@ class SimulationTrace:
     @functools.cached_property
     def y_hist(self) -> np.ndarray:
         return ground_truth(self, np.arange(self.population), np.arange(self.num_days))
+
+    @functools.cached_property
+    def epi_hist(self) -> np.ndarray:
+        return epi_states(self, np.arange(self.population), np.arange(self.num_days))
+
+    @functools.cached_property
+    def _health_by_agent(self) -> tuple:  # zero outside app_ids, where neither is modeled
+        symptoms = np.zeros((self.population, self.num_days), dtype=np.uint8, order="F")
+        tests = np.zeros_like(symptoms, dtype=np.int8)
+        symptoms[self.app_ids], tests[self.app_ids] = np.divmod(self.health_hist, _N_TESTS)
+        return symptoms, tests
+
+    symptom_hist = property(lambda self: self._health_by_agent[0])
+    test_hist = property(lambda self: self._health_by_agent[1])
 
     @functools.cached_property
     def cfg(self) -> SimConfig:
@@ -370,7 +384,8 @@ class SimulationTrace:
 
     def recovered_ids(self):
         """Sorted ids of the agents recovered at the end of the run; none after 0 days."""
-        return np.flatnonzero(self.epi_hist[:, -1:] == STATE_R)
+        last = np.arange(self.num_days)[-1:]
+        return np.flatnonzero(epi_states(self, np.arange(self.population), last) == STATE_R)
 
     def write(self, trace_path, events_path):
         """Persist the trace as day-record JSONL plus an event JSONL."""
@@ -531,10 +546,8 @@ class WorldState:
 
     def _init_trace_buffers(self):
         n, days = self.n, int(self.cfg.num_days)
-        self.epi_hist = np.zeros((n, days), dtype=np.int8, order="F")
         self.level_hist = np.zeros((n, days), dtype=np.int8, order="F")
-        self.symptom_hist = np.zeros((n, days), dtype=np.uint8, order="F")
-        self.test_hist = np.zeros((n, days), dtype=np.int8, order="F")
+        self.health_hist = np.zeros((self.app_ids.size, days), dtype=np.uint8, order="F")
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
                             if self.cfg.record_observables and self.app_active else None)
@@ -593,11 +606,11 @@ class WorldState:
         (a positive is never replaced, so one today), the number of symptoms
         reported today, and the highest risk level held from any contact in the window.
         """
-        app = self.app_ids
-        has_positive = self.test_hist[:, day][app] == TEST_POSITIVE
-        n_symptoms = _POPCOUNT.take(self.symptom_hist[:, day][app])
+        health = self.health_hist[:, day]
+        has_positive = health % _N_TESTS == TEST_POSITIVE
+        n_symptoms = _POPCOUNT.take(health // _N_TESTS)
         # held's dtype: np.maximum.at is ~30x slower when the dtypes differ
-        top = np.zeros(app.size, dtype=np.int8)
+        top = np.zeros(health.size, dtype=np.int8)
         for e in self.edge_days():
             np.maximum.at(top, e.receiver, self.held_levels(e))
         return has_positive, n_symptoms, top.astype(np.int64)
@@ -672,13 +685,12 @@ class WorldState:
     def _phase_testing(self, day):
         cfg = self.cfg
         rng = self.rng["testing"]
-        n = self.n
         self.new_positive_today[:] = False
 
         t_mid = day + 0.5 - self.exposure_day  # y_today > 0 only for the exposed
         symptomatic = (self.has_app & (self.y_today > 0) & ~self.asymptomatic
                        & (t_mid >= self.symptom_onset))
-        reported = np.zeros(n, dtype=np.uint8)
+        reported = np.zeros_like(self.symptom_mask)
         idx = np.flatnonzero(symptomatic)
         keep = rng.random((idx.size, len(virology.SYMPTOM_NAMES))) >= cfg.symptom_dropout
         reported[idx] = self.symptom_mask[idx] & np.packbits(keep, axis=1, bitorder="little")[:, 0]
@@ -687,10 +699,10 @@ class WorldState:
             draws = rng.random(n_app) < cfg.symptom_dropin
             flags = rng.integers(0, len(virology.SYMPTOM_NAMES), n_app)
             reported[self.app_ids[draws]] |= np.uint8(1) << flags[draws].astype(np.uint8)
-        self.symptom_hist[:, day] = reported
 
-        # a new symptom episode: a report today and none yesterday
-        new_episode = (reported != 0) & ((self.symptom_hist[:, day - 1] == 0) if day else True)
+        # a new symptom episode: a report today and none yesterday (a code below _N_TESTS)
+        new_episode = reported != 0
+        new_episode[self.app_ids] &= (self.health_hist[:, day - 1] < _N_TESTS) if day else True
         can_test = (self.test_code == TEST_NONE) | (self.test_code == TEST_NEGATIVE)
         candidates = np.flatnonzero(new_episode & can_test)
         ordered = candidates[rng.random(candidates.size) < cfg.carefulness]
@@ -715,7 +727,7 @@ class WorldState:
         members = hh.flat[offset + np.arange(offset.size)]
         mates = members[(np.repeat(n_pos, size) > 1) | ~self.new_positive_today[members]]
         self.hh_until[mates] = day + QUARANTINE_DAYS
-        self.test_hist[:, day] = self.test_code
+        self.health_hist[:, day] = reported[self.app_ids] * _N_TESTS + self.test_code[self.app_ids]
         return ordered.size, pos.size
 
     def _phase_app_pass(self, day):
@@ -859,7 +871,6 @@ def step_day(world: WorldState) -> DayReport:
     messages = world._phase_app_pass(day)
     world._phase_levels(day)
 
-    world.epi_hist[:, day] = world.epi_state
     counts = np.bincount(world.epi_state, minlength=4)
     q_mask = world.level_hist[:, day] == 4
     healthy = (world.epi_state == STATE_S) | (world.epi_state == STATE_R)
@@ -903,10 +914,8 @@ def run(config: SimConfig) -> SimulationTrace:
         initial_counts=world.initial_counts,
         day_reports=world.day_reports,
         events=world.events,
-        epi_hist=world.epi_hist,
         level_hist=world.level_hist,
-        symptom_hist=world.symptom_hist,
-        test_hist=world.test_hist,
+        health_hist=world.health_hist,
         exposure_day=world.exposure_day,
         onset=world.onset,
         peak=world.peak,
@@ -939,6 +948,22 @@ def ground_truth(world, agents, days) -> np.ndarray:
                                 world.peak[exposed], world.recovery[exposed],
                                 world.peak_evl[exposed])
     return y
+
+
+def epi_states(world, agents, days) -> np.ndarray:
+    """End-of-day epidemic state of ``agents`` (rows) on ``days`` (columns), int8.
+
+    S before exposure; E on a transmission's exposure day, as its progression ran first;
+    else R from recovery, I from onset, else E, at the progression's ``d + 0.5 - exposure_day``
+    (a seed, exposed before day 0's progression, from day 0). ``world``: a WorldState or trace.
+    """
+    agents = np.asarray(agents, dtype=np.int64)
+    exposure = world.exposure_day[agents, None]
+    t = np.asarray(days, dtype=np.int64) + 0.5 - exposure
+    seed = np.isin(agents, world.events[world.events[:, 1] == EXTERNAL_SEED, 2])[:, None]
+    return np.select([(exposure < 0) | (t < 0), (t == 0.5) & ~seed,
+                      t >= world.recovery[agents, None], t >= world.onset[agents, None]],
+                     [STATE_S, STATE_E, STATE_R, STATE_I], STATE_E).astype(np.int8)
 
 
 def ground_truth_window(world, day) -> np.ndarray:

@@ -52,7 +52,7 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# Every health slot, indexed by symptom mask * len(TEST_CODE_NAMES) + test code.
+# Every health slot, indexed by health code: symptom mask * len(TEST_CODE_NAMES) + test code.
 _HEALTH_SLOTS = np.array(
     [_canonical({"symptoms": symptom_names_from_mask(mask), "test": test})
      for mask in range(1 << len(SYMPTOM_NAMES)) for test in TEST_CODE_NAMES],
@@ -114,8 +114,6 @@ def _render_days(trace):
     app = trace.app_ids
     n_app = app.size
     target_text, target_codes = _render_floats(core.ground_truth(trace, app, np.arange(trace.num_days)))
-    health_codes = (trace.symptom_hist[app].astype(np.uint8) * len(TEST_CODE_NAMES)
-                    + trace.test_hist[app].astype(np.uint8))
     # one tail per distinct (age band, sex, conditions), from its first agent's profile
     profile_key = ((trace.age_band[app].astype(np.intp) << 16)
                    | (trace.sex[app].astype(np.intp) << 8) | trace.conditions[app])
@@ -133,7 +131,7 @@ def _render_days(trace):
         first = day + 1 - span
         nulls, zeros = ",null" * (window - span), ",0.0" * (window - span)
         health_text, health_rows = _render_windows(
-            health_codes[:, first:day + 1][:, ::-1], _HEALTH_SLOTS,
+            trace.health_hist[:, first:day + 1][:, ::-1], _HEALTH_SLOTS,
             f']{nulls}],"health":[', f"{nulls}],")
         day_targets, target_rows = _render_windows(
             target_codes[:, first:day + 1][:, ::-1], target_text, after=f"{zeros}]}}\n")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 from pctsim import cli, core, metrics
+from pctsim.virology import TEST_CODE_NAMES
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run and
 # has no per-example deadline, so a property test cannot fail on a new draw
@@ -30,6 +31,17 @@ _CRITERIA = {
     7: "domain-randomized dataset pipeline, run-disjoint split, round-trip MSE 0",
 }
 _outcomes: dict[int, list[str]] = {}
+
+
+def health(world):
+    """A world's ``(n, days)`` symptom masks (uint8) and test codes (int8), from the
+    ``(n_app, days)`` health codes it stores; zero outside ``app_ids``, where
+    neither is modeled. Tests import it as ``from conftest import health``."""
+    symptoms = np.zeros((world.n, world.health_hist.shape[1]), dtype=np.uint8)
+    tests = np.zeros(symptoms.shape, dtype=np.int8)
+    symptoms[world.app_ids], tests[world.app_ids] = np.divmod(world.health_hist,
+                                                              len(TEST_CODE_NAMES))
+    return symptoms, tests
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import health
 from hypothesis import strategies as st
 
 from pctsim import core, messaging, virology
@@ -477,7 +478,7 @@ class TestHeuristicThroughEngine:
         app = world.app_ids
         hits = 0
         for day, (_obs, _y_hat, policy_level) in enumerate(days):
-            window = world.test_hist[app, max(day - world.cfg.d_max, 0):day + 1]
+            window = health(world)[1][app, max(day - world.cfg.d_max, 0):day + 1]
             positive = app[(window == TEST_POSITIVE).any(axis=1)]
             assert np.all(policy_level[positive] == 4)
             hits += positive.size
@@ -488,7 +489,7 @@ class TestHeuristicThroughEngine:
         app = world.app_ids
         for day, ((has_positive, n_symptoms, max_level), _y_hat, _level) in enumerate(days):
             assert has_positive.shape == n_symptoms.shape == max_level.shape == app.shape
-            bits = [bin(int(m)).count("1") for m in world.symptom_hist[app, day]]
+            bits = [bin(int(m)).count("1") for m in health(world)[0][app, day]]
             assert n_symptoms.tolist() == bits
             offsets, levels, _counts = world.enc_windows[day]
             starts = offsets[::world.window]  # each app agent's first row
@@ -513,12 +514,13 @@ class TestHeuristicThroughEngine:
 
 def _observables_reference(world, day):
     """The heuristic's evidence by the window formula: a positive anywhere in the
-    window's ``test_hist`` columns, ``unpackbits`` of today's symptom masks, and the
+    window's test code columns, ``unpackbits`` of today's symptom masks, and the
     highest level over a (sender, slot) gather of the ``(n_app, window)`` held levels."""
     app = world.app_ids
-    tests = world.test_hist[app, max(day - world.cfg.d_max, 0):day + 1]
+    symptoms, tests = health(world)
+    tests = tests[app, max(day - world.cfg.d_max, 0):day + 1]
     has_positive = np.any(tests == TEST_POSITIVE, axis=1)
-    n_symptoms = np.unpackbits(world.symptom_hist[app, day][:, None], axis=1).sum(axis=1)
+    n_symptoms = np.unpackbits(symptoms[app, day][:, None], axis=1).sum(axis=1)
     held = world.held.T
     top = np.zeros(app.size, dtype=np.int8)
     for e in world.edge_days():
@@ -544,7 +546,7 @@ class TestObservablesReference:
             for g, x in zip(got, want):
                 assert np.array_equal(g, x)
         # the window's positives are today's only because a positive is never replaced
-        positive = world.test_hist == TEST_POSITIVE
+        positive = health(world)[1] == TEST_POSITIVE
         assert np.array_equal(np.maximum.accumulate(positive, axis=1), positive)
         assert positive[:, -1].sum() > 0
         assert any(want[0].any() and want[1].max() >= 2 and want[2].max() >= 12
@@ -982,12 +984,15 @@ class TestHistoryLayout:
         world = init_world(cfg)
         for _ in range(4):
             step_day(world)
-        for name in ("epi_hist", "level_hist", "symptom_hist", "test_hist"):
+        for name in ("level_hist", "health_hist"):
             hist = getattr(world, name)
             assert all(hist[:, d].flags.c_contiguous for d in range(4)), name
-        # the estimate history is the trace's, built on first read
-        assert not hasattr(world, "yhat_hist")
+        # the epidemic, symptom, test and estimate histories are the trace's, built on first read
+        for name in ("epi_hist", "symptom_hist", "test_hist", "yhat_hist"):
+            assert not hasattr(world, name), name
         trace = run(cfg)
+        stored = {f.name for f in dataclasses.fields(trace) if f.name.endswith("_hist")}
+        assert stored == {"level_hist", "health_hist"}
         assert all(trace.yhat_hist[:, d].flags.c_contiguous for d in range(4))
         # so calibration reads every estimate without copying the history
         assert np.shares_memory(trace.yhat_hist.ravel(order="K"), trace.yhat_hist)

@@ -9,21 +9,26 @@ checked after every day of a stepped run.
 """
 
 import filecmp
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from conftest import health
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pctsim import virology
 from pctsim.core import (
     POLICIES,
     QUARANTINE_DAYS,
     SimConfig,
+    epi_states,
     ground_truth,
     init_world,
     run,
     step_day,
 )
-from pctsim.virology import TEST_PENDING, TEST_POSITIVE
+from pctsim.metrics import STATE_E, STATE_I
+from pctsim.virology import TEST_NONE, TEST_PENDING, TEST_POSITIVE
 
 _NO_DROPOUTS = dict(symptom_dropout=0.0, symptom_dropin=0.0, quarantine_dropout_test=0.0,
                     quarantine_dropout_household=0.0, all_levels_dropout=0.0)
@@ -91,23 +96,70 @@ def _check_invariants(world, report):
         assert until.max() <= day + QUARANTINE_DAYS
     for e in world.edge_days():
         assert world.outdeg[e.day % world.window].sum() == e.receiver.size
+    symptoms, tests = health(world)
+    # symptoms and tests are modeled for app agents only, so no other agent is
+    # ever ordered a test; the stored health code holds each app agent's test code
+    off_app = np.setdiff1d(np.arange(world.n), world.app_ids)
+    assert np.all(world.test_code[off_app] == TEST_NONE)
+    assert np.all(world.result_day[off_app] == -1)
+    assert np.array_equal(tests[world.app_ids, day], world.test_code[world.app_ids])
     if day:
-        was_positive = world.test_hist[:, day - 1] == TEST_POSITIVE
-        assert np.all(world.test_hist[was_positive, day] == TEST_POSITIVE)
+        was_positive = tests[:, day - 1] == TEST_POSITIVE
+        assert np.all(tests[was_positive, day] == TEST_POSITIVE)
     # a test is ordered on the first day of a run of symptom reports
     pending = np.flatnonzero(world.test_code == TEST_PENDING)
     order = world.result_day[pending] - world.cfg.test_delay_days
-    assert np.all(world.symptom_hist[pending, order] != 0)
-    assert np.all((order == 0) | (world.symptom_hist[pending, order - 1] == 0))
+    assert np.all(symptoms[pending, order] != 0)
+    assert np.all((order == 0) | (symptoms[pending, order - 1] == 0))
     # the ground truth derived from the courses is the day's progression y
     derived = ground_truth(world, np.arange(world.n), [day])[:, 0]
     assert derived.tobytes() == world.y_today.astype(np.float32).tobytes()
+    # and the states derived from them are the world's at the end of the day
+    states = epi_states(world, np.arange(world.n), [day])[:, 0]
+    assert np.array_equal(states, world.epi_state)
 
 
 @settings(max_examples=20, deadline=None)
 @given(cfg=small_worlds(), policy=st.sampled_from(POLICIES),
        predictor=st.sampled_from(["oracle", "noisy_oracle"]))
+# about one symptom drop-in per agent in 20 days: tests are ordered on drop-ins every day
+@example(cfg=SimConfig(population_size=300, num_days=12, symptom_dropin=0.05,
+                       initial_exposed_fraction=0.05, global_mobility_scale=3.75, rng_seed=5,
+                       record_observables=False, record_estimates=False),
+         policy="bct", predictor="oracle")
 def test_the_world_invariants_hold_every_day(cfg, policy, predictor):
     world = init_world(cfg.replace(policy=policy, predictor=predictor))
     for _ in range(cfg.num_days):
         _check_invariants(world, step_day(world))
+
+
+def test_the_seed_rule_decides_at_the_earliest_onset():
+    """With every infectiousness onset at ONSET_MIN, the one value where it matters, the
+    state at the end of an exposure day depends on how the agent was exposed: a seed,
+    exposed before day 0's progression, is I at the end of day 0, and an agent
+    infected on day d, after that day's progression, is E at the end of day d.
+    No agent is infected on day 0: a seed's y is 0 until past its onset."""
+    sample = virology.sample_disease_courses
+
+    def earliest_onset(n, rng):
+        courses = sample(n, rng)
+        courses["infectiousness_onset_day"][:] = virology.ONSET_MIN
+        return courses
+
+    cfg = SimConfig(population_size=400, num_days=8, initial_exposed_fraction=0.05,
+                    global_mobility_scale=3.75, rng_seed=3, record_observables=False,
+                    record_estimates=False)
+    infected = 0
+    with mock.patch.object(virology, "sample_disease_courses", earliest_onset):
+        world = init_world(cfg)
+        seeds = np.flatnonzero(world.exposure_day == 0)
+        assert seeds.size
+        for day in range(cfg.num_days):
+            _check_invariants(world, step_day(world))
+            states = epi_states(world, np.arange(world.n), [day])[:, 0]
+            if day == 0:
+                assert np.all(states[seeds] == STATE_I)
+            exposed = np.setdiff1d(np.flatnonzero(world.exposure_day == day), seeds)
+            assert np.all(states[exposed] == STATE_E)
+            infected += exposed.size
+    assert infected > 0

@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import health
 
 from pctsim import core
 from pctsim.core import SimConfig, WorldState, init_world, run, step_day
@@ -185,7 +186,7 @@ class TestBctPolicy:
                 w.infected_at_order[agent] = True
 
         levels = _levels_after(world, inject, 25)
-        assert world.test_hist[agent, 5] == TEST_POSITIVE
+        assert health(world)[1][agent, 5] == TEST_POSITIVE
         assert levels[agent, :6].tolist() == [1] * 6
         assert levels[agent, 6:20].tolist() == [4] * 14
         assert levels[agent, 20] == 1
@@ -268,7 +269,7 @@ def bct_positive():
         step_day(world)
     _due_positive(world, agent, result_day)
     report = step_day(world)
-    assert world.test_hist[agent, result_day] == TEST_POSITIVE
+    assert health(world)[1][agent, result_day] == TEST_POSITIVE
     return world, report, agent, result_day, met
 
 
@@ -308,7 +309,7 @@ class TestBctFanout:
                 _due_positive(world, agent, day)
             messages += step_day(world).messages
             assert not world.bct_flag.any()
-        assert world.test_hist[agent, 5] == TEST_POSITIVE
+        assert health(world)[1][agent, 5] == TEST_POSITIVE
         assert messages == 0
         assert np.all(world.bct_until < 0)
 
