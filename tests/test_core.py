@@ -9,8 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
 from conftest import health
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pctsim import core, messaging, virology
