@@ -27,8 +27,8 @@ base = SimConfig(population_size=2000, num_days=50,
 # calibrate command for the full procedure
 traffic = run(base.replace(policy="pct", predictor="noisy_oracle",
                            record_estimates=True))
-samples = traffic.yhat_hist.ravel(order="K")
-thresholds = tuple(calibrate_thresholds(samples[samples > 0].astype(float)))
+samples = np.concatenate([y[y > 0] for y in traffic.estimates()])
+thresholds = tuple(calibrate_thresholds(samples.astype(float)))
 
 print(f"{'policy':<12} {'contacts':>9} {'R':>7} {'cases':>6} {'false_q':>8}")
 for policy in ("no_tracing", "bct", "heuristic", "pct"):

@@ -97,6 +97,14 @@ def _out_dir(text):
     raise argparse.ArgumentTypeError(f"{text} is not a directory, nor inside one")
 
 
+def _out_file(text):
+    """An output file: not a directory, and its parent must be one."""
+    path = Path(text)
+    if not path.is_dir() and path.parent.is_dir():
+        return text
+    raise argparse.ArgumentTypeError(f"{text} is a directory, or not inside one")
+
+
 def _load_config(args) -> core.SimConfig:
     cfg = core.load_config(args.config)
     env_seed = os.environ.get("TRACE_SIM_SEED")
@@ -343,8 +351,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
                               rng_seed=seeds[0], record_observables=False,
                               record_estimates=True, record_encounter_log=False)
     trace = core.run(traffic_cfg)
-    samples = trace.yhat_hist.ravel(order="K")
-    samples = samples[samples > 0.0]
+    samples = np.concatenate([y[y > 0] for y in trace.estimates()])
     thresholds = messaging.calibrate_thresholds(samples.astype(np.float64))
     return {
         "mobility_scale": best_scale,
@@ -398,7 +405,7 @@ def build_parser() -> _Parser:
                    help="comma-separated mobility scales")
     p.add_argument("--policies", type=_parse_policy_list, default=list(core.POLICIES),
                    help="comma-separated policies (default: all)")
-    p.add_argument("--out", default="pareto.csv", help="output CSV path")
+    p.add_argument("--out", type=_out_file, default="pareto.csv", help="output CSV path")
     p.set_defaults(func=cmd_pareto)
 
     p = sub.add_parser("adoption", parents=[config, jobs, predictor, seeds],
@@ -407,7 +414,7 @@ def build_parser() -> _Parser:
                    help="comma-separated adoption rates")
     p.add_argument("--policies", type=_parse_policy_list, default=["bct", "heuristic", "pct"],
                    help="comma-separated policies (default: bct,heuristic,pct)")
-    p.add_argument("--out", default="adoption.csv", help="output CSV path")
+    p.add_argument("--out", type=_out_file, default="adoption.csv", help="output CSV path")
     p.set_defaults(func=cmd_adoption)
 
     p = sub.add_parser("datagen", parents=[config, jobs, policy, predictor],
@@ -424,7 +431,7 @@ def build_parser() -> _Parser:
                    help="target mean effective contacts per agent-day")
     p.add_argument("--tolerance", type=_positive_float, default=DEFAULT_CONTACT_TOLERANCE,
                    help="acceptable contacts deviation")
-    p.add_argument("--out", default="calibration.json", help="output JSON path")
+    p.add_argument("--out", type=_out_file, default="calibration.json", help="output JSON path")
     p.set_defaults(func=cmd_calibrate)
     return parser
 

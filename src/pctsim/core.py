@@ -277,8 +277,8 @@ class SimulationTrace:
     that app agent ``app_ids[i]`` holds for its contacts of ``k`` days
     before d are cell ``i * window + k``.
 
-    Stored, column-major: ``level_hist`` and the app agents' ``health_hist`` (uint8 symptom
-    mask * 4 + test code), split into ``symptom_hist`` and ``test_hist`` on first read.
+    ``health_hist`` is the one stored per-day history: the app agents'
+    ``(n_app, num_days)`` uint8 health codes (symptom mask * 4 + test code), column-major.
 
     The estimates (recorded for pct and the heuristic) are not stored:
     ``estimates()`` yields each day's ``(n_app, window)`` float32 estimates,
@@ -287,17 +287,13 @@ class SimulationTrace:
     ``"predictor"`` stream from ``predictor_state``, its state before the
     run's first draw, or ``external``, the run's replayed predictions. For the
     heuristic it is the day's score, ``heuristic_score[:, d]``
-    (``(n_app, num_days)`` float32), on every slot. ``yhat_hist``, the
-    ``(n_app, num_days, window)`` history, is built from them on first read;
-    it views a day-major buffer, so ``yhat_hist[:, d]`` is contiguous and
-    ``ravel(order="K")`` reads all of it without a copy.
+    (``(n_app, num_days)`` float32), on every slot.
 
     ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
     every agent, indexed by agent id; ``agent_profile`` reads them.
     ``exposure_day`` (-1: never exposed), ``onset``, ``peak``, ``recovery``
     and ``peak_evl`` are every agent's disease course. ``ground_truth`` derives y
-    and ``epi_states`` the states (a seed's from day 0) from them, and so ``y_hist``
-    and ``epi_hist``, their ``(population, num_days)`` histories, on first read.
+    and ``epi_states`` the states (a seed's from day 0) from them.
 
     ``events`` is ``(m, 4)`` int64 in infection order, a row ``(day, infector, infectee,
     location)``; a seed has infector EXTERNAL_SEED and location -1 (``EVENT_LOCATIONS``).
@@ -314,7 +310,6 @@ class SimulationTrace:
     initial_counts: dict
     day_reports: list
     events: np.ndarray
-    level_hist: np.ndarray
     health_hist: np.ndarray
     exposure_day: np.ndarray
     onset: np.ndarray
@@ -326,24 +321,6 @@ class SimulationTrace:
     heuristic_score: np.ndarray | None = None
     enc_windows: ObservationLog | None = None
     encounter_log: list | None = None
-
-    @functools.cached_property
-    def y_hist(self) -> np.ndarray:
-        return ground_truth(self, np.arange(self.population), np.arange(self.num_days))
-
-    @functools.cached_property
-    def epi_hist(self) -> np.ndarray:
-        return epi_states(self, np.arange(self.population), np.arange(self.num_days))
-
-    @functools.cached_property
-    def _health_by_agent(self) -> tuple:  # zero outside app_ids, where neither is modeled
-        symptoms = np.zeros((self.population, self.num_days), dtype=np.uint8, order="F")
-        tests = np.zeros_like(symptoms, dtype=np.int8)
-        symptoms[self.app_ids], tests[self.app_ids] = np.divmod(self.health_hist, _N_TESTS)
-        return symptoms, tests
-
-    symptom_hist = property(lambda self: self._health_by_agent[0])
-    test_hist = property(lambda self: self._health_by_agent[1])
 
     @functools.cached_property
     def cfg(self) -> SimConfig:
@@ -372,15 +349,6 @@ class SimulationTrace:
         rng.bit_generator.state = self.predictor_state
         for day in range(self.num_days):
             yield predict(self, day, rng).astype(np.float32)
-
-    @functools.cached_property
-    def yhat_hist(self) -> np.ndarray | None:
-        if not self._records_estimates:
-            return None
-        hist = np.empty((self.num_days, self.app_ids.size, self.window), dtype=np.float32)
-        for day, y_hat in enumerate(self.estimates()):
-            hist[day] = y_hat
-        return hist.transpose(1, 0, 2)
 
     def recovered_ids(self):
         """Sorted ids of the agents recovered at the end of the run; none after 0 days."""
@@ -545,8 +513,7 @@ class WorldState:
                                   f"{exc.strerror or exc}") from None
 
     def _init_trace_buffers(self):
-        n, days = self.n, int(self.cfg.num_days)
-        self.level_hist = np.zeros((n, days), dtype=np.int8, order="F")
+        days = int(self.cfg.num_days)
         self.health_hist = np.zeros((self.app_ids.size, days), dtype=np.uint8, order="F")
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
@@ -633,7 +600,6 @@ class WorldState:
         self.y_today = y
 
     def _phase_encounters(self, day):
-        self.level_hist[:, day] = self.rec_level
         a, b, loc = mobility.generate_encounters(
             self.loc_indexes, self.rec_level, self.cfg.global_mobility_scale,
             self.rng["mobility"])
@@ -864,6 +830,7 @@ def step_day(world: WorldState) -> DayReport:
     day = world.day
     if day >= cfg.num_days:
         raise RuntimeError(f"step_day past num_days={cfg.num_days}")
+    levels = world.rec_level  # today's; _phase_levels replaces the array, not its values
     world._phase_progression(day)
     a, b, loc = world._phase_encounters(day)
     new_cases = world._phase_transmission(day, a, b, loc)
@@ -872,7 +839,7 @@ def step_day(world: WorldState) -> DayReport:
     world._phase_levels(day)
 
     counts = np.bincount(world.epi_state, minlength=4)
-    q_mask = world.level_hist[:, day] == 4
+    q_mask = levels == 4
     healthy = (world.epi_state == STATE_S) | (world.epi_state == STATE_R)
     report = DayReport(
         day=day,
@@ -914,7 +881,6 @@ def run(config: SimConfig) -> SimulationTrace:
         initial_counts=world.initial_counts,
         day_reports=world.day_reports,
         events=world.events,
-        level_hist=world.level_hist,
         health_hist=world.health_hist,
         exposure_day=world.exposure_day,
         onset=world.onset,

@@ -81,11 +81,12 @@ class ExternalPredictor:
     clipped to [0, 1]. ``ok[day, i]`` marks the cells read from the file:
     the last line for an (agent, day) counts, and it must have a 1-D y_hat
     of ``window`` finite values. Lines for agents outside ``app_ids`` or
-    days outside [0, num_days) are ignored. An agent_id or day that is not
-    an integer (a string, a bool or a fractional value) is a ValueError
-    naming the line. A cell that is not ok, a failed prediction, holds the
-    previous day's estimate moved one day older, its newest slot repeated
-    (zeros on day 0): the levels its partners hold.
+    days outside [0, num_days) are ignored. A line that is not a JSON object
+    with the three keys, or whose agent_id or day is not an integer (a
+    string, a bool or a fractional value), is a ValueError naming the line.
+    A cell that is not ok, a failed prediction, holds the previous day's
+    estimate moved one day older, its newest slot repeated (zeros on day 0):
+    the levels its partners hold.
     ``sha256`` is the digest of the file's bytes.
     """
 
@@ -99,7 +100,13 @@ class ExternalPredictor:
                 digest.update(line)
                 if not line.strip():
                     continue
-                rec = json.loads(line.decode())
+                try:
+                    rec = json.loads(line.decode())
+                except ValueError:  # not UTF-8 or not JSON
+                    rec = None
+                if not isinstance(rec, dict) or not {"agent_id", "day", "y_hat"} <= rec.keys():
+                    raise ValueError(f"{where} {line_no}: not a JSON object with agent_id, "
+                                     "day and y_hat")
                 i, day = (row_of.get(_integer_key(rec, "agent_id", where, line_no)),
                           _integer_key(rec, "day", where, line_no))
                 if i is None or not 0 <= day < num_days:

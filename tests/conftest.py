@@ -1,16 +1,18 @@
-"""Shared fixtures: the calibrated operating point, a memoized
-policy-run grid, and the per-criterion acceptance summary printed after
-the run."""
+"""Shared fixtures and helpers: the calibrated operating point, a memoized
+policy-run grid, a run's health histories and recommendation levels, and
+the per-criterion acceptance summary printed after the run."""
 
+import contextlib
 import json
 import re
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from pctsim import cli, core, metrics
+from pctsim import cli, core, metrics, mobility
 from pctsim.virology import TEST_CODE_NAMES
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run and
@@ -34,14 +36,36 @@ _outcomes: dict[int, list[str]] = {}
 
 
 def health(world):
-    """A world's ``(n, days)`` symptom masks (uint8) and test codes (int8), from the
-    ``(n_app, days)`` health codes it stores; zero outside ``app_ids``, where
+    """A world's or a trace's ``(n, days)`` symptom masks (uint8) and test codes (int8),
+    from the ``(n_app, days)`` health codes it stores; zero outside ``app_ids``, where
     neither is modeled. Tests import it as ``from conftest import health``."""
-    symptoms = np.zeros((world.n, world.health_hist.shape[1]), dtype=np.uint8)
+    # exposure_day has an entry per agent in a world and in a trace
+    symptoms = np.zeros((world.exposure_day.size, world.health_hist.shape[1]), dtype=np.uint8)
     tests = np.zeros(symptoms.shape, dtype=np.int8)
     symptoms[world.app_ids], tests[world.app_ids] = np.divmod(world.health_hist,
                                                               len(TEST_CODE_NAMES))
     return symptoms, tests
+
+
+@contextlib.contextmanager
+def recorded_levels():
+    """Record the recommendation levels each day's encounters are drawn with.
+
+    Yields a function that returns the ``(n, days)`` int8 levels of the days
+    stepped in the block so far, one column per day, as the engine passed
+    them to ``mobility.generate_encounters``. A context manager rather than a
+    fixture, so that each ``@given`` example gets its own record. Tests
+    import it as ``from conftest import recorded_levels``.
+    """
+    columns = []
+    generate = mobility.generate_encounters
+
+    def spy(indexes, rec_level, *args):
+        columns.append(rec_level.copy())
+        return generate(indexes, rec_level, *args)
+
+    with mock.patch.object(mobility, "generate_encounters", spy):
+        yield lambda: np.column_stack(columns)
 
 
 @pytest.fixture(scope="session")

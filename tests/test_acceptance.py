@@ -145,8 +145,9 @@ def test_criterion_1_exact_oracles(tmp_path):
     path = tmp_path / "records.jsonl"
     datagen.export_training_records(trace, path)
     records = datagen.read_records(path)
+    estimates = list(trace.estimates())
     predictions = [{"run_id": trace.run_id, "agent_id": agent, "day": day,
-                    "y_hat": trace.yhat_hist[i, day].tolist()}
+                    "y_hat": estimates[day][i].tolist()}
                    for i, agent in enumerate(trace.app_ids.tolist())
                    for day in range(trace.num_days)]
     assert evaluate_predictor(records, predictions) == 0.0

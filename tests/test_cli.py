@@ -231,6 +231,21 @@ class TestParsingAndErrors:
         assert taken.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "taken"]
 
+    @pytest.mark.parametrize("command", ["pareto", "adoption", "calibrate"])
+    @pytest.mark.parametrize("out", ["", "taken/out", "missing/out"])
+    def test_out_that_cannot_be_a_file_is_a_usage_error(self, cfg_path, tmp_path, capsys,
+                                                         command, out):
+        # a directory, or a path below a file or below nothing: refused before any run starts
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--config", cfg_path, "--jobs", "1", "--out", str(tmp_path / out)]
+                     + SMALL[command])
+        assert err.value.code == cli.EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+        assert taken.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "taken"]
+
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_help_lists_exactly_the_flags_the_command_reads(self, capsys, command):
         with pytest.raises(SystemExit) as err:

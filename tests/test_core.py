@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import health
+from conftest import health, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +30,11 @@ from pctsim.tracing import policy_heuristic
 from pctsim.virology import TEST_NEGATIVE, TEST_PENDING, TEST_POSITIVE
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _epi_hist(trace):
+    """Every agent's ``(population, num_days)`` end-of-day states, from the courses."""
+    return core.epi_states(trace, np.arange(trace.population), np.arange(trace.num_days))
 
 
 def _small(**kw):
@@ -122,7 +127,7 @@ class TestSeedingAndPopulation:
     def test_zero_initial_exposed_stays_quiet(self):
         tr = run(_small(initial_exposed_fraction=0.0))
         np.testing.assert_array_equal(tr.events, np.zeros((0, 4), dtype=np.int64))
-        assert np.all(tr.epi_hist == STATE_S)
+        assert np.all(_epi_hist(tr) == STATE_S)
 
     def test_households_partition_population(self):
         w = init_world(SimConfig(population_size=500, num_days=1))
@@ -281,7 +286,7 @@ class TestRunInvariants:
         assert cums[-1] == len(trace.events)
 
     def test_no_resurrection(self, trace):
-        diffs = np.diff(trace.epi_hist.astype(np.int16), axis=1)
+        diffs = np.diff(_epi_hist(trace).astype(np.int16), axis=1)
         assert np.all(diffs >= 0)
 
     def test_each_infectee_infected_once(self, trace):
@@ -292,10 +297,11 @@ class TestRunInvariants:
         """Every non-seed infection has an infectious infector and a
         same-day encounter between the pair."""
         pairs_on = {}
+        epi_hist = _epi_hist(trace)
         for day, infector, infectee, _loc in trace.events.tolist():
             if infector == EXTERNAL_SEED:
                 continue
-            assert trace.epi_hist[infector, day] == STATE_I
+            assert epi_hist[infector, day] == STATE_I
             if day not in pairs_on:
                 a, b, _loc = trace.encounter_log[day]
                 pairs_on[day] = set(zip(a.tolist(), b.tolist()))
@@ -359,38 +365,42 @@ class TestEdgesAndStepping:
 
 class TestLevelsAndEstimates:
     def test_non_app_levels_only_baseline_or_escalations(self):
-        tr = run(_small(policy="pct", adoption_rate=0.4, num_days=25))
+        with recorded_levels() as levels:
+            tr = run(_small(policy="pct", adoption_rate=0.4, num_days=25))
         non_app = np.setdiff1d(np.arange(tr.population), tr.app_ids)
-        seen = set(np.unique(tr.level_hist[non_app]).tolist())
+        seen = set(np.unique(levels()[non_app]).tolist())
         assert seen <= {0, 1, 4}
 
     def test_positive_result_triggers_next_day_isolation(self):
-        tr = run(_small(policy="no_tracing", num_days=30,
-                        initial_exposed_fraction=0.10,
-                        quarantine_dropout_test=0.0,
-                        quarantine_dropout_household=0.0,
-                        all_levels_dropout=0.0))
-        got_pos = np.flatnonzero((tr.test_hist == TEST_POSITIVE).any(axis=1))
+        with recorded_levels() as levels:
+            tr = run(_small(policy="no_tracing", num_days=30,
+                            initial_exposed_fraction=0.10,
+                            quarantine_dropout_test=0.0,
+                            quarantine_dropout_household=0.0,
+                            all_levels_dropout=0.0))
+        level_hist = levels()
+        _, test_hist = health(tr)
+        got_pos = np.flatnonzero((test_hist == TEST_POSITIVE).any(axis=1))
         assert got_pos.size > 0
         for agent in got_pos.tolist():
-            day = int(np.argmax(tr.test_hist[agent] == TEST_POSITIVE))
+            day = int(np.argmax(test_hist[agent] == TEST_POSITIVE))
             if day + 1 < tr.num_days:
-                assert tr.level_hist[agent, day + 1] == 4
+                assert level_hist[agent, day + 1] == 4
 
     def test_estimates_recorded_for_pct(self, tmp_path):
         tr = run(_small(policy="pct", predictor="oracle", num_days=10))
-        assert tr.yhat_hist is not None
-        assert tr.yhat_hist.shape == (tr.app_ids.size, 10, 15)
+        yhat_hist = np.stack(list(tr.estimates()), axis=1)
+        assert yhat_hist.shape == (tr.app_ids.size, 10, 15)
         tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
         rec = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[-1])
         assert rec["day"] == 9
         # the keys are the app agents in the string order that sort_keys gives
         assert list(rec["y_hat"]) == sorted(map(str, tr.app_ids.tolist()))
-        # row i of yhat_hist belongs to app agent app_ids[i]
-        assert tr.yhat_hist[:, -1].max() > 0
+        # row i of the estimates belongs to app agent app_ids[i]
+        assert yhat_hist[:, -1].max() > 0
         for i, agent in enumerate(tr.app_ids.tolist()):
             assert rec["y_hat"][str(agent)] == [round(float(v), 6)
-                                                for v in tr.yhat_hist[i, -1]]
+                                                for v in yhat_hist[i, -1]]
 
     @settings(max_examples=300)
     @given(st.floats(0, 1, width=32) | st.sampled_from([k / 2**7 for k in range(129)]))
@@ -423,7 +433,7 @@ class TestLevelsAndEstimates:
     def test_estimates_skipped_when_disabled(self):
         tr = run(_small(policy="pct", predictor="oracle", num_days=5,
                         record_estimates=False))
-        assert tr.yhat_hist is None
+        assert list(tr.estimates()) == []
 
 
 def _spy_publish(world, read):
@@ -562,10 +572,11 @@ class TestFalseNegativeRate:
                         global_mobility_scale=0.0, symptom_dropin=0.0,
                         rng_seed=3)
         tr = run(cfg)
+        _, test_hist = health(tr)
         resolved = 0
         negatives = 0
         for agent in range(tr.population):
-            row = tr.test_hist[agent]
+            row = test_hist[agent]
             for d in range(1, tr.num_days):
                 if row[d - 1] == TEST_PENDING and row[d] != TEST_PENDING:
                     resolved += 1
@@ -984,18 +995,16 @@ class TestHistoryLayout:
         world = init_world(cfg)
         for _ in range(4):
             step_day(world)
-        for name in ("level_hist", "health_hist"):
-            hist = getattr(world, name)
-            assert all(hist[:, d].flags.c_contiguous for d in range(4)), name
-        # the epidemic, symptom, test and estimate histories are the trace's, built on first read
-        for name in ("epi_hist", "symptom_hist", "test_hist", "yhat_hist"):
-            assert not hasattr(world, name), name
+        assert all(world.health_hist[:, d].flags.c_contiguous for d in range(4))
+        # the level, epidemic, symptom, test and estimate histories are neither stored nor
+        # built: each has one reader, or none outside the tests
         trace = run(cfg)
+        for name in ("level_hist", "epi_hist", "symptom_hist", "test_hist", "yhat_hist"):
+            assert not hasattr(world, name) and not hasattr(trace, name), name
         stored = {f.name for f in dataclasses.fields(trace) if f.name.endswith("_hist")}
-        assert stored == {"level_hist", "health_hist"}
-        assert all(trace.yhat_hist[:, d].flags.c_contiguous for d in range(4))
-        # so calibration reads every estimate without copying the history
-        assert np.shares_memory(trace.yhat_hist.ravel(order="K"), trace.yhat_hist)
+        assert stored == {"health_hist"}
+        # so calibration reads every estimate one contiguous day at a time
+        assert all(y.flags.c_contiguous for y in trace.estimates())
 
     def test_the_ground_truth_is_derived_on_first_read(self):
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6,
@@ -1009,9 +1018,9 @@ class TestHistoryLayout:
         assert max(y.max() for y in truth) > 0
         trace = run(cfg)
         metrics_row(trace, 0)
-        assert "y_hist" not in vars(trace)
-        assert trace.y_hist.tobytes() == np.column_stack(truth).tobytes()
-        assert "y_hist" in vars(trace)
+        y_hist = core.ground_truth(trace, np.arange(trace.population), np.arange(6))
+        assert y_hist.tobytes() == np.column_stack(truth).tobytes()
+        assert not hasattr(trace, "y_hist")
 
 
 def _run_publishing(cfg):
@@ -1079,14 +1088,14 @@ class TestDerivedEstimates:
         assert "yhat_hist" not in vars(trace)
         trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
         assert "yhat_hist" not in vars(trace)
-        assert trace.yhat_hist.transpose(1, 0, 2).tobytes() == np.stack(published).tobytes()
+        assert np.stack(list(trace.estimates())).tobytes() == np.stack(published).tobytes()
 
     def test_the_history_is_none_unless_recorded(self):
         for cfg in (_small(policy="pct", record_estimates=False, num_days=3),
                     _small(policy="heuristic", record_estimates=False, num_days=3),
                     _small(policy="bct", num_days=3), _small(policy="pct", num_days=0)):
             trace = run(cfg)
-            assert trace.yhat_hist is None and list(trace.estimates()) == []
+            assert list(trace.estimates()) == []
 
     @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.1, 0.5])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 9001])

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import health
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,11 @@ def _inject_target(monkeypatch, agent, day, value):
     return asked
 
 
+def _y_hist(trace):
+    """Every agent's ``(population, num_days)`` ground truth, from the courses."""
+    return core.ground_truth(trace, np.arange(trace.population), np.arange(trace.num_days))
+
+
 @pytest.fixture(scope="module")
 def pct_trace():
     cfg = SimConfig(population_size=200, num_days=12, rng_seed=11,
@@ -155,11 +161,12 @@ class TestExport:
                                        "has_app"}
 
     def test_targets_match_ground_truth(self, pct_trace):
+        y_hist = _y_hist(pct_trace)
         for rec in iter_training_records(pct_trace):
             agent, day = rec["agent_id"], rec["day"]
             for k, target in enumerate(rec["targets"]):
                 d = day - k
-                expected = 0.0 if d < 0 else float(pct_trace.y_hist[agent, d])
+                expected = 0.0 if d < 0 else float(y_hist[agent, d])
                 assert target == expected
 
     def test_privacy_no_partner_identities(self, pct_trace):
@@ -204,12 +211,13 @@ class TestExport:
     def test_json_roundtrip_preserves_target_bits(self, pct_trace, tmp_path):
         path = tmp_path / "records.jsonl"
         export_training_records(pct_trace, path)
+        y_hist = _y_hist(pct_trace)
         for rec in read_records(path):
             agent, day = rec["agent_id"], rec["day"]
             for k, target in enumerate(rec["targets"]):
                 d = day - k
                 if d >= 0:
-                    assert target == float(pct_trace.y_hist[agent, d])
+                    assert target == float(y_hist[agent, d])
 
     def test_observables_required(self):
         cfg = SimConfig(population_size=60, num_days=3, policy="pct",
@@ -225,9 +233,6 @@ class TestExport:
             app_ids = pct_trace.app_ids
             enc_windows = []
             run_id = pct_trace.run_id
-            symptom_hist = pct_trace.symptom_hist
-            test_hist = pct_trace.test_hist
-            y_hist = pct_trace.y_hist
 
         with pytest.raises(ValueError) as err:
             list(iter_training_records(Hollow()))
@@ -368,8 +373,14 @@ class TestObservationStore:
         assert top == min(trace.num_days - 1, d_max)
 
 
-def _reference_line(trace, i, day, offsets, levels, counts):
-    """One record built as a dict from the trace arrays and that day's cells."""
+def _histories(trace):
+    """Every agent's symptom masks, test codes and ground truth, ``(population, num_days)``."""
+    return (*health(trace), _y_hist(trace))
+
+
+def _reference_line(trace, histories, i, day, offsets, levels, counts):
+    """One record built as a dict from the trace's ``_histories`` and that day's cells."""
+    symptom_hist, test_hist, y_hist = histories
     window = int(trace.config["d_max"]) + 1
     agent = int(trace.app_ids[i])
     health, encounters, targets = [], [], []
@@ -380,12 +391,12 @@ def _reference_line(trace, i, day, offsets, levels, counts):
             encounters.append(None)
             targets.append(0.0)
             continue
-        health.append({"symptoms": symptom_names_from_mask(int(trace.symptom_hist[agent, d])),
-                       "test": TEST_CODE_NAMES[int(trace.test_hist[agent, d])]})
+        health.append({"symptoms": symptom_names_from_mask(int(symptom_hist[agent, d])),
+                       "test": TEST_CODE_NAMES[int(test_hist[agent, d])]})
         lo, hi = offsets[i * window + k], offsets[i * window + k + 1]
         encounters.append([list(cell) for cell in zip(levels[lo:hi].tolist(),
                                                       counts[lo:hi].tolist())])
-        targets.append(float(trace.y_hist[agent, d]))
+        targets.append(float(y_hist[agent, d]))
     record = {"schema_version": RECORD_SCHEMA_VERSION, "run_id": trace.run_id,
               "agent_id": agent, "day": day, "profile": core.agent_profile(trace, [agent])[agent],
               "health": health, "encounters": encounters, "targets": targets}
@@ -422,6 +433,7 @@ class TestRenderer:
             lines = fh.readlines()
         assert len(lines) == n_app * num_days
         saw_cells = saw_empty_first_slot = saw_one_cell = saw_no_cells = saw_short_day = False
+        histories = _histories(trace)
         for day, cells in enumerate(trace.enc_windows):
             offsets = cells[0]
             saw_cells |= offsets[-1] > 0
@@ -431,7 +443,7 @@ class TestRenderer:
                 saw_empty_first_slot |= slots[0] == 0 and slots.any()
                 saw_one_cell |= bool(np.any(slots == 1))
                 saw_no_cells |= not slots.any()
-                assert lines[day * n_app + i] == _reference_line(trace, i, day, *cells)
+                assert lines[day * n_app + i] == _reference_line(trace, histories, i, day, *cells)
         assert saw_cells and saw_empty_first_slot and saw_one_cell and saw_no_cells and saw_short_day
 
     @settings(max_examples=20, deadline=None)
@@ -449,9 +461,10 @@ class TestRenderer:
             lines = "".join(text for _n, text in datagen._render_days(trace)).splitlines(True)
         n_app = trace.app_ids.size
         assert len(lines) == n_app * num_days
+        histories = _histories(trace)
         for day, cells in enumerate(trace.enc_windows):
             for i in range(n_app):
-                assert lines[day * n_app + i] == _reference_line(trace, i, day, *cells)
+                assert lines[day * n_app + i] == _reference_line(trace, histories, i, day, *cells)
 
 
 class TestWindowRendering:

@@ -12,7 +12,7 @@ import filecmp
 from unittest import mock
 
 import numpy as np
-from conftest import health
+from conftest import health, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,13 +53,15 @@ def _daily_encounters(trace):
 @given(cfg=small_worlds())
 def test_pct_at_the_baseline_level_is_no_tracing(cfg):
     # psi maps every risk level to level 1, so pct only draws its predictions
-    base = run(cfg.replace(policy="no_tracing"))
+    with recorded_levels() as base_levels:
+        base = run(cfg.replace(policy="no_tracing"))
     assert len(base.events)
     for predictor in ("oracle", "noisy_oracle"):
-        pct = run(cfg.replace(policy="pct", predictor=predictor, psi_table=(1,) * 16))
+        with recorded_levels() as pct_levels:
+            pct = run(cfg.replace(policy="pct", predictor=predictor, psi_table=(1,) * 16))
         np.testing.assert_array_equal(pct.events, base.events)
         assert _daily_encounters(pct) == _daily_encounters(base)
-        assert pct.level_hist.tolist() == base.level_hist.tolist()
+        assert pct_levels().tolist() == base_levels().tolist()
 
 
 @settings(max_examples=10, deadline=None)

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import recorded_levels
 
 from pctsim import metrics
-from pctsim.core import EVENT_LOCATIONS, POLICIES, SimConfig, run
+from pctsim.core import EVENT_LOCATIONS, POLICIES, SimConfig, epi_states, run
 from pctsim.metrics import (
     CSV_FIELDS,
     EXTERNAL_SEED,
@@ -113,8 +114,6 @@ def _fake_trace(levels, states, encounters=None):
     if encounters is None:
         encounters = np.zeros(levels.shape[1], int)
     return SimpleNamespace(
-        level_hist=levels,
-        epi_hist=states,
         day_reports=[SimpleNamespace(quarantined_healthy=_quarantined_healthy(lv, st),
                                      encounters=int(n))
                      for lv, st, n in zip(levels.T, states.T, encounters)],
@@ -161,13 +160,16 @@ class TestFalseQuarantine:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_day_reports_match_the_histories(self, policy):
         # the reference recounts the (n, num_days) level and state histories
-        tr = run(SimConfig(population_size=600, num_days=30, rng_seed=2, policy=policy,
-                           predictor="noisy_oracle", initial_exposed_fraction=0.05,
-                           global_mobility_scale=3.75, record_observables=False,
-                           record_estimates=False))
-        assert _quarantined_healthy(tr.level_hist, tr.epi_hist) > 0
+        with recorded_levels() as levels:
+            tr = run(SimConfig(population_size=600, num_days=30, rng_seed=2, policy=policy,
+                               predictor="noisy_oracle", initial_exposed_fraction=0.05,
+                               global_mobility_scale=3.75, record_observables=False,
+                               record_estimates=False))
+        level_hist = levels()
+        epi_hist = epi_states(tr, np.arange(tr.population), np.arange(tr.num_days))
+        assert _quarantined_healthy(level_hist, epi_hist) > 0
         for lo, hi in [(0, 30), (10, 20), (29, 30)]:
-            expected = (_quarantined_healthy(tr.level_hist[:, lo:hi], tr.epi_hist[:, lo:hi])
+            expected = (_quarantined_healthy(level_hist[:, lo:hi], epi_hist[:, lo:hi])
                         / (tr.population * (hi - lo)))
             assert false_quarantine_fraction(tr, (lo, hi)) == expected
         assert false_quarantine_fraction(tr) == false_quarantine_fraction(tr, (0, 30))

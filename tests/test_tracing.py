@@ -10,12 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import health
+from conftest import health, recorded_levels
 
 from pctsim import core
 from pctsim.core import SimConfig, WorldState, init_world, run, step_day
 from pctsim.datagen import export_training_records, read_records
-from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
+from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, RiskQuantizer, quantize_risk
 from pctsim.metrics import metrics_row
 from pctsim.tracing import (
     DEFAULT_PSI,
@@ -107,6 +107,18 @@ class TestHeuristicLadder:
             expected = _documented_ladder(bool(pos[i]), int(n_sym[i]), int(top[i]))
             assert (float(score[i]), int(level[i])) == expected, (pos[i], n_sym[i], top[i])
 
+    def test_a_relayed_score_is_weaker_evidence(self):
+        # each score, sent on the uniform grid as the engine quantizes it and read back by a
+        # contact as its highest received level, scores lower: evidence falls a rung a hop,
+        # which bounds how far it spreads
+        scores = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        levels = RiskQuantizer(DEFAULT_THRESHOLDS)(scores)
+        assert levels.tolist() == [0, 3, 7, 11, 15]
+        relayed, _ = policy_heuristic(np.zeros(5, dtype=bool), np.zeros(5, dtype=np.int64),
+                                      levels)
+        assert relayed[0] == 0.0
+        assert np.all(relayed[1:] < scores[1:])
+
     @pytest.mark.parametrize("dtypes", [(np.int64, np.int64), (np.uint64, np.int8)],
                              ids=["int64", "uint64-int8"])
     def test_lookup_matches_the_select_formula(self, dtypes):
@@ -137,10 +149,11 @@ def _quiet_world(policy, **kw):
 
 def _levels_after(world, inject, days):
     """Step ``days`` days, calling ``inject(world, day)`` before each one."""
-    for day in range(days):
-        inject(world, day)
-        step_day(world)
-    return world.level_hist
+    with recorded_levels() as levels:
+        for day in range(days):
+            inject(world, day)
+            step_day(world)
+    return levels()
 
 
 class TestNoTracing:
@@ -340,6 +353,11 @@ def _pct_run(predictor, days=12, **kw):
     return trace, np.column_stack(truth), np.stack(published, axis=1)
 
 
+def _derived(trace):
+    """(app agents, days, window) estimates, as the trace derives them."""
+    return np.stack(list(trace.estimates()), axis=1)
+
+
 def _truth_windows(world, truth):
     """(app agents, days, window) ground truth, newest-first, 0 before day 0."""
     app, days, window = world.app_ids, world.cfg.num_days, world.window
@@ -356,20 +374,22 @@ class TestOraclePredictors:
         truth = _truth_windows(trace, truth).astype(np.float32)
         assert truth.max() > 0
         assert np.array_equal(published, truth)
-        assert np.array_equal(trace.yhat_hist, truth)
+        assert np.array_equal(_derived(trace), truth)
 
     def test_noisy_oracle_zero_sigma_is_identity(self):
-        oracle, _, oracle_published = _pct_run("oracle")
-        noisy, _, noisy_published = _pct_run("noisy_oracle", predictor_add_sigma=0.0,
-                                             predictor_mul_sigma=0.0)
+        with recorded_levels() as oracle_levels:
+            oracle, _, oracle_published = _pct_run("oracle")
+        with recorded_levels() as noisy_levels:
+            noisy, _, noisy_published = _pct_run("noisy_oracle", predictor_add_sigma=0.0,
+                                                 predictor_mul_sigma=0.0)
         assert np.array_equal(noisy_published, oracle_published)
-        assert np.array_equal(noisy.yhat_hist, oracle.yhat_hist)
-        assert np.array_equal(noisy.level_hist, oracle.level_hist)
+        assert np.array_equal(_derived(noisy), _derived(oracle))
+        assert np.array_equal(noisy_levels(), oracle_levels())
 
     def test_noisy_oracle_clipped_to_unit_interval(self):
         trace, _, published = _pct_run("noisy_oracle", predictor_add_sigma=0.5,
                                        predictor_mul_sigma=0.5)
-        for est in (published, trace.yhat_hist):
+        for est in (published, _derived(trace)):
             assert est.min() >= 0.0 and est.max() <= 1.0
             assert est.min() == 0.0 and est.max() == 1.0
 
@@ -379,7 +399,7 @@ class TestOraclePredictors:
         trace, truth, published = _pct_run("noisy_oracle", days=20, population_size=600,
                                            predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
         zero = _truth_windows(trace, truth) == 0
-        for est in (published, trace.yhat_hist):
+        for est in (published, _derived(trace)):
             at_zero = est[zero]
             assert at_zero.size > 50_000
             assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
@@ -590,6 +610,21 @@ class TestExternalPredictor:
     def test_a_key_that_is_not_an_integer_names_its_line(self, tmp_path, agent, day):
         with pytest.raises(ValueError, match=r"preds\.jsonl line 2: (agent_id|day) must be an integer"):
             _table(tmp_path, [(5, 1, [0.5] * 3), (agent, day, [0.5] * 3)])
+
+    @pytest.mark.parametrize("line", [
+        b"{not json", b'{"agent_id": 5, "day": 1, "y_hat": [0.5', b"\xff\xfe{}",
+        b"[5, 1, [0.5, 0.5, 0.5]]", b'"5"', b"7", b"null",
+        b'{"day": 1, "y_hat": [0.5, 0.5, 0.5]}', b'{"agent_id": 5, "y_hat": [0.5, 0.5, 0.5]}',
+        b'{"agent_id": 5, "day": 1}',
+    ], ids=["not-json", "cut", "not-utf8", "list", "string", "number", "null",
+            "no-agent", "no-day", "no-y_hat"])
+    def test_a_malformed_line_names_its_line(self, tmp_path, line):
+        path = tmp_path / "preds.jsonl"
+        good = json.dumps({"agent_id": 5, "day": 1, "y_hat": [0.5] * 3}).encode()
+        path.write_bytes(good + b"\n" + line + b"\n")
+        with pytest.raises(ValueError, match=r"preds\.jsonl line 2: not a JSON object with "
+                                             r"agent_id, day and y_hat"):
+            ExternalPredictor(str(path), np.array([3, 5, 8]), 4, 3)
 
 
 class TestReplay:
