@@ -381,7 +381,8 @@ class SimulationTrace:
 
 
 class WorldState:
-    """Mutable state of a running simulation (one logical thread)."""
+    """Mutable state of a running simulation (one logical thread) that lives across days;
+    ``step_day`` passes what one phase hands the next within a day as arguments."""
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
@@ -486,7 +487,6 @@ class WorldState:
         self.test_code = np.full(n, TEST_NONE, dtype=np.int8)
         self.result_day = np.full(n, -1, dtype=np.int64)
         self.infected_at_order = np.zeros(n, dtype=bool)
-        self.new_positive_today = np.zeros(n, dtype=bool)
 
         # escalation timers: the last day the timer governs, -1 once quit
         self.iso_until = np.full(n, -1, dtype=np.int64)
@@ -586,6 +586,7 @@ class WorldState:
     # the six daily phases
 
     def _phase_progression(self, day):
+        """Advance the epidemic states to ``day`` and return every agent's y that day."""
         # only E and I agents move: t_mid grows with day and the thresholds are
         # fixed, so a recovered agent stays R at y 0
         live = np.flatnonzero((self.epi_state == STATE_E) | (self.epi_state == STATE_I))
@@ -597,7 +598,7 @@ class WorldState:
         y = np.zeros(self.n)
         y[live] = virology.evl_tent(t_mid, self.onset[live], self.peak[live],
                                     self.recovery[live], self.peak_evl[live])
-        self.y_today = y
+        return y
 
     def _phase_encounters(self, day):
         a, b, loc = mobility.generate_encounters(
@@ -626,7 +627,7 @@ class WorldState:
         self.held[slot] = self.held[(day - 1) % self.window]
         self.outdeg[slot] = np.bincount(receiver, minlength=n_app)
 
-    def _phase_transmission(self, day, a, b, loc):
+    def _phase_transmission(self, day, y, a, b, loc):
         cfg = self.cfg
         rng = self.rng["transmission"]
         cand_infectee, cand_infector, cand_loc = [], [], []
@@ -634,7 +635,7 @@ class WorldState:
         for src, dst, s_src, s_dst in ((a, b, state_a, state_b), (b, a, state_b, state_a)):
             trial = np.flatnonzero((s_src == STATE_I) & (s_dst == STATE_S))
             p = virology.transmission_probability(
-                self.y_today[src[trial]], cfg.transmission_base_rate, 1.0, cfg.carefulness)
+                y[src[trial]], cfg.transmission_base_rate, 1.0, cfg.carefulness)
             trial = trial[rng.random(p.size) < p]
             cand_infectee.append(dst[trial])
             cand_infector.append(src[trial])
@@ -648,13 +649,13 @@ class WorldState:
         self._expose(infectees[first], day, infectors[first], locs[first])
         return first.size
 
-    def _phase_testing(self, day):
+    def _phase_testing(self, day, y):
+        """Order and resolve tests; return the number ordered and an n-mask of today's positives."""
         cfg = self.cfg
         rng = self.rng["testing"]
-        self.new_positive_today[:] = False
 
-        t_mid = day + 0.5 - self.exposure_day  # y_today > 0 only for the exposed
-        symptomatic = (self.has_app & (self.y_today > 0) & ~self.asymptomatic
+        t_mid = day + 0.5 - self.exposure_day  # y > 0 only for the exposed
+        symptomatic = (self.has_app & (y > 0) & ~self.asymptomatic
                        & (t_mid >= self.symptom_onset))
         reported = np.zeros_like(self.symptom_mask)
         idx = np.flatnonzero(symptomatic)
@@ -682,7 +683,8 @@ class WorldState:
         pos = due[true_pos]
         self.test_code[pos] = TEST_POSITIVE
         self.test_code[due[~true_pos]] = TEST_NEGATIVE
-        self.new_positive_today[pos] = True
+        positive = np.zeros(self.n, dtype=bool)
+        positive[pos] = True
         self.iso_until[pos] = day + QUARANTINE_DAYS
         # the members of the positives' households, from the household
         # pool; a positive counts as a mate only of another positive
@@ -691,13 +693,14 @@ class WorldState:
         size = hh.size[g]
         offset = np.repeat(hh.start[g] - np.cumsum(size) + size, size)
         members = hh.flat[offset + np.arange(offset.size)]
-        mates = members[(np.repeat(n_pos, size) > 1) | ~self.new_positive_today[members]]
+        mates = members[(np.repeat(n_pos, size) > 1) | ~positive[members]]
         self.hh_until[mates] = day + QUARANTINE_DAYS
         self.health_hist[:, day] = reported[self.app_ids] * _N_TESTS + self.test_code[self.app_ids]
-        return ordered.size, pos.size
+        return ordered.size, positive
 
-    def _phase_app_pass(self, day):
-        """Run the active policy and send today's messages.
+    def _phase_app_pass(self, day, positives):
+        """Run the active policy and send today's messages; return their count and a new
+        n-array of the policy's levels, 1 outside the app agents of pct and the heuristic.
 
         Messages take one day: what is sent on day d is read from the day
         d + 1 pass on, so the observation log and today's observables, both
@@ -706,18 +709,27 @@ class WorldState:
         quarantines from day d + 1.
         """
         policy = self.cfg.policy
-        self.policy_level = np.ones(self.n, dtype=np.int8)
+        levels = np.ones(self.n, dtype=np.int8)
         if not self.app_active:
-            return 0
+            return 0, levels
         if self.enc_windows is not None:
             self._snapshot_enc_windows(day)
         if policy == "bct":
-            return self._app_pass_bct(day)
+            return self._app_pass_bct(day, positives), levels
         if policy == "pct":
-            return self._app_pass_pct(day)
-        return self._app_pass_heuristic(day)
+            qlev = self.quantize(predict(self, day, self.rng["predictor"]))
+            app_levels = self.psi[qlev[:, 0]]
+            if self.external is not None:
+                app_levels[~self.external.ok[day]] = 1  # a failed prediction recommends the baseline
+        else:  # the heuristic, whose score is the same on every day of the window
+            score, app_levels = tracing.policy_heuristic(*self.observables_for(day))
+            if self.heuristic_score is not None:
+                self.heuristic_score[:, day] = score
+            qlev = np.broadcast_to(self.quantize(score)[:, None], (score.size, self.window))
+        levels[self.app_ids] = app_levels
+        return self._publish(day, qlev), levels
 
-    def _app_pass_bct(self, day):
+    def _app_pass_bct(self, day, positives):
         """Quarantine yesterday's flagged agents, then flag today's positives' contacts.
 
         A positive flags each (day, partner) pair of the window once; the
@@ -725,30 +737,13 @@ class WorldState:
         ``bct_until``, so the daily quarantine dropout can act on it.
         """
         self.bct_until[self.bct_flag] = day + QUARANTINE_DAYS
-        flaggers = self.new_positive_today[self.app_ids]  # a positive result is final
+        flaggers = positives[self.app_ids]  # a positive result is final
         self.bct_flag = np.zeros(self.n, dtype=bool)
         for e in self.edge_days():
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
         return int(self.outdeg[:, flaggers].sum())
 
-    def _app_pass_pct(self, day):
-        y_hat = predict(self, day, self.rng["predictor"])
-        qlev = self.quantize(y_hat)
-        levels = self.psi[qlev[:, 0]]
-        if self.external is not None:
-            levels[~self.external.ok[day]] = 1  # a failed prediction recommends the baseline
-        return self._publish(day, y_hat, qlev, levels)
-
-    def _app_pass_heuristic(self, day):
-        score, levels = tracing.policy_heuristic(*self.observables_for(day))
-        if self.heuristic_score is not None:
-            self.heuristic_score[:, day] = score
-        shape = (score.size, self.window)  # the score is the same on every day
-        y_hat = np.broadcast_to(score[:, None], shape)
-        qlev = np.broadcast_to(self.quantize(score)[:, None], shape)
-        return self._publish(day, y_hat, qlev, levels)
-
-    def _publish(self, day, y_hat, qlev, levels):
+    def _publish(self, day, qlev):
         """Send each day's level where it differs from the level last sent.
 
         Slot k of an agent's history covers day ``day - k``; a changed slot
@@ -761,9 +756,7 @@ class WorldState:
         cols = (day - np.arange(span)) % self.window
         changed = qlev[:, :span].T != self.held[cols]
         self.held[cols] = qlev[:, :span].T
-        sent = int(np.einsum("ij,ij->", self.outdeg[cols], changed, dtype=np.int64))
-        self.policy_level[self.app_ids] = levels
-        return sent
+        return int(np.einsum("ij,ij->", self.outdeg[cols], changed, dtype=np.int64))
 
     def _snapshot_enc_windows(self, day):
         """Log today's app edges and the levels held before today's sends, newest day first."""
@@ -771,7 +764,8 @@ class WorldState:
         cols = (day - np.arange(min(day + 1, self.window))) % self.window
         self.enc_windows.append(e.receiver, e.sender, e.count, self.held[cols].T)
 
-    def _phase_levels(self, day):
+    def _phase_levels(self, day, levels):
+        """Escalate and drop out ``levels``, the policy's, in place; they are tomorrow's."""
         cfg = self.cfg
         rng = self.rng["behavior"]
 
@@ -788,7 +782,6 @@ class WorldState:
         hh_live = drop_out(self.hh_until, cfg.quarantine_dropout_household)
         bct_live = drop_out(self.bct_until, cfg.quarantine_dropout_test)
 
-        levels = self.policy_level.copy()
         levels[iso_live | hh_live] = 4
         levels[bct_live] = np.maximum(levels[bct_live], cfg.bct_quarantine_level)
         ignore = rng.random(self.n) < cfg.all_levels_dropout
@@ -825,21 +818,21 @@ def init_world(config: SimConfig) -> WorldState:
 
 
 def step_day(world: WorldState) -> DayReport:
-    """Advance the world by one day and return the day's counters."""
+    """Advance the world by one day, passing y, the positives and the policy levels
+    from phase to phase, and return the day's counters."""
     cfg = world.cfg
     day = world.day
     if day >= cfg.num_days:
         raise RuntimeError(f"step_day past num_days={cfg.num_days}")
-    levels = world.rec_level  # today's; _phase_levels replaces the array, not its values
-    world._phase_progression(day)
+    q_mask = world.rec_level == 4  # today's levels; _phase_levels sets tomorrow's
+    y = world._phase_progression(day)
     a, b, loc = world._phase_encounters(day)
-    new_cases = world._phase_transmission(day, a, b, loc)
-    tests_ordered, positives = world._phase_testing(day)
-    messages = world._phase_app_pass(day)
-    world._phase_levels(day)
+    new_cases = world._phase_transmission(day, y, a, b, loc)
+    tests_ordered, positives = world._phase_testing(day, y)
+    messages, levels = world._phase_app_pass(day, positives)
+    world._phase_levels(day, levels)
 
     counts = np.bincount(world.epi_state, minlength=4)
-    q_mask = levels == 4
     healthy = (world.epi_state == STATE_S) | (world.epi_state == STATE_R)
     report = DayReport(
         day=day,
@@ -851,7 +844,7 @@ def step_day(world: WorldState) -> DayReport:
         quarantined=int(q_mask.sum()),
         quarantined_healthy=int((q_mask & healthy).sum()),
         tests_ordered=int(tests_ordered),
-        positives=int(positives),
+        positives=int(np.count_nonzero(positives)),
         messages=int(messages),
     )
     world.day_reports.append(report)
@@ -902,7 +895,7 @@ def ground_truth(world, agents, days) -> np.ndarray:
     ``d + 0.5 - exposure_day`` days after exposure, and 0 for an agent never
     exposed. It is 0 before exposure, on the exposure day (infectiousness
     onset is at least ``virology.ONSET_MIN`` = 0.5) and from recovery on, so
-    it equals the day's ``y_today`` wherever that was computed.
+    it equals the y that day's progression phase returns wherever that computed it.
     ``world`` is a WorldState or a SimulationTrace.
     """
     agents = np.asarray(agents, dtype=np.int64)

@@ -38,7 +38,7 @@ DR_RANGES = {
     "all_levels_dropout": (0.01, 0.05),
 }
 
-DEFAULT_TRAIN_FRACTION = 200 / 240
+TRAIN_FRACTION = 200 / 240
 
 
 def sample_dr_config(base: SimConfig, rng: np.random.Generator) -> SimConfig:
@@ -235,13 +235,13 @@ def read_records(path):
             gc.enable()
 
 
-def make_split(run_ids, train_fraction: float = DEFAULT_TRAIN_FRACTION, seed: int = 0):
-    """Deterministic run-disjoint train/validation split by whole runs."""
+def make_split(run_ids, seed: int = 0):
+    """Deterministic run-disjoint train/validation split, ``TRAIN_FRACTION`` of the runs to train."""
     run_ids = list(run_ids)
     if len(run_ids) < 2:
         raise ValueError("need at least 2 runs to split")
     order = np.random.default_rng(seed).permutation(len(run_ids))
-    n_train = int(round(train_fraction * len(run_ids)))
+    n_train = int(round(TRAIN_FRACTION * len(run_ids)))
     n_train = min(max(n_train, 1), len(run_ids) - 1)
     train = sorted(run_ids[i] for i in order[:n_train])
     valid = sorted(run_ids[i] for i in order[n_train:])

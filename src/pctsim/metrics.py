@@ -115,10 +115,9 @@ def effective_contacts_per_agent_day(trace) -> float:
     return 2.0 * total / (trace.population * trace.num_days)
 
 
-def pareto_point(trace, window=None):
-    """(effective contacts, R) pair for mobility/spread sweep plots."""
-    window = window if window is not None else default_r_window(trace.num_days)
-    r = estimate_r(trace.events, trace.recovered_ids(), window)
+def pareto_point(trace):
+    """(effective contacts, R over ``default_r_window``) pair for mobility/spread sweep plots."""
+    r = estimate_r(trace.events, trace.recovered_ids(), default_r_window(trace.num_days))
     return effective_contacts_per_agent_day(trace), r
 
 

@@ -82,8 +82,9 @@ class ExternalPredictor:
     the last line for an (agent, day) counts, and it must have a 1-D y_hat
     of ``window`` finite values. Lines for agents outside ``app_ids`` or
     days outside [0, num_days) are ignored. A line that is not a JSON object
-    with the three keys, or whose agent_id or day is not an integer (a
-    string, a bool or a fractional value), is a ValueError naming the line.
+    with the three keys, whose agent_id or day is not an integer (a string,
+    a bool or a fractional value), or whose y_hat holds a string, an object
+    or a ragged list, is a ValueError naming the line.
     A cell that is not ok, a failed prediction, holds the previous day's
     estimate moved one day older, its newest slot repeated (zeros on day 0):
     the levels its partners hold.
@@ -109,9 +110,16 @@ class ExternalPredictor:
                                      "day and y_hat")
                 i, day = (row_of.get(_integer_key(rec, "agent_id", where, line_no)),
                           _integer_key(rec, "day", where, line_no))
+                try:  # not dtype=float64, which reads a numeric string as its number
+                    pred = np.asarray(rec["y_hat"])  # a ragged list raises
+                    if pred.dtype.kind not in "biuf" and not all(
+                            v is None or isinstance(v, numbers.Real) for v in pred.flat):
+                        raise ValueError  # a string or an object; a null reads as NaN
+                except ValueError:
+                    raise ValueError(f"{where} {line_no}: y_hat must be null or numbers, "
+                                     f"got {rec['y_hat']!r}") from None
                 if i is None or not 0 <= day < num_days:
                     continue
-                pred = np.asarray(rec["y_hat"], dtype=np.float64)
                 self.ok[day, i] = ok = pred.shape == (window,)
                 if ok:
                     self.y_hat[day, i] = pred

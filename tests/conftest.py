@@ -1,18 +1,22 @@
 """Shared fixtures and helpers: the calibrated operating point, a memoized
-policy-run grid, a run's health histories and recommendation levels, and
-the per-criterion acceptance summary printed after the run."""
+policy-run grid, a run's health histories, recommendation levels and the values
+its phases hand on, random infection forests with a recount of R, and the
+per-criterion acceptance summary printed after the run."""
 
 import contextlib
 import json
+import math
 import re
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from pctsim import cli, core, metrics, mobility
+from pctsim import cli, core, metrics, mobility, tracing
+from pctsim.metrics import EXTERNAL_SEED
 from pctsim.virology import TEST_CODE_NAMES
 
 # `pytest --hypothesis-profile=ci` draws the same examples on every run and
@@ -45,6 +49,80 @@ def health(world):
     symptoms[world.app_ids], tests[world.app_ids] = np.divmod(world.health_hist,
                                                               len(TEST_CODE_NAMES))
     return symptoms, tests
+
+
+def random_forest(rng):
+    """Random valid infection forest with up to 50 nodes, plus a recovered set and window."""
+    n = int(rng.integers(1, 51))
+    days = np.sort(rng.integers(0, 40, n))
+    events = []
+    for i in range(n):
+        if i == 0 or rng.random() < 0.3:
+            events.append((int(days[i]), EXTERNAL_SEED, i))
+        else:
+            events.append((int(days[i]), int(rng.integers(0, i)), i))
+    recovered = {i for i in range(n) if rng.random() < 0.5}
+    window = (int(rng.integers(0, 20)), int(rng.integers(20, 41)))
+    return events, recovered, window
+
+
+def recount_r(events, recovered, window):
+    """Literal recount of the reproduction estimate, no shared code."""
+    infector_of = {child: parent for _day, parent, child in events}
+    exposed_on = {child: day for day, _parent, child in events}
+    parents = [a for a in infector_of
+               if infector_of[a] != EXTERNAL_SEED and a in recovered
+               and window[0] <= exposed_on[a] < window[1]]
+    if not parents:
+        return math.nan
+    wanted = set(parents)
+    children = sum(1 for _day, parent, _child in events if parent in wanted)
+    return children / len(parents)
+
+
+@contextlib.contextmanager
+def recorded_days():
+    """Record what the phases of each day stepped in the block hand on, one entry a day.
+
+    Yields a namespace of three lists: ``y``, the n-array ``_phase_progression``
+    returns; ``levels``, a copy of the policy levels ``_phase_levels`` receives,
+    before its escalations and dropouts; ``estimates``, the ``(n_app, window)``
+    estimates of pct and the heuristic, as ``core.predict`` returns them to a world
+    or as ``tracing.policy_heuristic``'s score on every slot. A context manager
+    rather than a fixture, so that each ``@given`` example gets its own record.
+    Tests import it as ``from conftest import recorded_days``.
+    """
+    record = SimpleNamespace(y=[], levels=[], estimates=[])
+    world_cls, predict, heuristic = core.WorldState, core.predict, tracing.policy_heuristic
+    progression, phase_levels = world_cls._phase_progression, world_cls._phase_levels
+    window = None  # the stepped world's, which the heuristic's score does not carry
+
+    def progress(world, day):
+        nonlocal window
+        window = world.window
+        record.y.append(progression(world, day))
+        return record.y[-1]
+
+    def levels(world, day, policy_levels):
+        record.levels.append(policy_levels.copy())
+        return phase_levels(world, day, policy_levels)
+
+    def predicting(world, day, rng):
+        y_hat = predict(world, day, rng)
+        if isinstance(world, world_cls):  # not a trace's derivation
+            record.estimates.append(np.array(y_hat))
+        return y_hat
+
+    def scoring(*evidence):
+        score, level = heuristic(*evidence)
+        record.estimates.append(np.repeat(score[:, None], window, axis=1))
+        return score, level
+
+    with (mock.patch.object(world_cls, "_phase_progression", progress),
+          mock.patch.object(world_cls, "_phase_levels", levels),
+          mock.patch.object(core, "predict", predicting),
+          mock.patch.object(tracing, "policy_heuristic", scoring)):
+        yield record
 
 
 @contextlib.contextmanager

@@ -11,11 +11,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import random_forest, recount_r
 from scipy import stats
 
 from pctsim import cli, datagen, messaging, metrics, mobility, virology
 from pctsim.core import SimConfig, run
-from pctsim.metrics import EXTERNAL_SEED, estimate_r
+from pctsim.metrics import estimate_r
 from pctsim.tracing import evaluate_predictor
 
 GRID_ADOPTIONS = (0.0, 0.30, 0.60)
@@ -23,35 +24,6 @@ GRID_ADOPTIONS = (0.0, 0.30, 0.60)
 
 # ---------------------------------------------------------------------------
 # criterion 1: exact oracles
-
-
-def _random_forest(rng):
-    """Random valid infection forest with up to 50 nodes."""
-    n = int(rng.integers(1, 51))
-    days = np.sort(rng.integers(0, 40, n))
-    events = []
-    for i in range(n):
-        if i == 0 or rng.random() < 0.3:
-            events.append((int(days[i]), EXTERNAL_SEED, i))
-        else:
-            events.append((int(days[i]), int(rng.integers(0, i)), i))
-    recovered = {i for i in range(n) if rng.random() < 0.5}
-    window = (int(rng.integers(0, 20)), int(rng.integers(20, 41)))
-    return events, recovered, window
-
-
-def _recount_r(events, recovered, window):
-    """Literal recount of the reproduction estimate, no shared code."""
-    infector_of = {child: parent for _day, parent, child in events}
-    exposed_on = {child: day for day, _parent, child in events}
-    parents = [a for a in infector_of
-               if infector_of[a] != EXTERNAL_SEED and a in recovered
-               and window[0] <= exposed_on[a] < window[1]]
-    if not parents:
-        return math.nan
-    wanted = set(parents)
-    children = sum(1 for _day, parent, _child in events if parent in wanted)
-    return children / len(parents)
 
 
 def _strict_thresholds(rng):
@@ -126,8 +98,8 @@ def test_criterion_1_exact_oracles(tmp_path):
     # reproduction estimate matches a literal recount on 1000 random forests
     rng = np.random.default_rng(101)
     for _ in range(1000):
-        events, recovered, window = _random_forest(rng)
-        expected = _recount_r(events, recovered, window)
+        events, recovered, window = random_forest(rng)
+        expected = recount_r(events, recovered, window)
         got = estimate_r(events, recovered, window)
         assert math.isnan(got) if math.isnan(expected) \
             else got == pytest.approx(expected)

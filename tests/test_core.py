@@ -5,11 +5,10 @@ import filecmp
 import json
 from pathlib import Path
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import health, recorded_levels
+from conftest import health, recorded_days, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from pctsim.core import (
     EVENT_LOCATIONS,
     ConfigError,
     SimConfig,
-    WorldState,
     init_world,
     load_config,
     run,
@@ -226,8 +224,8 @@ class TestHouseholdQuarantine:
         w.test_code[positives] = TEST_PENDING
         w.result_day[positives] = day
         w.infected_at_order[positives] = True
-        w._phase_progression(day)
-        assert w._phase_testing(day) == (0, 3)
+        ordered, positive = w._phase_testing(day, w._phase_progression(day))
+        assert (ordered, positive.sum()) == (0, 3)
         # both positives flag each other and the rest of their household;
         # the lone positive flags nobody
         assert np.array_equal(np.flatnonzero(w.hh_until >= 0), shared)
@@ -437,12 +435,12 @@ class TestLevelsAndEstimates:
 
 
 def _spy_publish(world, read):
-    """Call ``read(world, day, y_hat)`` as each ``_publish`` is entered, before the day's sends."""
+    """Call ``read(world, day)`` as each ``_publish`` is entered, before the day's sends."""
     publish = world._publish
 
-    def spy(day, y_hat, *args):
-        read(world, day, y_hat)
-        return publish(day, y_hat, *args)
+    def spy(day, qlev):
+        read(world, day)
+        return publish(day, qlev)
 
     world._publish = spy
 
@@ -456,18 +454,13 @@ def heuristic_days():
     """
     world = init_world(_small(policy="heuristic", population_size=600, num_days=20,
                               initial_exposed_fraction=0.05, global_mobility_scale=3.75))
-    observed, published = [], []
-
-    def read(w, day, y_hat):
-        observed.append(w.observables_for(day))
-        published.append(y_hat.astype(np.float32))
-
-    _spy_publish(world, read)
-    days = []
-    for day in range(world.cfg.num_days):
-        step_day(world)
-        days.append((observed[day], published[day], world.policy_level.copy()))
-    return world, days
+    observed = []
+    _spy_publish(world, lambda w, day: observed.append(w.observables_for(day)))
+    with recorded_days() as record:
+        for _ in range(world.cfg.num_days):
+            step_day(world)
+    published = [y_hat.astype(np.float32) for y_hat in record.estimates]
+    return world, list(zip(observed, published, record.levels, strict=True))
 
 
 class TestHeuristicThroughEngine:
@@ -547,7 +540,7 @@ class TestObservablesReference:
                    cfg.quarantine_dropout_test, cfg.quarantine_dropout_household) > 0
         world = init_world(cfg)
         pairs = []
-        _spy_publish(world, lambda w, day, _y: pairs.append(
+        _spy_publish(world, lambda w, day: pairs.append(
             (w.observables_for(day), _observables_reference(w, day))))
         for _ in range(cfg.num_days):
             step_day(world)
@@ -595,19 +588,15 @@ def _stepped(policy, at_publish=None, **kw):
     world = init_world(_small(policy=policy, population_size=300, num_days=20,
                               predictor="noisy_oracle", initial_exposed_fraction=0.05,
                               global_mobility_scale=3.75, record_encounter_log=True, **kw))
-    estimates = [np.zeros((world.app_ids.size, world.window))]
-
-    def read(w, day, y_hat):
-        if at_publish is not None:
-            at_publish(w, day, y_hat)
-        estimates.append(np.array(y_hat))
-
-    _spy_publish(world, read)
-    for day in range(world.cfg.num_days):
-        shared = world.held[(day - 1) % world.window].copy()
-        before = estimates[-1]
-        report = step_day(world)
-        yield world, day, report, shared, before, estimates[-1]
+    if at_publish is not None:
+        _spy_publish(world, at_publish)
+    with recorded_days() as record:
+        record.estimates.append(np.zeros((world.app_ids.size, world.window)))
+        for day in range(world.cfg.num_days):
+            shared = world.held[(day - 1) % world.window].copy()
+            before = record.estimates[-1]
+            report = step_day(world)
+            yield world, day, report, shared, before, record.estimates[-1]
 
 
 def _token(agent, day):
@@ -717,7 +706,7 @@ class TestFailedPredictions:
         world = init_world(cfg)
         app = world.app_ids
         entered = []
-        _spy_publish(world, lambda wd, _day, _y: entered.append(wd.held.copy()))
+        _spy_publish(world, lambda wd, _day: entered.append(wd.held.copy()))
         sends = np.zeros((app.size, days), dtype=np.int64)  # per (sender, day)
         total = 0
         for day in range(days):
@@ -742,10 +731,10 @@ class TestFailedPredictions:
         cfg, g, missing = _steady_predictions(tmp_path)
         w = cfg.d_max + 1
         world = init_world(cfg)
-        published = []
-        _spy_publish(world, lambda _w, _day, y_hat: published.append(y_hat.astype(np.float32)))
-        for _ in range(cfg.num_days):
-            step_day(world)
+        with recorded_days() as record:
+            for _ in range(cfg.num_days):
+                step_day(world)
+        published = [y_hat.astype(np.float32) for y_hat in record.estimates]
         shifted = unseen = 0
         for i, agent in enumerate(world.app_ids.tolist()):
             last = None
@@ -844,7 +833,7 @@ class TestObservationLog:
         snapshots = []
         for world, _day, *_rest in _stepped(
                 policy, d_max=d_max,
-                at_publish=lambda w, day, _y: snapshots.append(_snapshot(w, day))):
+                at_publish=lambda w, day: snapshots.append(_snapshot(w, day))):
             pass
         log = world.enc_windows
         assert len(log) == len(snapshots) == world.cfg.num_days
@@ -980,9 +969,9 @@ class TestLiveProgression:
         world.epi_state[exposed == 0], world.exposure_day[exposed == 0] = STATE_E, 0
         for day in range(days):
             state, y = _progression_reference(world, day)
-            world._phase_progression(day)
+            got = world._phase_progression(day)
             assert world.epi_state.tolist() == state.tolist()
-            assert world.y_today.tobytes() == y.tobytes()
+            assert got.tobytes() == y.tobytes()
             derived = core.ground_truth(world, np.arange(world.n), [day])[:, 0]
             assert derived.tobytes() == y.astype(np.float32).tobytes()
             infected = exposed == day + 1
@@ -1006,14 +995,23 @@ class TestHistoryLayout:
         # so calibration reads every estimate one contiguous day at a time
         assert all(y.flags.c_contiguous for y in trace.estimates())
 
+    @pytest.mark.parametrize("policy", core.POLICIES)
+    def test_a_world_keeps_no_scratch_of_the_day(self, policy):
+        # y, the positives and the policy levels pass from phase to phase as arguments
+        scratch = {"y_today", "new_positive_today", "policy_level"}
+        world = init_world(_small(policy=policy, num_days=2))
+        assert not scratch & set(dir(world))
+        step_day(world)
+        assert not scratch & set(dir(world))
+
     def test_the_ground_truth_is_derived_on_first_read(self):
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6,
                      initial_exposed_fraction=0.1)
         world = init_world(cfg)
-        truth = []
-        for _ in range(6):
-            step_day(world)
-            truth.append(world.y_today.astype(np.float32))
+        with recorded_days() as record:
+            for _ in range(6):
+                step_day(world)
+        truth = [y.astype(np.float32) for y in record.y]
         assert not hasattr(world, "y_hist")
         assert max(y.max() for y in truth) > 0
         trace = run(cfg)
@@ -1024,17 +1022,10 @@ class TestHistoryLayout:
 
 
 def _run_publishing(cfg):
-    """``run(cfg)``, and the y_hat that each day's ``_publish`` was given, as float32."""
-    published = []
-    publish = WorldState._publish
-
-    def spy(world, day, y_hat, *args):
-        published.append(y_hat.astype(np.float32))
-        return publish(world, day, y_hat, *args)
-
-    with mock.patch.object(WorldState, "_publish", spy):
+    """``run(cfg)``, and the estimates each day's app pass quantized, as float32."""
+    with recorded_days() as record:
         trace = run(cfg)
-    return trace, published
+    return trace, [y_hat.astype(np.float32) for y_hat in record.estimates]
 
 
 def _predictions_with_misses(path, n, days, window, seed):

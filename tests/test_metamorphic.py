@@ -12,7 +12,7 @@ import filecmp
 from unittest import mock
 
 import numpy as np
-from conftest import health, recorded_levels
+from conftest import health, recorded_days, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -87,8 +87,8 @@ def test_two_runs_write_the_same_bytes(cfg, policy, predictor, tmp_path_factory)
         assert filecmp.cmp(out / f"a.{kind}.jsonl", out / f"b.{kind}.jsonl", shallow=False)
 
 
-def _check_invariants(world, report):
-    """What holds at the end of every day, whatever the draws."""
+def _check_invariants(world, report, y):
+    """What holds at the end of every day, whatever the draws; ``y`` is the day's progression's."""
     day = report.day
     assert report.s + report.e + report.i + report.r == world.n
     assert np.all((world.rec_level >= 0) & (world.rec_level <= 4))
@@ -115,7 +115,7 @@ def _check_invariants(world, report):
     assert np.all((order == 0) | (symptoms[pending, order - 1] == 0))
     # the ground truth derived from the courses is the day's progression y
     derived = ground_truth(world, np.arange(world.n), [day])[:, 0]
-    assert derived.tobytes() == world.y_today.astype(np.float32).tobytes()
+    assert derived.tobytes() == y.astype(np.float32).tobytes()
     # and the states derived from them are the world's at the end of the day
     states = epi_states(world, np.arange(world.n), [day])[:, 0]
     assert np.array_equal(states, world.epi_state)
@@ -131,8 +131,9 @@ def _check_invariants(world, report):
          policy="bct", predictor="oracle")
 def test_the_world_invariants_hold_every_day(cfg, policy, predictor):
     world = init_world(cfg.replace(policy=policy, predictor=predictor))
-    for _ in range(cfg.num_days):
-        _check_invariants(world, step_day(world))
+    with recorded_days() as record:
+        for _ in range(cfg.num_days):
+            _check_invariants(world, step_day(world), record.y[-1])
 
 
 def test_the_seed_rule_decides_at_the_earliest_onset():
@@ -152,12 +153,13 @@ def test_the_seed_rule_decides_at_the_earliest_onset():
                     global_mobility_scale=3.75, rng_seed=3, record_observables=False,
                     record_estimates=False)
     infected = 0
-    with mock.patch.object(virology, "sample_disease_courses", earliest_onset):
+    with (mock.patch.object(virology, "sample_disease_courses", earliest_onset),
+          recorded_days() as record):
         world = init_world(cfg)
         seeds = np.flatnonzero(world.exposure_day == 0)
         assert seeds.size
         for day in range(cfg.num_days):
-            _check_invariants(world, step_day(world))
+            _check_invariants(world, step_day(world), record.y[-1])
             states = epi_states(world, np.arange(world.n), [day])[:, 0]
             if day == 0:
                 assert np.all(states[seeds] == STATE_I)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import recorded_levels
+from conftest import random_forest, recorded_levels, recount_r
 
 from pctsim import metrics
 from pctsim.core import EVENT_LOCATIONS, POLICIES, SimConfig, epi_states, run
@@ -212,40 +212,11 @@ class TestConfigHashAndRows:
             "contacts", "r", "cumulative_cases", "false_quarantine", "status")
 
 
-def _random_forest(rng):
-    """Random valid infection forest plus a recovered set and window."""
-    n = int(rng.integers(1, 51))
-    days = np.sort(rng.integers(0, 40, n))
-    events = []
-    for i in range(n):
-        if i == 0 or rng.random() < 0.3:
-            events.append((int(days[i]), EXTERNAL_SEED, i))
-        else:
-            parent = int(rng.integers(0, i))
-            events.append((int(days[i]), parent, i))
-    recovered = {i for i in range(n) if rng.random() < 0.5}
-    window = (int(rng.integers(0, 20)), int(rng.integers(20, 41)))
-    return events, recovered, window
-
-
-def _brute_force_r(events, recovered, window):
-    """Independent recount: literal double scan over the event list."""
-    infector_of = {c: p for _, p, c in events}
-    exposure = {c: d for d, _, c in events}
-    parents = [a for a in infector_of
-               if infector_of[a] != EXTERNAL_SEED and a in recovered
-               and window[0] <= exposure[a] < window[1]]
-    if not parents:
-        return math.nan
-    children = sum(1 for _, p, _ in events for q in parents if p == q)
-    return children / len(parents)
-
-
 def test_r_matches_brute_force_fuzz():
     rng = np.random.default_rng(42)
     for _ in range(200):
-        events, recovered, window = _random_forest(rng)
-        expected = _brute_force_r(events, recovered, window)
+        events, recovered, window = random_forest(rng)
+        expected = recount_r(events, recovered, window)
         got = estimate_r(events, recovered, window)
         if math.isnan(expected):
             assert math.isnan(got)

@@ -6,14 +6,12 @@ psi table through ``init_world``/``step_day``.
 """
 
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import health, recorded_levels
+from conftest import health, recorded_days, recorded_levels
 
-from pctsim import core
-from pctsim.core import SimConfig, WorldState, init_world, run, step_day
+from pctsim.core import SimConfig, init_world, run, step_day
 from pctsim.datagen import export_training_records, read_records
 from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, RiskQuantizer, quantize_risk
 from pctsim.metrics import metrics_row
@@ -161,9 +159,10 @@ class TestNoTracing:
         world = init_world(SimConfig(population_size=300, num_days=15, rng_seed=2,
                                      global_mobility_scale=3.75,
                                      initial_exposed_fraction=0.05))
-        for _ in range(15):
-            step_day(world)
-            assert np.all(world.policy_level == 1)
+        with recorded_days() as record:
+            for _ in range(15):
+                step_day(world)
+                assert np.all(record.levels[-1] == 1)
 
 
 class TestBctPolicy:
@@ -329,28 +328,16 @@ class TestBctFanout:
 
 def _pct_run(predictor, days=12, **kw):
     """Run a small pct world (estimates recorded); return its trace and, collected while
-    stepping, its app agents' ground truth, each day's ``y_today`` as float32, one
+    stepping, its app agents' ground truth, each day's progression y as float32, one
     column a day, and the estimates the engine published, float32 (n_app, days, window)."""
     base = dict(population_size=400, num_days=days, rng_seed=4, policy="pct",
                 predictor=predictor, initial_exposed_fraction=0.1,
                 global_mobility_scale=3.75)
     base.update(kw)
-    truth, published = [], []
-    step, publish = core.step_day, WorldState._publish
-
-    def stepping(world):
-        report = step(world)
-        truth.append(world.y_today[world.app_ids].astype(np.float32))
-        return report
-
-    def publishing(world, day, y_hat, *args):
-        published.append(y_hat.astype(np.float32))
-        return publish(world, day, y_hat, *args)
-
-    with (mock.patch.object(core, "step_day", stepping),
-          mock.patch.object(WorldState, "_publish", publishing)):
+    with recorded_days() as record:
         trace = run(SimConfig(**base))
-    return trace, np.column_stack(truth), np.stack(published, axis=1)
+    truth = [y[trace.app_ids].astype(np.float32) for y in record.y]
+    return trace, np.column_stack(truth), np.stack(record.estimates, axis=1).astype(np.float32)
 
 
 def _derived(trace):
@@ -405,11 +392,11 @@ class TestOraclePredictors:
             assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
 
 
-def _external_world(tmp_path, y_hat_for, published=None):
-    """A one-day pct world replaying ``y_hat_for(agent)`` for every agent.
+def _external_world(tmp_path, y_hat_for):
+    """A one-day pct world replaying ``y_hat_for(agent)`` for every agent, stepped.
 
-    An agent for which ``y_hat_for`` returns None has no prediction. The
-    estimates the engine publishes are appended to ``published`` as float32.
+    An agent for which ``y_hat_for`` returns None has no prediction. Returns the
+    world, the day's policy levels and the estimates the engine published, float32.
     """
     n = 60
     path = tmp_path / "preds.jsonl"
@@ -418,16 +405,9 @@ def _external_world(tmp_path, y_hat_for, published=None):
         for a in range(n) if y_hat_for(a) is not None))
     world = init_world(SimConfig(population_size=n, num_days=1, rng_seed=1, policy="pct",
                                  predictor="external", external_predictions=str(path)))
-    if published is not None:
-        publish = world._publish
-
-        def spy(day, y_hat, *args):
-            published.append(y_hat.astype(np.float32))
-            return publish(day, y_hat, *args)
-
-        world._publish = spy
-    step_day(world)
-    return world
+    with recorded_days() as record:
+        step_day(world)
+    return world, record.levels[0], [y_hat.astype(np.float32) for y_hat in record.estimates]
 
 
 class TestPctPolicy:
@@ -437,9 +417,9 @@ class TestPctPolicy:
         assert recs[0] >= 1 and recs[-1] == 4
 
     def test_floor_and_ceiling(self, tmp_path):
-        world = _external_world(tmp_path, lambda a: [float(a % 2)] * 15)
+        world, policy_level, _ = _external_world(tmp_path, lambda a: [float(a % 2)] * 15)
         app = world.app_ids
-        assert world.policy_level[app].tolist() == [1 + 3 * (a % 2) for a in app.tolist()]
+        assert policy_level[app].tolist() == [1 + 3 * (a % 2) for a in app.tolist()]
 
     def test_today_slot_drives_recommendation(self, tmp_path):
         def y_hat(agent):
@@ -447,33 +427,30 @@ class TestPctPolicy:
             y[0] = 0.99 * (1 - agent % 2)
             return y
 
-        world = _external_world(tmp_path, y_hat)
+        world, policy_level, _ = _external_world(tmp_path, y_hat)
         app = world.app_ids
-        assert world.policy_level[app].tolist() == [4 - 3 * (a % 2) for a in app.tolist()]
+        assert policy_level[app].tolist() == [4 - 3 * (a % 2) for a in app.tolist()]
 
     def test_returns_estimate_unchanged(self, tmp_path):
-        published = []
-        world = _external_world(tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2,
-                                published)
+        world, _, published = _external_world(
+            tmp_path, lambda a: np.linspace(0, 0.9, 15) * (a % 3) / 2)
         for i, agent in enumerate(world.app_ids.tolist()):
             expected = np.linspace(0, 0.9, 15) * (agent % 3) / 2
             assert np.array_equal(world.external.y_hat[0, i], expected)
             assert np.array_equal(published[0][i], expected.astype(np.float32))
 
     def test_non_finite_prediction_fails_like_a_missing_one(self, tmp_path):
-        agent = int(_external_world(tmp_path, lambda a: [0.99] * 15).app_ids[0])
-        nan_published, missing_published = [], []
-        nan = _external_world(
-            tmp_path, lambda a: [0.99] * 14 + [float("nan") if a == agent else 0.99],
-            nan_published)
-        missing = _external_world(tmp_path, lambda a: None if a == agent else [0.99] * 15,
-                                  missing_published)
+        agent = int(_external_world(tmp_path, lambda a: [0.99] * 15)[0].app_ids[0])
+        nan, nan_levels, nan_published = _external_world(
+            tmp_path, lambda a: [0.99] * 14 + [float("nan") if a == agent else 0.99])
+        missing, missing_levels, missing_published = _external_world(
+            tmp_path, lambda a: None if a == agent else [0.99] * 15)
         assert nan.day_reports[0].messages > 0
-        assert nan.policy_level[agent] == 1
+        assert nan_levels[agent] == 1
         # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
         assert np.all(nan.held[:, 0] == nan.quantize(0.0))
         assert np.array_equal(nan.external.y_hat[0, 0], np.zeros(15))
-        assert np.array_equal(nan.policy_level, missing.policy_level)
+        assert np.array_equal(nan_levels, missing_levels)
         assert np.array_equal(nan_published, missing_published)
         assert nan.day_reports == missing.day_reports
 
@@ -484,21 +461,14 @@ class TestPctPolicy:
                                      initial_exposed_fraction=0.1, psi_table=psi,
                                      global_mobility_scale=3.75))
         app = world.app_ids
-        estimates = []
-        publish = world._publish
-
-        def spy(day, y_hat, *args):
-            estimates.append(y_hat)
-            return publish(day, y_hat, *args)
-
-        world._publish = spy
         seen = set()
-        for _ in range(12):
-            step_day(world)
-            q = quantize_risk(estimates[-1][:, 0], DEFAULT_THRESHOLDS)
-            expected = np.asarray(psi)[q]
-            assert np.array_equal(world.policy_level[app], expected)
-            seen.update(expected.tolist())
+        with recorded_days() as record:
+            for _ in range(12):
+                step_day(world)
+                q = quantize_risk(record.estimates[-1][:, 0], DEFAULT_THRESHOLDS)
+                expected = np.asarray(psi)[q]
+                assert np.array_equal(record.levels[-1][app], expected)
+                seen.update(expected.tolist())
         assert seen == {1, 2, 3, 4}
 
 
@@ -587,12 +557,23 @@ class TestExternalPredictor:
 
     @pytest.mark.parametrize("y_hat", [[0.1] * 2, [0.1] * 4, [[0.1] * 3], [[0.1]] * 3,
                                        [0.1, float("nan"), 0.1], [float("inf")] * 3,
-                                       [0.1, float("-inf"), 0.1]],
-                             ids=["short", "long", "nested", "column", "nan", "inf", "-inf"])
+                                       [0.1, float("-inf"), 0.1], None, [0.1, None, 0.1]],
+                             ids=["short", "long", "nested", "column", "nan", "inf", "-inf",
+                                  "null", "null-entry"])
     def test_an_invalid_row_is_not_ok(self, tmp_path, y_hat):
         table = _table(tmp_path, [(5, 1, [0.5] * 3), (5, 1, y_hat)])
         assert not table.ok.any()
         assert not table.y_hat.any()
+
+    @pytest.mark.parametrize("y_hat", [
+        ["0.5"] * 3, "0.5", "high", [0.5, "0.5", 0.5], [None, "0.5", 0.5], {"today": 0.5},
+        [{"today": 0.5}] * 3, [[0.5], [0.5, 0.5], [0.5]],
+    ], ids=["numeric-strings", "numeric-string", "string", "one-string", "null-and-string",
+            "object", "objects", "ragged"])
+    @pytest.mark.parametrize("agent", [5, 99], ids=["app", "ignored"])
+    def test_a_y_hat_that_is_not_numbers_names_its_line(self, tmp_path, y_hat, agent):
+        with pytest.raises(ValueError, match=r"preds\.jsonl line 2: y_hat must be null or numbers"):
+            _table(tmp_path, [(5, 1, [0.5] * 3), (agent, 1, y_hat)])
 
     def test_values_are_clipped_to_the_unit_interval(self, tmp_path):
         table = _table(tmp_path, [(3, 0, [-0.5, 0.25, 1.5]), (8, 3, [2.0, -1e-9, 1.0])])
