@@ -288,17 +288,17 @@ def _nt_point(cfg: core.SimConfig, scale: float, seeds, pool) -> tuple[float, fl
     return float(np.mean(contacts)), float(np.mean(finite)) if finite else math.nan
 
 
-def _fit_scale(nt_point, target_contacts, tolerance, log) -> tuple[float, float, float]:
+def _fit_scale(nt_point, target_contacts, tolerance) -> tuple[float, float, float]:
     """Bracket, then bisect, the scale whose ``nt_point`` contacts hit the target."""
     lo, c_lo = 0.0, 0.0
     hi = 1.0
     c_hi, r_hi = nt_point(hi)
-    log(f"scale {hi:.4f}: contacts {c_hi:.3f}")
+    print(f"scale {hi:.4f}: contacts {c_hi:.3f}")
     while c_hi < target_contacts and hi < MAX_SCALE:
         lo, c_lo = hi, c_hi
         hi *= 2.0
         c_hi, r_hi = nt_point(hi)
-        log(f"scale {hi:.4f}: contacts {c_hi:.3f}")
+        print(f"scale {hi:.4f}: contacts {c_hi:.3f}")
     if c_hi < target_contacts:
         raise RuntimeError(
             f"calibration failed to bracket target {target_contacts}: achieved "
@@ -311,7 +311,7 @@ def _fit_scale(nt_point, target_contacts, tolerance, log) -> tuple[float, float,
             break
         mid = 0.5 * (lo + hi)
         c_mid, r_mid = nt_point(mid)
-        log(f"scale {mid:.4f}: contacts {c_mid:.3f}")
+        print(f"scale {mid:.4f}: contacts {c_mid:.3f}")
         if abs(c_mid - target_contacts) < abs(best_contacts - target_contacts):
             best_scale, best_contacts, best_r = mid, c_mid, r_mid
         if c_mid < target_contacts:
@@ -326,14 +326,13 @@ def _fit_scale(nt_point, target_contacts, tolerance, log) -> tuple[float, float,
 
 
 def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
-              tolerance: float = DEFAULT_CONTACT_TOLERANCE, log=print,
-              jobs: int = 1) -> dict:
+              tolerance: float = DEFAULT_CONTACT_TOLERANCE, jobs: int = 1) -> dict:
     """Find the mobility scale hitting the target contacts, then thresholds.
 
     Bisection over global_mobility_scale drives the no-tracing mean
     effective contacts to within the tolerance of the target; risk
     thresholds are then calibrated on the positive predictions emitted by
-    a noisy-oracle run at the found scale.
+    a noisy-oracle run at the found scale. Each scale tried is printed.
 
     The per-seed runs of each scale go to one pool of up to ``jobs``
     processes; the result does not depend on ``jobs``.
@@ -344,7 +343,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
     nt = _fast(cfg).replace(policy="no_tracing")
     with _pool(jobs, len(seeds)) as pool:
         best_scale, best_contacts, best_r = _fit_scale(
-            lambda scale: _nt_point(nt, scale, seeds, pool), target_contacts, tolerance, log)
+            lambda scale: _nt_point(nt, scale, seeds, pool), target_contacts, tolerance)
 
     traffic_cfg = cfg.replace(policy="pct", predictor="noisy_oracle",
                               global_mobility_scale=best_scale,

@@ -470,7 +470,6 @@ class WorldState:
         self.peak = np.full(n, np.nan)
         self.recovery = np.full(n, np.nan)
         self.peak_evl = np.full(n, np.nan)
-        self.asymptomatic = np.zeros(n, dtype=bool)
         self.symptom_mask = np.zeros(n, dtype=np.uint8)
         self.rec_level = np.ones(n, dtype=np.int8)
         # who infected each agent and where (an EVENT_LOCATIONS code), and the infected in order
@@ -481,7 +480,7 @@ class WorldState:
 
         n_seed = int(round(self.cfg.initial_exposed_fraction * n))
         seeds = np.sort(self.rng["disease"].choice(n, size=n_seed, replace=False)) if n_seed else np.zeros(0, dtype=np.int64)
-        self._expose(seeds, day=0)
+        self._expose(seeds, 0, EXTERNAL_SEED, -1)
 
         # testing state (symptoms and tests are modeled for app agents)
         self.test_code = np.full(n, TEST_NONE, dtype=np.int8)
@@ -535,8 +534,9 @@ class WorldState:
         i = self.infection_order[:self.n_infected]
         return np.column_stack((self.exposure_day[i], self.infector[i], i, self.infection_loc[i]))
 
-    def _expose(self, agents, day, infectors=None, locations=None):
-        """Mark agents Exposed at ``day``, in this order, and sample their disease courses."""
+    def _expose(self, agents, day, infectors, locations):
+        """Mark agents Exposed at ``day``, in this order, by ``infectors`` at ``locations``, and
+        sample their disease courses; an asymptomatic course's symptom onset is inf."""
         agents = np.asarray(agents, dtype=np.int64)
         if agents.size == 0:
             return
@@ -546,15 +546,14 @@ class WorldState:
         self.epi_state[agents] = STATE_E
         self.exposure_day[agents] = day
         self.onset[agents] = courses["infectiousness_onset_day"]
-        self.symptom_onset[agents] = courses["symptom_onset_day"]
+        self.symptom_onset[agents] = np.where(courses["is_asymptomatic"], np.inf,
+                                              courses["symptom_onset_day"])
         self.peak[agents] = courses["peak_day"]
         self.recovery[agents] = courses["recovery_day"]
         self.peak_evl[agents] = courses["peak_evl"]
-        self.asymptomatic[agents] = courses["is_asymptomatic"]
         self.symptom_mask[agents] = courses["symptom_mask"]
-        if infectors is not None:
-            self.infector[agents] = infectors
-            self.infection_loc[agents] = locations
+        self.infector[agents] = infectors
+        self.infection_loc[agents] = locations
         self.infection_order[self.n_infected:self.n_infected + agents.size] = agents
         self.n_infected += agents.size
 
@@ -600,14 +599,13 @@ class WorldState:
                                     self.recovery[live], self.peak_evl[live])
         return y
 
-    def _phase_encounters(self, day):
+    def _phase_encounters(self):
+        """Draw today's encounters at today's levels and return them as ``(a, b, loc)``."""
         a, b, loc = mobility.generate_encounters(
             self.loc_indexes, self.rec_level, self.cfg.global_mobility_scale,
             self.rng["mobility"])
         if self.encounter_log is not None:
             self.encounter_log.append((a.copy(), b.copy(), loc.copy()))
-        if self.app_active:
-            self._register_app_contacts(a, b, day)
         return a, b, loc
 
     def _register_app_contacts(self, a, b, day):
@@ -655,8 +653,7 @@ class WorldState:
         rng = self.rng["testing"]
 
         t_mid = day + 0.5 - self.exposure_day  # y > 0 only for the exposed
-        symptomatic = (self.has_app & (y > 0) & ~self.asymptomatic
-                       & (t_mid >= self.symptom_onset))
+        symptomatic = self.has_app & (y > 0) & (t_mid >= self.symptom_onset)
         reported = np.zeros_like(self.symptom_mask)
         idx = np.flatnonzero(symptomatic)
         keep = rng.random((idx.size, len(virology.SYMPTOM_NAMES))) >= cfg.symptom_dropout
@@ -698,9 +695,10 @@ class WorldState:
         self.health_hist[:, day] = reported[self.app_ids] * _N_TESTS + self.test_code[self.app_ids]
         return ordered.size, positive
 
-    def _phase_app_pass(self, day, positives):
-        """Run the active policy and send today's messages; return their count and a new
-        n-array of the policy's levels, 1 outside the app agents of pct and the heuristic.
+    def _phase_app_pass(self, day, a, b, positives):
+        """Register today's app contacts among encounters ``a``-``b``, run the active policy
+        and send today's messages; return their count and a new n-array of the policy's
+        levels, 1 outside the app agents of pct and the heuristic.
 
         Messages take one day: what is sent on day d is read from the day
         d + 1 pass on, so the observation log and today's observables, both
@@ -712,6 +710,7 @@ class WorldState:
         levels = np.ones(self.n, dtype=np.int8)
         if not self.app_active:
             return 0, levels
+        self._register_app_contacts(a, b, day)
         if self.enc_windows is not None:
             self._snapshot_enc_windows(day)
         if policy == "bct":
@@ -818,18 +817,18 @@ def init_world(config: SimConfig) -> WorldState:
 
 
 def step_day(world: WorldState) -> DayReport:
-    """Advance the world by one day, passing y, the positives and the policy levels
-    from phase to phase, and return the day's counters."""
+    """Advance the world by one day, passing y, the encounters, the positives and the
+    policy levels from phase to phase, and return the day's counters."""
     cfg = world.cfg
     day = world.day
     if day >= cfg.num_days:
         raise RuntimeError(f"step_day past num_days={cfg.num_days}")
     q_mask = world.rec_level == 4  # today's levels; _phase_levels sets tomorrow's
     y = world._phase_progression(day)
-    a, b, loc = world._phase_encounters(day)
+    a, b, loc = world._phase_encounters()
     new_cases = world._phase_transmission(day, y, a, b, loc)
     tests_ordered, positives = world._phase_testing(day, y)
-    messages, levels = world._phase_app_pass(day, positives)
+    messages, levels = world._phase_app_pass(day, a, b, positives)
     world._phase_levels(day, levels)
 
     counts = np.bincount(world.epi_state, minlength=4)

@@ -93,18 +93,17 @@ def default_r_window(num_days: int) -> tuple[int, int]:
     return (0, max(num_days - 14, 1))
 
 
-def false_quarantine_fraction(trace, day_range=None) -> float:
-    """Fraction of agent-days spent quarantined while not infectious.
+def false_quarantine_fraction(trace) -> float:
+    """Fraction of the run's agent-days spent quarantined while not infectious.
 
     Counts agent-days at recommendation level 4 whose end-of-day epi state
-    is Susceptible or Recovered, divided by all agent-days in range. Each
-    day's count is its ``DayReport.quarantined_healthy``.
+    is Susceptible or Recovered, divided by all agent-days; 0 for a run of 0
+    days. Each day's count is its ``DayReport.quarantined_healthy``.
     """
-    lo, hi = day_range if day_range is not None else (0, trace.num_days)
-    if hi <= lo:
+    if trace.num_days == 0:
         return 0.0
-    false_q = sum(r.quarantined_healthy for r in trace.day_reports[lo:hi])
-    return false_q / (trace.population * (hi - lo))
+    false_q = sum(r.quarantined_healthy for r in trace.day_reports)
+    return false_q / (trace.population * trace.num_days)
 
 
 def effective_contacts_per_agent_day(trace) -> float:

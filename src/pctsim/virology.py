@@ -84,16 +84,15 @@ def evl_tent(t, onset, peak, recovery, peak_evl):
     """EVL at ``t`` days since exposure; all arguments broadcast together.
 
     Piecewise-linear tent: 0 for t <= onset, linear up to (peak, peak_evl),
-    linear down to (recovery, 0), and 0 afterwards. A scalar ``t`` with
-    scalar landmarks returns a float.
+    linear down to (recovery, 0), and 0 afterwards, clipped to [0, 1]. A
+    scalar ``t`` with scalar landmarks returns an ``np.float64``.
     """
     t = np.asarray(t, dtype=np.float64)
     rising = peak_evl * (t - onset) / (peak - onset)
     falling = peak_evl * (recovery - t) / (recovery - peak)
     evl = np.where(t <= peak, rising, falling)
     evl = np.where((t <= onset) | (t >= recovery), 0.0, evl)
-    out = np.clip(evl, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.clip(evl, 0.0, 1.0)
 
 
 def transmission_probability(infector_evl, base_rate, mobility_env, carefulness):

@@ -997,12 +997,24 @@ class TestHistoryLayout:
 
     @pytest.mark.parametrize("policy", core.POLICIES)
     def test_a_world_keeps_no_scratch_of_the_day(self, policy):
-        # y, the positives and the policy levels pass from phase to phase as arguments
-        scratch = {"y_today", "new_positive_today", "policy_level"}
+        # y, the positives and the policy levels pass from phase to phase as arguments, and
+        # an asymptomatic course is a symptom onset of inf
+        scratch = {"y_today", "new_positive_today", "policy_level", "asymptomatic"}
         world = init_world(_small(policy=policy, num_days=2))
         assert not scratch & set(dir(world))
         step_day(world)
         assert not scratch & set(dir(world))
+
+    @pytest.mark.parametrize("policy", ["bct", "heuristic", "pct"])
+    def test_the_encounter_phase_leaves_the_app_state_alone(self, policy):
+        # today's app contacts are registered by the app pass, not while drawing encounters
+        world = init_world(_small(policy=policy, num_days=4))
+        for _ in range(3):
+            step_day(world)
+        edges, held, outdeg = list(world.edges), world.held.copy(), world.outdeg.copy()
+        world._phase_encounters()
+        assert all(e is f for e, f in zip(world.edges, edges, strict=True))
+        assert np.array_equal(world.held, held) and np.array_equal(world.outdeg, outdeg)
 
     def test_the_ground_truth_is_derived_on_first_read(self):
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6,
