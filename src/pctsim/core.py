@@ -536,7 +536,7 @@ class WorldState:
 
     def _expose(self, agents, day, infectors, locations):
         """Mark agents Exposed at ``day``, in this order, by ``infectors`` at ``locations``, and
-        sample their disease courses; an asymptomatic course's symptom onset is inf."""
+        sample their disease courses; a course without symptoms has symptom onset inf."""
         agents = np.asarray(agents, dtype=np.int64)
         if agents.size == 0:
             return
