@@ -290,15 +290,17 @@ def _nt_point(cfg: core.SimConfig, scale: float, seeds, pool) -> tuple[float, fl
 
 def _fit_scale(nt_point, target_contacts, tolerance) -> tuple[float, float, float]:
     """Bracket, then bisect, the scale whose ``nt_point`` contacts hit the target."""
+    def tried(scale):
+        contacts, r = nt_point(scale)
+        print(f"scale {scale:.4f}: contacts {contacts:.3f}")
+        return contacts, r
     lo, c_lo = 0.0, 0.0
     hi = 1.0
-    c_hi, r_hi = nt_point(hi)
-    print(f"scale {hi:.4f}: contacts {c_hi:.3f}")
+    c_hi, r_hi = tried(hi)
     while c_hi < target_contacts and hi < MAX_SCALE:
         lo, c_lo = hi, c_hi
         hi *= 2.0
-        c_hi, r_hi = nt_point(hi)
-        print(f"scale {hi:.4f}: contacts {c_hi:.3f}")
+        c_hi, r_hi = tried(hi)
     if c_hi < target_contacts:
         raise RuntimeError(
             f"calibration failed to bracket target {target_contacts}: achieved "
@@ -310,8 +312,7 @@ def _fit_scale(nt_point, target_contacts, tolerance) -> tuple[float, float, floa
         if abs(best_contacts - target_contacts) <= 0.2 * tolerance:
             break
         mid = 0.5 * (lo + hi)
-        c_mid, r_mid = nt_point(mid)
-        print(f"scale {mid:.4f}: contacts {c_mid:.3f}")
+        c_mid, r_mid = tried(mid)
         if abs(c_mid - target_contacts) < abs(best_contacts - target_contacts):
             best_scale, best_contacts, best_r = mid, c_mid, r_mid
         if c_mid < target_contacts:

@@ -683,15 +683,9 @@ class WorldState:
         positive = np.zeros(self.n, dtype=bool)
         positive[pos] = True
         self.iso_until[pos] = day + QUARANTINE_DAYS
-        # the members of the positives' households, from the household
-        # pool; a positive counts as a mate only of another positive
-        hh = self.loc_indexes["household"]
-        g, n_pos = np.unique(self.household_id[pos], return_counts=True)
-        size = hh.size[g]
-        offset = np.repeat(hh.start[g] - np.cumsum(size) + size, size)
-        members = hh.flat[offset + np.arange(offset.size)]
-        mates = members[(np.repeat(n_pos, size) > 1) | ~positive[members]]
-        self.hh_until[mates] = day + QUARANTINE_DAYS
+        # a household mate: an agent whose household has a positive other than itself
+        n_pos = np.bincount(self.household_id[pos], minlength=self.n)
+        self.hh_until[n_pos[self.household_id] > positive] = day + QUARANTINE_DAYS
         self.health_hist[:, day] = reported[self.app_ids] * _N_TESTS + self.test_code[self.app_ids]
         return ordered.size, positive
 
@@ -924,21 +918,6 @@ def epi_states(world, agents, days) -> np.ndarray:
                      [STATE_S, STATE_E, STATE_R, STATE_I], STATE_E).astype(np.int8)
 
 
-def ground_truth_window(world, day) -> np.ndarray:
-    """(n_app, window) float64 y of the app agents, newest-first, zero before day 0.
-
-    ``world`` is a WorldState or a SimulationTrace.
-    """
-    out = np.zeros((world.app_ids.size, world.window), dtype=np.float64)
-    days = np.arange(day, max(day - world.window, -1), -1)
-    # only a course short of recovery at the oldest day's midpoint can be nonzero;
-    # a never-exposed agent's recovery is NaN, which compares false
-    app = world.app_ids
-    live = np.flatnonzero(days[-1] + 0.5 - world.exposure_day[app] < world.recovery[app])
-    out[live, :days.size] = ground_truth(world, app[live], days)
-    return out
-
-
 def _normal(rng, sigma, shape):
     """``rng.normal(0.0, sigma, shape)`` bit for bit, leaving ``rng`` in the same state.
 
@@ -955,8 +934,8 @@ def _normal(rng, sigma, shape):
 def predict(world, day, rng) -> np.ndarray:
     """pct's (n_app, window) estimates on ``day``, newest-first.
 
-    The oracle is ``ground_truth_window``; the noisy oracle scales it by
-    ``1 + N(0, mul_sigma)``, adds ``N(0, add_sigma)`` and clips to [0, 1], drawing
+    The oracle is the app agents' ``ground_truth`` over the window; the noisy oracle scales
+    it by ``1 + N(0, mul_sigma)``, adds ``N(0, add_sigma)`` and clips to [0, 1], drawing
     both from ``rng``, the ``"predictor"`` stream as the day found it; the external
     predictor replays ``world.external``. ``world`` is a WorldState or a
     SimulationTrace; an agent exposed after ``day`` reads 0 from either.
@@ -964,7 +943,13 @@ def predict(world, day, rng) -> np.ndarray:
     cfg = world.cfg
     if cfg.predictor == "external":
         return world.external.y_hat[day]
-    y = ground_truth_window(world, day)
+    # the app agents' y, newest-first, zero before day 0; only a course short of recovery at the
+    # oldest day's midpoint can be nonzero (a never-exposed agent's NaN recovery compares false)
+    app = world.app_ids
+    y = np.zeros((app.size, world.window), dtype=np.float64)
+    days = np.arange(day, max(day - world.window, -1), -1)
+    live = np.flatnonzero(days[-1] + 0.5 - world.exposure_day[app] < world.recovery[app])
+    y[live, :days.size] = ground_truth(world, app[live], days)
     if cfg.predictor == "noisy_oracle":
         y_hat = _normal(rng, cfg.predictor_mul_sigma, y.shape)
         y_hat += 1.0

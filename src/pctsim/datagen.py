@@ -110,7 +110,7 @@ def _render_days(trace):
     if len(trace.enc_windows) != trace.num_days:
         raise ValueError(f"trace is truncated: observables for "
                          f"{len(trace.enc_windows)} of {trace.num_days} days")
-    window = int(trace.config["d_max"]) + 1
+    window = trace.window
     app = trace.app_ids
     n_app = app.size
     target_text, target_codes = _render_floats(core.ground_truth(trace, app, np.arange(trace.num_days)))

@@ -38,10 +38,10 @@ def estimate_r(events, recovered, window=None) -> float:
     """Children-per-recovered-parent ratio over the infection tree.
 
     Args:
-        events: ``(m, k >= 3)`` integer array, or iterable of tuples, of
-            (day, infector, infectee, *rest); infector is EXTERNAL_SEED (-1)
+        events: ``(m, k >= 3)`` integer array of (day, infector, infectee, *rest)
+            rows, as ``SimulationTrace.events``; infector is EXTERNAL_SEED (-1)
             for seeded cases. Work is linear in the largest agent id.
-        recovered: set/array of agent ids recovered by the end of the run.
+        recovered: integer array of the agent ids recovered by the end of the run.
         window: optional (start, end) half-open range; a parent counts
             only if its own exposure day lies in the window. Children of
             counted parents count regardless of their day.
@@ -54,8 +54,6 @@ def estimate_r(events, recovered, window=None) -> float:
             itself, has an infector that never appears as an infectee
             (a broken tree), or is infected before its infector.
     """
-    if not isinstance(events, np.ndarray):
-        events = np.array([ev[:3] for ev in events], dtype=np.int64).reshape(-1, 3)
     day, infector, infectee = events[:, :3].T
     # per agent id: how often it is infected, and on which day
     n = int(max(infectee.max(initial=0), infector.max(initial=0))) + 1
@@ -76,8 +74,6 @@ def estimate_r(events, recovered, window=None) -> float:
         raise ValueError(f"event at day {when[early][0]} precedes infector "
                          f"{source[early][0]}'s exposure")
 
-    if isinstance(recovered, (set, frozenset)):
-        recovered = list(recovered)
     # "table" looks ids up; the default's sort for small inputs adds ~0.85 MB RSS at 3k
     counted = ~seeded & np.isin(infectee, np.asarray(recovered, dtype=np.int64), kind="table")
     if window is not None:

@@ -16,8 +16,6 @@ or a mobility scale of 0), draws no random bits for that pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LOCATION_TYPES = ("household", "workplace", "school", "other")
@@ -25,39 +23,20 @@ LOCATION_TYPES = ("household", "workplace", "school", "other")
 QUARANTINE_LEVEL = 4
 
 
-@dataclass(frozen=True)
-class LocationParams:
-    """Mean daily contacts C_l and confinement reduction alpha_l."""
-
-    location_type: str
-    c_l: float
-    alpha_l: float
-
-    def __post_init__(self):
-        if self.c_l <= 0:
-            raise ValueError(f"{self.location_type}: c_l must be positive")
-        if not 0.0 <= self.alpha_l <= 1.0:
-            raise ValueError(f"{self.location_type}: alpha_l must be in [0, 1]")
-
-
+# location type -> (mean daily contacts C_l, confinement reduction alpha_l)
 LOCATION_PARAMS = {
-    "household": LocationParams("household", 2.7, 0.30),
-    "workplace": LocationParams("workplace", 10.0, 0.80),
-    "school": LocationParams("school", 6.0, 0.80),
-    "other": LocationParams("other", 3.1, 0.50),
+    "household": (2.7, 0.30),
+    "workplace": (10.0, 0.80),
+    "school": (6.0, 0.80),
+    "other": (3.1, 0.50),
 }
 
 
-def _level_multipliers(alpha_l: float) -> np.ndarray:
-    # Behavior tiers: 0 unrestricted, 1..3 graded confinement, 4 quarantine.
-    return np.array(
-        [1.0, (1 - alpha_l) / 4, (1 - alpha_l) / 2, (1 - alpha_l), 0.0]
-    )
-
-
-def level_rate_table(loc: LocationParams, mobility_scale: float) -> np.ndarray:
-    """Vector of effective contacts indexed by recommendation level 0..4."""
-    return mobility_scale * loc.c_l * _level_multipliers(loc.alpha_l)
+def level_rate_table(name: str, mobility_scale: float) -> np.ndarray:
+    """Effective daily contacts at location type ``name`` by recommendation level 0..4:
+    0 unrestricted, 1..3 graded confinement, 4 quarantine, all times ``mobility_scale``."""
+    c_l, alpha_l = LOCATION_PARAMS[name]
+    return mobility_scale * c_l * np.array([1.0, (1 - alpha_l) / 4, (1 - alpha_l) / 2, 1 - alpha_l, 0.0])
 
 
 class LocationIndex:
@@ -108,7 +87,8 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng):
     no bits for a zero rate.
 
     Args:
-        indexes: mapping location type name -> LocationIndex.
+        indexes: mapping with one LocationIndex per name in LOCATION_TYPES;
+            a type nobody belongs to is an empty ``LocationIndex(np.full(n, -1))``.
         rec_level: per-agent recommendation levels (0..4) in force today.
         mobility_scale: global mobility multiplier.
         rng: numpy Generator for this day's mobility stream.
@@ -123,10 +103,8 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng):
     out_a, out_b = [empty], [empty]
     kept = np.zeros(len(LOCATION_TYPES), dtype=np.int64)
     for code, name in enumerate(LOCATION_TYPES):
-        index = indexes.get(name)
-        if index is None:
-            continue
-        half_rates = level_rate_table(LOCATION_PARAMS[name], mobility_scale) / 2.0
+        index = indexes[name]
+        half_rates = level_rate_table(name, mobility_scale) / 2.0
         k = rng.poisson(half_rates[rec_level[index.drawers]])
         i = np.repeat(np.arange(index.drawers.size), k)
         r = rng.integers(0, index.span[i])

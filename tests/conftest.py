@@ -52,7 +52,8 @@ def health(world):
 
 
 def random_forest(rng):
-    """Random valid infection forest with up to 50 nodes, plus a recovered set and window."""
+    """Random valid infection forest with up to 50 nodes: an int64 ``(m, 3)`` events
+    array, a sorted array of recovered ids, and a window."""
     n = int(rng.integers(1, 51))
     days = np.sort(rng.integers(0, 40, n))
     events = []
@@ -61,13 +62,15 @@ def random_forest(rng):
             events.append((int(days[i]), EXTERNAL_SEED, i))
         else:
             events.append((int(days[i]), int(rng.integers(0, i)), i))
-    recovered = {i for i in range(n) if rng.random() < 0.5}
+    recovered = [i for i in range(n) if rng.random() < 0.5]
     window = (int(rng.integers(0, 20)), int(rng.integers(20, 41)))
-    return events, recovered, window
+    return (np.array(events, dtype=np.int64).reshape(-1, 3),
+            np.array(recovered, dtype=np.int64), window)
 
 
 def recount_r(events, recovered, window):
     """Literal recount of the reproduction estimate, no shared code."""
+    events, recovered = events.tolist(), set(recovered.tolist())
     infector_of = {child: parent for _day, parent, child in events}
     exposed_on = {child: day for day, _parent, child in events}
     parents = [a for a in infector_of

@@ -153,10 +153,12 @@ def test_criterion_3_contact_rates():
     start = time.monotonic()
     n_agents, n_days = 100, 200
     rng = np.random.default_rng(13)
-    for name, params in mobility.LOCATION_PARAMS.items():
-        index = {name: mobility.LocationIndex(np.zeros(n_agents, dtype=np.int64))}
-        for level, expected in ((0, params.c_l),
-                                (3, (1 - params.alpha_l) * params.c_l)):
+    for name, (c_l, alpha_l) in mobility.LOCATION_PARAMS.items():
+        # everyone in one pool of this type, and in no group of the others
+        index = {other: mobility.LocationIndex(np.full(n_agents, -1, dtype=np.int64))
+                 for other in mobility.LOCATION_TYPES}
+        index[name] = mobility.LocationIndex(np.zeros(n_agents, dtype=np.int64))
+        for level, expected in ((0, c_l), (3, (1 - alpha_l) * c_l)):
             rec = np.full(n_agents, level, dtype=np.int8)
             total = 0
             for _ in range(n_days):

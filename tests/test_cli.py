@@ -275,19 +275,26 @@ class TestRunCommand:
             assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
         assert "contacts" in capsys.readouterr().out
 
-    def test_runs_without_scipy(self, cfg_path, tmp_path):
-        # scipy is a test dependency only: the package must run where it is missing
+    @pytest.mark.parametrize("command,extra,written,n_records", [
+        ("run", [], ["events.jsonl", "metrics.csv", "trace.jsonl"], 0),
+        ("datagen", ["--n-runs", "1", "--jobs", "1"],
+         ["manifest.json", "metrics.csv", "split.json"], 1),
+    ])
+    def test_runs_without_scipy(self, cfg_path, tmp_path, command, extra, written, n_records):
+        # scipy is a test dependency only: the package must run and export where it is missing
         out = tmp_path / "o"
+        argv = [command, "--config", cfg_path, *extra, "--out", str(out)]
         script = ("import sys; sys.modules['scipy'] = None; from pctsim import cli; "
-                  f"sys.exit(cli.main(['run', '--config', {cfg_path!r}, '--out', {str(out)!r}]))")
+                  f"sys.exit(cli.main({argv!r}))")
         env = {k: v for k, v in os.environ.items() if k != "TRACE_SIM_SEED"}
         src = str(Path(pctsim.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert sorted(p.name for p in out.iterdir()) == ["events.jsonl", "metrics.csv",
-                                                          "trace.jsonl"]
+        records = sorted(out.glob("*.records.jsonl"))
+        assert sorted(p.name for p in out.iterdir() if p not in records) == written
+        assert len(records) == n_records
 
     def test_seed_precedence_env_over_file_flag_over_env(
             self, cfg_path, tmp_path, monkeypatch):

@@ -231,6 +231,35 @@ class TestHouseholdQuarantine:
         assert np.array_equal(np.flatnonzero(w.hh_until >= 0), shared)
         assert np.all(w.hh_until[shared] == day + core.QUARANTINE_DAYS)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), day=st.integers(0, 4),
+           share=st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, n=300, day=2, share=0.3)  # lone positives and households of several
+    def test_matches_the_per_household_loop(self, seed, n, day, share):
+        w = init_world(SimConfig(population_size=n, num_days=5, rng_seed=seed,
+                                 initial_exposed_fraction=0.0, symptom_dropin=0.0,
+                                 test_false_negative_rate=0.0))
+        rng = np.random.default_rng(seed)
+        positive = rng.random(n) < share
+        pos = np.flatnonzero(positive)
+        # timers already running, some past the new one, so a write shows
+        w.hh_until[:] = rng.integers(-1, day + 2 * core.QUARANTINE_DAYS, n)
+        before = w.hh_until.copy()
+        w.test_code[pos] = TEST_PENDING
+        w.result_day[pos] = day
+        w.infected_at_order[pos] = True
+        _, got = w._phase_testing(day, w._phase_progression(day))
+        assert np.array_equal(got, positive)
+        # the reference: per household, each member with a positive other than itself
+        want = before.copy()
+        for hh in sorted(set(w.household_id[pos].tolist())):
+            members = np.flatnonzero(w.household_id == hh).tolist()
+            positives = [agent for agent in members if positive[agent]]
+            for agent in members:
+                if any(other != agent for other in positives):
+                    want[agent] = day + core.QUARANTINE_DAYS
+        assert np.array_equal(w.hh_until, want)
+
 
 class TestQuarantineDropout:
     def test_a_quit_ends_the_timer_and_a_new_trigger_restarts_it(self):

@@ -24,79 +24,87 @@ from pctsim.metrics import (
 )
 
 
-# the same events as a list of tuples and as an (m, 3) array
-_LIST_OR_ARRAY = pytest.mark.parametrize(
-    "as_input", [list, lambda events: np.array(events, dtype=np.int64).reshape(-1, 3)],
-    ids=["list", "array"])
+def _events(*rows):
+    """Infection events as ``estimate_r`` takes them: an int64 (m, 3) array."""
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def _ids(*ids):
+    return np.array(ids, dtype=np.int64)
+
+
+# the same rows as (m, 3) events and with trace.events' location column
+_EVENT_WIDTHS = pytest.mark.parametrize(
+    "as_input", [lambda events: events,
+                 lambda events: np.column_stack((events, np.full(len(events), -1)))],
+    ids=["array", "with_location"])
 
 
 class TestEstimateR:
     def test_one_recovered_infector_two_children(self):
-        events = [(0, EXTERNAL_SEED, 1), (2, 1, 2), (3, 1, 3)]
-        # agent 1 is seeded, so only its children 2 and 3 can be parents;
-        # make agent 2 the recovered parent instead
-        events = [(0, EXTERNAL_SEED, 1), (1, 1, 2), (3, 2, 3), (4, 2, 4)]
-        assert estimate_r(events, {2}) == 2.0
+        # agent 1 is seeded, so only its children can be parents; agent 2
+        # is the recovered parent
+        events = _events((0, EXTERNAL_SEED, 1), (1, 1, 2), (3, 2, 3), (4, 2, 4))
+        assert estimate_r(events, _ids(2)) == 2.0
 
     def test_two_recovered_infectors_three_and_zero(self):
-        events = [
+        events = _events(
             (0, EXTERNAL_SEED, 0),
             (1, 0, 1), (1, 0, 2),
             (3, 1, 3), (3, 1, 4), (4, 1, 5),
-        ]
+        )
         # parents: 1 (3 children) and 2 (0 children), both recovered
-        assert estimate_r(events, {1, 2}) == pytest.approx(1.5)
+        assert estimate_r(events, _ids(1, 2)) == pytest.approx(1.5)
 
     def test_no_recovered_infectors_is_nan(self):
-        events = [(0, EXTERNAL_SEED, 0), (1, 0, 1)]
-        assert math.isnan(estimate_r(events, set()))
+        events = _events((0, EXTERNAL_SEED, 0), (1, 0, 1))
+        assert math.isnan(estimate_r(events, _ids()))
 
     def test_seeds_excluded_from_denominator(self):
         # the seed has children but is not a countable parent
-        events = [(0, EXTERNAL_SEED, 0), (1, 0, 1), (1, 0, 2)]
-        assert math.isnan(estimate_r(events, {0}))
+        events = _events((0, EXTERNAL_SEED, 0), (1, 0, 1), (1, 0, 2))
+        assert math.isnan(estimate_r(events, _ids(0)))
 
     def test_children_count_even_when_not_recovered(self):
-        events = [(0, EXTERNAL_SEED, 0), (1, 0, 1), (5, 1, 2)]
+        events = _events((0, EXTERNAL_SEED, 0), (1, 0, 1), (5, 1, 2))
         # parent 1 recovered, child 2 still infectious: still counted
-        assert estimate_r(events, {1}) == 1.0
+        assert estimate_r(events, _ids(1)) == 1.0
 
     def test_window_filters_parent_exposure_not_children(self):
-        events = [(0, EXTERNAL_SEED, 0), (2, 0, 1), (30, 1, 2)]
+        events = _events((0, EXTERNAL_SEED, 0), (2, 0, 1), (30, 1, 2))
         # parent 1 exposed day 2, child at day 30 counts for the parent
-        assert estimate_r(events, {1}, window=(0, 10)) == 1.0
+        assert estimate_r(events, _ids(1), window=(0, 10)) == 1.0
         # parent exposed outside the window is not counted
-        assert math.isnan(estimate_r(events, {1}, window=(3, 10)))
+        assert math.isnan(estimate_r(events, _ids(1), window=(3, 10)))
 
-    @_LIST_OR_ARRAY
+    @_EVENT_WIDTHS
     def test_multi_parent_rejected(self, as_input):
-        events = [(0, EXTERNAL_SEED, 0), (1, 0, 1), (2, 0, 1)]
+        events = _events((0, EXTERNAL_SEED, 0), (1, 0, 1), (2, 0, 1))
         with pytest.raises(ValueError):
-            estimate_r(as_input(events), set())
+            estimate_r(as_input(events), _ids())
 
-    @_LIST_OR_ARRAY
+    @_EVENT_WIDTHS
     def test_self_infection_rejected(self, as_input):
         with pytest.raises(ValueError):
-            estimate_r(as_input([(1, 2, 2)]), set())
+            estimate_r(as_input(_events((1, 2, 2))), _ids())
 
-    @_LIST_OR_ARRAY
+    @_EVENT_WIDTHS
     def test_unknown_infector_rejected(self, as_input):
         with pytest.raises(ValueError):
-            estimate_r(as_input([(3, 7, 1)]), set())
+            estimate_r(as_input(_events((3, 7, 1))), _ids())
 
-    @_LIST_OR_ARRAY
+    @_EVENT_WIDTHS
     def test_day_order_violation_rejected(self, as_input):
-        events = [(5, EXTERNAL_SEED, 0), (2, 0, 1)]
+        events = _events((5, EXTERNAL_SEED, 0), (2, 0, 1))
         with pytest.raises(ValueError):
-            estimate_r(as_input(events), set())
+            estimate_r(as_input(events), _ids())
 
     def test_accepts_event_objects_and_arrays(self):
-        # tuples that name the location, and the same rows as trace.events codes them
-        tuples = [(0, EXTERNAL_SEED, 0, "external"), (1, 0, 1, "household"), (2, 1, 2, "other")]
+        # rows as trace.events codes them, with the location named by EVENT_LOCATIONS
         rows = np.array([(0, EXTERNAL_SEED, 0, -1), (1, 0, 1, 0), (2, 1, 2, 3)], dtype=np.int64)
-        assert [EVENT_LOCATIONS[code] for code in rows[:, 3].tolist()] == [t[3] for t in tuples]
-        assert estimate_r(tuples, {1}) == estimate_r(rows, {1}) == 1.0
-        assert estimate_r(tuples, np.array([1])) == estimate_r(rows, np.array([1])) == 1.0
+        assert [EVENT_LOCATIONS[code] for code in rows[:, 3].tolist()] == \
+            ["external", "household", "other"]
+        assert estimate_r(rows, _ids(1)) == 1.0
 
     def test_default_window(self):
         assert default_r_window(50) == (0, 36)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from pctsim import core, mobility
 from pctsim.mobility import (
-    LOCATION_PARAMS,
     LOCATION_TYPES,
     QUARANTINE_LEVEL,
     LocationIndex,
-    LocationParams,
     generate_encounters,
     level_rate_table,
 )
@@ -21,30 +19,23 @@ class TestEffectiveContacts:
     def test_table_values_level_zero(self):
         for name, c_l in (("household", 2.7), ("workplace", 10.0),
                           ("school", 6.0), ("other", 3.1)):
-            assert level_rate_table(LOCATION_PARAMS[name], 1.0)[0] == c_l
+            assert level_rate_table(name, 1.0)[0] == c_l
 
     def test_household_level_three(self):
-        assert level_rate_table(LOCATION_PARAMS["household"], 1.0)[3] == \
+        assert level_rate_table("household", 1.0)[3] == \
             pytest.approx(0.70 * 2.7)
 
     def test_workplace_level_one(self):
-        assert level_rate_table(LOCATION_PARAMS["workplace"], 1.0)[1] == \
+        assert level_rate_table("workplace", 1.0)[1] == \
             pytest.approx(0.25 * 0.20 * 10.0)
 
     def test_quarantine_level_is_zero_everywhere(self):
         for name in LOCATION_TYPES:
-            assert level_rate_table(LOCATION_PARAMS[name], 3.0)[4] == 0.0
+            assert level_rate_table(name, 3.0)[4] == 0.0
 
     def test_scale_multiplies(self):
-        loc = LOCATION_PARAMS["other"]
-        assert level_rate_table(loc, 2.0)[2] == \
-            pytest.approx(2.0 * level_rate_table(loc, 1.0)[2])
-
-    def test_location_params_validation(self):
-        with pytest.raises(ValueError):
-            LocationParams("x", -1.0, 0.5)
-        with pytest.raises(ValueError):
-            LocationParams("x", 2.0, 1.5)
+        assert level_rate_table("other", 2.0)[2] == \
+            pytest.approx(2.0 * level_rate_table("other", 1.0)[2])
 
 
 class TestLocationIndex:
@@ -64,7 +55,7 @@ class TestLocationIndex:
 
     def test_one_member_group_has_no_partner(self):
         rng = np.random.default_rng(9)
-        idx = {"workplace": LocationIndex(np.array([0, 1, 1, -1, 1]))}
+        idx = _pools(5, workplace=np.array([0, 1, 1, -1, 1]))
         assert 0 not in idx["workplace"].drawers.tolist()
         for _ in range(50):
             a, b, _ = generate_encounters(idx, np.zeros(5, dtype=np.int8), 5.0, rng)
@@ -74,16 +65,26 @@ class TestLocationIndex:
     @pytest.mark.parametrize("name", LOCATION_TYPES)
     def test_no_groups_draw_nothing(self, name):
         rng = np.random.default_rng(10)
-        index = LocationIndex(np.full(6, -1, dtype=np.int64))
+        idx = _pools(6)
+        index = idx[name]
         assert index.flat.size == index.size.size == index.start.size == 0
         assert index.drawers.size == 0
-        a, b, loc = generate_encounters({name: index}, np.zeros(6, dtype=np.int8), 5.0, rng)
+        state = rng.bit_generator.state
+        a, b, loc = generate_encounters(idx, np.zeros(6, dtype=np.int8), 5.0, rng)
         assert a.size == b.size == loc.size == 0
+        assert rng.bit_generator.state == state  # an empty pool draws no bits
+
+
+def _pools(n, **labels):
+    """One LocationIndex per location type: the group labels given by name, the
+    other types with nobody in a group."""
+    return {name: LocationIndex(labels.get(name, np.full(n, -1, dtype=np.int64)))
+            for name in LOCATION_TYPES}
 
 
 def _one_pool(name, n):
     """A world where everyone shares one pool of the given location type."""
-    return {name: LocationIndex(np.zeros(n, dtype=np.int64))}
+    return _pools(n, **{name: np.zeros(n, dtype=np.int64)})
 
 
 class TestGenerateEncounters:
@@ -114,7 +115,7 @@ class TestGenerateEncounters:
     def test_no_self_encounters(self):
         rng = np.random.default_rng(3)
         for name in LOCATION_TYPES:
-            idx = {name: LocationIndex(np.array([0, 0, 0, 0, 0, 1, 1, 1]))}
+            idx = _pools(8, **{name: np.array([0, 0, 0, 0, 0, 1, 1, 1])})
             for _ in range(50):
                 a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8),
                                               2.0, rng)
@@ -123,23 +124,20 @@ class TestGenerateEncounters:
     def test_pairs_stay_within_groups(self):
         rng = np.random.default_rng(4)
         gid = np.array([0, 0, 0, 1, 1, 2, 2, 2])
-        idx = {"workplace": LocationIndex(gid)}
+        idx = _pools(8, workplace=gid)
         for _ in range(100):
             a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8), 1.0, rng)
             assert np.all(gid[a] == gid[b])
 
     def test_singleton_pool_draws_nothing(self):
         rng = np.random.default_rng(5)
-        idx = {"other": LocationIndex(np.array([0]))}
+        idx = _pools(1, other=np.array([0]))
         a, _, _ = generate_encounters(idx, np.zeros(1, dtype=np.int8), 5.0, rng)
         assert a.size == 0
 
     def test_location_codes_match_types(self):
         rng = np.random.default_rng(6)
-        idx = {
-            "household": LocationIndex(np.zeros(6, dtype=np.int64)),
-            "other": LocationIndex(np.zeros(6, dtype=np.int64)),
-        }
+        idx = _pools(6, household=np.zeros(6, dtype=np.int64), other=np.zeros(6, dtype=np.int64))
         _, _, loc = generate_encounters(idx, np.zeros(6, dtype=np.int8), 3.0, rng)
         codes = set(loc.tolist())
         assert codes <= {LOCATION_TYPES.index("household"),
@@ -175,14 +173,12 @@ class TestGenerateEncounters:
 def _reference_encounters(pools, rec_level, mobility_scale, rng):
     """The generator before drawing over each pool's drawers, kept as the reference.
 
-    ``pools`` maps location type name -> label array. Every agent's rate is
-    gathered, zeroed where the agent has no partner, and drawn.
+    ``pools`` maps each location type name to a label array. Every agent's
+    rate is gathered, zeroed where the agent has no partner, and drawn.
     """
     rec_level = np.asarray(rec_level)
     out_a, out_b, out_loc = [], [], []
     for code, name in enumerate(LOCATION_TYPES):
-        if name not in pools:
-            continue
         gid = pools[name]
         flat = np.argsort(gid, kind="stable")[np.count_nonzero(gid < 0):]
         size = np.bincount(gid[flat])
@@ -191,7 +187,7 @@ def _reference_encounters(pools, rec_level, mobility_scale, rng):
         pos[flat] = np.arange(flat.size) - start[gid[flat]]
         has_partner = np.zeros(gid.size, dtype=bool)
         has_partner[flat] = size[gid[flat]] >= 2
-        rates = level_rate_table(LOCATION_PARAMS[name], mobility_scale)[rec_level]
+        rates = level_rate_table(name, mobility_scale)[rec_level]
         rates = np.where(has_partner, rates, 0.0)
         if not rates.any():
             continue
@@ -241,8 +237,7 @@ def _world(draw):
         st.just(np.arange(n)),  # everyone alone
         st.lists(st.integers(-1, 5), min_size=n, max_size=n).map(np.array),  # mixed
     )
-    names = draw(st.lists(st.sampled_from(LOCATION_TYPES), unique=True, max_size=4))
-    pools = {name: draw(labels).astype(np.int64) for name in names}
+    pools = {name: draw(labels).astype(np.int64) for name in LOCATION_TYPES}
     levels = draw(st.one_of(
         st.just(np.full(n, QUARANTINE_LEVEL)),
         st.lists(st.integers(0, 4), min_size=n, max_size=n).map(np.array),
