@@ -279,7 +279,7 @@ class TestRunCommand:
         ("run", [], ["events.jsonl", "metrics.csv", "trace.jsonl"], 0),
         ("datagen", ["--n-runs", "1", "--jobs", "1"],
          ["manifest.json", "metrics.csv", "split.json"], 1),
-    ])
+    ], ids=["run", "datagen"])
     def test_runs_without_scipy(self, cfg_path, tmp_path, command, extra, written, n_records):
         # scipy is a test dependency only: the package must run and export where it is missing
         out = tmp_path / "o"

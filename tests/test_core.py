@@ -235,7 +235,7 @@ class TestHouseholdQuarantine:
            share=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     @example(seed=1, n=300, day=2, share=0.3)  # lone positives and households of several
-    def test_matches_the_per_household_loop(self, seed, n, day, share):
+    def test_mates_match_the_per_household_loop(self, seed, n, day, share):
         w = init_world(SimConfig(population_size=n, num_days=5, rng_seed=seed,
                                  initial_exposed_fraction=0.0, symptom_dropin=0.0,
                                  test_false_negative_rate=0.0))
