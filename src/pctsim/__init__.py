@@ -4,7 +4,10 @@ A deterministic SEIR agent population exchanges quantized risk messages
 through a contact-tracing app; pluggable policies map the received
 messages and local observations onto graded quarantine recommendations.
 
-The package namespace holds the engine entry points. Everything else is
+The package namespace holds the engine entry points. ``run`` steps a
+``WorldState`` through its days and returns it: the finished world is the
+run's one record, which its ``write``, ``metrics`` and ``datagen`` read.
+Everything else is
 imported from its submodule: ``messaging`` (quantization and the wire
 codec), ``tracing`` (policies and predictors), ``virology``, ``mobility``,
 ``metrics``, ``datagen`` and ``cli``.
@@ -16,7 +19,6 @@ from .core import (
     POLICIES,
     PREDICTORS,
     SimConfig,
-    SimulationTrace,
     WorldState,
     init_world,
     load_config,
@@ -28,6 +30,5 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DayReport", "POLICIES", "PREDICTORS", "SimConfig",
-    "SimulationTrace", "WorldState", "init_world", "load_config", "run",
-    "step_day", "__version__",
+    "WorldState", "init_world", "load_config", "run", "step_day", "__version__",
 ]

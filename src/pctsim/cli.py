@@ -127,8 +127,7 @@ def _load_config(args) -> core.SimConfig:
 def _sweep_worker(cfg: core.SimConfig) -> dict:
     """Run one sweep point and return its metrics row; never raises."""
     try:
-        trace = core.run(cfg)
-        return metrics.metrics_row(trace, cfg.rng_seed)
+        return metrics.metrics_row(core.run(cfg), cfg.rng_seed)
     except Exception as exc:  # flagged row; the sweep continues
         return {
             "config_hash": metrics.config_hash(cfg.to_dict()),
@@ -145,12 +144,12 @@ def _sweep_worker(cfg: core.SimConfig) -> dict:
 def _datagen_worker(cfg: core.SimConfig, out: Path) -> tuple[dict, dict | None]:
     """Run and export one campaign run: (manifest fields, metrics row or None); never raises."""
     try:
-        trace = core.run(cfg)
-        records_file = f"{trace.run_id}.records.jsonl"
-        n_records = datagen.export_training_records(trace, out / records_file)
-        return ({"run_id": trace.run_id, "records_file": records_file,
+        world = core.run(cfg)
+        records_file = f"{world.run_id}.records.jsonl"
+        n_records = datagen.export_training_records(world, out / records_file)
+        return ({"run_id": world.run_id, "records_file": records_file,
                  "n_records": n_records, "status": "ok"},
-                metrics.metrics_row(trace, cfg.rng_seed))
+                metrics.metrics_row(world, cfg.rng_seed))
     except Exception as exc:  # flagged entry; the campaign continues
         return {"status": f"error: {type(exc).__name__}: {exc}"}, None
 
@@ -189,11 +188,11 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace = core.run(cfg)
-    trace.write(out / "trace.jsonl", out / "events.jsonl")
-    row = metrics.metrics_row(trace, cfg.rng_seed)
+    world = core.run(cfg)
+    world.write(out / "trace.jsonl", out / "events.jsonl")
+    row = metrics.metrics_row(world, cfg.rng_seed)
     metrics.write_metrics_csv(out / "metrics.csv", [row])
-    print(f"run {trace.run_id}: {len(trace.events)} cases, "
+    print(f"run {world.run_id}: {len(world.events)} cases, "
           f"contacts {row['contacts']}, R {row['r']}, "
           f"false quarantine {row['false_quarantine']}")
     print(f"wrote {out / 'trace.jsonl'}, {out / 'events.jsonl'}, {out / 'metrics.csv'}")
@@ -350,8 +349,8 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
                               global_mobility_scale=best_scale,
                               rng_seed=seeds[0], record_observables=False,
                               record_estimates=True, record_encounter_log=False)
-    trace = core.run(traffic_cfg)
-    samples = np.concatenate([y[y > 0] for y in trace.estimates()])
+    world = core.run(traffic_cfg)
+    samples = np.concatenate([y[y > 0] for y in world.estimates()])
     thresholds = messaging.calibrate_thresholds(samples.astype(np.float64))
     return {
         "mobility_scale": best_scale,

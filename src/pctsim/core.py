@@ -266,134 +266,38 @@ class EdgeDay:
     count: np.ndarray
 
 
-@dataclass(eq=False, kw_only=True)
-class SimulationTrace:
-    """Immutable record of one completed run.
-
-    ``enc_windows`` (observables recording) is the run's
-    ``ObservationLog``: each day's app edges once, plus that day's held
-    levels over app senders. ``enc_windows[d]`` cuts day d's
-    ``(offsets, levels, counts)`` cells from it: the (level, count) rows
-    that app agent ``app_ids[i]`` holds for its contacts of ``k`` days
-    before d are cell ``i * window + k``.
-
-    ``health_hist`` is the one stored per-day history: the app agents'
-    ``(n_app, num_days)`` uint8 health codes (symptom mask * 4 + test code), column-major.
-
-    The estimates (recorded for pct and the heuristic) are not stored:
-    ``estimates()`` yields each day's ``(n_app, window)`` float32 estimates,
-    row i for ``app_ids[i]``, recomputed by the code the engine ran. For pct
-    that is ``predict`` from the same inputs: the disease courses, the
-    ``"predictor"`` stream from ``predictor_state``, its state before the
-    run's first draw, or ``external``, the run's replayed predictions. For the
-    heuristic it is the day's score, ``heuristic_score[:, d]``
-    (``(n_app, num_days)`` float32), on every slot.
-
-    ``age_band``, ``sex`` and ``conditions`` are the demographic codes of
-    every agent, indexed by agent id; ``agent_profile`` reads them.
-    ``exposure_day`` (-1: never exposed), ``onset``, ``peak``, ``recovery``
-    and ``peak_evl`` are every agent's disease course. ``ground_truth`` derives y
-    and ``epi_states`` the states (a seed's from day 0) from them.
-
-    ``events`` is ``(m, 4)`` int64 in infection order, a row ``(day, infector, infectee,
-    location)``; a seed has infector EXTERNAL_SEED and location -1 (``EVENT_LOCATIONS``).
-    """
-
-    config: dict
-    run_id: str
-    population: int
-    num_days: int
-    app_ids: np.ndarray
-    age_band: np.ndarray
-    sex: np.ndarray
-    conditions: np.ndarray
-    initial_counts: dict
-    day_reports: list
-    events: np.ndarray
-    health_hist: np.ndarray
-    exposure_day: np.ndarray
-    onset: np.ndarray
-    peak: np.ndarray
-    recovery: np.ndarray
-    peak_evl: np.ndarray
-    predictor_state: dict
-    external: tracing.ExternalPredictor | None = None
-    heuristic_score: np.ndarray | None = None
-    enc_windows: ObservationLog | None = None
-    encounter_log: list | None = None
-
-    @functools.cached_property
-    def cfg(self) -> SimConfig:
-        return SimConfig.from_mapping(self.config)
-
-    @property
-    def window(self) -> int:
-        return int(self.config["d_max"]) + 1
-
-    @property
-    def _records_estimates(self) -> bool:
-        """Whether the run recorded estimates: pct or the heuristic, recording on, days > 0."""
-        cfg = self.cfg
-        return cfg.record_estimates and cfg.policy in ("pct", "heuristic") and self.num_days > 0
-
-    def estimates(self):
-        """Each day's ``(n_app, window)`` float32 estimates, in day order; none unless recorded."""
-        if not self._records_estimates:
-            return
-        if self.cfg.policy == "heuristic":
-            for day in range(self.num_days):
-                yield np.broadcast_to(self.heuristic_score[:, day, None],
-                                      (self.app_ids.size, self.window))
-            return
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = self.predictor_state
-        for day in range(self.num_days):
-            yield predict(self, day, rng).astype(np.float32)
-
-    def recovered_ids(self):
-        """Sorted ids of the agents recovered at the end of the run; none after 0 days."""
-        last = np.arange(self.num_days)[-1:]
-        return np.flatnonzero(epi_states(self, np.arange(self.population), last) == STATE_R)
-
-    def write(self, trace_path, events_path):
-        """Persist the trace as day-record JSONL plus an event JSONL."""
-        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
-                  "population": self.population, "num_days": self.num_days,
-                  "initial_counts": self.initial_counts, "config": self.config}
-        agents = self.app_ids.astype(str).tolist() if self._records_estimates else None
-        estimates = self.estimates()
-        with open(trace_path, "w") as fh:
-            fh.write(dump(header) + "\n")
-            for report in self.day_reports:
-                rec = {"kind": "day", **dataclasses.asdict(report)}
-                if agents is not None:
-                    # round(float(v), 6) bit for bit: float32 * 1e6 is exact in float64, rint
-                    # ties to even; one day at a time, as the whole history would be 54 MB at 30k
-                    y_hat = next(estimates).astype(np.float64)
-                    rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
-                fh.write(dump(rec) + "\n")
-        with open(events_path, "w") as fh:
-            # one sort_keys JSON object a row; location names need no escaping
-            fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
-                          % (day, infectee, infector, EVENT_LOCATIONS[loc])
-                          for day, infector, infectee, loc in self.events.tolist())
-
-
 class WorldState:
-    """Mutable state of a running simulation (one logical thread) that lives across days;
-    ``step_day`` passes what one phase hands the next within a day as arguments."""
+    """A simulation's state that lives across days (one logical thread); stepped through
+    ``num_days``, it is the finished run that ``run`` returns. ``step_day`` passes what
+    one phase hands the next within a day as arguments.
+
+    ``config``, ``run_id``, ``population`` and ``num_days`` name the run;
+    ``initial_counts`` holds the compartments before day 0 and ``day_reports`` a
+    ``DayReport`` per stepped day. ``age_band``, ``sex`` and ``conditions`` are every
+    agent's demographic codes, which ``agent_profile`` reads. ``exposure_day`` (-1: never
+    exposed), ``onset``, ``peak``, ``recovery`` and ``peak_evl`` are every agent's disease
+    course: ``ground_truth`` derives y and ``epi_states`` the states from them.
+
+    ``health_hist`` is the one stored per-day history: the app agents' ``(n_app,
+    num_days)`` uint8 health codes (symptom mask * 4 + test code), column-major.
+    ``enc_windows`` (observables recorded under a tracing policy) is the run's
+    ``ObservationLog``: each day's app edges once, plus that day's held levels over app
+    senders. ``enc_windows[d]`` cuts day d's ``(offsets, levels, counts)`` cells from it:
+    the (level, count) rows that app agent ``app_ids[i]`` holds for its contacts of ``k``
+    days before d are cell ``i * window + k``. The estimates are not stored;
+    ``estimates()`` recomputes them.
+    """
 
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
-        self.n = int(cfg.population_size)
+        self.population = int(cfg.population_size)
         self.window = int(cfg.d_max) + 1
         self.day = 0
         seq = np.random.SeedSequence(int(cfg.rng_seed))
         self.rng = {name: np.random.default_rng(child)
                     for name, child in zip(_RNG_STREAMS, seq.spawn(len(_RNG_STREAMS)))}
-        # the trace replays the noisy oracle's draws from here
+        # estimates() replays the noisy oracle's draws from here
         self.predictor_state = self.rng["predictor"].bit_generator.state
         # fitted cut points are for the pct predictor; the heuristic's
         # 0.25-step scores stay on the uniform grid
@@ -412,7 +316,7 @@ class WorldState:
 
     def _build_population(self):
         rng = self.rng["demographics"]
-        n = self.n
+        n = self.population
 
         # choice(size=k) draws what k single choices would. n draws bound the
         # household count; rewinding and drawing exactly the households that
@@ -462,7 +366,7 @@ class WorldState:
         }
 
     def _init_epi(self):
-        n = self.n
+        n = self.population
         self.epi_state = np.full(n, STATE_S, dtype=np.int8)
         self.exposure_day = np.full(n, -1, dtype=np.int64)
         self.onset = np.full(n, np.nan)
@@ -501,18 +405,18 @@ class WorldState:
         self.edges: list[EdgeDay | None] = [None] * self.window
         self.held = np.full(shape, self.quantize(0.0), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
-        self.bct_flag = np.zeros(self.n, dtype=bool)
+        self.bct_flag = np.zeros(self.population, dtype=bool)
         self.external = None
         if cfg.policy == "pct" and cfg.predictor == "external":
             try:
                 self.external = tracing.ExternalPredictor(
-                    cfg.external_predictions, self.app_ids, int(cfg.num_days), self.window)
+                    cfg.external_predictions, self.app_ids, self.num_days, self.window)
             except OSError as exc:
                 raise ConfigError(f"external_predictions: {cfg.external_predictions}: "
                                   f"{exc.strerror or exc}") from None
 
     def _init_trace_buffers(self):
-        days = int(self.cfg.num_days)
+        days = self.num_days
         self.health_hist = np.zeros((self.app_ids.size, days), dtype=np.uint8, order="F")
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
@@ -526,13 +430,89 @@ class WorldState:
                                "i": int(counts[STATE_I]), "r": int(counts[STATE_R])}
 
     # ------------------------------------------------------------------
-    # helpers
+    # the run's record
+
+    @property
+    def num_days(self) -> int:
+        return int(self.cfg.num_days)
+
+    @property
+    def config(self) -> dict:
+        """The config as a dict; a replay is named by its predictions file's content, not its path."""
+        out = self.cfg.to_dict()
+        if self.external is not None:
+            out["external_predictions"] = self.external.sha256
+        return out
+
+    @property
+    def run_id(self) -> str:
+        return f"{config_hash(self.config)}-s{self.cfg.rng_seed}"
 
     @property
     def events(self) -> np.ndarray:
-        """The infections so far, as ``SimulationTrace.events``."""
+        """The infections so far, ``(m, 4)`` int64 in infection order, a row ``(day,
+        infector, infectee, location)``; a seed has infector EXTERNAL_SEED and location -1
+        (``EVENT_LOCATIONS``)."""
         i = self.infection_order[:self.n_infected]
         return np.column_stack((self.exposure_day[i], self.infector[i], i, self.infection_loc[i]))
+
+    @property
+    def _records_estimates(self) -> bool:
+        """Whether the run records estimates: pct or the heuristic, recording on, days > 0."""
+        cfg = self.cfg
+        return cfg.record_estimates and cfg.policy in ("pct", "heuristic") and self.num_days > 0
+
+    def estimates(self):
+        """Each day's ``(n_app, window)`` float32 estimates, in day order; none unless recorded.
+
+        Row i is ``app_ids[i]``'s, recomputed by the code the engine ran. For pct that is
+        ``predict`` from the same inputs: the disease courses, the ``"predictor"`` stream
+        from ``predictor_state``, its state before the run's first draw, or ``external``,
+        the run's replayed predictions. For the heuristic it is the day's score,
+        ``heuristic_score[:, d]`` (``(n_app, num_days)`` float32), on every slot.
+        """
+        if not self._records_estimates:
+            return
+        if self.cfg.policy == "heuristic":
+            for day in range(self.num_days):
+                yield np.broadcast_to(self.heuristic_score[:, day, None],
+                                      (self.app_ids.size, self.window))
+            return
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = self.predictor_state
+        for day in range(self.num_days):
+            yield predict(self, day, rng).astype(np.float32)
+
+    def recovered_ids(self):
+        """Sorted ids of the agents recovered by the end of the last day stepped."""
+        return np.flatnonzero(self.epi_state == STATE_R)
+
+    def write(self, trace_path, events_path):
+        """Persist the run as day-record JSONL plus an event JSONL."""
+        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
+                  "population": self.population, "num_days": self.num_days,
+                  "initial_counts": self.initial_counts, "config": self.config}
+        agents = self.app_ids.astype(str).tolist() if self._records_estimates else None
+        estimates = self.estimates()
+        with open(trace_path, "w") as fh:
+            fh.write(dump(header) + "\n")
+            for report in self.day_reports:
+                rec = {"kind": "day", **dataclasses.asdict(report)}
+                if agents is not None:
+                    # round(float(v), 6) bit for bit: float32 * 1e6 is exact in float64, rint
+                    # ties to even; one day at a time, as the whole history would be 54 MB at 30k
+                    y_hat = next(estimates).astype(np.float64)
+                    rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
+                fh.write(dump(rec) + "\n")
+        with open(events_path, "w") as fh:
+            # one sort_keys JSON object a row; location names need no escaping
+            fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
+                          % (day, infectee, infector, EVENT_LOCATIONS[loc])
+                          for day, infector, infectee, loc in self.events.tolist())
+
+    # ------------------------------------------------------------------
+    # helpers
 
     def _expose(self, agents, day, infectors, locations):
         """Mark agents Exposed at ``day``, in this order, by ``infectors`` at ``locations``, and
@@ -594,7 +574,7 @@ class WorldState:
         state[t_mid >= self.onset[live]] = STATE_I
         state[t_mid >= self.recovery[live]] = STATE_R
         self.epi_state[live] = state
-        y = np.zeros(self.n)
+        y = np.zeros(self.population)
         y[live] = virology.evl_tent(t_mid, self.onset[live], self.peak[live],
                                     self.recovery[live], self.peak_evl[live])
         return y
@@ -680,11 +660,11 @@ class WorldState:
         pos = due[true_pos]
         self.test_code[pos] = TEST_POSITIVE
         self.test_code[due[~true_pos]] = TEST_NEGATIVE
-        positive = np.zeros(self.n, dtype=bool)
+        positive = np.zeros(self.population, dtype=bool)
         positive[pos] = True
         self.iso_until[pos] = day + QUARANTINE_DAYS
         # a household mate: an agent whose household has a positive other than itself
-        n_pos = np.bincount(self.household_id[pos], minlength=self.n)
+        n_pos = np.bincount(self.household_id[pos], minlength=self.population)
         self.hh_until[n_pos[self.household_id] > positive] = day + QUARANTINE_DAYS
         self.health_hist[:, day] = reported[self.app_ids] * _N_TESTS + self.test_code[self.app_ids]
         return ordered.size, positive
@@ -701,7 +681,7 @@ class WorldState:
         quarantines from day d + 1.
         """
         policy = self.cfg.policy
-        levels = np.ones(self.n, dtype=np.int8)
+        levels = np.ones(self.population, dtype=np.int8)
         if not self.app_active:
             return 0, levels
         self._register_app_contacts(a, b, day)
@@ -731,7 +711,7 @@ class WorldState:
         """
         self.bct_until[self.bct_flag] = day + QUARANTINE_DAYS
         flaggers = positives[self.app_ids]  # a positive result is final
-        self.bct_flag = np.zeros(self.n, dtype=bool)
+        self.bct_flag = np.zeros(self.population, dtype=bool)
         for e in self.edge_days():
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
         return int(self.outdeg[:, flaggers].sum())
@@ -777,7 +757,7 @@ class WorldState:
 
         levels[iso_live | hh_live] = 4
         levels[bct_live] = np.maximum(levels[bct_live], cfg.bct_quarantine_level)
-        ignore = rng.random(self.n) < cfg.all_levels_dropout
+        ignore = rng.random(self.population) < cfg.all_levels_dropout
         levels[ignore] = 0
         self.rec_level = levels
 
@@ -845,40 +825,12 @@ def step_day(world: WorldState) -> DayReport:
     return report
 
 
-def run(config: SimConfig) -> SimulationTrace:
-    """Run a full simulation and return its immutable trace."""
+def run(config: SimConfig) -> WorldState:
+    """Run a full simulation and return the finished world."""
     world = init_world(config)
-    for _ in range(int(config.num_days)):
+    for _ in range(world.num_days):
         step_day(world)
-    cfg_dict = config.to_dict()
-    if world.external is not None:
-        # a replay is named by its predictions file's content, not its path
-        cfg_dict["external_predictions"] = world.external.sha256
-    run_id = f"{config_hash(cfg_dict)}-s{config.rng_seed}"
-    return SimulationTrace(
-        config=cfg_dict,
-        run_id=run_id,
-        population=world.n,
-        num_days=int(config.num_days),
-        app_ids=world.app_ids,
-        age_band=world.age_band,
-        sex=world.sex,
-        conditions=world.conditions,
-        initial_counts=world.initial_counts,
-        day_reports=world.day_reports,
-        events=world.events,
-        health_hist=world.health_hist,
-        exposure_day=world.exposure_day,
-        onset=world.onset,
-        peak=world.peak,
-        recovery=world.recovery,
-        peak_evl=world.peak_evl,
-        predictor_state=world.predictor_state,
-        external=world.external,
-        heuristic_score=world.heuristic_score,
-        enc_windows=world.enc_windows,
-        encounter_log=world.encounter_log,
-    )
+    return world
 
 
 def ground_truth(world, agents, days) -> np.ndarray:
@@ -889,7 +841,6 @@ def ground_truth(world, agents, days) -> np.ndarray:
     exposed. It is 0 before exposure, on the exposure day (infectiousness
     onset is at least ``virology.ONSET_MIN`` = 0.5) and from recovery on, so
     it equals the y that day's progression phase returns wherever that computed it.
-    ``world`` is a WorldState or a SimulationTrace.
     """
     agents = np.asarray(agents, dtype=np.int64)
     days = np.asarray(days, dtype=np.int64)
@@ -907,12 +858,13 @@ def epi_states(world, agents, days) -> np.ndarray:
 
     S before exposure; E on a transmission's exposure day, as its progression ran first;
     else R from recovery, I from onset, else E, at the progression's ``d + 0.5 - exposure_day``
-    (a seed, exposed before day 0's progression, from day 0). ``world``: a WorldState or trace.
+    (a seed, exposed before day 0's progression, from day 0). An agent never exposed is S
+    by the first rule, so ``infector == EXTERNAL_SEED`` tells the seeds among the rest.
     """
     agents = np.asarray(agents, dtype=np.int64)
     exposure = world.exposure_day[agents, None]
     t = np.asarray(days, dtype=np.int64) + 0.5 - exposure
-    seed = np.isin(agents, world.events[world.events[:, 1] == EXTERNAL_SEED, 2])[:, None]
+    seed = world.infector[agents, None] == EXTERNAL_SEED
     return np.select([(exposure < 0) | (t < 0), (t == 0.5) & ~seed,
                       t >= world.recovery[agents, None], t >= world.onset[agents, None]],
                      [STATE_S, STATE_E, STATE_R, STATE_I], STATE_E).astype(np.int8)
@@ -937,8 +889,8 @@ def predict(world, day, rng) -> np.ndarray:
     The oracle is the app agents' ``ground_truth`` over the window; the noisy oracle scales
     it by ``1 + N(0, mul_sigma)``, adds ``N(0, add_sigma)`` and clips to [0, 1], drawing
     both from ``rng``, the ``"predictor"`` stream as the day found it; the external
-    predictor replays ``world.external``. ``world`` is a WorldState or a
-    SimulationTrace; an agent exposed after ``day`` reads 0 from either.
+    predictor replays ``world.external``. An agent exposed after ``day`` reads 0, so a
+    world stepped past ``day`` gives what it gave on that day.
     """
     cfg = world.cfg
     if cfg.predictor == "external":
@@ -960,10 +912,7 @@ def predict(world, day, rng) -> np.ndarray:
 
 
 def agent_profile(world, agents) -> dict:
-    """Exportable demographic profile g for each agent, keyed by agent id.
-
-    ``world`` is a WorldState or a SimulationTrace.
-    """
+    """Exportable demographic profile g for each agent, keyed by agent id."""
     agents = np.asarray(agents, dtype=np.int64)
     return {
         agent: {
@@ -974,5 +923,5 @@ def agent_profile(world, agents) -> dict:
         }
         for agent, band, sex, cond, has_app in zip(
             agents.tolist(), world.age_band[agents].tolist(), world.sex[agents].tolist(),
-            world.conditions[agents].tolist(), np.isin(agents, world.app_ids).tolist())
+            world.conditions[agents].tolist(), world.has_app[agents].tolist())
     }

@@ -88,7 +88,7 @@ def _render_windows(codes, text, before="", after=""):
                     dtype=object), inverse
 
 
-def _render_days(trace):
+def _render_days(world):
     """Yield ``(records, text)`` blocks: canonical-JSON lines, one per app agent and day.
 
     A record is ``4 + sum(max(rows_k, 1))`` pooled pieces over its
@@ -104,38 +104,41 @@ def _render_days(trace):
     pooled pieces. The only Python loops are over days, blocks and the
     rendering of pooled pieces.
     """
-    if trace.enc_windows is None:
+    if world.enc_windows is None:
+        cfg = world.cfg
+        if cfg.record_observables and cfg.policy != "no_tracing" and world.app_ids.size == 0:
+            return  # a recorded run without app agents has no records
         raise ValueError("trace was recorded without observables; re-run with "
                          "record_observables and a tracing policy")
-    if len(trace.enc_windows) != trace.num_days:
+    if len(world.enc_windows) != world.num_days:
         raise ValueError(f"trace is truncated: observables for "
-                         f"{len(trace.enc_windows)} of {trace.num_days} days")
-    window = trace.window
-    app = trace.app_ids
+                         f"{len(world.enc_windows)} of {world.num_days} days")
+    window = world.window
+    app = world.app_ids
     n_app = app.size
-    target_text, target_codes = _render_floats(core.ground_truth(trace, app, np.arange(trace.num_days)))
+    target_text, target_codes = _render_floats(core.ground_truth(world, app, np.arange(world.num_days)))
     # one tail per distinct (age band, sex, conditions), from its first agent's profile
-    profile_key = ((trace.age_band[app].astype(np.intp) << 16)
-                   | (trace.sex[app].astype(np.intp) << 8) | trace.conditions[app])
+    profile_key = ((world.age_band[app].astype(np.intp) << 16)
+                   | (world.sex[app].astype(np.intp) << 8) | world.conditions[app])
     _, first, profile_codes = np.unique(profile_key, return_index=True, return_inverse=True)
-    profiles = core.agent_profile(trace, app[first])
-    tail = (f',"run_id":{_canonical(trace.run_id)},'
+    profiles = core.agent_profile(world, app[first])
+    tail = (f',"run_id":{_canonical(world.run_id)},'
             f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
     # piece ids: each agent's head, then each profile's tail, then the day's pieces
     run_pool = np.array(['{"agent_id":%d,"day":' % agent for agent in app.tolist()]
                         + ['"profile":' + _canonical(profile) + tail
                            for profile in profiles.values()], dtype=object)
     tails, health = n_app, run_pool.size
-    for day in range(trace.num_days):
+    for day in range(world.num_days):
         span = min(day + 1, window)
         first = day + 1 - span
         nulls, zeros = ",null" * (window - span), ",0.0" * (window - span)
         health_text, health_rows = _render_windows(
-            trace.health_hist[:, first:day + 1][:, ::-1], _HEALTH_SLOTS,
+            world.health_hist[:, first:day + 1][:, ::-1], _HEALTH_SLOTS,
             f']{nulls}],"health":[', f"{nulls}],")
         day_targets, target_rows = _render_windows(
             target_codes[:, first:day + 1][:, ::-1], target_text, after=f"{zeros}]}}\n")
-        offsets, levels, counts = trace.enc_windows[day]
+        offsets, levels, counts = world.enc_windows[day]
         top = int(counts.max(initial=0)) + 1
         # every cell, then "" for an empty slot, in each of its three forms
         cells = [f"[{level},{count}]" for level in range(int(levels.max(initial=0)) + 1)
@@ -177,19 +180,19 @@ def _render_days(trace):
             yield hi - lo, "".join(pool[ids].tolist())
 
 
-def iter_training_records(trace):
-    """Yield one training record per (app agent, day) from a trace.
+def iter_training_records(world):
+    """Yield one training record per (app agent, day) from a finished run's world.
 
-    Requires a trace recorded with observables enabled. Window slots are
+    Requires a run of a tracing policy recorded with observables. Window slots are
     newest-first; days before the simulation start are null in the
     health/encounter windows and zero in the targets. The records are
     the parsed lines of the export.
     """
-    for _records, text in _render_days(trace):
+    for _records, text in _render_days(world):
         yield from map(json.loads, text.splitlines())
 
 
-def export_training_records(trace, path) -> int:
+def export_training_records(world, path) -> int:
     """Stream training records for one run to a JSONL file.
 
     Each line is the record as canonical JSON (sorted keys, no spaces),
@@ -197,19 +200,20 @@ def export_training_records(trace, path) -> int:
     ``json.dumps(record, sort_keys=True, separators=(",", ":"))``. The
     lines go to a ``.partial`` sibling that replaces ``path`` only once
     every record is written; on any error it is removed and ``path`` is
-    left as it was. Raises ValueError for a trace without a full
+    left as it was. Raises ValueError for a run without a full
     observation record or with a non-finite target. Returns the record
-    count, which always equals app agents x days.
+    count, which always equals app agents x days: 0, and an empty file,
+    for a recorded run without app agents.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     n = 0
     try:
         with open(partial, "w") as fh:
-            for records, text in _render_days(trace):
+            for records, text in _render_days(world):
                 fh.write(text)
                 n += records
-        expected = trace.app_ids.size * trace.num_days
+        expected = world.app_ids.size * world.num_days
         if n != expected:
             raise RuntimeError(f"exported {n} records, expected {expected}")
     except BaseException:

@@ -1,4 +1,4 @@
-"""Epidemic and cost metrics computed post hoc over immutable traces.
+"""Epidemic and cost metrics computed post hoc over finished runs.
 
 The reproduction number R is read off the infection tree: the ratio of
 children (infections caused) to parents, where a parent is any recovered,
@@ -39,7 +39,7 @@ def estimate_r(events, recovered, window=None) -> float:
 
     Args:
         events: ``(m, k >= 3)`` integer array of (day, infector, infectee, *rest)
-            rows, as ``SimulationTrace.events``; infector is EXTERNAL_SEED (-1)
+            rows, as ``WorldState.events``; infector is EXTERNAL_SEED (-1)
             for seeded cases. Work is linear in the largest agent id.
         recovered: integer array of the agent ids recovered by the end of the run.
         window: optional (start, end) half-open range; a parent counts
@@ -89,31 +89,31 @@ def default_r_window(num_days: int) -> tuple[int, int]:
     return (0, max(num_days - 14, 1))
 
 
-def false_quarantine_fraction(trace) -> float:
+def false_quarantine_fraction(world) -> float:
     """Fraction of the run's agent-days spent quarantined while not infectious.
 
     Counts agent-days at recommendation level 4 whose end-of-day epi state
     is Susceptible or Recovered, divided by all agent-days; 0 for a run of 0
     days. Each day's count is its ``DayReport.quarantined_healthy``.
     """
-    if trace.num_days == 0:
+    if world.num_days == 0:
         return 0.0
-    false_q = sum(r.quarantined_healthy for r in trace.day_reports)
-    return false_q / (trace.population * trace.num_days)
+    false_q = sum(r.quarantined_healthy for r in world.day_reports)
+    return false_q / (world.population * world.num_days)
 
 
-def effective_contacts_per_agent_day(trace) -> float:
+def effective_contacts_per_agent_day(world) -> float:
     """Mean daily contacts per agent: each encounter involves two agents."""
-    if trace.num_days == 0:
+    if world.num_days == 0:
         return 0.0
-    total = sum(r.encounters for r in trace.day_reports)
-    return 2.0 * total / (trace.population * trace.num_days)
+    total = sum(r.encounters for r in world.day_reports)
+    return 2.0 * total / (world.population * world.num_days)
 
 
-def pareto_point(trace):
+def pareto_point(world):
     """(effective contacts, R over ``default_r_window``) pair for mobility/spread sweep plots."""
-    r = estimate_r(trace.events, trace.recovered_ids(), default_r_window(trace.num_days))
-    return effective_contacts_per_agent_day(trace), r
+    r = estimate_r(world.events, world.recovered_ids(), default_r_window(world.num_days))
+    return effective_contacts_per_agent_day(world), r
 
 
 def config_hash(config_dict: dict) -> str:
@@ -127,10 +127,10 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def metrics_row(trace, seed: int) -> dict:
+def metrics_row(world, seed: int) -> dict:
     """One CSV row of run-level metrics."""
-    contacts, r = pareto_point(trace)
-    cfg = trace.config
+    contacts, r = pareto_point(world)
+    cfg = world.config
     return {
         "config_hash": config_hash(cfg),
         "seed": seed,
@@ -139,8 +139,8 @@ def metrics_row(trace, seed: int) -> dict:
         "mobility_scale": cfg["global_mobility_scale"],
         "contacts": f"{contacts:.6f}",
         "r": f"{r:.6f}" if not math.isnan(r) else "nan",
-        "cumulative_cases": len(trace.events),  # seeds included
-        "false_quarantine": f"{false_quarantine_fraction(trace):.6f}",
+        "cumulative_cases": len(world.events),  # seeds included
+        "false_quarantine": f"{false_quarantine_fraction(world):.6f}",
         "status": "ok",
     }
 

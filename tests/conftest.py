@@ -40,11 +40,10 @@ _outcomes: dict[int, list[str]] = {}
 
 
 def health(world):
-    """A world's or a trace's ``(n, days)`` symptom masks (uint8) and test codes (int8),
-    from the ``(n_app, days)`` health codes it stores; zero outside ``app_ids``, where
-    neither is modeled. Tests import it as ``from conftest import health``."""
-    # exposure_day has an entry per agent in a world and in a trace
-    symptoms = np.zeros((world.exposure_day.size, world.health_hist.shape[1]), dtype=np.uint8)
+    """A world's ``(n, days)`` symptom masks (uint8) and test codes (int8), from the
+    ``(n_app, days)`` health codes it stores; zero outside ``app_ids``, where neither
+    is modeled. Tests import it as ``from conftest import health``."""
+    symptoms = np.zeros((world.population, world.health_hist.shape[1]), dtype=np.uint8)
     tests = np.zeros(symptoms.shape, dtype=np.int8)
     symptoms[world.app_ids], tests[world.app_ids] = np.divmod(world.health_hist,
                                                               len(TEST_CODE_NAMES))
@@ -112,7 +111,7 @@ def recorded_days():
 
     def predicting(world, day, rng):
         y_hat = predict(world, day, rng)
-        if isinstance(world, world_cls):  # not a trace's derivation
+        if rng is world.rng["predictor"]:  # the engine's call, not estimates()' replay
             record.estimates.append(np.array(y_hat))
         return y_hat
 

@@ -387,7 +387,46 @@ class TestEdgesAndStepping:
         w = init_world(_small(num_days=3))
         rep = step_day(w)
         assert rep.day == 0
-        assert rep.s + rep.e + rep.i + rep.r == w.n
+        assert rep.s + rep.e + rep.i + rep.r == w.population
+
+
+class TestFinishedWorld:
+    def test_run_builds_one_world_and_steps_it_to_the_end(self, monkeypatch):
+        # the benchmark's setup_s times the one init_world call of a run, through the
+        # module global
+        built, init = [], core.init_world
+
+        def counting(cfg):
+            built.append(cfg)
+            return init(cfg)
+
+        monkeypatch.setattr(core, "init_world", counting)
+        cfg = _small(num_days=5)
+        world = run(cfg)
+        assert len(built) == 1 and built[0] is cfg
+        assert world.day == world.num_days == len(world.day_reports) == 5
+
+    @pytest.mark.parametrize("days", [0, 1, 30])
+    @pytest.mark.parametrize("policy", core.POLICIES)
+    def test_recovered_ids_are_the_last_days_recovered(self, policy, days):
+        world = run(_small(policy=policy, num_days=days, initial_exposed_fraction=0.1))
+        last = core.epi_states(world, np.arange(world.population), np.arange(days)[-1:])
+        recovered = world.recovered_ids()
+        assert np.array_equal(recovered, np.flatnonzero(last == STATE_R))
+        if days == 0:
+            assert recovered.size == 0
+        if days == 30:
+            assert recovered.size > 0
+
+    def test_a_world_stepped_by_hand_writes_what_run_writes(self, tmp_path):
+        cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6)
+        world = init_world(cfg)
+        for _ in range(6):
+            step_day(world)
+        world.write(tmp_path / "hand.jsonl", tmp_path / "hand_events.jsonl")
+        run(cfg).write(tmp_path / "run.jsonl", tmp_path / "run_events.jsonl")
+        for hand, ran in (("hand.jsonl", "run.jsonl"), ("hand_events.jsonl", "run_events.jsonl")):
+            assert filecmp.cmp(tmp_path / hand, tmp_path / ran, shallow=False)
 
 
 class TestLevelsAndEstimates:
@@ -445,8 +484,8 @@ class TestLevelsAndEstimates:
         # the values reach the writer through the replay source, day-major
         y = np.resize(np.float32([-0.0, 1 / 128, 1.0, 0.1234565]),
                       (tr.num_days, tr.app_ids.size, tr.window))
-        tr = dataclasses.replace(tr, config={**tr.config, "predictor": "external"},
-                                 external=SimpleNamespace(y_hat=y.astype(np.float64)))
+        tr.cfg = tr.cfg.replace(predictor="external")
+        tr.external = SimpleNamespace(y_hat=y.astype(np.float64), sha256="")
         tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
         dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         text = (tmp_path / "trace.jsonl").read_text()
@@ -899,8 +938,8 @@ class TestLazyProfiles:
         profiles = core.agent_profile(trace, trace.app_ids)
         assert profiles == core.agent_profile(world, world.app_ids)
         assert list(profiles) == world.app_ids.tolist()
-        everyone = core.agent_profile(world, np.arange(world.n))
-        assert everyone == {a: _reference_profile(world, a) for a in range(world.n)}
+        everyone = core.agent_profile(world, np.arange(world.population))
+        assert everyone == {a: _reference_profile(world, a) for a in range(world.population)}
         assert any(not p["has_app"] for p in everyone.values())
 
     def test_recording_off_run_builds_no_profiles(self, monkeypatch):
@@ -970,7 +1009,7 @@ def _progression_reference(world, day):
     state = world.epi_state.copy()
     state[infected & (t_mid >= world.onset)] = STATE_I
     state[infected & (t_mid >= world.recovery)] = STATE_R
-    y = np.zeros(world.n)
+    y = np.zeros(world.population)
     y[infected] = virology.evl_tent(t_mid[infected], world.onset[infected], world.peak[infected],
                                     world.recovery[infected], world.peak_evl[infected])
     return state, y
@@ -1001,7 +1040,7 @@ class TestLiveProgression:
             got = world._phase_progression(day)
             assert world.epi_state.tolist() == state.tolist()
             assert got.tobytes() == y.tobytes()
-            derived = core.ground_truth(world, np.arange(world.n), [day])[:, 0]
+            derived = core.ground_truth(world, np.arange(world.population), [day])[:, 0]
             assert derived.tobytes() == y.astype(np.float32).tobytes()
             infected = exposed == day + 1
             world.epi_state[infected], world.exposure_day[infected] = STATE_E, day
@@ -1019,7 +1058,7 @@ class TestHistoryLayout:
         trace = run(cfg)
         for name in ("level_hist", "epi_hist", "symptom_hist", "test_hist", "yhat_hist"):
             assert not hasattr(world, name) and not hasattr(trace, name), name
-        stored = {f.name for f in dataclasses.fields(trace) if f.name.endswith("_hist")}
+        stored = {name for name in vars(trace) if name.endswith("_hist")}
         assert stored == {"health_hist"}
         # so calibration reads every estimate one contiguous day at a time
         assert all(y.flags.c_contiguous for y in trace.estimates())

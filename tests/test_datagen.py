@@ -1,6 +1,6 @@
 """Domain randomization, splits, and training-record export."""
 
-import dataclasses
+import copy
 import gc
 import json
 
@@ -103,6 +103,13 @@ def _inject_target(monkeypatch, agent, day, value):
 def _y_hist(trace):
     """Every agent's ``(population, num_days)`` ground truth, from the courses."""
     return core.ground_truth(trace, np.arange(trace.population), np.arange(trace.num_days))
+
+
+def _one_day_short(trace):
+    """A copy of a finished world whose config asks for one day more than it stepped."""
+    cut = copy.copy(trace)
+    cut.cfg = trace.cfg.replace(num_days=trace.num_days + 1)
+    return cut
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +233,23 @@ class TestExport:
         with pytest.raises(ValueError):
             list(iter_training_records(tr))
 
+    def test_a_recorded_run_without_app_agents_exports_no_records(self, tmp_path):
+        trace = run(SimConfig(population_size=60, num_days=3, policy="pct",
+                              predictor="oracle", adoption_rate=0.0))
+        path = tmp_path / "records.jsonl"
+        assert export_training_records(trace, path) == 0
+        assert path.read_text() == ""
+        assert list(iter_training_records(trace)) == []
+
+    @pytest.mark.parametrize("change", [{"policy": "no_tracing"}, {"record_observables": False}])
+    def test_a_run_without_app_agents_or_observables_is_rejected(self, tmp_path, change):
+        cfg = SimConfig(population_size=60, num_days=3, policy="pct", predictor="oracle",
+                        adoption_rate=0.0).replace(**change)
+        with pytest.raises(ValueError) as err:
+            export_training_records(run(cfg), tmp_path / "records.jsonl")
+        assert "without observables" in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncated_trace_rejected(self, pct_trace):
         class Hollow:
             config = pct_trace.config
@@ -239,13 +263,13 @@ class TestExport:
         assert "truncated" in str(err.value)
 
     def test_missing_last_day_rejected(self, pct_trace):
-        cut = dataclasses.replace(pct_trace, num_days=pct_trace.num_days + 1)
+        cut = _one_day_short(pct_trace)
         with pytest.raises(ValueError) as err:
             list(iter_training_records(cut))
         assert "truncated" in str(err.value)
 
     def test_failed_export_leaves_no_file(self, pct_trace, tmp_path):
-        cut = dataclasses.replace(pct_trace, num_days=pct_trace.num_days + 1)
+        cut = _one_day_short(pct_trace)
         with pytest.raises(ValueError):
             export_training_records(cut, tmp_path / "records.jsonl")
         assert list(tmp_path.iterdir()) == []
@@ -253,7 +277,7 @@ class TestExport:
     def test_failed_export_keeps_the_previous_file(self, pct_trace, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text("previous\n")
-        cut = dataclasses.replace(pct_trace, num_days=pct_trace.num_days + 1)
+        cut = _one_day_short(pct_trace)
         with pytest.raises(ValueError):
             export_training_records(cut, path)
         assert list(tmp_path.iterdir()) == [path]

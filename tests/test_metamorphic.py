@@ -90,7 +90,7 @@ def test_two_runs_write_the_same_bytes(cfg, policy, predictor, tmp_path_factory)
 def _check_invariants(world, report, y):
     """What holds at the end of every day, whatever the draws; ``y`` is the day's progression's."""
     day = report.day
-    assert report.s + report.e + report.i + report.r == world.n
+    assert report.s + report.e + report.i + report.r == world.population
     assert np.all((world.rec_level >= 0) & (world.rec_level <= 4))
     assert np.all((world.held >= 0) & (world.held <= 15))
     assert np.all(np.bincount(world.infection_order[:world.n_infected]) <= 1)
@@ -101,7 +101,7 @@ def _check_invariants(world, report, y):
     symptoms, tests = health(world)
     # symptoms and tests are modeled for app agents only, so no other agent is
     # ever ordered a test; the stored health code holds each app agent's test code
-    off_app = np.setdiff1d(np.arange(world.n), world.app_ids)
+    off_app = np.setdiff1d(np.arange(world.population), world.app_ids)
     assert np.all(world.test_code[off_app] == TEST_NONE)
     assert np.all(world.result_day[off_app] == -1)
     assert np.array_equal(tests[world.app_ids, day], world.test_code[world.app_ids])
@@ -114,10 +114,10 @@ def _check_invariants(world, report, y):
     assert np.all(symptoms[pending, order] != 0)
     assert np.all((order == 0) | (symptoms[pending, order - 1] == 0))
     # the ground truth derived from the courses is the day's progression y
-    derived = ground_truth(world, np.arange(world.n), [day])[:, 0]
+    derived = ground_truth(world, np.arange(world.population), [day])[:, 0]
     assert derived.tobytes() == y.astype(np.float32).tobytes()
     # and the states derived from them are the world's at the end of the day
-    states = epi_states(world, np.arange(world.n), [day])[:, 0]
+    states = epi_states(world, np.arange(world.population), [day])[:, 0]
     assert np.array_equal(states, world.epi_state)
 
 
@@ -160,7 +160,7 @@ def test_the_seed_rule_decides_at_the_earliest_onset():
         assert seeds.size
         for day in range(cfg.num_days):
             _check_invariants(world, step_day(world), record.y[-1])
-            states = epi_states(world, np.arange(world.n), [day])[:, 0]
+            states = epi_states(world, np.arange(world.population), [day])[:, 0]
             if day == 0:
                 assert np.all(states[seeds] == STATE_I)
             exposed = np.setdiff1d(np.flatnonzero(world.exposure_day == day), seeds)

@@ -255,6 +255,6 @@ class TestEncountersMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 9001])
     def test_default_world(self, seed):
         world = core.WorldState(core.SimConfig(rng_seed=seed))
-        pools = {name: _labels(index, world.n) for name, index in world.loc_indexes.items()}
-        levels = np.random.default_rng(seed).integers(0, 5, world.n).astype(np.int8)
+        pools = {name: _labels(index, world.population) for name, index in world.loc_indexes.items()}
+        levels = np.random.default_rng(seed).integers(0, 5, world.population).astype(np.int8)
         _assert_same_days(pools, levels, 1.0, seed)

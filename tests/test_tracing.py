@@ -184,7 +184,7 @@ class TestBctPolicy:
         assert levels[agent, :6].tolist() == [1] * 6
         assert levels[agent, 6:20].tolist() == [3] * 14
         assert levels[agent, 20] == 1
-        others = np.setdiff1d(np.arange(world.n), [agent])
+        others = np.setdiff1d(np.arange(world.population), [agent])
         assert np.all(levels[others] == 1)
 
     def test_own_positive_test_same_window(self):

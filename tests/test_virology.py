@@ -70,7 +70,7 @@ def world():
 @pytest.fixture(scope="module")
 def y_hist(world):
     """The run's ground truth, derived from the courses for every agent and day."""
-    return ground_truth(world, np.arange(world.n), np.arange(world.cfg.num_days))
+    return ground_truth(world, np.arange(world.population), np.arange(world.cfg.num_days))
 
 
 def _course_t(w, agent, day):
