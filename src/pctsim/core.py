@@ -218,15 +218,27 @@ class SimConfig:
 
 
 def load_config(path) -> SimConfig:
-    """Read a flat key-value config file (YAML or JSON) into a SimConfig.
+    """Read a flat key-value config file (YAML or JSON, UTF-8) into a SimConfig.
 
-    A path that cannot be read, such as a directory, is a ConfigError naming it.
+    A path that cannot be read, such as a directory, and a file that is not
+    UTF-8 text or not valid YAML are ConfigErrors naming it; a YAML error
+    also gives its line and column. The file is parsed by libyaml when
+    PyYAML has it (``CSafeLoader``), else by ``SafeLoader``: both resolve
+    and construct values alike, so they give the same mapping.
     """
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = yaml.load(fh, Loader=loader)
     except OSError as exc:
         raise ConfigError(f"config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 text ({exc.reason})") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"config file {path}: not valid YAML{where}: {problem}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):

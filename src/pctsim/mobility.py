@@ -54,27 +54,39 @@ class LocationIndex:
     ``flat``; and ``pos``, the drawer's place in its group. That makes
     partner sampling O(1): draw r uniform on [0, span - 1] and shift
     r >= pos by one to exclude self.
+
+    Grouping is a stable LSD radix sort over the 16-bit digits of
+    ``group_of + 1`` (numpy's stable sort of uint16 keys is a radix
+    sort), so it takes time linear in n: one pass while every label is
+    below 65535, and a second pass on the high digit otherwise.
     """
 
     def __init__(self, group_of):
         gid = np.asarray(group_of, dtype=np.int64)
-        # stable, so ids ascend inside each group; the -1s sort first
-        order = np.argsort(gid, kind="stable")
-        self.flat = order[np.count_nonzero(gid < 0):]
-        member_gid = gid[self.flat]
-        self.size = np.bincount(member_gid)
+        # key = gid + 1 in unsigned arithmetic: the -1s wrap to 0 and sort first
+        if gid.size == 0 or gid.max() < 0xFFFF:
+            key = gid.astype(np.uint16)
+            key += np.uint16(1)
+            order = np.argsort(key, kind="stable")
+        else:
+            key = gid.astype(np.uint32)
+            key += np.uint32(1)
+            order = np.argsort(key.astype(np.uint16), kind="stable")
+            order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
+        count = np.bincount(key, minlength=1)  # count[0]: agents in no group
+        self.flat = order[count[0]:]
+        self.size = count[1:]
         self.start = np.cumsum(self.size) - self.size
-        place = np.zeros(gid.size, dtype=np.int64)  # agent -> index in flat
-        place[self.flat] = np.arange(self.flat.size)
-        has_partner = np.zeros(gid.size, dtype=bool)
-        has_partner[self.flat] = self.size[member_gid] >= 2
-        drawers = np.flatnonzero(has_partner)
+        count[0] = 0
+        drawers = np.flatnonzero(count[key] >= 2)
+        place = np.empty(gid.size, dtype=np.int32)  # agent -> index in flat
+        place[self.flat] = np.arange(self.flat.size, dtype=np.int32)
         g = gid[drawers]
         # int32 keeps the four arrays at half the memory; draws are the same
         self.drawers = drawers.astype(np.int32)
         self.span = (self.size[g] - 1).astype(np.int32)
         self.offset = self.start[g].astype(np.int32)
-        self.pos = (place[drawers] - self.start[g]).astype(np.int32)
+        self.pos = place[drawers] - self.offset
 
 
 def generate_encounters(indexes, rec_level, mobility_scale, rng):

@@ -66,6 +66,17 @@ class TestParsingAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("content,problem", [
+        (b"population_size: [1, 2\n", "not valid YAML at line 2, column 1"),
+        ("policy: \u00e9t\u00e9\n".encode("latin-1"), "not UTF-8 text"),
+    ], ids=["not-yaml", "not-utf8"])
+    def test_malformed_config_exit_1(self, content, problem, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_bytes(content)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: config file {cfg}: {problem}")
+
     def test_external_predictions_of_a_directory_exit_1(self, tmp_path, capsys):
         preds = tmp_path / "preds"
         preds.mkdir()

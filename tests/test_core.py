@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 from conftest import health, recorded_days, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -104,6 +105,38 @@ class TestConfigValidation:
         path.write_text("population_size: 123\npolicy: bct\n")
         cfg = load_config(path)
         assert cfg.population_size == 123 and cfg.policy == "bct"
+
+    @pytest.mark.parametrize("name", ["default.yaml", "default.json"])
+    def test_pure_python_loader_builds_the_same_config(self, name, tmp_path, monkeypatch):
+        path = CONFIG_DIR / "default.yaml"
+        if name.endswith(".json"):
+            path = tmp_path / name
+            path.write_text(json.dumps(load_config(CONFIG_DIR / "default.yaml").to_dict()))
+        preferred = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        loaders, load = [], yaml.load
+        monkeypatch.setattr(yaml, "load", lambda stream, Loader: loaders.append(Loader)
+                            or load(stream, Loader=Loader))
+        config = load_config(path).to_dict()
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        assert load_config(path).to_dict() == config
+        assert loaders == [preferred, yaml.SafeLoader]
+
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_malformed_yaml_names_the_file_and_line(self, libyaml, tmp_path, monkeypatch):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        path = tmp_path / "c.yaml"
+        path.write_text("num_days: 5\npopulation_size: [1, 2\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert f"config file {path}: not valid YAML at line 3, column 1: " in str(err.value)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes("policy: pct\n# \u00e9t\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert f"config file {path}: not UTF-8 text" in str(err.value)
 
 
 class TestSeedingAndPopulation:

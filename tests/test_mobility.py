@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pctsim import core, mobility
@@ -73,6 +73,63 @@ class TestLocationIndex:
         a, b, loc = generate_encounters(idx, np.zeros(6, dtype=np.int8), 5.0, rng)
         assert a.size == b.size == loc.size == 0
         assert rng.bit_generator.state == state  # an empty pool draws no bits
+
+    @given(group_of=st.one_of(
+        st.lists(st.integers(-1, 9), max_size=60).map(np.array),
+        # labels of 65535 and above, so the high digit needs its own pass
+        st.lists(st.integers(0, 2**20), min_size=1, max_size=6).flatmap(
+            lambda labels: st.lists(st.sampled_from([-1] + labels), max_size=60).map(np.array)),
+    ))
+    @example(group_of=np.zeros(0, dtype=np.int64))
+    @example(group_of=np.zeros(5, dtype=np.int64))  # a single group
+    @example(group_of=np.full(4, -1))
+    @example(group_of=np.array([65535, -1, 65534, 65535, 0]))  # 65535 needs two passes
+    @example(group_of=np.array([65536, -1, 65534, 65535, 0, 65535, 65536, 131071, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_argsort_reference(self, group_of):
+        _assert_same_index(LocationIndex(group_of.astype(np.int64)), _argsort_index(group_of))
+
+    def test_matches_the_argsort_reference_at_300k(self, monkeypatch):
+        built = []
+
+        class Recorded(LocationIndex):
+            def __init__(self, group_of):
+                built.append(np.array(group_of))
+                super().__init__(group_of)
+
+        monkeypatch.setattr(mobility, "LocationIndex", Recorded)
+        world = core.init_world(core.SimConfig(population_size=300_000, num_days=1))
+        assert len(built) == len(world.loc_indexes)
+        for group_of, index in zip(built, world.loc_indexes.values()):
+            _assert_same_index(index, _argsort_index(group_of))
+        assert world.loc_indexes["household"].size.size > 0xFFFF
+
+
+def _argsort_index(group_of):
+    """``LocationIndex``'s fields built with an int64 stable argsort, the reference
+    for its radix sort."""
+    gid = np.asarray(group_of, dtype=np.int64)
+    order = np.argsort(gid, kind="stable")
+    flat = order[np.count_nonzero(gid < 0):]
+    member_gid = gid[flat]
+    size = np.bincount(member_gid)
+    start = np.cumsum(size) - size
+    place = np.zeros(gid.size, dtype=np.int64)
+    place[flat] = np.arange(flat.size)
+    has_partner = np.zeros(gid.size, dtype=bool)
+    has_partner[flat] = size[member_gid] >= 2
+    drawers = np.flatnonzero(has_partner)
+    g = gid[drawers]
+    return {"flat": flat, "size": size, "start": start, "drawers": drawers.astype(np.int32),
+            "span": (size[g] - 1).astype(np.int32), "offset": start[g].astype(np.int32),
+            "pos": (place[drawers] - start[g]).astype(np.int32)}
+
+
+def _assert_same_index(index, want):
+    for name, array in want.items():
+        got = getattr(index, name)
+        assert got.dtype == array.dtype, name
+        assert np.array_equal(got, array), name
 
 
 def _pools(n, **labels):
