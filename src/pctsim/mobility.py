@@ -77,7 +77,7 @@ class LocationIndex:
         self.flat = order[count[0]:]
         self.size = count[1:]
         self.start = np.cumsum(self.size) - self.size
-        count[0] = 0
+        count[0] = 0  # an agent in no group has no partner
         drawers = np.flatnonzero(count[key] >= 2)
         place = np.empty(gid.size, dtype=np.int32)  # agent -> index in flat
         place[self.flat] = np.arange(self.flat.size, dtype=np.int32)
