@@ -237,7 +237,7 @@ def load_config(path) -> SimConfig:
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or exc
+        problem = getattr(exc, "problem", None) or getattr(exc, "reason", None) or exc
         raise ConfigError(f"config file {path}: not valid YAML{where}: {problem}") from None
     if data is None:
         data = {}

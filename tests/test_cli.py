@@ -69,13 +69,16 @@ class TestParsingAndErrors:
     @pytest.mark.parametrize("content,problem", [
         (b"population_size: [1, 2\n", "not valid YAML at line 2, column 1"),
         ("policy: \u00e9t\u00e9\n".encode("latin-1"), "not UTF-8 text"),
-    ], ids=["not-yaml", "not-utf8"])
+        (b"num_days: 5\n\x01\n", "not valid YAML: "),
+    ], ids=["not-yaml", "not-utf8", "control-character"])
     def test_malformed_config_exit_1(self, content, problem, tmp_path, capsys):
         cfg = tmp_path / "config.yaml"
         cfg.write_bytes(content)
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"error: config file {cfg}: {problem}")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: {problem}")
+        assert err.count("\n") == 1
 
     def test_external_predictions_of_a_directory_exit_1(self, tmp_path, capsys):
         preds = tmp_path / "preds"

@@ -131,13 +131,6 @@ class TestConfigValidation:
             load_config(path)
         assert f"config file {path}: not valid YAML at line 3, column 1: " in str(err.value)
 
-    def test_non_utf8_file_names_the_file(self, tmp_path):
-        path = tmp_path / "c.yaml"
-        path.write_bytes("policy: pct\n# \u00e9t\u00e9\n".encode("latin-1"))
-        with pytest.raises(ConfigError) as err:
-            load_config(path)
-        assert f"config file {path}: not UTF-8 text" in str(err.value)
-
 
 class TestSeedingAndPopulation:
     def test_initial_seed_count(self):
