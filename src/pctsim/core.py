@@ -592,13 +592,24 @@ class WorldState:
         return y
 
     def _phase_encounters(self):
-        """Draw today's encounters at today's levels and return them as ``(a, b, loc)``."""
-        a, b, loc = mobility.generate_encounters(
+        """Draw today's encounters at today's levels and return them as ``(a, b, loc, count)``.
+
+        ``count`` is the day's encounters. The rows are those a later phase
+        reads, in drawing order: an infectious party's, for transmission, and
+        while the app layer is active two app agents', for registration. The
+        encounter log keeps every row.
+        """
+        read = None
+        if self.encounter_log is None:
+            read = 2 * (self.epi_state == STATE_I).astype(np.int8)
+            if self.app_active:
+                read |= self.has_app
+        a, b, loc, count = mobility.generate_encounters(
             self.loc_indexes, self.rec_level, self.cfg.global_mobility_scale,
-            self.rng["mobility"])
+            self.rng["mobility"], read)
         if self.encounter_log is not None:
             self.encounter_log.append((a.copy(), b.copy(), loc.copy()))
-        return a, b, loc
+        return a, b, loc, count
 
     def _register_app_contacts(self, a, b, day):
         """Today's app-pair encounters, counted once per pair and mirrored, replace the oldest day.
@@ -811,7 +822,7 @@ def step_day(world: WorldState) -> DayReport:
         raise RuntimeError(f"step_day past num_days={cfg.num_days}")
     q_mask = world.rec_level == 4  # today's levels; _phase_levels sets tomorrow's
     y = world._phase_progression(day)
-    a, b, loc = world._phase_encounters()
+    a, b, loc, encounters = world._phase_encounters()
     new_cases = world._phase_transmission(day, y, a, b, loc)
     tests_ordered, positives = world._phase_testing(day, y)
     messages, levels = world._phase_app_pass(day, a, b, positives)
@@ -825,7 +836,7 @@ def step_day(world: WorldState) -> DayReport:
         i=int(counts[STATE_I]), r=int(counts[STATE_R]),
         new_cases=int(new_cases),
         cum_cases=world.n_infected,
-        encounters=int(a.size),
+        encounters=encounters,
         quarantined=int(q_mask.sum()),
         quarantined_healthy=int((q_mask & healthy).sum()),
         tests_ordered=int(tests_ordered),

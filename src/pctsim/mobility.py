@@ -59,10 +59,27 @@ class LocationIndex:
     ``group_of + 1`` (numpy's stable sort of uint16 keys is a radix
     sort), so it takes time linear in n: one pass while every label is
     below 65535, and a second pass on the high digit otherwise.
+
+    ``whole`` is True when one group of two or more holds every agent, as
+    in the "other" pool. Its fields are then known without a sort:
+    ``flat``, ``drawers`` and ``pos`` count 0..n-1, ``span`` is n - 1 and
+    ``offset`` 0, and ``generate_encounters`` draws it without reading
+    them.
     """
 
     def __init__(self, group_of):
         gid = np.asarray(group_of, dtype=np.int64)
+        self.whole = gid.size >= 2 and gid[0] >= 0 and bool((gid == gid[0]).all())
+        if self.whole:
+            n = gid.size
+            self.size = np.zeros(gid[0] + 1, dtype=np.int64)
+            self.size[-1] = n
+            self.start = np.zeros_like(self.size)
+            self.flat = np.arange(n)
+            self.drawers = self.pos = np.arange(n, dtype=np.int32)
+            self.span = np.full(n, n - 1, dtype=np.int32)
+            self.offset = np.zeros(n, dtype=np.int32)
+            return
         # key = gid + 1 in unsigned arithmetic: the -1s wrap to 0 and sort first
         if gid.size == 0 or gid.max() < 0xFFFF:
             key = gid.astype(np.uint16)
@@ -89,14 +106,16 @@ class LocationIndex:
         self.pos = place[drawers] - self.offset
 
 
-def generate_encounters(indexes, rec_level, mobility_scale, rng):
+def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
     """Generate one day of encounters across all location types.
 
     Per location type, each drawer (see ``LocationIndex``) draws its
     Poisson number of partner picks, in ascending agent id, then every
     pick draws its partner. Agents without a partner in the pool take no
     draw, and neither does a drawer whose rate is zero: ``poisson`` draws
-    no bits for a zero rate.
+    no bits for a zero rate. A ``whole`` pool is drawn with each agent as
+    its own drawer row and one scalar-bound ``integers`` call, which draws
+    what the per-pick bounds of n - 1 would.
 
     Args:
         indexes: mapping with one LocationIndex per name in LOCATION_TYPES;
@@ -104,27 +123,44 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng):
         rec_level: per-agent recommendation levels (0..4) in force today.
         mobility_scale: global mobility multiplier.
         rng: numpy Generator for this day's mobility stream.
+        read: per-agent int8 need, or None for every row. A row is returned
+            when its two agents' needs sum to 2 or more. Every draw is made
+            either way, so the stream ends in the same state.
 
     Returns:
-        (a, b, loc) int64 arrays of equal length; each row is one
-        symmetric encounter between distinct agents a and b at location
-        code ``loc`` (index into LOCATION_TYPES). Repeat pairs may occur.
+        (a, b, loc, count): int64 arrays a, b and loc of equal length, and
+        the int number of the day's encounters. Each row is one symmetric
+        encounter between distinct agents a and b at location code ``loc``
+        (index into LOCATION_TYPES); rows keep their order when ``read``
+        drops some, and ``count`` counts the dropped rows too. Repeat pairs
+        may occur.
     """
     rec_level = np.asarray(rec_level)
     empty = np.zeros(0, dtype=np.int64)
     out_a, out_b = [empty], [empty]
     kept = np.zeros(len(LOCATION_TYPES), dtype=np.int64)
+    count = 0
     for code, name in enumerate(LOCATION_TYPES):
         index = indexes[name]
         half_rates = level_rate_table(name, mobility_scale) / 2.0
-        k = rng.poisson(half_rates[rec_level[index.drawers]])
-        i = np.repeat(np.arange(index.drawers.size), k)
-        r = rng.integers(0, index.span[i])
-        r += r >= index.pos[i]
-        partners = index.flat[index.offset[i] + r]
-        keep = rec_level[partners] != QUARANTINE_LEVEL
-        out_a.append(index.drawers[i[keep]])
-        out_b.append(partners[keep])
+        if index.whole:
+            n = index.flat.size
+            a = np.repeat(np.arange(n), rng.poisson(half_rates[rec_level]))
+            b = rng.integers(0, n - 1, size=a.size)
+            b += b >= a
+        else:
+            k = rng.poisson(half_rates[rec_level[index.drawers]])
+            i = np.repeat(np.arange(index.drawers.size), k)
+            r = rng.integers(0, index.span[i])
+            r += r >= index.pos[i]
+            a = index.drawers[i]
+            b = index.flat[index.offset[i] + r]
+        keep = rec_level[b] != QUARANTINE_LEVEL
+        count += int(np.count_nonzero(keep))
+        if read is not None:
+            keep &= read[a] + read[b] >= 2
+        out_a.append(a[keep])
+        out_b.append(b[keep])
         kept[code] = out_b[-1].size
     return (np.concatenate(out_a, dtype=np.int64), np.concatenate(out_b),
-            np.repeat(np.arange(len(LOCATION_TYPES)), kept))
+            np.repeat(np.arange(len(LOCATION_TYPES)), kept), count)

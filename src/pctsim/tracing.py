@@ -72,6 +72,25 @@ def _integer_key(rec, name, source, number):
     raise ValueError(f"{source} {number}: {name} must be an integer, got {value!r}")
 
 
+def _y_hat(value, source, number, null=True):
+    """A y_hat of numbers, of any shape, as a float64 array; where ``null``, a null reads
+    as NaN. A bool, a string, an object, a ragged list or, where not ``null``, a null is
+    a ValueError naming the entry as ``f"{source} {number}"``."""
+    try:  # not dtype=float64, which reads a numeric string as its number, a bool as 0 or 1
+        pred = np.asarray(value)  # a ragged list raises
+        # a bool among numbers reads as a number, so check the leaves' types; a flat
+        # number list's leaves are its items
+        leaves = (value if pred.dtype.kind in "iuf" and pred.ndim == 1
+                  else np.asarray(value, dtype=object).flat)
+        if not all(issubclass(t, numbers.Real) and t is not bool or null and t is type(None)
+                   for t in set(map(type, leaves))):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{source} {number}: y_hat must be {'null or ' if null else ''}numbers, "
+                         f"got {value!r}") from None
+    return pred.astype(np.float64)
+
+
 class ExternalPredictor:
     """Replay predictions from a JSONL file, read once into two arrays.
 
@@ -83,8 +102,8 @@ class ExternalPredictor:
     of ``window`` finite values. Lines for agents outside ``app_ids`` or
     days outside [0, num_days) are ignored. A line that is not a JSON object
     with the three keys, whose agent_id or day is not an integer (a string,
-    a bool or a fractional value), or whose y_hat holds a string, an object
-    or a ragged list, is a ValueError naming the line.
+    a bool or a fractional value), or whose y_hat holds a bool, a string, an
+    object or a ragged list, is a ValueError naming the line.
     A cell that is not ok, a failed prediction, holds the previous day's
     estimate moved one day older, its newest slot repeated (zeros on day 0):
     the levels its partners hold.
@@ -110,14 +129,7 @@ class ExternalPredictor:
                                      "day and y_hat")
                 i, day = (row_of.get(_integer_key(rec, "agent_id", where, line_no)),
                           _integer_key(rec, "day", where, line_no))
-                try:  # not dtype=float64, which reads a numeric string as its number
-                    pred = np.asarray(rec["y_hat"])  # a ragged list raises
-                    if pred.dtype.kind not in "biuf" and not all(
-                            v is None or isinstance(v, numbers.Real) for v in pred.flat):
-                        raise ValueError  # a string or an object; a null reads as NaN
-                except ValueError:
-                    raise ValueError(f"{where} {line_no}: y_hat must be null or numbers, "
-                                     f"got {rec['y_hat']!r}") from None
+                pred = _y_hat(rec["y_hat"], where, line_no)
                 if i is None or not 0 <= day < num_days:
                     continue
                 self.ok[day, i] = ok = pred.shape == (window,)
@@ -140,14 +152,15 @@ def evaluate_predictor(records, predictions) -> float:
     agent_id, day, targets); ``predictions`` are dicts with the same keys
     and y_hat. Every record must have a matching prediction of the same
     window length; extra predictions are ignored. An agent_id or day that
-    is not an integer (a string, a bool or a fractional value) is a
-    ValueError naming the key and the entry's index in its list.
+    is not an integer (a string, a bool or a fractional value), or a y_hat
+    that is not numbers (a null, a bool, a string, an object or a ragged
+    list), is a ValueError naming the key and the entry's index in its list.
     """
     table = {}
     for i, pred in enumerate(predictions):
         key = (pred.get("run_id"), _integer_key(pred, "agent_id", "prediction", i),
                _integer_key(pred, "day", "prediction", i))
-        table[key] = np.asarray(pred["y_hat"], dtype=np.float64)
+        table[key] = _y_hat(pred["y_hat"], "prediction", i, null=False)
     total = 0.0
     n = 0
     for i, rec in enumerate(records):

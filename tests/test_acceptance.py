@@ -162,7 +162,7 @@ def test_criterion_3_contact_rates():
             rec = np.full(n_agents, level, dtype=np.int8)
             total = 0
             for _ in range(n_days):
-                a, _b, _loc = mobility.generate_encounters(index, rec, 1.0, rng)
+                a, _b, _loc, _count = mobility.generate_encounters(index, rec, 1.0, rng)
                 total += a.size
             observed = 2 * total / (n_agents * n_days)
             assert observed == pytest.approx(expected, rel=0.03), \

@@ -389,6 +389,15 @@ class TestDeterminism:
         assert filecmp.cmp(tmp_path / "a" / "events.jsonl",
                            tmp_path / "b" / "events.jsonl", shallow=False)
 
+    @pytest.mark.parametrize("policy", core.POLICIES)
+    def test_the_encounter_log_changes_no_report_or_event(self, policy):
+        # without the log the encounter phase returns only the rows a later phase reads
+        cfg = _small(policy=policy, initial_exposed_fraction=0.05)
+        logged, unlogged = run(cfg.replace(record_encounter_log=True)), run(cfg)
+        assert logged.day_reports == unlogged.day_reports
+        assert np.array_equal(logged.events, unlogged.events)
+        assert unlogged.events.shape[0] > 15  # more than the seeds were infected
+
     def test_run_ids_differ_by_seed_only_in_suffix(self):
         a = run(_small(num_days=0, rng_seed=1))
         b = run(_small(num_days=0, rng_seed=2))

@@ -58,7 +58,7 @@ class TestLocationIndex:
         idx = _pools(5, workplace=np.array([0, 1, 1, -1, 1]))
         assert 0 not in idx["workplace"].drawers.tolist()
         for _ in range(50):
-            a, b, _ = generate_encounters(idx, np.zeros(5, dtype=np.int8), 5.0, rng)
+            a, b, _, _ = generate_encounters(idx, np.zeros(5, dtype=np.int8), 5.0, rng)
             assert a.size > 0
             assert not np.isin([0, 3], np.concatenate([a, b])).any()
 
@@ -70,7 +70,7 @@ class TestLocationIndex:
         assert index.flat.size == index.size.size == index.start.size == 0
         assert index.drawers.size == 0
         state = rng.bit_generator.state
-        a, b, loc = generate_encounters(idx, np.zeros(6, dtype=np.int8), 5.0, rng)
+        a, b, loc, _ = generate_encounters(idx, np.zeros(6, dtype=np.int8), 5.0, rng)
         assert a.size == b.size == loc.size == 0
         assert rng.bit_generator.state == state  # an empty pool draws no bits
 
@@ -125,6 +125,13 @@ def _argsort_index(group_of):
             "pos": (place[drawers] - start[g]).astype(np.int32)}
 
 
+def _generic_index(group_of):
+    """A LocationIndex holding ``_argsort_index``'s fields, drawn by the generic path."""
+    index = object.__new__(LocationIndex)
+    vars(index).update(_argsort_index(group_of), whole=False)
+    return index
+
+
 def _assert_same_index(index, want):
     for name, array in want.items():
         got = getattr(index, name)
@@ -148,13 +155,13 @@ class TestGenerateEncounters:
     def test_scale_zero_is_empty(self):
         rng = np.random.default_rng(0)
         idx = _one_pool("household", 10)
-        a, b, loc = generate_encounters(idx, np.zeros(10, dtype=np.int8), 0.0, rng)
+        a, b, loc, _ = generate_encounters(idx, np.zeros(10, dtype=np.int8), 0.0, rng)
         assert a.size == b.size == loc.size == 0
 
     def test_everyone_quarantined_is_empty(self):
         rng = np.random.default_rng(1)
         idx = _one_pool("household", 10)
-        a, b, _ = generate_encounters(idx, np.full(10, 4, dtype=np.int8), 1.0, rng)
+        a, b, _, _ = generate_encounters(idx, np.full(10, 4, dtype=np.int8), 1.0, rng)
         assert a.size == 0
 
     def test_quarantined_partner_vetoed(self):
@@ -163,7 +170,7 @@ class TestGenerateEncounters:
         idx = _one_pool("household", 2)
         total = 0
         for _ in range(200):
-            a, b, _ = generate_encounters(idx, levels, 1.0, rng)
+            a, b, _, _ = generate_encounters(idx, levels, 1.0, rng)
             total += a.size
             assert not np.any(b == 1)  # nobody meets the quarantined agent
             assert not np.any(a == 1)  # who also has rate zero
@@ -174,7 +181,7 @@ class TestGenerateEncounters:
         for name in LOCATION_TYPES:
             idx = _pools(8, **{name: np.array([0, 0, 0, 0, 0, 1, 1, 1])})
             for _ in range(50):
-                a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8),
+                a, b, _, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8),
                                               2.0, rng)
                 assert not np.any(a == b)
 
@@ -183,19 +190,19 @@ class TestGenerateEncounters:
         gid = np.array([0, 0, 0, 1, 1, 2, 2, 2])
         idx = _pools(8, workplace=gid)
         for _ in range(100):
-            a, b, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8), 1.0, rng)
+            a, b, _, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8), 1.0, rng)
             assert np.all(gid[a] == gid[b])
 
     def test_singleton_pool_draws_nothing(self):
         rng = np.random.default_rng(5)
         idx = _pools(1, other=np.array([0]))
-        a, _, _ = generate_encounters(idx, np.zeros(1, dtype=np.int8), 5.0, rng)
+        a, _, _, _ = generate_encounters(idx, np.zeros(1, dtype=np.int8), 5.0, rng)
         assert a.size == 0
 
     def test_location_codes_match_types(self):
         rng = np.random.default_rng(6)
         idx = _pools(6, household=np.zeros(6, dtype=np.int64), other=np.zeros(6, dtype=np.int64))
-        _, _, loc = generate_encounters(idx, np.zeros(6, dtype=np.int8), 3.0, rng)
+        _, _, loc, _ = generate_encounters(idx, np.zeros(6, dtype=np.int8), 3.0, rng)
         codes = set(loc.tolist())
         assert codes <= {LOCATION_TYPES.index("household"),
                          LOCATION_TYPES.index("other")}
@@ -212,7 +219,7 @@ class TestGenerateEncounters:
         levels = np.full(n, level, dtype=np.int8)
         involved = 0
         for _ in range(days):
-            a, b, _ = generate_encounters(idx, levels, 1.0, rng)
+            a, b, _, _ = generate_encounters(idx, levels, 1.0, rng)
             involved += a.size + b.size
         mean = involved / (n * days)
         assert mean == pytest.approx(expected, rel=0.05)
@@ -222,9 +229,36 @@ class TestGenerateEncounters:
         # derived from both columns
         rng = np.random.default_rng(8)
         idx = _one_pool("school", 12)
-        a, b, _ = generate_encounters(idx, np.zeros(12, dtype=np.int8), 2.0, rng)
+        a, b, _, _ = generate_encounters(idx, np.zeros(12, dtype=np.int8), 2.0, rng)
         per_agent = np.bincount(a, minlength=12) + np.bincount(b, minlength=12)
         assert per_agent.sum() == 2 * a.size
+
+
+class TestWholePool:
+    def test_only_one_group_of_everyone_is_whole(self):
+        assert LocationIndex(np.zeros(2, dtype=np.int64)).whole
+        assert LocationIndex(np.full(5, 3, dtype=np.int64)).whole
+        for group_of in ([0], [], [-1, -1], [0, 0, -1], [0, 1, 1]):
+            assert not LocationIndex(np.array(group_of, dtype=np.int64)).whole
+
+    @given(n=st.integers(2, 500), name=st.sampled_from(LOCATION_TYPES),
+           top=st.integers(0, 4), scale=st.sampled_from([0.0, 0.4, 1.0, 3.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, name="other", top=1, scale=1.0, seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_draws_what_the_generic_pool_draws(self, n, name, top, scale, seed):
+        levels = np.random.default_rng(seed).integers(0, top + 1, n).astype(np.int8)
+        whole = _one_pool(name, n)
+        generic = dict(whole, **{name: _generic_index(np.zeros(n, dtype=np.int64))})
+        assert whole[name].whole and not generic[name].whole
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            got = generate_encounters(whole, levels, scale, got_rng)
+            want = generate_encounters(generic, levels, scale, want_rng)
+            for g, w in zip(got[:3], want[:3]):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert got[3] == want[3] == got[0].size
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _reference_encounters(pools, rec_level, mobility_scale, rng):
@@ -315,3 +349,25 @@ class TestEncountersMatchReference:
         pools = {name: _labels(index, world.population) for name, index in world.loc_indexes.items()}
         levels = np.random.default_rng(seed).integers(0, 5, world.population).astype(np.int8)
         _assert_same_days(pools, levels, 1.0, seed)
+
+
+class TestRead:
+    @given(_world(), st.sampled_from([None, *LOCATION_TYPES]), st.sampled_from([0.4, 1.0, 3.0]),
+           st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_rows_the_need_keeps(self, world, whole, scale, seed, data):
+        pools, levels = world
+        if whole is not None:  # one type's pool holds everyone
+            pools = dict(pools, **{whole: np.zeros(levels.size, dtype=np.int64)})
+        read = np.array(data.draw(st.lists(st.integers(0, 2), min_size=levels.size,
+                                           max_size=levels.size)), dtype=np.int8)
+        index = {name: LocationIndex(labels) for name, labels in pools.items()}
+        all_rng, read_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            a, b, loc, count = generate_encounters(index, levels, scale, all_rng)
+            got = generate_encounters(index, levels, scale, read_rng, read)
+            keep = read[a] + read[b] >= 2
+            for g, w in zip(got[:3], (a[keep], b[keep], loc[keep])):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert got[3] == count == a.size
+            assert read_rng.bit_generator.state == all_rng.bit_generator.state

@@ -526,6 +526,18 @@ class TestEvaluatePredictor:
         preds = [_prediction("r0", np.int64(3), np.int32(1), [0.5] * 3)]
         assert evaluate_predictor(recs, preds) == 0.0
 
+    @pytest.mark.parametrize("y_hat", [
+        ["0.5", "0"], [True, False], [0.5, None], [None, None], [0.5, True], ["high", 0.0],
+        [{"today": 0.5}, 0.0], [[0.5], [0.5, 0.5]],
+    ], ids=["numeric-strings", "bools", "null", "nulls", "one-bool", "string", "object",
+            "ragged"])
+    def test_a_y_hat_that_is_not_numbers_names_its_entry(self, y_hat):
+        recs = [_record("r0", 1, 0, [0.0] * 2), _record("r0", 3, 1, [0.5, 0.0])]
+        preds = [_prediction("r0", 1, 0, [0.0] * 2), _prediction("r0", 3, 1, [0.5, 0.0])]
+        assert evaluate_predictor(recs, preds) == 0.0
+        with pytest.raises(ValueError, match=r"^prediction 1: y_hat must be numbers, got "):
+            evaluate_predictor(recs, [preds[0], _prediction("r0", 3, 1, y_hat)])
+
 
 def _table(tmp_path, rows, app_ids=(3, 5, 8), num_days=4, window=3):
     path = tmp_path / "preds.jsonl"
@@ -567,9 +579,11 @@ class TestExternalPredictor:
 
     @pytest.mark.parametrize("y_hat", [
         ["0.5"] * 3, "0.5", "high", [0.5, "0.5", 0.5], [None, "0.5", 0.5], {"today": 0.5},
-        [{"today": 0.5}] * 3, [[0.5], [0.5, 0.5], [0.5]],
+        [{"today": 0.5}] * 3, [[0.5], [0.5, 0.5], [0.5]], [True] * 3, [0.5, False, 0.5],
+        [None, True, 0.5], True, [[0.5, True, 0.5]],
     ], ids=["numeric-strings", "numeric-string", "string", "one-string", "null-and-string",
-            "object", "objects", "ragged"])
+            "object", "objects", "ragged", "bools", "one-bool", "null-and-bool", "bool",
+            "nested-bool"])
     @pytest.mark.parametrize("agent", [5, 99], ids=["app", "ignored"])
     def test_a_y_hat_that_is_not_numbers_names_its_line(self, tmp_path, y_hat, agent):
         with pytest.raises(ValueError, match=r"preds\.jsonl line 2: y_hat must be null or numbers"):
