@@ -159,6 +159,8 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
         count += int(np.count_nonzero(keep))
         if read is not None:
             keep &= read[a] + read[b] >= 2
+            # a boolean mask that keeps about half its rows mispredicts a branch per row
+            keep = np.flatnonzero(keep)
         out_a.append(a[keep])
         out_b.append(b[keep])
         kept[code] = out_b[-1].size
