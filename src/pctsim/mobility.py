@@ -136,6 +136,7 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
         may occur.
     """
     rec_level = np.asarray(rec_level)
+    level = rec_level.astype(np.intp)  # an intp array indexes about twice as fast as int8
     empty = np.zeros(0, dtype=np.int64)
     out_a, out_b = [empty], [empty]
     kept = np.zeros(len(LOCATION_TYPES), dtype=np.int64)
@@ -145,11 +146,11 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
         half_rates = level_rate_table(name, mobility_scale) / 2.0
         if index.whole:
             n = index.flat.size
-            a = np.repeat(np.arange(n), rng.poisson(half_rates[rec_level]))
+            a = np.repeat(np.arange(n), rng.poisson(half_rates[level]))
             b = rng.integers(0, n - 1, size=a.size)
             b += b >= a
         else:
-            k = rng.poisson(half_rates[rec_level[index.drawers]])
+            k = rng.poisson(half_rates[level.take(index.drawers)])
             i = np.repeat(np.arange(index.drawers.size), k)
             r = rng.integers(0, index.span[i])
             r += r >= index.pos[i]
@@ -158,7 +159,7 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
         keep = rec_level[b] != QUARANTINE_LEVEL
         count += int(np.count_nonzero(keep))
         if read is not None:
-            keep &= read[a] + read[b] >= 2
+            keep &= read.take(a) + read.take(b) >= 2  # take: faster than [] for an int32 a
             # a boolean mask that keeps about half its rows mispredicts a branch per row
             keep = np.flatnonzero(keep)
         out_a.append(a[keep])
