@@ -182,7 +182,7 @@ class TestGenerateEncounters:
             idx = _pools(8, **{name: np.array([0, 0, 0, 0, 0, 1, 1, 1])})
             for _ in range(50):
                 a, b, _, _ = generate_encounters(idx, np.zeros(8, dtype=np.int8),
-                                              2.0, rng)
+                                                 2.0, rng)
                 assert not np.any(a == b)
 
     def test_pairs_stay_within_groups(self):
