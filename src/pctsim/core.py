@@ -314,8 +314,8 @@ class WorldState:
         # fitted cut points are for the pct predictor; the heuristic's
         # 0.25-step scores stay on the uniform grid
         fitted = cfg.policy == "pct" and cfg.risk_thresholds is not None
-        self.quantize = messaging.RiskQuantizer(
-            cfg.risk_thresholds if fitted else messaging.DEFAULT_THRESHOLDS)
+        self.thresholds = np.asarray(
+            cfg.risk_thresholds if fitted else messaging.DEFAULT_THRESHOLDS, dtype=np.float64)
         self.psi = np.asarray(cfg.psi_table, dtype=np.int8)
 
         self._build_population()
@@ -415,7 +415,7 @@ class WorldState:
         # rings over slot day % window: the edges, and per (slot, app sender), a row a slot,
         # the level it last sent for that day, which its partners hold, and the partner count
         self.edges: list[EdgeDay | None] = [None] * self.window
-        self.held = np.full(shape, self.quantize(0.0), dtype=np.int8)
+        self.held = np.full(shape, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
         self.bct_flag = np.zeros(self.population, dtype=bool)
         self.external = None
@@ -713,7 +713,8 @@ class WorldState:
         if policy == "bct":
             return self._app_pass_bct(day, positives), levels
         if policy == "pct":
-            qlev = self.quantize(predict(self, day, self.rng["predictor"]))
+            qlev = messaging.quantize_risk(predict(self, day, self.rng["predictor"]),
+                                           self.thresholds)
             app_levels = self.psi[qlev[:, 0]]
             if self.external is not None:
                 app_levels[~self.external.ok[day]] = 1  # a failed prediction recommends the baseline
@@ -721,7 +722,8 @@ class WorldState:
             score, app_levels = tracing.policy_heuristic(*self.observables_for(day))
             if self.heuristic_score is not None:
                 self.heuristic_score[:, day] = score
-            qlev = np.broadcast_to(self.quantize(score)[:, None], (score.size, self.window))
+            qlev = np.broadcast_to(messaging.quantize_risk(score, self.thresholds)[:, None],
+                                   (score.size, self.window))
         levels[self.app_ids] = app_levels
         return self._publish(day, qlev), levels
 

@@ -61,7 +61,7 @@ def calibrate_thresholds(samples) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("calibrate_thresholds: empty sample")
-    if samples.min() < 0.0 or samples.max() > 1.0:
+    if not (samples.min() >= 0.0 and samples.max() <= 1.0):  # NaN fails both
         raise ValueError("calibrate_thresholds: samples must lie in [0, 1]")
     qs = np.arange(1, N_RISK_LEVELS) / N_RISK_LEVELS
     cuts = np.quantile(samples, qs)
@@ -72,61 +72,29 @@ def calibrate_thresholds(samples) -> np.ndarray:
     return cuts
 
 
-def _cut_points(thresholds) -> np.ndarray:
-    cuts = np.asarray(thresholds, dtype=np.float64)
-    if cuts.shape != (N_RISK_LEVELS - 1,):
-        raise ValueError(f"expected {N_RISK_LEVELS - 1} thresholds, got {cuts.shape}")
-    return cuts
-
-
 def quantize_risk(y_hat, thresholds=DEFAULT_THRESHOLDS):
     """Map predicted infectiousness to a 4-bit risk level.
 
     The level is the number of cut points strictly below ``y_hat``, which
-    makes quantization monotone and puts y_hat=0 in level 0.
+    makes quantization monotone and puts y_hat=0 in level 0. Values outside
+    [0, 1] need no clipping: one at or below the lowest cut gives 0, one
+    above the highest cut gives 15, and so does NaN, which no cut is at or
+    above.
 
-    Accepts a scalar or an array; returns the same shape.
+    Accepts a scalar or an array; returns an int for a scalar and an int8
+    array of the same shape for an array.
     """
-    cuts = _cut_points(thresholds)
-    levels = np.searchsorted(cuts, np.asarray(y_hat, dtype=np.float64), side="left")
-    if np.ndim(y_hat) == 0:
+    cuts = np.asarray(thresholds, dtype=np.float64)
+    if cuts.shape != (N_RISK_LEVELS - 1,):
+        raise ValueError(f"expected {N_RISK_LEVELS - 1} thresholds, got {cuts.shape}")
+    y = np.asarray(y_hat, dtype=np.float64)
+    levels = np.full(y.shape, N_RISK_LEVELS - 1, dtype=np.int8)
+    at_or_above = np.empty(y.shape, dtype=bool)
+    for cut in cuts:  # one level less for every cut at or above y
+        levels -= np.less_equal(y, cut, out=at_or_above).view(np.int8)
+    if y.ndim == 0:
         return int(levels)
-    return levels.astype(np.int8)
-
-
-class RiskQuantizer:
-    """:func:`quantize_risk` with the cut points fixed, from tables built once.
-
-    Over ``BINS`` equal bins of [0, 1], y falls in bin b = floor(y * BINS).
-    Float multiplication and floor are monotone, so a cut in a lower bin
-    lies below y and a cut in a higher bin lies above it. The level is
-    then ``base[b]``, the number of cuts in lower bins, plus whether y
-    exceeds ``cut_in_bin[b]``, the cut in bin b (+inf for none). That is
-    exact as long as no two cuts share a bin. Cut sets where two do, or
-    with a cut outside [0, 1], and inputs that are scalars or hold a
-    value outside [0, 1] or NaN, are answered by :func:`quantize_risk`.
-    """
-
-    BINS = 1024
-
-    def __init__(self, thresholds=DEFAULT_THRESHOLDS):
-        self.thresholds = _cut_points(thresholds)
-        # the clip only spares cuts outside [0, 1] an overflow; they fall back
-        cut_bin = np.floor(np.clip(self.thresholds, 0.0, 1.0) * self.BINS)
-        self.binned = bool(np.all((self.thresholds >= 0.0) & (self.thresholds <= 1.0))
-                           and np.all(np.diff(cut_bin) > 0))
-        if self.binned:
-            cut_bin = cut_bin.astype(np.intp)
-            self.base = np.searchsorted(cut_bin, np.arange(self.BINS + 1)).astype(np.int8)
-            self.cut_in_bin = np.full(self.BINS + 1, np.inf)
-            self.cut_in_bin[cut_bin] = self.thresholds
-
-    def __call__(self, y_hat):
-        y = np.asarray(y_hat, dtype=np.float64)
-        if not (self.binned and y.ndim and y.size and y.min() >= 0.0 and y.max() <= 1.0):
-            return quantize_risk(y_hat, self.thresholds)
-        b = (y * self.BINS).astype(np.intp)
-        return self.base.take(b) + (y > self.cut_in_bin.take(b))
+    return levels
 
 
 def diff_and_emit(prev_hat, new_hat, contact_book, thresholds, *, day, own_tokens):

@@ -74,8 +74,8 @@ def _integer_key(rec, name, source, number):
 
 def _y_hat(value, source, number, null=True):
     """A y_hat of numbers, of any shape, as a float64 array; where ``null``, a null reads
-    as NaN. A bool, a string, an object, a ragged list or, where not ``null``, a null is
-    a ValueError naming the entry as ``f"{source} {number}"``."""
+    as NaN. A bool, a string, an object, a ragged list or, where not ``null``, a null or
+    a NaN or infinite value is a ValueError naming the entry as ``f"{source} {number}"``."""
     try:  # not dtype=float64, which reads a numeric string as its number, a bool as 0 or 1
         pred = np.asarray(value)  # a ragged list raises
         # a bool among numbers reads as a number, so check the leaves' types; a flat
@@ -85,10 +85,13 @@ def _y_hat(value, source, number, null=True):
         if not all(issubclass(t, numbers.Real) and t is not bool or null and t is type(None)
                    for t in set(map(type, leaves))):
             raise ValueError
+        pred = pred.astype(np.float64)
+        if not (null or np.isfinite(pred).all()):
+            raise ValueError
     except ValueError:
-        raise ValueError(f"{source} {number}: y_hat must be {'null or ' if null else ''}numbers, "
-                         f"got {value!r}") from None
-    return pred.astype(np.float64)
+        raise ValueError(f"{source} {number}: y_hat must be "
+                         f"{'null or ' if null else 'finite '}numbers, got {value!r}") from None
+    return pred
 
 
 class ExternalPredictor:
@@ -152,9 +155,10 @@ def evaluate_predictor(records, predictions) -> float:
     agent_id, day, targets); ``predictions`` are dicts with the same keys
     and y_hat. Every record must have a matching prediction of the same
     window length; extra predictions are ignored. An agent_id or day that
-    is not an integer (a string, a bool or a fractional value), or a y_hat
-    that is not numbers (a null, a bool, a string, an object or a ragged
-    list), is a ValueError naming the key and the entry's index in its list.
+    is not an integer (a string, a bool or a fractional value), or targets
+    or a y_hat that are not finite numbers (a null, a NaN, an infinity, a
+    bool, a string, an object or a ragged list), is a ValueError naming the
+    key and the entry's index in its list.
     """
     table = {}
     for i, pred in enumerate(predictions):
@@ -168,7 +172,7 @@ def evaluate_predictor(records, predictions) -> float:
                _integer_key(rec, "day", "record", i))
         if key not in table:
             raise ValueError(f"missing prediction for record {key}")
-        target = np.asarray(rec["targets"], dtype=np.float64)
+        target = _y_hat(rec["targets"], "record", i, null=False)
         y_hat = table[key]
         if y_hat.shape != target.shape:
             raise ValueError(f"window length mismatch for record {key}")

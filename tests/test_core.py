@@ -735,7 +735,7 @@ class TestProtocolReference:
                     for e in world.edge_days()}
             prev_aligned = np.concatenate([before[i, :1], before[i, :-1]])
             out = messaging.diff_and_emit(
-                prev_aligned, after[i], book, world.quantize.thresholds, day=day,
+                prev_aligned, after[i], book, world.thresholds, day=day,
                 own_tokens={d: _token(agent, d) for d in book})
             n_sent += len(out)
             for rcpt, msg in out:
@@ -820,7 +820,8 @@ class TestFailedPredictions:
             assert not changed[:, failed].any()
             span = min(day + 1, w)
             cols = (day - np.arange(span)) % w
-            own = world.quantize(g[np.ix_(app, day + w - np.arange(span))])
+            own = messaging.quantize_risk(g[np.ix_(app, day + w - np.arange(span))],
+                                          world.thresholds)
             assert np.array_equal(world.held[cols][:, ~failed], own[~failed].T)
             sends[:, day - np.arange(span)] += changed[cols].T
             total += report.messages

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pctsim import core, messaging
@@ -12,7 +12,6 @@ from pctsim.messaging import (
     DEFAULT_THRESHOLDS,
     N_RISK_LEVELS,
     RiskMessage,
-    RiskQuantizer,
     calibrate_thresholds,
     cluster_inbox,
     diff_and_emit,
@@ -62,13 +61,18 @@ class TestQuantize:
 
 CONFIG_CUTS = core.load_config(
     Path(__file__).resolve().parents[1] / "configs" / "default.yaml").risk_thresholds
-# each makes an array take the quantize_risk path
 OUTSIDE = (-1e-300, -0.5, np.nextafter(1.0, 2.0), 2.0, np.inf, -np.inf, np.nan)
 
 
+def _reference_levels(y, cuts):
+    """The documented rule by binary search: the count of cuts strictly below y."""
+    levels = np.searchsorted(np.asarray(cuts, dtype=np.float64),
+                             np.asarray(y, dtype=np.float64), side="left")
+    return int(levels) if np.ndim(y) == 0 else levels.astype(np.int8)
+
+
 def _assert_quantizer_matches(cuts, extra=()):
-    """RiskQuantizer(cuts) gives quantize_risk's levels, dtype and shape."""
-    quantize = RiskQuantizer(cuts)
+    """quantize_risk(y, cuts) gives the reference's levels, dtype and shape."""
     c = np.asarray(cuts, dtype=np.float64)
     probes = np.concatenate([c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf),
                              [0.0, -0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0],
@@ -77,20 +81,20 @@ def _assert_quantizer_matches(cuts, extra=()):
     cases = [inside, np.stack([inside, inside[::-1]]), np.zeros((0, 15)),
              *(np.append(inside, v) for v in OUTSIDE)]
     for y in cases:
-        got, want = quantize(y), quantize_risk(y, cuts)
+        got, want = quantize_risk(y, cuts), _reference_levels(y, cuts)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
-    for v in (*probes[:3].tolist(), *OUTSIDE):
-        assert quantize(v) == quantize_risk(v, cuts)
-    return quantize
+    for v in (*probes.tolist(), *OUTSIDE):
+        got = quantize_risk(v, cuts)
+        assert type(got) is int and got == _reference_levels(v, cuts)
 
 
-class TestRiskQuantizer:
+class TestQuantizeReference:
     def test_default_thresholds(self):
-        assert _assert_quantizer_matches(DEFAULT_THRESHOLDS).binned
+        _assert_quantizer_matches(DEFAULT_THRESHOLDS)
 
     def test_config_thresholds(self):
-        assert _assert_quantizer_matches(CONFIG_CUTS).binned
+        _assert_quantizer_matches(CONFIG_CUTS)
 
     @given(st.lists(st.floats(0, 1), min_size=15, max_size=15, unique=True),
            st.lists(st.floats(0, 1), max_size=30))
@@ -98,24 +102,10 @@ class TestRiskQuantizer:
     def test_random_increasing_thresholds(self, raw, extra):
         _assert_quantizer_matches(sorted(raw), extra)
 
-    @given(st.lists(st.integers(0, RiskQuantizer.BINS - 1), min_size=15, max_size=15,
-                    unique=True),
-           st.lists(st.floats(0, 1, exclude_max=True), min_size=15, max_size=15),
-           st.lists(st.floats(0, 1), max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_one_cut_per_bin(self, bins, within, extra):
-        cuts = (np.sort(bins) + np.asarray(within)) / RiskQuantizer.BINS
-        assume(np.all(np.diff(cuts) > 0))
-        _assert_quantizer_matches(cuts, extra)
-
     @pytest.mark.parametrize("sample", [[0.5] * 100, [0.0] * 40, [1.0] * 40,
                                         [0.2] * 90 + [0.7] * 10])
-    def test_degenerate_calibration_falls_back(self, sample):
-        assert not _assert_quantizer_matches(calibrate_thresholds(sample)).binned
-
-    def test_rejects_bad_threshold_count(self):
-        with pytest.raises(ValueError):
-            RiskQuantizer([0.5])
+    def test_degenerate_calibration(self, sample):
+        _assert_quantizer_matches(calibrate_thresholds(sample))
 
 
 class TestCalibrateThresholds:
@@ -152,6 +142,9 @@ class TestCalibrateThresholds:
             calibrate_thresholds([])
         with pytest.raises(ValueError):
             calibrate_thresholds([0.2, 1.4])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                calibrate_thresholds([0.1, bad, 0.5, 0.7])
 
 
 class TestDiffAndEmit:

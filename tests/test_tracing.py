@@ -13,7 +13,7 @@ from conftest import health, recorded_days, recorded_levels
 
 from pctsim.core import SimConfig, init_world, run, step_day
 from pctsim.datagen import export_training_records, read_records
-from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, RiskQuantizer, quantize_risk
+from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
 from pctsim.metrics import metrics_row
 from pctsim.tracing import (
     DEFAULT_PSI,
@@ -110,7 +110,7 @@ class TestHeuristicLadder:
         # contact as its highest received level, scores lower: evidence falls a rung a hop,
         # which bounds how far it spreads
         scores = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        levels = RiskQuantizer(DEFAULT_THRESHOLDS)(scores)
+        levels = quantize_risk(scores, DEFAULT_THRESHOLDS)
         assert levels.tolist() == [0, 3, 7, 11, 15]
         relayed, _ = policy_heuristic(np.zeros(5, dtype=bool), np.zeros(5, dtype=np.int64),
                                       levels)
@@ -448,7 +448,7 @@ class TestPctPolicy:
         assert nan.day_reports[0].messages > 0
         assert nan_levels[agent] == 1
         # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
-        assert np.all(nan.held[:, 0] == nan.quantize(0.0))
+        assert np.all(nan.held[:, 0] == quantize_risk(0.0, nan.thresholds))
         assert np.array_equal(nan.external.y_hat[0, 0], np.zeros(15))
         assert np.array_equal(nan_levels, missing_levels)
         assert np.array_equal(nan_published, missing_published)
@@ -527,16 +527,20 @@ class TestEvaluatePredictor:
         assert evaluate_predictor(recs, preds) == 0.0
 
     @pytest.mark.parametrize("y_hat", [
-        ["0.5", "0"], [True, False], [0.5, None], [None, None], [0.5, True], ["high", 0.0],
-        [{"today": 0.5}, 0.0], [[0.5], [0.5, 0.5]],
-    ], ids=["numeric-strings", "bools", "null", "nulls", "one-bool", "string", "object",
-            "ragged"])
+        ["0.5", "0"], [True, False], [0.5, None], [None, None], [0.5, True], ["0.5", True],
+        ["high", 0.0], [{"today": 0.5}, 0.0], [[0.5], [0.5, 0.5]], [float("nan"), 0.0],
+        [float("inf"), 0.0], [0.5, float("-inf")],
+    ], ids=["numeric-strings", "bools", "null", "nulls", "one-bool", "string-and-bool",
+            "string", "object", "ragged", "nan", "inf", "-inf"])
     def test_a_y_hat_that_is_not_numbers_names_its_entry(self, y_hat):
+        # targets are read by the same rule as y_hat
         recs = [_record("r0", 1, 0, [0.0] * 2), _record("r0", 3, 1, [0.5, 0.0])]
         preds = [_prediction("r0", 1, 0, [0.0] * 2), _prediction("r0", 3, 1, [0.5, 0.0])]
         assert evaluate_predictor(recs, preds) == 0.0
-        with pytest.raises(ValueError, match=r"^prediction 1: y_hat must be numbers, got "):
+        with pytest.raises(ValueError, match=r"^prediction 1: y_hat must be finite numbers, got "):
             evaluate_predictor(recs, [preds[0], _prediction("r0", 3, 1, y_hat)])
+        with pytest.raises(ValueError, match=r"^record 1: y_hat must be finite numbers, got "):
+            evaluate_predictor([recs[0], _record("r0", 3, 1, y_hat)], preds)
 
 
 def _table(tmp_path, rows, app_ids=(3, 5, 8), num_days=4, window=3):
