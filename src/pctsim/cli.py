@@ -248,8 +248,9 @@ def cmd_datagen(args) -> int:
     with _pool(args.jobs, len(cfgs)) as pool:
         results = _map_runs(functools.partial(_datagen_worker, out=out), cfgs, pool)
         for i, (cfg, (fields, row)) in enumerate(zip(cfgs, results)):
-            entry = {"index": i, "seed": cfg.rng_seed,
-                     "config_hash": metrics.config_hash(cfg.to_dict()),
+            # a finished run's hash is its run id's, which names a replay by the file's content
+            config_hash = metrics.config_hash(cfg.to_dict()) if row is None else row["config_hash"]
+            entry = {"index": i, "seed": cfg.rng_seed, "config_hash": config_hash,
                      "config": cfg.to_dict(), **fields}
             if row is None:
                 print(f"run {i + 1}/{args.n_runs} failed: {entry['status']}",

@@ -12,14 +12,14 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from . import messaging, mobility, tracing, virology
-from .metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, config_hash
+from .metrics import (EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, canonical_json,
+                      config_hash)
 from .observations import ObservationLog
 from .virology import TEST_NEGATIVE, TEST_NONE, TEST_PENDING, TEST_POSITIVE
 
@@ -73,7 +73,7 @@ def _read(name, convert, value, expected):
     """``convert(value)``; a value it cannot convert is a ConfigError naming the field."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for float
         raise ConfigError(f"{name}: must be {expected}, got {value!r}") from None
 
 
@@ -501,14 +501,13 @@ class WorldState:
 
     def write(self, trace_path, events_path):
         """Persist the run as day-record JSONL plus an event JSONL."""
-        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
                   "population": self.population, "num_days": self.num_days,
                   "initial_counts": self.initial_counts, "config": self.config}
         agents = self.app_ids.astype(str).tolist() if self._records_estimates else None
         estimates = self.estimates()
         with open(trace_path, "w") as fh:
-            fh.write(dump(header) + "\n")
+            fh.write(canonical_json(header) + "\n")
             for report in self.day_reports:
                 rec = {"kind": "day", **dataclasses.asdict(report)}
                 if agents is not None:
@@ -516,9 +515,9 @@ class WorldState:
                     # ties to even; one day at a time, as the whole history would be 54 MB at 30k
                     y_hat = next(estimates).astype(np.float64)
                     rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
-                fh.write(dump(rec) + "\n")
+                fh.write(canonical_json(rec) + "\n")
         with open(events_path, "w") as fh:
-            # one sort_keys JSON object a row; location names need no escaping
+            # canonical_json of each row, formatted by hand; location names need no escaping
             fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
                           % (day, infectee, infector, EVENT_LOCATIONS[loc])
                           for day, infector, infectee, loc in self.events.tolist())

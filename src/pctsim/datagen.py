@@ -19,6 +19,7 @@ import numpy as np
 
 from . import core
 from .core import SimConfig
+from .metrics import canonical_json
 from .virology import SYMPTOM_NAMES, TEST_CODE_NAMES, symptom_names_from_mask
 
 RECORD_SCHEMA_VERSION = 1
@@ -48,13 +49,9 @@ def sample_dr_config(base: SimConfig, rng: np.random.Generator) -> SimConfig:
     return base.replace(**draws)
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 # Every health slot, indexed by health code: symptom mask * len(TEST_CODE_NAMES) + test code.
 _HEALTH_SLOTS = np.array(
-    [_canonical({"symptoms": symptom_names_from_mask(mask), "test": test})
+    [canonical_json({"symptoms": symptom_names_from_mask(mask), "test": test})
      for mask in range(1 << len(SYMPTOM_NAMES)) for test in TEST_CODE_NAMES],
     dtype=object)
 
@@ -122,11 +119,11 @@ def _render_days(world):
                    | (world.sex[app].astype(np.intp) << 8) | world.conditions[app])
     _, first, profile_codes = np.unique(profile_key, return_index=True, return_inverse=True)
     profiles = core.agent_profile(world, app[first])
-    tail = (f',"run_id":{_canonical(world.run_id)},'
+    tail = (f',"run_id":{canonical_json(world.run_id)},'
             f'"schema_version":{RECORD_SCHEMA_VERSION},"targets":[')
     # piece ids: each agent's head, then each profile's tail, then the day's pieces
     run_pool = np.array(['{"agent_id":%d,"day":' % agent for agent in app.tolist()]
-                        + ['"profile":' + _canonical(profile) + tail
+                        + ['"profile":' + canonical_json(profile) + tail
                            for profile in profiles.values()], dtype=object)
     tails, health = n_app, run_pool.size
     for day in range(world.num_days):
@@ -197,13 +194,13 @@ def export_training_records(world, path) -> int:
 
     Each line is the record as canonical JSON (sorted keys, no spaces),
     rendered by one pass over the days, and is the same as
-    ``json.dumps(record, sort_keys=True, separators=(",", ":"))``. The
-    lines go to a ``.partial`` sibling that replaces ``path`` only once
-    every record is written; on any error it is removed and ``path`` is
-    left as it was. Raises ValueError for a run without a full
-    observation record or with a non-finite target. Returns the record
-    count, which always equals app agents x days: 0, and an empty file,
-    for a recorded run without app agents.
+    ``metrics.canonical_json(record)``. The lines go to a ``.partial``
+    sibling that replaces ``path`` only once every record is written; on
+    any error it is removed and ``path`` is left as it was. Raises
+    ValueError for a run without a full observation record or with a
+    non-finite target. Returns the record count, which always equals app
+    agents x days: 0, and an empty file, for a recorded run without app
+    agents.
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")

@@ -33,6 +33,9 @@ CSV_FIELDS = (
     "status",
 )
 
+# Canonical JSON: sorted keys, no spaces. Config hashes, trace lines and training records use it.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def estimate_r(events, recovered, window=None) -> float:
     """Children-per-recovered-parent ratio over the infection tree.
@@ -123,8 +126,7 @@ def config_hash(config_dict: dict) -> str:
     one hash and any row is re-derivable from (hash, seed).
     """
     payload = {k: v for k, v in config_dict.items() if k != "rng_seed"}
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=list)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
 
 
 def metrics_row(world, seed: int) -> dict:

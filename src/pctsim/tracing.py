@@ -88,7 +88,7 @@ def _y_hat(value, source, number, null=True):
         pred = pred.astype(np.float64)
         if not (null or np.isfinite(pred).all()):
             raise ValueError
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int too large for float64
         raise ValueError(f"{source} {number}: y_hat must be "
                          f"{'null or ' if null else 'finite '}numbers, got {value!r}") from None
     return pred

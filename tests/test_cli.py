@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, outputs, reproducibility."""
 
+import argparse
 import csv
 import filecmp
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pctsim
-from pctsim import cli
+from pctsim import cli, core, metrics
 
 BASE_YAML = """\
 population_size: 200
@@ -51,6 +52,18 @@ SMALL = {"run": [], "pareto": ["--scales", "1.0", "--seeds", "0"],
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _fail_runs(monkeypatch, fails):
+    """Make ``core.run`` raise for each config where ``fails(cfg)``; run the others."""
+    run = core.run
+
+    def failing(cfg):
+        if fails(cfg):
+            raise RuntimeError(f"seed {cfg.rng_seed} failed")
+        return run(cfg)
+
+    monkeypatch.setattr(core, "run", failing)
 
 
 class TestParsingAndErrors:
@@ -151,6 +164,15 @@ class TestParsingAndErrors:
         rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == cli.EXIT_USAGE
         assert field in capsys.readouterr().err
+
+    def test_an_integer_too_large_for_a_float_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"population_size: {'9' * 400}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: population_size: must be a number")
+        assert not out.exists()
 
     @pytest.mark.parametrize("env", ["abc", "1.5", ""])
     def test_bad_env_seed_exit_1(self, cfg_path, tmp_path, capsys, monkeypatch, env):
@@ -268,6 +290,18 @@ class TestParsingAndErrors:
         listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
         assert listed == FLAGS[command] | {"--help"}
 
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| command     | flags |\n", 1)[1].split("\n\n", 1)[0]
+        documented = {command: re.findall(r"`(--[a-z-]+)`", flags)
+                      for command, flags in re.findall(r"^\| `([a-z]+)` +\|(.*)\|$", table, re.M)}
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        parsed = {command: [flag for action in parser._actions for flag in action.option_strings
+                            if flag not in ("-h", "--help")]
+                  for command, parser in commands.items()}
+        assert documented == parsed
+
     @pytest.mark.parametrize("n_runs", ["0", "-3"])
     def test_n_runs_below_one_is_a_usage_error(self, cfg_path, tmp_path, capsys, n_runs):
         out = tmp_path / "dataset"
@@ -330,6 +364,20 @@ class TestRunCommand:
         cli.main(["run", "--config", cfg_path, "--out", str(out),
                   "--policy", "bct"])
         assert _read_csv(out / "metrics.csv")[0]["policy"] == "bct"
+
+    def test_predictor_override_flag(self, tmp_path):
+        # the flag writes what a config naming the same predictor writes
+        outs = {}
+        for name, predictor, extra in [("flag", "oracle", ["--predictor", "noisy_oracle"]),
+                                       ("file", "noisy_oracle", []), ("oracle", "oracle", [])]:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(BASE_YAML + f"policy: pct\npredictor: {predictor}\n")
+            outs[name] = tmp_path / name
+            assert cli.main(["run", "--config", str(path), "--out", str(outs[name]), *extra]) == 0
+        for file in ("trace.jsonl", "events.jsonl"):
+            assert (outs["flag"] / file).read_bytes() == (outs["file"] / file).read_bytes()
+        assert ((outs["flag"] / "trace.jsonl").read_bytes()
+                != (outs["oracle"] / "trace.jsonl").read_bytes())
 
 
 class TestSweepCommands:
@@ -445,7 +493,99 @@ class TestDatagenCommand:
         assert set(split["train"]) & set(split["valid"]) == set()
 
 
+    def test_a_finished_run_is_named_by_its_run_id(self, tmp_path):
+        # a replay's run id names the predictions file by its content, not its path
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        cfg = tmp_path / "replay.yaml"
+        cfg.write_text("population_size: 300\nnum_days: 5\npolicy: pct\npredictor: external\n"
+                       f"external_predictions: {json.dumps(str(preds))}\n")
+        out = tmp_path / "d"
+        assert cli.main(["datagen", "--config", str(cfg), "--n-runs", "2", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_OK
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        rows = _read_csv(out / "metrics.csv")
+        assert [e["status"] for e in runs] == ["ok", "ok"] and len(rows) == 2
+        for entry, row in zip(runs, rows):
+            assert entry["config_hash"] == entry["run_id"].rsplit("-", 1)[0] == row["config_hash"]
+
+
+class TestFailedRuns:
+    """A failed sweep point or campaign run is flagged, and the others go on."""
+
+    def test_a_failed_sweep_point_is_a_flagged_row(self, cfg_path, tmp_path, monkeypatch):
+        _fail_runs(monkeypatch, lambda cfg: cfg.rng_seed == 1)
+        out = tmp_path / "pareto.csv"
+        assert cli.main(["pareto", "--config", cfg_path, "--scales", "1.0", "--seeds", "0..2",
+                         "--policies", "no_tracing", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_OK
+        with open(out) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == metrics.CSV_FIELDS
+        assert [(r["seed"], r["status"]) for r in rows] == [
+            ("0", "ok"), ("1", "error: RuntimeError: seed 1 failed"), ("2", "ok")]
+        assert all(rows[1][field] not in ("", None) for field in metrics.CSV_FIELDS)
+        assert rows[1]["config_hash"] == rows[0]["config_hash"]
+
+    def test_a_failed_campaign_run_is_flagged_and_left_out_of_the_split(
+            self, cfg_path, tmp_path, monkeypatch, capsys):
+        calls = []
+        _fail_runs(monkeypatch, lambda cfg: calls.append(cfg) or len(calls) == 2)
+        out = tmp_path / "d"
+        assert cli.main(["datagen", "--config", cfg_path, "--n-runs", "3", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_OK
+        failed_seed = calls[1].rng_seed
+        assert (f"run 2/3 failed: error: RuntimeError: seed {failed_seed} failed"
+                in capsys.readouterr().err)
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs = manifest["runs"]
+        assert [e["status"] for e in runs] == [
+            "ok", f"error: RuntimeError: seed {failed_seed} failed", "ok"]
+        # a failed entry names the config as given
+        failed = runs[1]
+        assert "run_id" not in failed and failed["seed"] == failed_seed
+        assert failed["config_hash"] == metrics.config_hash(failed["config"])
+        finished = [runs[0], runs[2]]
+        split = json.loads((out / "split.json").read_text())
+        assert manifest["split"] == split
+        assert sorted(split["train"] + split["valid"]) == sorted(e["run_id"] for e in finished)
+        assert [r["seed"] for r in _read_csv(out / "metrics.csv")] == [
+            str(e["seed"]) for e in finished]
+        assert sorted(p.name for p in out.glob("*.records.jsonl")) == sorted(
+            e["records_file"] for e in finished)
+
+    def test_a_campaign_without_a_finished_run_exits_2(self, cfg_path, tmp_path, monkeypatch,
+                                                       capsys):
+        _fail_runs(monkeypatch, lambda cfg: True)
+        out = tmp_path / "d"
+        assert cli.main(["datagen", "--config", cfg_path, "--n-runs", "2", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "run 1/2 failed: error: " in err and "run 2/2 failed: error: " in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert all(e["status"].startswith("error: ") for e in manifest["runs"])
+        assert manifest["split"] == {"train": [], "valid": []}
+        assert _read_csv(out / "metrics.csv") == []
+
+    def test_one_finished_run_is_all_train(self, cfg_path, tmp_path, monkeypatch):
+        calls = []
+        _fail_runs(monkeypatch, lambda cfg: calls.append(cfg) or len(calls) == 1)
+        out = tmp_path / "d"
+        assert cli.main(["datagen", "--config", cfg_path, "--n-runs", "2", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_OK
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert [e["status"] == "ok" for e in runs] == [False, True]
+        assert json.loads((out / "split.json").read_text()) == {
+            "train": [runs[1]["run_id"]], "valid": []}
+
+
 class TestCalibrateCommand:
+    def test_a_target_no_scale_lands_near_does_not_converge(self, capsys):
+        # contacts jump from 0 to 10 at scale 1.5: no scale lands within 0.5 of 5
+        with pytest.raises(RuntimeError, match="calibration did not converge"):
+            cli._fit_scale(lambda scale: (0.0 if scale < 1.5 else 10.0, 1.0), 5.0, 0.5)
+
     def test_unreachable_target_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text("population_size: 120\nnum_days: 6\nrng_seed: 0\n")

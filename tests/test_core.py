@@ -24,7 +24,15 @@ from pctsim.core import (
     step_day,
 )
 from pctsim.datagen import export_training_records
-from pctsim.metrics import EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, metrics_row
+from pctsim.metrics import (
+    EXTERNAL_SEED,
+    STATE_E,
+    STATE_I,
+    STATE_R,
+    STATE_S,
+    canonical_json,
+    metrics_row,
+)
 from pctsim.tracing import policy_heuristic
 from pctsim.virology import TEST_NEGATIVE, TEST_PENDING, TEST_POSITIVE
 
@@ -70,6 +78,14 @@ class TestConfigValidation:
         ("record_estimates", "false"),
         ("record_encounter_log", None),
         ("external_predictions", 5),
+        ("psi_table", (1,) * 15),
+        ("psi_table", (1,) * 15 + (5,)),
+        # an integer too large for a float
+        pytest.param("population_size", 10**400, id="population_size-huge"),
+        pytest.param("rng_seed", 10**400, id="rng_seed-huge"),
+        pytest.param("carefulness", 10**400, id="carefulness-huge"),
+        pytest.param("psi_table", (10**400,) + (1,) * 15, id="psi_table-huge"),
+        pytest.param("risk_thresholds", (0.1,) * 14 + (10**400,), id="risk_thresholds-huge"),
     ])
     def test_errors_name_the_field(self, field, value):
         with pytest.raises(ConfigError) as err:
@@ -120,6 +136,17 @@ class TestConfigValidation:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
         assert load_config(path).to_dict() == config
         assert loaders == [preferred, yaml.SafeLoader]
+
+    def test_an_empty_file_gives_the_defaults(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("")
+        assert load_config(path) == SimConfig()
+
+    def test_a_file_that_is_not_a_mapping_names_the_file(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("- population_size\n- 300\n")
+        with pytest.raises(ConfigError, match=f"config file {path} must contain a flat mapping"):
+            load_config(path)
 
     @pytest.mark.parametrize("libyaml", [True, False])
     def test_malformed_yaml_names_the_file_and_line(self, libyaml, tmp_path, monkeypatch):
@@ -462,6 +489,17 @@ class TestFinishedWorld:
         run(cfg).write(tmp_path / "run.jsonl", tmp_path / "run_events.jsonl")
         for hand, ran in (("hand.jsonl", "run.jsonl"), ("hand_events.jsonl", "run_events.jsonl")):
             assert filecmp.cmp(tmp_path / hand, tmp_path / ran, shallow=False)
+
+    def test_every_event_line_is_the_canonical_json_of_its_row(self, tmp_path):
+        # the writer formats the event lines by hand; they must be what the encoder writes
+        world = run(_small(policy="pct", predictor="noisy_oracle", initial_exposed_fraction=0.05))
+        world.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        rows = [{"day": day, "infector": infector, "infectee": infectee,
+                 "location": EVENT_LOCATIONS[loc]}
+                for day, infector, infectee, loc in world.events.tolist()]
+        assert len(rows) > 15 and len({row["location"] for row in rows}) > 2
+        lines = (tmp_path / "events.jsonl").read_text().splitlines(keepends=True)
+        assert lines == [canonical_json(row) + "\n" for row in rows]
 
 
 class TestLevelsAndEstimates:

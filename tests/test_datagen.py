@@ -21,6 +21,7 @@ from pctsim.datagen import (
     read_records,
     sample_dr_config,
 )
+from pctsim.metrics import canonical_json
 from pctsim.tracing import evaluate_predictor
 from pctsim.virology import TEST_CODE_NAMES, symptom_names_from_mask
 
@@ -433,9 +434,9 @@ class TestRenderer:
 
         def canonical(obj):
             rendered.append(obj)
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            return canonical_json(obj)
 
-        monkeypatch.setattr(datagen, "_canonical", canonical)
+        monkeypatch.setattr(datagen, "canonical_json", canonical)
         export_training_records(pct_trace, tmp_path / "records.jsonl")
         profiles = [obj for obj in rendered if isinstance(obj, dict)]
         distinct = {json.dumps(p, sort_keys=True) for p in core.agent_profile(pct_trace, pct_trace.app_ids).values()}

@@ -181,6 +181,10 @@ class TestEffectiveContacts:
         tr = _fake_trace([[1]], [[STATE_S]])
         assert effective_contacts_per_agent_day(tr) == 0.0
 
+    def test_a_run_of_no_days(self):
+        tr = _fake_trace(np.ones((3, 0)), np.zeros((3, 0)))
+        assert effective_contacts_per_agent_day(tr) == 0.0
+
     def test_factor_two_convention(self):
         tr = _fake_trace([[1], [1]], [[STATE_S], [STATE_S]],
                          encounters=np.array([1]))

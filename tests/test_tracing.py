@@ -529,9 +529,9 @@ class TestEvaluatePredictor:
     @pytest.mark.parametrize("y_hat", [
         ["0.5", "0"], [True, False], [0.5, None], [None, None], [0.5, True], ["0.5", True],
         ["high", 0.0], [{"today": 0.5}, 0.0], [[0.5], [0.5, 0.5]], [float("nan"), 0.0],
-        [float("inf"), 0.0], [0.5, float("-inf")],
+        [float("inf"), 0.0], [0.5, float("-inf")], [10**400, 0.0],
     ], ids=["numeric-strings", "bools", "null", "nulls", "one-bool", "string-and-bool",
-            "string", "object", "ragged", "nan", "inf", "-inf"])
+            "string", "object", "ragged", "nan", "inf", "-inf", "huge-int"])
     def test_a_y_hat_that_is_not_numbers_names_its_entry(self, y_hat):
         # targets are read by the same rule as y_hat
         recs = [_record("r0", 1, 0, [0.0] * 2), _record("r0", 3, 1, [0.5, 0.0])]
@@ -584,14 +584,22 @@ class TestExternalPredictor:
     @pytest.mark.parametrize("y_hat", [
         ["0.5"] * 3, "0.5", "high", [0.5, "0.5", 0.5], [None, "0.5", 0.5], {"today": 0.5},
         [{"today": 0.5}] * 3, [[0.5], [0.5, 0.5], [0.5]], [True] * 3, [0.5, False, 0.5],
-        [None, True, 0.5], True, [[0.5, True, 0.5]],
+        [None, True, 0.5], True, [[0.5, True, 0.5]], [0.5, 10**400, 0.5],
     ], ids=["numeric-strings", "numeric-string", "string", "one-string", "null-and-string",
             "object", "objects", "ragged", "bools", "one-bool", "null-and-bool", "bool",
-            "nested-bool"])
+            "nested-bool", "huge-int"])
     @pytest.mark.parametrize("agent", [5, 99], ids=["app", "ignored"])
     def test_a_y_hat_that_is_not_numbers_names_its_line(self, tmp_path, y_hat, agent):
         with pytest.raises(ValueError, match=r"preds\.jsonl line 2: y_hat must be null or numbers"):
             _table(tmp_path, [(5, 1, [0.5] * 3), (agent, 1, y_hat)])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "preds.jsonl"
+        line = json.dumps({"agent_id": 5, "day": 1, "y_hat": [0.5] * 3})
+        path.write_text(f"\n{line}\n  \n\n")
+        table = ExternalPredictor(str(path), np.array([3, 5, 8]), 4, 3)
+        assert table.ok.tolist() == [[False] * 3, [False, True, False], [False] * 3, [False] * 3]
+        assert table.y_hat[1, 1].tolist() == [0.5] * 3
 
     def test_values_are_clipped_to_the_unit_interval(self, tmp_path):
         table = _table(tmp_path, [(3, 0, [-0.5, 0.25, 1.5]), (8, 3, [2.0, -1e-9, 1.0])])
