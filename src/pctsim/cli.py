@@ -161,21 +161,24 @@ def _pareto_worker(cfg: core.SimConfig) -> tuple[float, float]:
 
 @contextlib.contextmanager
 def _pool(jobs: int, n_runs: int):
-    """A pool of up to ``jobs`` processes for ``n_runs`` runs at once, or None for one.
+    """A ``map`` over a pool of up to ``jobs`` processes for ``n_runs`` runs, or ``map`` for one.
 
     Workers are spawned, not forked, so no thread state of the caller is copied.
     """
     if min(jobs, n_runs) <= 1:
-        yield None
+        yield map
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, n_runs),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            yield pool
+            yield pool.map
 
 
-def _map_runs(worker, cfg_points, pool):
-    """Iterate ``worker`` of each config, in order, in ``pool`` or in-process."""
-    return (map if pool is None else pool.map)(worker, cfg_points)
+def _distinct(name, values):
+    """``values`` in order, each repeat dropped with a warning."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            print(f"warning: duplicate {name} {value} ignored", file=sys.stderr)
+    return list(dict.fromkeys(values))
 
 
 def _fast(cfg: core.SimConfig) -> core.SimConfig:
@@ -206,19 +209,12 @@ def _sweep(args, field, values) -> int:
     points are the same run, and every point is validated before any runs.
     """
     cfg = _fast(_load_config(args))
-    axes = []
-    for name, given in ((field, values), ("seed", args.seeds), ("policy", args.policies)):
-        axis = []
-        for value in given:
-            if value in axis:
-                print(f"warning: duplicate {name} {value} ignored", file=sys.stderr)
-            else:
-                axis.append(value)
-        axes.append(axis)
+    axes = [_distinct(name, given)
+            for name, given in ((field, values), ("seed", args.seeds), ("policy", args.policies))]
     points = [cfg.replace(**{field: v}, rng_seed=sd, policy=pol).validate()
               for v in axes[0] for sd in axes[1] for pol in axes[2]]
-    with _pool(args.jobs, len(points)) as pool:
-        rows = list(_map_runs(_sweep_worker, points, pool))
+    with _pool(args.jobs, len(points)) as map_runs:
+        rows = list(map_runs(_sweep_worker, points))
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
@@ -245,8 +241,8 @@ def cmd_datagen(args) -> int:
         cfg = datagen.sample_dr_config(base, rng)
         cfgs.append(cfg.replace(rng_seed=int(rng.integers(0, 2**31))))
     runs, rows = [], []
-    with _pool(args.jobs, len(cfgs)) as pool:
-        results = _map_runs(functools.partial(_datagen_worker, out=out), cfgs, pool)
+    with _pool(args.jobs, len(cfgs)) as map_runs:
+        results = map_runs(functools.partial(_datagen_worker, out=out), cfgs)
         for i, (cfg, (fields, row)) in enumerate(zip(cfgs, results)):
             # a finished run's hash is its run id's, which names a replay by the file's content
             config_hash = metrics.config_hash(cfg.to_dict()) if row is None else row["config_hash"]
@@ -280,10 +276,10 @@ def cmd_datagen(args) -> int:
     return EXIT_OK if ok_ids else EXIT_RUNTIME
 
 
-def _nt_point(cfg: core.SimConfig, scale: float, seeds, pool) -> tuple[float, float]:
+def _nt_point(cfg: core.SimConfig, scale: float, seeds, map_runs) -> tuple[float, float]:
     """Mean (contacts, R) for the no-tracing baseline at one scale."""
     points = [cfg.replace(global_mobility_scale=scale, rng_seed=seed) for seed in seeds]
-    contacts, rs = zip(*_map_runs(_pareto_worker, points, pool))
+    contacts, rs = zip(*map_runs(_pareto_worker, points))
     finite = [r for r in rs if not math.isnan(r)]
     return float(np.mean(contacts)), float(np.mean(finite)) if finite else math.nan
 
@@ -336,15 +332,16 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
     a noisy-oracle run at the found scale. Each scale tried is printed.
 
     The per-seed runs of each scale go to one pool of up to ``jobs``
-    processes; the result does not depend on ``jobs``.
+    processes, a repeated seed runs once; the result does not depend on ``jobs``.
 
     Raises RuntimeError when the search cannot bracket the target, with
     the achieved contact range in the message.
     """
-    nt = _fast(cfg).replace(policy="no_tracing")
-    with _pool(jobs, len(seeds)) as pool:
+    seeds = _distinct("seed", seeds)
+    nt = _fast(cfg.validate()).replace(policy="no_tracing")
+    with _pool(jobs, len(seeds)) as map_runs:
         best_scale, best_contacts, best_r = _fit_scale(
-            lambda scale: _nt_point(nt, scale, seeds, pool), target_contacts, tolerance)
+            lambda scale: _nt_point(nt, scale, seeds, map_runs), target_contacts, tolerance)
 
     traffic_cfg = cfg.replace(policy="pct", predictor="noisy_oracle",
                               global_mobility_scale=best_scale,
@@ -359,7 +356,7 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
         "mean_r": best_r,
         "target_contacts": target_contacts,
         "tolerance": tolerance,
-        "seeds": list(seeds),
+        "seeds": seeds,
         "config_hash": metrics.config_hash({k: v for k, v in cfg.to_dict().items()
                                             if k not in _SET_BY_CALIBRATION}),
         "thresholds": [float(t) for t in thresholds],

@@ -85,20 +85,25 @@ def _number(name, value):
 
 
 def _fraction(name, value):
-    if not 0.0 <= _number(name, value) <= 1.0:
+    if not 0.0 <= (number := _number(name, value)) <= 1.0:
         raise ConfigError(f"{name}: must be in [0, 1], got {value!r}")
+    return number
 
 
-def _integer(name, value):
-    number = _number(name, value)
+def _integer(name, value, least=-np.inf):
+    """``value`` as an int of at least ``least``: an int exactly, a float only if integral."""
+    number = _number(name, value)  # an int too large for a float fails here
     if not number.is_integer():  # NaN and inf fail too
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    return int(number)
+    if number < least:
+        raise ConfigError(f"{name}: must be >= {least}, got {value}")
+    return int(value) if isinstance(value, (int, np.integer)) else int(number)
 
 
 def _non_negative(name, value):
-    if not 0.0 <= _number(name, value) < np.inf:  # NaN fails too
+    if not 0.0 <= (number := _number(name, value)) < np.inf:  # NaN fails too
         raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
+    return number
 
 
 def _numbers(name, values, entry):
@@ -149,34 +154,37 @@ class SimConfig:
         if self.risk_thresholds is not None:
             self.risk_thresholds = _numbers("risk_thresholds", self.risk_thresholds, _number)
 
+    def _keep(self, name, read, *bounds):
+        """Read field ``name`` with ``read``, store what it returns and return it."""
+        value = read(name, getattr(self, name), *bounds)
+        setattr(self, name, value)
+        return value
+
     def validate(self) -> "SimConfig":
-        if _integer("population_size", self.population_size) < 2:
-            raise ConfigError(f"population_size: must be >= 2, got {self.population_size}")
-        if _integer("num_days", self.num_days) < 0:
-            raise ConfigError(f"num_days: must be >= 0, got {self.num_days}")
+        """Check each field in turn, storing a number in its field's type: one model, one spelling."""
+        self._keep("population_size", _integer, 2)
+        self._keep("num_days", _integer, 0)
         for name in ("adoption_rate", "smartphone_rate", "initial_exposed_fraction",
                      "carefulness", "symptom_dropout", "symptom_dropin",
                      "quarantine_dropout_test", "quarantine_dropout_household",
                      "all_levels_dropout", "test_false_negative_rate",
                      "transmission_base_rate"):
-            _fraction(name, getattr(self, name))
+            self._keep(name, _fraction)
         if self.adoption_rate > self.smartphone_rate:
             raise ConfigError(
                 f"adoption_rate: {self.adoption_rate} exceeds smartphone_rate "
                 f"{self.smartphone_rate}; app users are a subset of smartphone owners")
-        _non_negative("global_mobility_scale", self.global_mobility_scale)
-        if _integer("test_delay_days", self.test_delay_days) < 0:
-            raise ConfigError(f"test_delay_days: must be >= 0, got {self.test_delay_days}")
-        if _integer("rng_seed", self.rng_seed) < 0:
-            raise ConfigError(f"rng_seed: must be >= 0, got {self.rng_seed}")
-        if not 1 <= _integer("d_max", self.d_max) <= 15:
+        self._keep("global_mobility_scale", _non_negative)
+        self._keep("test_delay_days", _integer, 0)
+        self._keep("rng_seed", _integer, 0)
+        if not 1 <= self._keep("d_max", _integer) <= 15:
             raise ConfigError(f"d_max: must be in 1..15 (a 4-bit day offset), got {self.d_max}")
         if self.policy not in POLICIES:
             raise ConfigError(f"policy: unknown value {self.policy!r}, expected one of {POLICIES}")
         if self.predictor not in PREDICTORS:
             raise ConfigError(f"predictor: unknown value {self.predictor!r}, expected one of {PREDICTORS}")
         for name in ("predictor_add_sigma", "predictor_mul_sigma"):
-            _non_negative(name, getattr(self, name))
+            self._keep(name, _non_negative)
         for name in ("record_observables", "record_estimates", "record_encounter_log"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name}: must be true or false, got {getattr(self, name)!r}")
@@ -184,7 +192,7 @@ class SimConfig:
             raise ConfigError(f"external_predictions: must be a path, got {self.external_predictions!r}")
         if self.predictor == "external" and self.policy == "pct" and not self.external_predictions:
             raise ConfigError("external_predictions: required when predictor is 'external'")
-        if not 0 <= _integer("bct_quarantine_level", self.bct_quarantine_level) <= 4:
+        if not 0 <= self._keep("bct_quarantine_level", _integer) <= 4:
             raise ConfigError(f"bct_quarantine_level: must be in 0..4, got {self.bct_quarantine_level}")
         if len(self.psi_table) != messaging.N_RISK_LEVELS:
             raise ConfigError(f"psi_table: needs {messaging.N_RISK_LEVELS} entries")
@@ -194,19 +202,15 @@ class SimConfig:
             cuts = np.asarray(self.risk_thresholds, dtype=np.float64)
             if cuts.shape != (messaging.N_RISK_LEVELS - 1,):
                 raise ConfigError(f"risk_thresholds: needs {messaging.N_RISK_LEVELS - 1} cut points")
-            if not np.all(np.diff(cuts) > 0):
-                raise ConfigError("risk_thresholds: cut points must be strictly increasing")
+            if not (np.isfinite(cuts).all() and np.all(np.diff(cuts) > 0)):
+                raise ConfigError("risk_thresholds: cut points must be finite and strictly increasing")
         return self
 
     def replace(self, **kwargs) -> "SimConfig":
         return dataclasses.replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["psi_table"] = list(self.psi_table)
-        if self.risk_thresholds is not None:
-            out["risk_thresholds"] = list(self.risk_thresholds)
-        return out
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_mapping(cls, mapping) -> "SimConfig":
@@ -303,10 +307,10 @@ class WorldState:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
-        self.population = int(cfg.population_size)
-        self.window = int(cfg.d_max) + 1
+        self.population = cfg.population_size
+        self.window = cfg.d_max + 1
         self.day = 0
-        seq = np.random.SeedSequence(int(cfg.rng_seed))
+        seq = np.random.SeedSequence(cfg.rng_seed)
         self.rng = {name: np.random.default_rng(child)
                     for name, child in zip(_RNG_STREAMS, seq.spawn(len(_RNG_STREAMS)))}
         # estimates() replays the noisy oracle's draws from here
@@ -446,7 +450,7 @@ class WorldState:
 
     @property
     def num_days(self) -> int:
-        return int(self.cfg.num_days)
+        return self.cfg.num_days
 
     @property
     def config(self) -> dict:
@@ -596,19 +600,17 @@ class WorldState:
         ``count`` is the day's encounters. The rows are those a later phase
         reads, in drawing order: an infectious party's, for transmission, and
         while the app layer is active two app agents', for registration. The
-        encounter log keeps every row.
+        encounter log keeps these rows, not every row drawn.
         """
-        read = None
-        if self.encounter_log is None:
-            read = 2 * (self.epi_state == STATE_I).astype(np.int8)
-            if self.app_active:
-                read |= self.has_app
-        a, b, loc, count = mobility.generate_encounters(
+        read = 2 * (self.epi_state == STATE_I).astype(np.int8)
+        if self.app_active:
+            read |= self.has_app
+        encounters = mobility.generate_encounters(
             self.loc_indexes, self.rec_level, self.cfg.global_mobility_scale,
             self.rng["mobility"], read)
         if self.encounter_log is not None:
-            self.encounter_log.append((a.copy(), b.copy(), loc.copy()))
-        return a, b, loc, count
+            self.encounter_log.append(encounters[:3])
+        return encounters
 
     def _register_app_contacts(self, a, b, day):
         """Today's app-pair encounters, counted once per pair and mirrored, replace the oldest day.

@@ -609,6 +609,25 @@ class TestCalibrateCommand:
         assert len(result["thresholds"]) == 15
         assert result["thresholds"] == sorted(result["thresholds"])
 
+    def test_a_spelling_of_a_number_does_not_change_the_hash(self):
+        hashes = {cli.calibrate(core.SimConfig(population_size=size, num_days=8), 1.0, [0],
+                                0.5)["config_hash"] for size in (200, 200.0)}
+        assert len(hashes) == 1
+
+    def test_a_repeated_seed_runs_once(self, monkeypatch, capsys):
+        cfg = core.SimConfig(population_size=200, num_days=8, rng_seed=0)
+        run, calls = core.run, []
+        monkeypatch.setattr(core, "run", lambda c: calls.append(
+            (c.policy, c.global_mobility_scale, c.rng_seed)) or run(c))
+        results = {}
+        for seeds in ([0], [0, 0]):
+            calls.clear()
+            result = cli.calibrate(cfg, 1.0, seeds, 0.5)
+            results[len(seeds)] = json.dumps(result, sort_keys=True), list(calls)
+        assert results[2] == results[1]
+        assert json.loads(results[2][0])["seeds"] == [0]
+        assert capsys.readouterr().err.count("warning: duplicate seed 0 ignored") == 1
+
     @pytest.mark.parametrize("flag", ["--target-contacts", "--tolerance"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "x"])
     def test_target_and_tolerance_must_be_finite_and_positive(self, cfg_path, tmp_path,

@@ -13,7 +13,7 @@ from conftest import health, recorded_days, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pctsim import core, messaging, virology
+from pctsim import core, messaging, mobility, virology
 from pctsim.core import (
     EVENT_LOCATIONS,
     ConfigError,
@@ -86,6 +86,11 @@ class TestConfigValidation:
         pytest.param("carefulness", 10**400, id="carefulness-huge"),
         pytest.param("psi_table", (10**400,) + (1,) * 15, id="psi_table-huge"),
         pytest.param("risk_thresholds", (0.1,) * 14 + (10**400,), id="risk_thresholds-huge"),
+        # increasing cut points with an infinite end
+        pytest.param("risk_thresholds", tuple(k / 16 for k in range(1, 15)) + (float("inf"),),
+                     id="risk_thresholds-inf"),
+        pytest.param("risk_thresholds", (float("-inf"),) + tuple(k / 16 for k in range(2, 16)),
+                     id="risk_thresholds--inf"),
     ])
     def test_errors_name_the_field(self, field, value):
         with pytest.raises(ConfigError) as err:
@@ -417,13 +422,36 @@ class TestDeterminism:
                            tmp_path / "b" / "events.jsonl", shallow=False)
 
     @pytest.mark.parametrize("policy", core.POLICIES)
-    def test_the_encounter_log_changes_no_report_or_event(self, policy):
-        # without the log the encounter phase returns only the rows a later phase reads
+    def test_the_encounter_filter_changes_no_report_or_event(self, policy, monkeypatch):
+        # the encounter phase returns only the rows a later phase reads; every row gives the same run
         cfg = _small(policy=policy, initial_exposed_fraction=0.05)
-        logged, unlogged = run(cfg.replace(record_encounter_log=True)), run(cfg)
-        assert logged.day_reports == unlogged.day_reports
-        assert np.array_equal(logged.events, unlogged.events)
-        assert unlogged.events.shape[0] > 15  # more than the seeds were infected
+        filtered = run(cfg)
+        generate = mobility.generate_encounters
+        monkeypatch.setattr(mobility, "generate_encounters",
+                            lambda *args: generate(*args[:4], read=None))
+        unfiltered = run(cfg)
+        assert filtered.day_reports == unfiltered.day_reports
+        assert np.array_equal(filtered.events, unfiltered.events)
+        assert filtered.events.shape[0] > 15  # more than the seeds were infected
+
+    @pytest.mark.parametrize("field,spelled,stored", [
+        ("global_mobility_scale", 4, 4.0),
+        ("population_size", 50.0, 50),
+    ])
+    def test_one_model_has_one_name(self, field, spelled, stored, tmp_path):
+        # a number is stored in its field's type, so either spelling runs and names one model
+        names, types = [], set()
+        for value in (spelled, stored):
+            world = run(_small(**{"population_size": 50, "num_days": 5, field: value}))
+            world.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+            names.append((world.run_id, (tmp_path / "trace.jsonl").read_bytes()))
+            types.add(type(getattr(world.cfg, field)))
+        assert names[0] == names[1]
+        assert types == {type(stored)}
+
+    def test_a_seed_is_kept_exactly(self):
+        cfg = SimConfig(rng_seed=2**60 + 1).validate()
+        assert type(cfg.rng_seed) is int and cfg.rng_seed == 2**60 + 1
 
     def test_run_ids_differ_by_seed_only_in_suffix(self):
         a = run(_small(num_days=0, rng_seed=1))
