@@ -24,11 +24,18 @@ base = SimConfig(population_size=2000, num_days=50,
                  record_observables=False, record_estimates=False)
 
 # quick threshold calibration from one noisy-oracle run, see the
-# calibrate command for the full procedure
-traffic = run(base.replace(policy="pct", predictor="noisy_oracle",
-                           record_estimates=True))
-samples = np.concatenate([y[y > 0] for y in traffic.estimates()])
-thresholds = tuple(calibrate_thresholds(samples.astype(float)))
+# calibrate command for the full procedure: an observer keeps each day's
+# positive estimates, as float32, as the run hands them over
+samples = []
+
+
+def keep_positives(world, report, estimates):
+    y = estimates.astype(np.float32)
+    samples.append(y[y > 0])
+
+
+run(base.replace(policy="pct", predictor="noisy_oracle"), observers=(keep_positives,))
+thresholds = tuple(calibrate_thresholds(np.concatenate(samples).astype(float)))
 
 print(f"{'policy':<12} {'contacts':>9} {'R':>7} {'cases':>6} {'false_q':>8}")
 for policy in ("no_tracing", "bct", "heuristic", "pct"):

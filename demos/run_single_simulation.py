@@ -2,8 +2,10 @@
 
 The shipped default config: a calibrated mobility scale, proactive
 tracing with the noisy oracle predictor, and fitted risk thresholds. The
-trace object keeps full per-agent histories, so anything the engine saw
-can be recomputed afterwards.
+finished world keeps each agent's disease course, state and app-layer
+health codes, and a report per day; the metrics below read them. What a
+day computed and dropped, such as the estimates, an observer passed to
+``run`` sees as each day ends.
 """
 
 from pathlib import Path

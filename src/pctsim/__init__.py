@@ -6,11 +6,11 @@ messages and local observations onto graded quarantine recommendations.
 
 The package namespace holds the engine entry points. ``run`` steps a
 ``WorldState`` through its days and returns it: the finished world is the
-run's one record, which its ``write``, ``metrics`` and ``datagen`` read.
-Everything else is
-imported from its submodule: ``messaging`` (quantization and the wire
-codec), ``tracing`` (policies and predictors), ``virology``, ``mobility``,
-``metrics``, ``datagen`` and ``cli``.
+run's one record, which ``metrics`` and ``datagen`` read, and observers
+passed to ``run`` see each day end, as ``core.write_run``'s trace writer
+does. Everything else is imported from its submodule: ``messaging``
+(quantization and the wire codec), ``tracing`` (policies and predictors),
+``virology``, ``mobility``, ``metrics``, ``datagen`` and ``cli``.
 """
 
 from .core import (

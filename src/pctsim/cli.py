@@ -191,8 +191,7 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    world = core.run(cfg)
-    world.write(out / "trace.jsonl", out / "events.jsonl")
+    world = core.write_run(cfg, out / "trace.jsonl", out / "events.jsonl")
     row = metrics.metrics_row(world, cfg.rng_seed)
     metrics.write_metrics_csv(out / "metrics.csv", [row])
     print(f"run {world.run_id}: {len(world.events)} cases, "
@@ -343,13 +342,14 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
         best_scale, best_contacts, best_r = _fit_scale(
             lambda scale: _nt_point(nt, scale, seeds, map_runs), target_contacts, tolerance)
 
-    traffic_cfg = cfg.replace(policy="pct", predictor="noisy_oracle",
-                              global_mobility_scale=best_scale,
-                              rng_seed=seeds[0], record_observables=False,
-                              record_estimates=True, record_encounter_log=False)
-    world = core.run(traffic_cfg)
-    samples = np.concatenate([y[y > 0] for y in world.estimates()])
-    thresholds = messaging.calibrate_thresholds(samples.astype(np.float64))
+    samples = [np.zeros(0)]
+    def collect(world, report, estimates):  # each day's positive estimates, as float32
+        if estimates is not None:
+            y = estimates.astype(np.float32)
+            samples.append(y[y > 0])
+    core.run(nt.replace(policy="pct", predictor="noisy_oracle", global_mobility_scale=best_scale,
+                        rng_seed=seeds[0]), (collect,))
+    thresholds = messaging.calibrate_thresholds(np.concatenate(samples))
     return {
         "mobility_scale": best_scale,
         "achieved_contacts": best_contacts,

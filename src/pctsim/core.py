@@ -19,7 +19,7 @@ import yaml
 
 from . import messaging, mobility, tracing, virology
 from .metrics import (EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, canonical_json,
-                      config_hash)
+                      config_hash, replacing)
 from .observations import ObservationLog
 from .virology import TEST_NEGATIVE, TEST_NONE, TEST_PENDING, TEST_POSITIVE
 
@@ -300,8 +300,8 @@ class WorldState:
     ``ObservationLog``: each day's app edges once, plus that day's held levels over app
     senders. ``enc_windows[d]`` cuts day d's ``(offsets, levels, counts)`` cells from it:
     the (level, count) rows that app agent ``app_ids[i]`` holds for its contacts of ``k``
-    days before d are cell ``i * window + k``. The estimates are not stored;
-    ``estimates()`` recomputes them.
+    days before d are cell ``i * window + k``. The estimates are not stored: each day's
+    go to the observers that ``step_day`` is given, as the trace writer of ``write_run``.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -313,8 +313,6 @@ class WorldState:
         seq = np.random.SeedSequence(cfg.rng_seed)
         self.rng = {name: np.random.default_rng(child)
                     for name, child in zip(_RNG_STREAMS, seq.spawn(len(_RNG_STREAMS)))}
-        # estimates() replays the noisy oracle's draws from here
-        self.predictor_state = self.rng["predictor"].bit_generator.state
         # fitted cut points are for the pct predictor; the heuristic's
         # 0.25-step scores stay on the uniform grid
         fitted = cfg.policy == "pct" and cfg.risk_thresholds is not None
@@ -432,14 +430,10 @@ class WorldState:
                                   f"{exc.strerror or exc}") from None
 
     def _init_trace_buffers(self):
-        days = self.num_days
-        self.health_hist = np.zeros((self.app_ids.size, days), dtype=np.uint8, order="F")
+        self.health_hist = np.zeros((self.app_ids.size, self.num_days), dtype=np.uint8, order="F")
         self.day_reports: list[DayReport] = []
         self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
                             if self.cfg.record_observables and self.app_active else None)
-        self.heuristic_score = (np.zeros((days, self.app_ids.size), dtype=np.float32).T
-                                if self.cfg.record_estimates and self.cfg.policy == "heuristic"
-                                else None)
         self.encounter_log = [] if self.cfg.record_encounter_log else None
         counts = np.bincount(self.epi_state, minlength=4)
         self.initial_counts = {"s": int(counts[STATE_S]), "e": int(counts[STATE_E]),
@@ -472,59 +466,9 @@ class WorldState:
         i = self.infection_order[:self.n_infected]
         return np.column_stack((self.exposure_day[i], self.infector[i], i, self.infection_loc[i]))
 
-    @property
-    def _records_estimates(self) -> bool:
-        """Whether the run records estimates: pct or the heuristic, recording on, days > 0."""
-        cfg = self.cfg
-        return cfg.record_estimates and cfg.policy in ("pct", "heuristic") and self.num_days > 0
-
-    def estimates(self):
-        """Each day's ``(n_app, window)`` float32 estimates, in day order; none unless recorded.
-
-        Row i is ``app_ids[i]``'s, recomputed by the code the engine ran. For pct that is
-        ``predict`` from the same inputs: the disease courses, the ``"predictor"`` stream
-        from ``predictor_state``, its state before the run's first draw, or ``external``,
-        the run's replayed predictions. For the heuristic it is the day's score,
-        ``heuristic_score[:, d]`` (``(n_app, num_days)`` float32), on every slot.
-        """
-        if not self._records_estimates:
-            return
-        if self.cfg.policy == "heuristic":
-            for day in range(self.num_days):
-                yield np.broadcast_to(self.heuristic_score[:, day, None],
-                                      (self.app_ids.size, self.window))
-            return
-        rng = np.random.Generator(np.random.PCG64())
-        rng.bit_generator.state = self.predictor_state
-        for day in range(self.num_days):
-            yield predict(self, day, rng).astype(np.float32)
-
     def recovered_ids(self):
         """Sorted ids of the agents recovered by the end of the last day stepped."""
         return np.flatnonzero(self.epi_state == STATE_R)
-
-    def write(self, trace_path, events_path):
-        """Persist the run as day-record JSONL plus an event JSONL."""
-        header = {"kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": self.run_id,
-                  "population": self.population, "num_days": self.num_days,
-                  "initial_counts": self.initial_counts, "config": self.config}
-        agents = self.app_ids.astype(str).tolist() if self._records_estimates else None
-        estimates = self.estimates()
-        with open(trace_path, "w") as fh:
-            fh.write(canonical_json(header) + "\n")
-            for report in self.day_reports:
-                rec = {"kind": "day", **dataclasses.asdict(report)}
-                if agents is not None:
-                    # round(float(v), 6) bit for bit: float32 * 1e6 is exact in float64, rint
-                    # ties to even; one day at a time, as the whole history would be 54 MB at 30k
-                    y_hat = next(estimates).astype(np.float64)
-                    rec["y_hat"] = dict(zip(agents, (np.rint(y_hat * 1e6) / 1e6).tolist()))
-                fh.write(canonical_json(rec) + "\n")
-        with open(events_path, "w") as fh:
-            # canonical_json of each row, formatted by hand; location names need no escaping
-            fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
-                          % (day, infectee, infector, EVENT_LOCATIONS[loc])
-                          for day, infector, infectee, loc in self.events.tolist())
 
     # ------------------------------------------------------------------
     # helpers
@@ -695,8 +639,8 @@ class WorldState:
 
     def _phase_app_pass(self, day, a, b, positives):
         """Register today's app contacts among encounters ``a``-``b``, run the active policy
-        and send today's messages; return their count and a new n-array of the policy's
-        levels, 1 outside the app agents of pct and the heuristic.
+        and send today's messages; return their count, a new n-array of the policy's levels,
+        1 outside the app agents of pct and the heuristic, and the estimates (see ``step_day``).
 
         Messages take one day: what is sent on day d is read from the day
         d + 1 pass on, so the observation log and today's observables, both
@@ -707,26 +651,25 @@ class WorldState:
         policy = self.cfg.policy
         levels = np.ones(self.population, dtype=np.int8)
         if not self.app_active:
-            return 0, levels
+            return 0, levels, None
         self._register_app_contacts(a, b, day)
         if self.enc_windows is not None:
             self._snapshot_enc_windows(day)
         if policy == "bct":
-            return self._app_pass_bct(day, positives), levels
+            return self._app_pass_bct(day, positives), levels, None
         if policy == "pct":
-            qlev = messaging.quantize_risk(predict(self, day, self.rng["predictor"]),
-                                           self.thresholds)
+            estimates = predict(self, day)
+            qlev = messaging.quantize_risk(estimates, self.thresholds)
             app_levels = self.psi[qlev[:, 0]]
             if self.external is not None:
                 app_levels[~self.external.ok[day]] = 1  # a failed prediction recommends the baseline
         else:  # the heuristic, whose score is the same on every day of the window
             score, app_levels = tracing.policy_heuristic(*self.observables_for(day))
-            if self.heuristic_score is not None:
-                self.heuristic_score[:, day] = score
+            estimates = np.broadcast_to(score[:, None], (score.size, self.window))
             qlev = np.broadcast_to(messaging.quantize_risk(score, self.thresholds)[:, None],
-                                   (score.size, self.window))
+                                   estimates.shape)
         levels[self.app_ids] = app_levels
-        return self._publish(day, qlev), levels
+        return self._publish(day, qlev), levels, estimates
 
     def _app_pass_bct(self, day, positives):
         """Quarantine yesterday's flagged agents, then flag today's positives' contacts.
@@ -816,9 +759,14 @@ def init_world(config: SimConfig) -> WorldState:
     return WorldState(config)
 
 
-def step_day(world: WorldState) -> DayReport:
+def step_day(world: WorldState, observers=()) -> DayReport:
     """Advance the world by one day, passing y, the encounters, the positives and the
-    policy levels from phase to phase, and return the day's counters."""
+    policy levels from phase to phase, and return the day's counters.
+
+    Once the report is appended, each observer is called as ``observer(world, report, estimates)``
+    with the (n_app, window) float64 estimates the app pass quantized: pct's ``predict``, the
+    heuristic's score on every slot (a read-only view), None under bct, no_tracing or no app agents.
+    """
     cfg = world.cfg
     day = world.day
     if day >= cfg.num_days:
@@ -828,7 +776,7 @@ def step_day(world: WorldState) -> DayReport:
     a, b, loc, encounters = world._phase_encounters()
     new_cases = world._phase_transmission(day, y, a, b, loc)
     tests_ordered, positives = world._phase_testing(day, y)
-    messages, levels = world._phase_app_pass(day, a, b, positives)
+    messages, levels, estimates = world._phase_app_pass(day, a, b, positives)
     world._phase_levels(day, levels)
 
     counts = np.bincount(world.epi_state, minlength=4)
@@ -848,14 +796,61 @@ def step_day(world: WorldState) -> DayReport:
     )
     world.day_reports.append(report)
     world.day += 1
+    for observer in observers:
+        observer(world, report, estimates)
     return report
 
 
-def run(config: SimConfig) -> WorldState:
-    """Run a full simulation and return the finished world."""
+def run(config: SimConfig, observers=()) -> WorldState:
+    """Run a full simulation, passing ``observers`` to each ``step_day``; return the finished world."""
     world = init_world(config)
     for _ in range(world.num_days):
-        step_day(world)
+        step_day(world, observers)
+    return world
+
+
+class _TraceWriter:
+    """``write_run``'s observer: the trace's header on day 0, then each day's line as it ends."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def header(self, world):
+        """Write the run's id, size, initial counts and config, and keep ``"y_hat"``'s keys, the
+        app agents' ids, once a run; None on a run that writes no estimates."""
+        recorded = world.cfg.record_estimates and world.cfg.policy in ("pct", "heuristic")
+        self.keys = world.app_ids.astype(str).tolist() if recorded else None
+        self.fh.write(canonical_json({
+            "kind": "header", "schema_version": TRACE_SCHEMA_VERSION, "run_id": world.run_id,
+            "population": world.population, "num_days": world.num_days,
+            "initial_counts": world.initial_counts, "config": world.config}) + "\n")
+
+    def __call__(self, world, report, estimates):
+        """Write the report and, under the keys, each app agent's estimates (``{}`` for none) as
+        float32 rounded as ``round(float(v), 6)``: float32 * 1e6 is exact, rint ties to even."""
+        if report.day == 0:
+            self.header(world)
+        rec = {"kind": "day", **dataclasses.asdict(report)}
+        if self.keys is not None:
+            y_hat = np.asarray(() if estimates is None else estimates, np.float32).astype(np.float64)
+            rec["y_hat"] = dict(zip(self.keys, (np.rint(y_hat * 1e6) / 1e6).tolist()))
+        self.fh.write(canonical_json(rec) + "\n")
+
+
+def write_run(config: SimConfig, trace_path, events_path) -> WorldState:
+    """Run ``config``, writing its trace (a header, then a line as each day ends) and its events
+    through ``metrics.replacing``, so a failed run leaves both paths as they were; return the world."""
+    with replacing(trace_path, events_path) as (trace_part, events_part):
+        with open(trace_part, "w") as fh:
+            writer = _TraceWriter(fh)
+            world = run(config, (writer,))
+            if not world.num_days:  # no day wrote the header
+                writer.header(world)
+        with open(events_part, "w") as fh:
+            # canonical_json of each row, formatted by hand; location names need no escaping
+            fh.writelines('{"day":%d,"infectee":%d,"infector":%d,"location":"%s"}\n'
+                          % (day, infectee, infector, EVENT_LOCATIONS[loc])
+                          for day, infector, infectee, loc in world.events.tolist())
     return world
 
 
@@ -909,14 +904,12 @@ def _normal(rng, sigma, shape):
     return z
 
 
-def predict(world, day, rng) -> np.ndarray:
+def predict(world, day) -> np.ndarray:
     """pct's (n_app, window) estimates on ``day``, newest-first.
 
     The oracle is the app agents' ``ground_truth`` over the window; the noisy oracle scales
     it by ``1 + N(0, mul_sigma)``, adds ``N(0, add_sigma)`` and clips to [0, 1], drawing
-    both from ``rng``, the ``"predictor"`` stream as the day found it; the external
-    predictor replays ``world.external``. An agent exposed after ``day`` reads 0, so a
-    world stepped past ``day`` gives what it gave on that day.
+    both from the world's ``"predictor"`` stream; the external predictor replays ``world.external``.
     """
     cfg = world.cfg
     if cfg.predictor == "external":
@@ -929,10 +922,10 @@ def predict(world, day, rng) -> np.ndarray:
     live = np.flatnonzero(days[-1] + 0.5 - world.exposure_day[app] < world.recovery[app])
     y[live, :days.size] = ground_truth(world, app[live], days)
     if cfg.predictor == "noisy_oracle":
-        y_hat = _normal(rng, cfg.predictor_mul_sigma, y.shape)
+        y_hat = _normal(world.rng["predictor"], cfg.predictor_mul_sigma, y.shape)
         y_hat += 1.0
         y_hat *= y
-        y_hat += _normal(rng, cfg.predictor_add_sigma, y.shape)
+        y_hat += _normal(world.rng["predictor"], cfg.predictor_add_sigma, y.shape)
         y = np.clip(y_hat, 0.0, 1.0, out=y_hat)
     return y
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import gc
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 
 from . import core
 from .core import SimConfig
-from .metrics import canonical_json
+from .metrics import canonical_json, replacing
 from .virology import SYMPTOM_NAMES, TEST_CODE_NAMES, symptom_names_from_mask
 
 RECORD_SCHEMA_VERSION = 1
@@ -192,31 +190,21 @@ def iter_training_records(world):
 def export_training_records(world, path) -> int:
     """Stream training records for one run to a JSONL file.
 
-    Each line is the record as canonical JSON (sorted keys, no spaces),
-    rendered by one pass over the days, and is the same as
-    ``metrics.canonical_json(record)``. The lines go to a ``.partial``
-    sibling that replaces ``path`` only once every record is written; on
-    any error it is removed and ``path`` is left as it was. Raises
-    ValueError for a run without a full observation record or with a
-    non-finite target. Returns the record count, which always equals app
-    agents x days: 0, and an empty file, for a recorded run without app
-    agents.
+    Each line is the record as canonical JSON (sorted keys, no spaces), rendered by one
+    pass over the days, and is the same as ``metrics.canonical_json(record)``. The file is
+    written through ``metrics.replacing``: on any error ``path`` is left as it was. Raises
+    ValueError for a run without a full observation record or with a non-finite target.
+    Returns the record count, which always equals app agents x days: 0, and an empty
+    file, for a recorded run without app agents.
     """
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
     n = 0
-    try:
-        with open(partial, "w") as fh:
-            for records, text in _render_days(world):
-                fh.write(text)
-                n += records
+    with replacing(path) as (partial,), open(partial, "w") as fh:
+        for records, text in _render_days(world):
+            fh.write(text)
+            n += records
         expected = world.app_ids.size * world.num_days
         if n != expected:
             raise RuntimeError(f"exported {n} records, expected {expected}")
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, path)
     return n
 
 

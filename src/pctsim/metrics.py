@@ -8,10 +8,13 @@ window. Seed infections have no parent and are excluded on both sides.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -145,6 +148,21 @@ def metrics_row(world, seed: int) -> dict:
         "false_quarantine": f"{false_quarantine_fraction(world):.6f}",
         "status": "ok",
     }
+
+
+@contextlib.contextmanager
+def replacing(*paths):
+    """Yield a ``.partial`` sibling of each path to write, and move each onto its path once the
+    block ends; on any error remove them, leaving the paths as they were."""
+    partials = [Path(f"{path}.partial") for path in paths]
+    try:
+        yield partials
+    except BaseException:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+        raise
+    for partial, path in zip(partials, paths):
+        os.replace(partial, path)
 
 
 def write_metrics_csv(path, rows):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pctsim import cli, core, metrics, mobility, tracing
+from pctsim import cli, core, metrics, mobility
 from pctsim.metrics import EXTERNAL_SEED
 from pctsim.virology import TEST_CODE_NAMES
 
@@ -88,20 +88,19 @@ def recorded_days():
 
     Yields a namespace of three lists: ``y``, the n-array ``_phase_progression``
     returns; ``levels``, a copy of the policy levels ``_phase_levels`` receives,
-    before its escalations and dropouts; ``estimates``, the ``(n_app, window)``
-    estimates of pct and the heuristic, as ``core.predict`` returns them to a world
-    or as ``tracing.policy_heuristic``'s score on every slot. A context manager
-    rather than a fixture, so that each ``@given`` example gets its own record.
-    Tests import it as ``from conftest import recorded_days``.
+    before its escalations and dropouts; ``estimates``, a copy of the ``(n_app,
+    window)`` estimates that ``core.step_day`` hands its observers, on each day it
+    hands some (pct and the heuristic, with app agents). The estimates come from an
+    observer that a patch of ``core.step_day`` adds, so step the days with ``run`` or
+    ``core.step_day``, not a ``step_day`` imported before the block. A context
+    manager rather than a fixture, so that each ``@given`` example gets its own
+    record. Tests import it as ``from conftest import recorded_days``.
     """
     record = SimpleNamespace(y=[], levels=[], estimates=[])
-    world_cls, predict, heuristic = core.WorldState, core.predict, tracing.policy_heuristic
+    world_cls, step = core.WorldState, core.step_day
     progression, phase_levels = world_cls._phase_progression, world_cls._phase_levels
-    window = None  # the stepped world's, which the heuristic's score does not carry
 
     def progress(world, day):
-        nonlocal window
-        window = world.window
         record.y.append(progression(world, day))
         return record.y[-1]
 
@@ -109,21 +108,16 @@ def recorded_days():
         record.levels.append(policy_levels.copy())
         return phase_levels(world, day, policy_levels)
 
-    def predicting(world, day, rng):
-        y_hat = predict(world, day, rng)
-        if rng is world.rng["predictor"]:  # the engine's call, not estimates()' replay
-            record.estimates.append(np.array(y_hat))
-        return y_hat
+    def collect(world, report, estimates):
+        if estimates is not None:
+            record.estimates.append(np.array(estimates))
 
-    def scoring(*evidence):
-        score, level = heuristic(*evidence)
-        record.estimates.append(np.repeat(score[:, None], window, axis=1))
-        return score, level
+    def stepping(world, observers=()):
+        return step(world, (*observers, collect))
 
     with (mock.patch.object(world_cls, "_phase_progression", progress),
           mock.patch.object(world_cls, "_phase_levels", levels),
-          mock.patch.object(core, "predict", predicting),
-          mock.patch.object(tracing, "policy_heuristic", scoring)):
+          mock.patch.object(core, "step_day", stepping)):
         yield record
 
 

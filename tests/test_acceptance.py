@@ -113,11 +113,11 @@ def test_criterion_1_exact_oracles(tmp_path):
     cfg = SimConfig(population_size=300, num_days=15, rng_seed=5,
                     policy="pct", predictor="oracle",
                     global_mobility_scale=3.7, initial_exposed_fraction=0.02)
-    trace = run(cfg)
+    estimates = []  # each day's, as the engine handed them to its observers, float32
+    trace = run(cfg, (lambda world, report, y_hat: estimates.append(y_hat.astype(np.float32)),))
     path = tmp_path / "records.jsonl"
     datagen.export_training_records(trace, path)
     records = datagen.read_records(path)
-    estimates = list(trace.estimates())
     predictions = [{"run_id": trace.run_id, "agent_id": agent, "day": day,
                     "y_hat": estimates[day][i].tolist()}
                    for i, agent in enumerate(trace.app_ids.tolist())

@@ -323,6 +323,25 @@ class TestRunCommand:
             assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
         assert "contacts" in capsys.readouterr().out
 
+    def test_a_failed_run_leaves_the_outputs_as_they_were(self, cfg_path, tmp_path, monkeypatch,
+                                                          capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        step = core.step_day
+
+        def failing(world, observers=()):
+            if world.day == 2:  # after two day lines were written
+                raise RuntimeError("day 2 failed")
+            return step(world, observers)
+
+        monkeypatch.setattr(core, "step_day", failing)
+        assert cli.main(["run", "--config", cfg_path, "--seed", "5",
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert "RuntimeError: day 2 failed" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert sorted(before) == ["events.jsonl", "metrics.csv", "trace.jsonl"]
+
     @pytest.mark.parametrize("command,extra,written,n_records", [
         ("run", [], ["events.jsonl", "metrics.csv", "trace.jsonl"], 0),
         ("datagen", ["--n-runs", "1", "--jobs", "1"],
@@ -617,8 +636,8 @@ class TestCalibrateCommand:
     def test_a_repeated_seed_runs_once(self, monkeypatch, capsys):
         cfg = core.SimConfig(population_size=200, num_days=8, rng_seed=0)
         run, calls = core.run, []
-        monkeypatch.setattr(core, "run", lambda c: calls.append(
-            (c.policy, c.global_mobility_scale, c.rng_seed)) or run(c))
+        monkeypatch.setattr(core, "run", lambda c, *observers: calls.append(
+            (c.policy, c.global_mobility_scale, c.rng_seed)) or run(c, *observers))
         results = {}
         for seeds in ([0], [0, 0]):
             calls.clear()

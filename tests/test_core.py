@@ -2,6 +2,7 @@
 
 import dataclasses
 import filecmp
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,6 +23,7 @@ from pctsim.core import (
     load_config,
     run,
     step_day,
+    write_run,
 )
 from pctsim.datagen import export_training_records
 from pctsim.metrics import (
@@ -415,7 +417,7 @@ class TestDeterminism:
         for name in ("a", "b"):
             d = tmp_path / name
             d.mkdir()
-            run(cfg).write(d / "trace.jsonl", d / "events.jsonl")
+            write_run(cfg, d / "trace.jsonl", d / "events.jsonl")
         assert filecmp.cmp(tmp_path / "a" / "trace.jsonl",
                            tmp_path / "b" / "trace.jsonl", shallow=False)
         assert filecmp.cmp(tmp_path / "a" / "events.jsonl",
@@ -442,8 +444,8 @@ class TestDeterminism:
         # a number is stored in its field's type, so either spelling runs and names one model
         names, types = [], set()
         for value in (spelled, stored):
-            world = run(_small(**{"population_size": 50, "num_days": 5, field: value}))
-            world.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+            world = write_run(_small(**{"population_size": 50, "num_days": 5, field: value}),
+                              tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
             names.append((world.run_id, (tmp_path / "trace.jsonl").read_bytes()))
             types.add(type(getattr(world.cfg, field)))
         assert names[0] == names[1]
@@ -481,9 +483,10 @@ class TestEdgesAndStepping:
 
 
 class TestFinishedWorld:
-    def test_run_builds_one_world_and_steps_it_to_the_end(self, monkeypatch):
+    @pytest.mark.parametrize("writes", [False, True], ids=["run", "write_run"])
+    def test_run_builds_one_world_and_steps_it_to_the_end(self, monkeypatch, tmp_path, writes):
         # the benchmark's setup_s times the one init_world call of a run, through the
-        # module global
+        # module global; `pctsim run` writes the trace as the days end
         built, init = [], core.init_world
 
         def counting(cfg):
@@ -492,7 +495,8 @@ class TestFinishedWorld:
 
         monkeypatch.setattr(core, "init_world", counting)
         cfg = _small(num_days=5)
-        world = run(cfg)
+        world = (write_run(cfg, tmp_path / "trace.jsonl", tmp_path / "events.jsonl") if writes
+                 else run(cfg))
         assert len(built) == 1 and built[0] is cfg
         assert world.day == world.num_days == len(world.day_reports) == 5
 
@@ -509,19 +513,20 @@ class TestFinishedWorld:
             assert recovered.size > 0
 
     def test_a_world_stepped_by_hand_writes_what_run_writes(self, tmp_path):
+        # the trace writer observing a world stepped by hand
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6)
-        world = init_world(cfg)
+        world, trace = init_world(cfg), io.StringIO()
+        writer = core._TraceWriter(trace)
         for _ in range(6):
-            step_day(world)
-        world.write(tmp_path / "hand.jsonl", tmp_path / "hand_events.jsonl")
-        run(cfg).write(tmp_path / "run.jsonl", tmp_path / "run_events.jsonl")
-        for hand, ran in (("hand.jsonl", "run.jsonl"), ("hand_events.jsonl", "run_events.jsonl")):
-            assert filecmp.cmp(tmp_path / hand, tmp_path / ran, shallow=False)
+            step_day(world, (writer,))
+        ran = write_run(cfg, tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        assert (tmp_path / "trace.jsonl").read_text() == trace.getvalue()
+        assert np.array_equal(ran.events, world.events) and ran.day_reports == world.day_reports
 
     def test_every_event_line_is_the_canonical_json_of_its_row(self, tmp_path):
         # the writer formats the event lines by hand; they must be what the encoder writes
-        world = run(_small(policy="pct", predictor="noisy_oracle", initial_exposed_fraction=0.05))
-        world.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        world = write_run(_small(policy="pct", predictor="noisy_oracle", initial_exposed_fraction=0.05),
+                          tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
         rows = [{"day": day, "infector": infector, "infectee": infectee,
                  "location": EVENT_LOCATIONS[loc]}
                 for day, infector, infectee, loc in world.events.tolist()]
@@ -555,10 +560,11 @@ class TestLevelsAndEstimates:
                 assert level_hist[agent, day + 1] == 4
 
     def test_estimates_recorded_for_pct(self, tmp_path):
-        tr = run(_small(policy="pct", predictor="oracle", num_days=10))
-        yhat_hist = np.stack(list(tr.estimates()), axis=1)
+        with recorded_days() as record:
+            tr = write_run(_small(policy="pct", predictor="oracle", num_days=10),
+                           tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        yhat_hist = np.stack(record.estimates, axis=1).astype(np.float32)
         assert yhat_hist.shape == (tr.app_ids.size, 10, 15)
-        tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
         rec = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[-1])
         assert rec["day"] == 9
         # the keys are the app agents in the string order that sort_keys gives
@@ -580,16 +586,17 @@ class TestLevelsAndEstimates:
         # float() is what the writer's tolist() gives; repr tells -0.0 from 0.0
         assert repr(float(np.rint(np.float64(v) * 1e6) / 1e6)) == repr(round(float(v), 6))
 
-    def test_written_estimates_match_the_per_value_reference(self, tmp_path):
+    def test_written_estimates_match_the_per_value_reference(self):
         tr = run(_small(policy="pct", predictor="oracle", num_days=4))
-        # the values reach the writer through the replay source, day-major
+        # the probe values go straight to the trace writer's call of each day, as float64
         y = np.resize(np.float32([-0.0, 1 / 128, 1.0, 0.1234565]),
                       (tr.num_days, tr.app_ids.size, tr.window))
-        tr.cfg = tr.cfg.replace(predictor="external")
-        tr.external = SimpleNamespace(y_hat=y.astype(np.float64), sha256="")
-        tr.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        trace = io.StringIO()
+        writer = core._TraceWriter(trace)
+        for report in tr.day_reports:
+            writer(tr, report, y[report.day].astype(np.float64))
         dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        text = (tmp_path / "trace.jsonl").read_text()
+        text = trace.getvalue()
         assert '[-0.0,0.007812,1.0,0.123457,' in text
         for report, line in zip(tr.day_reports, text.splitlines()[1:], strict=True):
             old = {"kind": "day", **dataclasses.asdict(report), "y_hat": {
@@ -597,10 +604,11 @@ class TestLevelsAndEstimates:
                 for a, row in zip(tr.app_ids.tolist(), y[report.day])}}
             assert line == dump(old)
 
-    def test_estimates_skipped_when_disabled(self):
-        tr = run(_small(policy="pct", predictor="oracle", num_days=5,
-                        record_estimates=False))
-        assert list(tr.estimates()) == []
+    def test_estimates_skipped_when_disabled(self, tmp_path):
+        write_run(_small(policy="pct", predictor="oracle", num_days=5, record_estimates=False),
+                  tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        days = (tmp_path / "trace.jsonl").read_text().splitlines()[1:]
+        assert len(days) == 5 and not any('"y_hat"' in line for line in days)
 
 
 def _spy_publish(world, read):
@@ -627,7 +635,7 @@ def heuristic_days():
     _spy_publish(world, lambda w, day: observed.append(w.observables_for(day)))
     with recorded_days() as record:
         for _ in range(world.cfg.num_days):
-            step_day(world)
+            core.step_day(world)
     published = [y_hat.astype(np.float32) for y_hat in record.estimates]
     return world, list(zip(observed, published, record.levels, strict=True))
 
@@ -764,7 +772,7 @@ def _stepped(policy, at_publish=None, **kw):
         for day in range(world.cfg.num_days):
             shared = world.held[(day - 1) % world.window].copy()
             before = record.estimates[-1]
-            report = step_day(world)
+            report = core.step_day(world)
             yield world, day, report, shared, before, record.estimates[-1]
 
 
@@ -903,7 +911,7 @@ class TestFailedPredictions:
         world = init_world(cfg)
         with recorded_days() as record:
             for _ in range(cfg.num_days):
-                step_day(world)
+                core.step_day(world)
         published = [y_hat.astype(np.float32) for y_hat in record.estimates]
         shifted = unseen = 0
         for i, agent in enumerate(world.app_ids.tolist()):
@@ -1162,8 +1170,10 @@ class TestHistoryLayout:
             assert not hasattr(world, name) and not hasattr(trace, name), name
         stored = {name for name in vars(trace) if name.endswith("_hist")}
         assert stored == {"health_hist"}
-        # so calibration reads every estimate one contiguous day at a time
-        assert all(y.flags.c_contiguous for y in trace.estimates())
+        # each day's estimates reach an observer as one contiguous block
+        handed = []
+        run(cfg, (lambda world, report, y_hat: handed.append(y_hat.flags.c_contiguous),))
+        assert handed == [True] * 4
 
     @pytest.mark.parametrize("policy", core.POLICIES)
     def test_a_world_keeps_no_scratch_of_the_day(self, policy):
@@ -1203,11 +1213,13 @@ class TestHistoryLayout:
         assert not hasattr(trace, "y_hist")
 
 
-def _run_publishing(cfg):
-    """``run(cfg)``, and the estimates each day's app pass quantized, as float32."""
+def _write_publishing(cfg, out):
+    """``write_run(cfg)`` into ``out``; the world, the estimates each day's app pass
+    quantized, as float32, and the day lines of the trace, parsed."""
     with recorded_days() as record:
-        trace = run(cfg)
-    return trace, [y_hat.astype(np.float32) for y_hat in record.estimates]
+        trace = write_run(cfg, out / "trace.jsonl", out / "events.jsonl")
+    days = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()[1:]]
+    return trace, [y_hat.astype(np.float32) for y_hat in record.estimates], days
 
 
 def _predictions_with_misses(path, n, days, window, seed):
@@ -1219,8 +1231,8 @@ def _predictions_with_misses(path, n, days, window, seed):
                                  "y_hat": (rng.random(window) * 1.2 - 0.1).tolist()}) + "\n")
 
 
-class TestDerivedEstimates:
-    """A trace derives each day's estimates from the inputs of the engine's predictor."""
+class TestWrittenEstimates:
+    """The trace writes each day's estimates as the engine's app pass quantized them."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(20, 200), days=st.integers(1, 15), d_max=st.integers(1, 15),
@@ -1237,38 +1249,70 @@ class TestDerivedEstimates:
             cfg = cfg.replace(symptom_dropout=0.0, symptom_dropin=0.0,
                               quarantine_dropout_test=0.0, quarantine_dropout_household=0.0,
                               all_levels_dropout=0.0)
+        out = tmp_path_factory.mktemp("run")
         if source == "external":
-            path = tmp_path_factory.mktemp("replay") / "preds.jsonl"
-            _predictions_with_misses(path, n, days, d_max + 1, seed)
-            cfg = cfg.replace(external_predictions=str(path))
-        trace, published = _run_publishing(cfg)
-        derived = list(trace.estimates())
-        assert len(published) == len(derived) == days
-        for y_hat, estimate in zip(published, derived):
-            assert estimate.dtype == np.float32
-            assert estimate.tobytes() == y_hat.tobytes()
+            _predictions_with_misses(out / "preds.jsonl", n, days, d_max + 1, seed)
+            cfg = cfg.replace(external_predictions=str(out / "preds.jsonl"))
+        trace, published, written = _write_publishing(cfg, out)
+        assert len(published) == len(written) == days
+        agents = trace.app_ids.astype(str).tolist()
+        for y_hat, day in zip(published, written):
+            assert sorted(day["y_hat"]) == sorted(agents)
+            rows = np.array([day["y_hat"][agent] for agent in agents])
+            assert np.array_equal(rows, np.rint(y_hat.astype(np.float64) * 1e6) / 1e6)
         assert "yhat_hist" not in vars(trace)
 
     def test_no_step_of_a_run_builds_the_estimate_history(self, tmp_path):
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=8,
                      initial_exposed_fraction=0.1)
         assert not hasattr(init_world(cfg), "yhat_hist")
-        trace, published = _run_publishing(cfg)
+        trace, _, _ = _write_publishing(cfg, tmp_path)
         assert "yhat_hist" not in vars(trace)
         export_training_records(trace, tmp_path / "records.jsonl")
         assert "yhat_hist" not in vars(trace)
         metrics_row(trace, 0)
         assert "yhat_hist" not in vars(trace)
-        trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
-        assert "yhat_hist" not in vars(trace)
-        assert np.stack(list(trace.estimates())).tobytes() == np.stack(published).tobytes()
 
-    def test_the_history_is_none_unless_recorded(self):
-        for cfg in (_small(policy="pct", record_estimates=False, num_days=3),
-                    _small(policy="heuristic", record_estimates=False, num_days=3),
-                    _small(policy="bct", num_days=3), _small(policy="pct", num_days=0)):
-            trace = run(cfg)
-            assert list(trace.estimates()) == []
+    def test_a_recorded_noisy_oracle_run_predicts_once_a_day(self, tmp_path, monkeypatch):
+        # the writer takes the estimates the engine drew; nothing draws them a second time
+        calls, predict = [], core.predict
+
+        def counting(world, day):
+            calls.append(day)
+            return predict(world, day)
+
+        monkeypatch.setattr(core, "predict", counting)
+        write_run(_small(policy="pct", predictor="noisy_oracle", num_days=7),
+                  tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+        assert calls == list(range(7))
+
+    # pct unrecorded: test_estimates_skipped_when_disabled
+    @pytest.mark.parametrize("cfg", [
+        _small(policy="heuristic", record_estimates=False, num_days=3),
+        _small(policy="bct", num_days=3),
+        _small(policy="no_tracing", num_days=3),
+    ], ids=["heuristic-unrecorded", "bct", "no_tracing"])
+    def test_no_estimates_are_written_unless_recorded(self, cfg, tmp_path):
+        _, _, written = _write_publishing(cfg, tmp_path)
+        assert len(written) == 3 and not any("y_hat" in day for day in written)
+
+    @pytest.mark.parametrize("policy", ["pct", "heuristic"])
+    def test_no_app_agents_write_empty_estimates(self, policy, tmp_path):
+        cfg = _small(policy=policy, adoption_rate=0.0, num_days=4, initial_exposed_fraction=0.1)
+        trace, published, written = _write_publishing(cfg, tmp_path)
+        assert trace.app_ids.size == 0 and published == [] and len(written) == 4
+        assert all('"y_hat":{}' in line
+                   for line in (tmp_path / "trace.jsonl").read_text().splitlines()[1:])
+
+    @pytest.mark.parametrize("policy", core.POLICIES)
+    def test_a_zero_day_run_writes_only_the_header(self, policy, tmp_path):
+        world = write_run(_small(policy=policy, num_days=0), tmp_path / "trace.jsonl",
+                          tmp_path / "events.jsonl")
+        (line,) = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert json.loads(line)["kind"] == "header" and json.loads(line)["num_days"] == 0
+        # its events are the seeds, exposed before day 0
+        assert len((tmp_path / "events.jsonl").read_text().splitlines()) == len(world.events) > 0
+        assert not list(tmp_path.glob("*.partial"))
 
     @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.1, 0.5])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 9001])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pctsim.core import SimConfig, load_config, run
+from pctsim.core import SimConfig, load_config, write_run
 from pctsim.datagen import export_training_records
 
 GOLDEN = {
@@ -96,8 +96,7 @@ def _digests(tmp_path, **kw):
 
 def _written(tmp_path, cfg):
     """The digests of the files that a run of ``cfg`` writes."""
-    trace = run(cfg)
-    trace.write(tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+    trace = write_run(cfg, tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
     out = {"trace": _sha256(tmp_path / "trace.jsonl"),
            "events": _sha256(tmp_path / "events.jsonl")}
     if trace.enc_windows is not None:

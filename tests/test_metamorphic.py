@@ -26,6 +26,7 @@ from pctsim.core import (
     init_world,
     run,
     step_day,
+    write_run,
 )
 from pctsim.metrics import STATE_E, STATE_I
 from pctsim.virology import TEST_NONE, TEST_PENDING, TEST_POSITIVE
@@ -82,7 +83,7 @@ def test_two_runs_write_the_same_bytes(cfg, policy, predictor, tmp_path_factory)
     cfg = cfg.replace(policy=policy, predictor=predictor, record_estimates=True)
     out = tmp_path_factory.mktemp("runs")
     for name in ("a", "b"):
-        run(cfg).write(out / f"{name}.trace.jsonl", out / f"{name}.events.jsonl")
+        write_run(cfg, out / f"{name}.trace.jsonl", out / f"{name}.events.jsonl")
     for kind in ("trace", "events"):
         assert filecmp.cmp(out / f"a.{kind}.jsonl", out / f"b.{kind}.jsonl", shallow=False)
 

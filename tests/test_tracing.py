@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from conftest import health, recorded_days, recorded_levels
 
-from pctsim.core import SimConfig, init_world, run, step_day
+from pctsim import core
+from pctsim.core import SimConfig, init_world, run, step_day, write_run
 from pctsim.datagen import export_training_records, read_records
 from pctsim.messaging import DEFAULT_THRESHOLDS, N_RISK_LEVELS, quantize_risk
 from pctsim.metrics import metrics_row
@@ -327,9 +328,9 @@ class TestBctFanout:
 
 
 def _pct_run(predictor, days=12, **kw):
-    """Run a small pct world (estimates recorded); return its trace and, collected while
-    stepping, its app agents' ground truth, each day's progression y as float32, one
-    column a day, and the estimates the engine published, float32 (n_app, days, window)."""
+    """Run a small pct world; return its trace and, collected while stepping, its app
+    agents' ground truth, each day's progression y as float32, one column a day, and the
+    estimates the engine published, float32 (n_app, days, window)."""
     base = dict(population_size=400, num_days=days, rng_seed=4, policy="pct",
                 predictor=predictor, initial_exposed_fraction=0.1,
                 global_mobility_scale=3.75)
@@ -338,11 +339,6 @@ def _pct_run(predictor, days=12, **kw):
         trace = run(SimConfig(**base))
     truth = [y[trace.app_ids].astype(np.float32) for y in record.y]
     return trace, np.column_stack(truth), np.stack(record.estimates, axis=1).astype(np.float32)
-
-
-def _derived(trace):
-    """(app agents, days, window) estimates, as the trace derives them."""
-    return np.stack(list(trace.estimates()), axis=1)
 
 
 def _truth_windows(world, truth):
@@ -354,14 +350,11 @@ def _truth_windows(world, truth):
 
 
 class TestOraclePredictors:
-    # each test checks what the engine published and what the trace derives
-
     def test_oracle_returns_equal_copy(self):
         trace, truth, published = _pct_run("oracle")
         truth = _truth_windows(trace, truth).astype(np.float32)
         assert truth.max() > 0
         assert np.array_equal(published, truth)
-        assert np.array_equal(_derived(trace), truth)
 
     def test_noisy_oracle_zero_sigma_is_identity(self):
         with recorded_levels() as oracle_levels:
@@ -370,26 +363,22 @@ class TestOraclePredictors:
             noisy, _, noisy_published = _pct_run("noisy_oracle", predictor_add_sigma=0.0,
                                                  predictor_mul_sigma=0.0)
         assert np.array_equal(noisy_published, oracle_published)
-        assert np.array_equal(_derived(noisy), _derived(oracle))
         assert np.array_equal(noisy_levels(), oracle_levels())
 
     def test_noisy_oracle_clipped_to_unit_interval(self):
-        trace, _, published = _pct_run("noisy_oracle", predictor_add_sigma=0.5,
-                                       predictor_mul_sigma=0.5)
-        for est in (published, _derived(trace)):
-            assert est.min() >= 0.0 and est.max() <= 1.0
-            assert est.min() == 0.0 and est.max() == 1.0
+        _, _, published = _pct_run("noisy_oracle", predictor_add_sigma=0.5,
+                                   predictor_mul_sigma=0.5)
+        assert published.min() >= 0.0 and published.max() <= 1.0
+        assert published.min() == 0.0 and published.max() == 1.0
 
     def test_additive_noise_mean_after_clipping(self):
         # at ground truth 0 with additive sigma s, clipping a centered
         # gaussian at zero leaves mean s / sqrt(2 pi)
         trace, truth, published = _pct_run("noisy_oracle", days=20, population_size=600,
                                            predictor_add_sigma=0.1, predictor_mul_sigma=0.0)
-        zero = _truth_windows(trace, truth) == 0
-        for est in (published, _derived(trace)):
-            at_zero = est[zero]
-            assert at_zero.size > 50_000
-            assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
+        at_zero = published[_truth_windows(trace, truth) == 0]
+        assert at_zero.size > 50_000
+        assert at_zero.mean() == pytest.approx(0.1 / np.sqrt(2 * np.pi), abs=2e-3)
 
 
 def _external_world(tmp_path, y_hat_for):
@@ -406,7 +395,7 @@ def _external_world(tmp_path, y_hat_for):
     world = init_world(SimConfig(population_size=n, num_days=1, rng_seed=1, policy="pct",
                                  predictor="external", external_predictions=str(path)))
     with recorded_days() as record:
-        step_day(world)
+        core.step_day(world)
     return world, record.levels[0], [y_hat.astype(np.float32) for y_hat in record.estimates]
 
 
@@ -464,7 +453,7 @@ class TestPctPolicy:
         seen = set()
         with recorded_days() as record:
             for _ in range(12):
-                step_day(world)
+                core.step_day(world)
                 q = quantize_risk(record.estimates[-1][:, 0], DEFAULT_THRESHOLDS)
                 expected = np.asarray(psi)[q]
                 assert np.array_equal(record.levels[-1][app], expected)
@@ -662,12 +651,14 @@ class TestReplay:
                         predictor="external")
 
         def run_id(path, out=None):
-            trace = run(cfg.replace(external_predictions=str(path)))
+            replay = cfg.replace(external_predictions=str(path))
+            if out is None:
+                trace = run(replay)
+            else:
+                out.mkdir()
+                trace = write_run(replay, out / "trace.jsonl", out / "events.jsonl")
             # the trace header, the run id and metrics.csv name the same config
             assert metrics_row(trace, 1)["config_hash"] == trace.run_id.rsplit("-", 1)[0]
-            if out is not None:
-                out.mkdir()
-                trace.write(out / "trace.jsonl", out / "events.jsonl")
             return trace.run_id
 
         same = run_id(first, tmp_path / "first")
