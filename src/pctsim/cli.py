@@ -69,7 +69,7 @@ def _parse_seed_list(text):
 def _parse_policy_list(text):
     """Accept 'pct,NT', each name read as SimConfig reads it; an unknown name is an error."""
     try:
-        return [core.SimConfig(policy=name).validate().policy for name in text.split(",")]
+        return [core.SimConfig(policy=name).policy for name in text.split(",")]
     except core.ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -106,22 +106,16 @@ def _out_file(text):
 
 
 def _load_config(args) -> core.SimConfig:
-    cfg = core.load_config(args.config)
+    """The --config file, overridden by TRACE_SIM_SEED, then by --seed, --policy and --predictor."""
     env_seed = os.environ.get("TRACE_SIM_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise core.ConfigError(
-                f"TRACE_SIM_SEED: must be an integer, got {env_seed!r}") from None
-        cfg = cfg.replace(rng_seed=seed)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.replace(rng_seed=args.seed)
-    if getattr(args, "policy", None):
-        cfg = cfg.replace(policy=args.policy)
-    if getattr(args, "predictor", None):
-        cfg = cfg.replace(predictor=args.predictor)
-    return cfg.validate()
+    try:
+        overrides = {} if env_seed is None else {"rng_seed": int(env_seed)}
+    except ValueError:
+        raise core.ConfigError(f"TRACE_SIM_SEED: must be an integer, got {env_seed!r}") from None
+    for field, flag in (("rng_seed", "seed"), ("policy", "policy"), ("predictor", "predictor")):
+        if getattr(args, flag, None) not in (None, ""):  # an empty name overrides nothing
+            overrides[field] = getattr(args, flag)
+    return core.load_config(args.config, **overrides)
 
 
 def _sweep_worker(cfg: core.SimConfig) -> dict:
@@ -205,12 +199,12 @@ def _sweep(args, field, values) -> int:
     """Run every (``field`` value, seed, policy) point; write one metrics row per point.
 
     A value repeated on any axis is dropped with a warning, so no two
-    points are the same run, and every point is validated before any runs.
+    points are the same run, and every point's config is checked before any runs.
     """
     cfg = _fast(_load_config(args))
     axes = [_distinct(name, given)
             for name, given in ((field, values), ("seed", args.seeds), ("policy", args.policies))]
-    points = [cfg.replace(**{field: v}, rng_seed=sd, policy=pol).validate()
+    points = [cfg.replace(**{field: v}, rng_seed=sd, policy=pol)
               for v in axes[0] for sd in axes[1] for pol in axes[2]]
     with _pool(args.jobs, len(points)) as map_runs:
         rows = list(map_runs(_sweep_worker, points))
@@ -333,11 +327,13 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
     The per-seed runs of each scale go to one pool of up to ``jobs``
     processes, a repeated seed runs once; the result does not depend on ``jobs``.
 
-    Raises RuntimeError when the search cannot bracket the target, with
-    the achieved contact range in the message.
+    Raises ConfigError, before any run, when ``cfg`` gives no app agent; RuntimeError when the
+    search cannot bracket the target (naming the contacts reached) or no estimate is positive.
     """
+    if not round(cfg.adoption_rate * cfg.population_size):  # WorldState's count of app agents
+        raise core.ConfigError(f"adoption_rate: {cfg.adoption_rate} gives no app agent to fit on")
     seeds = _distinct("seed", seeds)
-    nt = _fast(cfg.validate()).replace(policy="no_tracing")
+    nt = _fast(cfg).replace(policy="no_tracing")
     with _pool(jobs, len(seeds)) as map_runs:
         best_scale, best_contacts, best_r = _fit_scale(
             lambda scale: _nt_point(nt, scale, seeds, map_runs), target_contacts, tolerance)
@@ -349,7 +345,9 @@ def calibrate(cfg: core.SimConfig, target_contacts: float, seeds,
             samples.append(y[y > 0])
     core.run(nt.replace(policy="pct", predictor="noisy_oracle", global_mobility_scale=best_scale,
                         rng_seed=seeds[0]), (collect,))
-    thresholds = messaging.calibrate_thresholds(np.concatenate(samples))
+    if not (positives := np.concatenate(samples)).size:
+        raise RuntimeError(f"calibration: no positive estimate at scale {best_scale:.4f}, seed {seeds[0]}")
+    thresholds = messaging.calibrate_thresholds(positives)
     return {
         "mobility_scale": best_scale,
         "achieved_contacts": best_contacts,

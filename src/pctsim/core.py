@@ -113,9 +113,10 @@ def _numbers(name, values, entry):
     return tuple(entry(name, v) for v in _read(name, list, values, "a list"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """All tunables for one run. Field names match the config file keys."""
+    """All tunables for one run. Field names match the config file keys. A SimConfig is checked
+    once, when it is made (``validate``), and cannot change after: ``replace`` makes a new one."""
 
     population_size: int = 3000
     num_days: int = 50
@@ -148,20 +149,22 @@ class SimConfig:
     record_encounter_log: bool = False
 
     def __post_init__(self):
-        self.policy = _NAME_ALIASES.get(str(self.policy).lower(), str(self.policy).lower())
-        self.predictor = _NAME_ALIASES.get(str(self.predictor).lower(), str(self.predictor).lower())
-        self.psi_table = _numbers("psi_table", self.psi_table, _integer)
+        for name in ("policy", "predictor"):
+            spelled = str(getattr(self, name)).lower()
+            object.__setattr__(self, name, _NAME_ALIASES.get(spelled, spelled))
+        self._keep("psi_table", _numbers, _integer)
         if self.risk_thresholds is not None:
-            self.risk_thresholds = _numbers("risk_thresholds", self.risk_thresholds, _number)
+            self._keep("risk_thresholds", _numbers, _number)
+        self.validate()
 
     def _keep(self, name, read, *bounds):
         """Read field ``name`` with ``read``, store what it returns and return it."""
         value = read(name, getattr(self, name), *bounds)
-        setattr(self, name, value)
+        object.__setattr__(self, name, value)
         return value
 
     def validate(self) -> "SimConfig":
-        """Check each field in turn, storing a number in its field's type: one model, one spelling."""
+        """Check each field in turn, storing a number in its field's type; run when made, so idempotent."""
         self._keep("population_size", _integer, 2)
         self._keep("num_days", _integer, 0)
         for name in ("adoption_rate", "smartphone_rate", "initial_exposed_fraction",
@@ -221,14 +224,14 @@ class SimConfig:
         return cls(**mapping)
 
 
-def load_config(path) -> SimConfig:
-    """Read a flat key-value config file (YAML or JSON, UTF-8) into a SimConfig.
+def load_config(path, **overrides) -> SimConfig:
+    """Read a flat key-value config file (YAML or JSON, UTF-8) into a SimConfig, ``overrides``
+    replacing the file's values before the one check, so a value they replace may be invalid.
 
-    A path that cannot be read, such as a directory, and a file that is not
-    UTF-8 text or not valid YAML are ConfigErrors naming it; a YAML error
-    also gives its line and column. The file is parsed by libyaml when
-    PyYAML has it (``CSafeLoader``), else by ``SafeLoader``: both resolve
-    and construct values alike, so they give the same mapping.
+    A path that cannot be read, such as a directory, and a file that is not UTF-8 text or
+    not valid YAML are ConfigErrors naming it; a YAML error also gives its line and column.
+    The file is parsed by libyaml when PyYAML has it (``CSafeLoader``), else by
+    ``SafeLoader``: both resolve and construct values alike, so they give the same mapping.
     """
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
@@ -247,7 +250,7 @@ def load_config(path) -> SimConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a flat mapping")
-    return SimConfig.from_mapping(data)
+    return SimConfig.from_mapping({**data, **overrides})
 
 
 @dataclass
@@ -305,7 +308,6 @@ class WorldState:
     """
 
     def __init__(self, cfg: SimConfig):
-        cfg.validate()
         self.cfg = cfg
         self.population = cfg.population_size
         self.window = cfg.d_max + 1
@@ -754,7 +756,7 @@ def _keep_heap():
 
 
 def init_world(config: SimConfig) -> WorldState:
-    """Validate the config and build a ready-to-run world."""
+    """Build a ready-to-run world for ``config``, a SimConfig checked when it was made."""
     _keep_heap()
     return WorldState(config)
 

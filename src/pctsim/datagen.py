@@ -41,8 +41,8 @@ TRAIN_FRACTION = 200 / 240
 
 
 def sample_dr_config(base: SimConfig, rng: np.random.Generator) -> SimConfig:
-    """Draw one domain-randomized config from the documented ranges."""
-    base.validate()
+    """Draw one domain-randomized config from the documented ranges, leaving ``base`` as it is;
+    a draw that ``base`` makes invalid, such as adoption above its smartphone rate, is a ConfigError."""
     draws = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in DR_RANGES.items()}
     return base.replace(**draws)
 

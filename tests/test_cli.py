@@ -378,6 +378,13 @@ class TestRunCommand:
         assert run_seed([], env="77") == "77"
         assert run_seed(["--seed", "5"], env="77") == "5"
 
+    def test_a_flag_replaces_an_invalid_file_value(self, tmp_path):
+        path = tmp_path / "bogus.yaml"
+        path.write_text(BASE_YAML + "policy: bogus\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", str(path), "--out", str(out), "--policy", "pct"]) == 0
+        assert _read_csv(out / "metrics.csv")[0]["policy"] == "pct"
+
     def test_policy_override_flag(self, cfg_path, tmp_path):
         out = tmp_path / "o"
         cli.main(["run", "--config", cfg_path, "--out", str(out),
@@ -511,6 +518,18 @@ class TestDatagenCommand:
         assert set(split["train"]) | set(split["valid"]) == run_ids
         assert set(split["train"]) & set(split["valid"]) == set()
 
+    def test_a_draw_the_base_config_rules_out_exits_1_before_any_run(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        # adoption is drawn from [0.3, 0.6]: most draws exceed a smartphone rate of 0.35
+        monkeypatch.setattr(core, "run", lambda *a: pytest.fail("a run started"))
+        cfg = tmp_path / "phones.yaml"
+        cfg.write_text(BASE_YAML + "smartphone_rate: 0.35\nadoption_rate: 0.3\n")
+        out = tmp_path / "d"
+        assert cli.main(["datagen", "--config", str(cfg), "--n-runs", "3", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert re.match(r"error: adoption_rate: \S+ exceeds smartphone_rate 0.35", capsys.readouterr().err)
+        assert not (out / "manifest.json").exists()
+
 
     def test_a_finished_run_is_named_by_its_run_id(self, tmp_path):
         # a replay's run id names the predictions file by its content, not its path
@@ -627,6 +646,36 @@ class TestCalibrateCommand:
         assert abs(result["achieved_contacts"] - 1.0) <= 0.5
         assert len(result["thresholds"]) == 15
         assert result["thresholds"] == sorted(result["thresholds"])
+
+    @pytest.mark.parametrize("adoption", ["0", "0.002"])  # 0.002 of 200 agents rounds to none
+    def test_a_config_with_no_app_agent_exits_1_before_any_run(self, tmp_path, capsys,
+                                                               monkeypatch, adoption):
+        monkeypatch.setattr(core, "run", lambda *a: pytest.fail("a run started"))
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text(f"population_size: 200\nnum_days: 8\nadoption_rate: {adoption}\n")
+        out = tmp_path / "cal.json"
+        rc = cli.main(["calibrate", "--config", str(cfg), "--seeds", "0", "--target-contacts",
+                       "1.0", "--tolerance", "0.5", "--jobs", "1", "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        printed, err = capsys.readouterr()
+        assert "scale" not in printed
+        assert err.startswith("error: adoption_rate: ") and "no app agent" in err
+        assert not out.exists()
+
+    def test_no_positive_estimate_names_the_scale_and_seed(self, tmp_path, capsys):
+        # no agent is ever exposed and the noise adds nothing, so each app agent's estimate is 0
+        cfg = tmp_path / "tiny.yaml"
+        cfg.write_text("population_size: 200\nnum_days: 8\ninitial_exposed_fraction: 0\n"
+                       "predictor_add_sigma: 0\n")
+        out = tmp_path / "cal.json"
+        rc = cli.main(["calibrate", "--config", str(cfg), "--seeds", "3", "--target-contacts",
+                       "1.0", "--tolerance", "0.5", "--jobs", "1", "--out", str(out)])
+        assert rc == cli.EXIT_RUNTIME
+        printed, err = capsys.readouterr()
+        scale = re.fullmatch(r"runtime failure: RuntimeError: calibration: no positive estimate "
+                             r"at scale (\d+\.\d{4}), seed 3\n", err).group(1)
+        assert f"scale {scale}: contacts" in printed
+        assert not out.exists()
 
     def test_a_spelling_of_a_number_does_not_change_the_hash(self):
         hashes = {cli.calibrate(core.SimConfig(population_size=size, num_days=8), 1.0, [0],

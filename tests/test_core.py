@@ -14,7 +14,7 @@ from conftest import health, recorded_days, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pctsim import core, messaging, mobility, virology
+from pctsim import cli, core, messaging, mobility, virology
 from pctsim.core import (
     EVENT_LOCATIONS,
     ConfigError,
@@ -25,7 +25,7 @@ from pctsim.core import (
     step_day,
     write_run,
 )
-from pctsim.datagen import export_training_records
+from pctsim.datagen import export_training_records, sample_dr_config
 from pctsim.metrics import (
     EXTERNAL_SEED,
     STATE_E,
@@ -33,6 +33,7 @@ from pctsim.metrics import (
     STATE_R,
     STATE_S,
     canonical_json,
+    config_hash,
     metrics_row,
 )
 from pctsim.tracing import policy_heuristic
@@ -122,6 +123,25 @@ class TestConfigValidation:
     def test_external_predictor_needs_path(self):
         with pytest.raises(ConfigError):
             SimConfig(policy="pct", predictor="external").validate()
+
+    def test_a_config_cannot_change(self):
+        cfg = SimConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.num_days = 3
+        assert cfg == SimConfig()
+
+    @pytest.mark.parametrize("call", [
+        init_world,
+        run,
+        lambda cfg: cli.calibrate(cfg, 1.0, [0], 0.5),
+        lambda cfg: sample_dr_config(cfg, np.random.default_rng(0)),
+    ], ids=["init_world", "run", "calibrate", "sample_dr_config"])
+    def test_no_call_changes_its_config(self, call):
+        cfg = SimConfig(population_size=200, num_days=8, global_mobility_scale=4)
+        before = dataclasses.replace(cfg)
+        call(cfg)
+        # repr, not ==: 4 == 4.0, but a config that held 4 and then 4.0 changed its name
+        assert repr(cfg) == repr(before)
 
     def test_yaml_roundtrip(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -345,7 +365,7 @@ class TestQuarantineDropout:
             if day >= 2:
                 assert np.all(w.rec_level[mates] < 4)
         # without dropout a new result starts a fresh timer for 14 days
-        w.cfg.quarantine_dropout_household = 0.0
+        w.cfg = w.cfg.replace(quarantine_dropout_household=0.0)
         trigger = w.day
         result_today()
         step_day(w)
@@ -450,6 +470,11 @@ class TestDeterminism:
             types.add(type(getattr(world.cfg, field)))
         assert names[0] == names[1]
         assert types == {type(stored)}
+
+    def test_a_config_is_named_as_its_run_is(self):
+        cfg = SimConfig(population_size=50, num_days=2, global_mobility_scale=4)
+        name = config_hash(cfg.to_dict())  # taken before the run, as a caller would
+        assert run(cfg).run_id == f"{name}-s0"
 
     def test_a_seed_is_kept_exactly(self):
         cfg = SimConfig(rng_seed=2**60 + 1).validate()
@@ -1240,19 +1265,19 @@ class TestWrittenEstimates:
            source=st.sampled_from(["oracle", "noisy_oracle", "external", "heuristic"]))
     def test_each_day_is_what_the_engine_published(self, tmp_path_factory, n, days, d_max,
                                                    seed, dropouts, source):
+        out = tmp_path_factory.mktemp("run")
+        if source == "external":  # the file comes first: an external config names it when made
+            _predictions_with_misses(out / "preds.jsonl", n, days, d_max + 1, seed)
         cfg = _small(population_size=n, num_days=days, d_max=d_max, rng_seed=seed,
                      initial_exposed_fraction=0.1, global_mobility_scale=3.75,
                      policy="heuristic" if source == "heuristic" else "pct",
                      predictor="oracle" if source == "heuristic" else source,
+                     external_predictions=str(out / "preds.jsonl") if source == "external" else None,
                      record_observables=False, record_estimates=True)
         if not dropouts:
             cfg = cfg.replace(symptom_dropout=0.0, symptom_dropin=0.0,
                               quarantine_dropout_test=0.0, quarantine_dropout_household=0.0,
                               all_levels_dropout=0.0)
-        out = tmp_path_factory.mktemp("run")
-        if source == "external":
-            _predictions_with_misses(out / "preds.jsonl", n, days, d_max + 1, seed)
-            cfg = cfg.replace(external_predictions=str(out / "preds.jsonl"))
         trace, published, written = _write_publishing(cfg, out)
         assert len(published) == len(written) == days
         agents = trace.app_ids.astype(str).tolist()

@@ -647,11 +647,10 @@ class TestReplay:
         first, second = tmp_path / "a" / "preds.jsonl", tmp_path / "preds.jsonl"
         first.write_text(rows)
         second.write_text(rows)
-        cfg = SimConfig(population_size=60, num_days=2, rng_seed=1, policy="pct",
-                        predictor="external")
 
         def run_id(path, out=None):
-            replay = cfg.replace(external_predictions=str(path))
+            replay = SimConfig(population_size=60, num_days=2, rng_seed=1, policy="pct",
+                               predictor="external", external_predictions=str(path))
             if out is None:
                 trace = run(replay)
             else:
