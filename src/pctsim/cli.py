@@ -113,7 +113,7 @@ def _load_config(args) -> core.SimConfig:
     except ValueError:
         raise core.ConfigError(f"TRACE_SIM_SEED: must be an integer, got {env_seed!r}") from None
     for field, flag in (("rng_seed", "seed"), ("policy", "policy"), ("predictor", "predictor")):
-        if getattr(args, flag, None) not in (None, ""):  # an empty name overrides nothing
+        if getattr(args, flag, None) is not None:
             overrides[field] = getattr(args, flag)
     return core.load_config(args.config, **overrides)
 

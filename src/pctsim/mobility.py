@@ -43,42 +43,32 @@ class LocationIndex:
     """Flattened membership pools for one location type.
 
     ``group_of`` is an n-long int64 array giving each agent's group label,
-    or -1 for an agent in no group of this type. ``flat`` lists the
-    labelled agents group by group, in ascending agent id inside each
-    group; group g occupies ``flat[start[g]:start[g] + size[g]]``.
+    or -1 for an agent in no group of this type.
 
-    Only members of a group of two or more have a partner to draw. They
-    are ``drawers``, in ascending agent id, and three int32 arrays are
-    aligned with them: ``span``, the number of partners to pick from
-    (group size - 1); ``offset``, where the drawer's group starts in
-    ``flat``; and ``pos``, the drawer's place in its group. That makes
-    partner sampling O(1): draw r uniform on [0, span - 1] and shift
-    r >= pos by one to exclude self.
+    ``whole`` is True when one group of two or more holds every agent, as
+    in the "other" pool. Such a pool keeps nothing else:
+    ``generate_encounters`` draws it from the agents' count alone.
+
+    Any other pool keeps five arrays. ``flat`` lists the labelled agents
+    group by group, in ascending agent id inside each group. Only members
+    of a group of two or more have a partner to draw. They are
+    ``drawers``, in ascending agent id, and three int32 arrays are aligned
+    with them: ``span``, the number of partners to pick from (its group's
+    size - 1); ``offset``, where the drawer's group starts in ``flat``;
+    and ``pos``, the drawer's place in its group. That makes partner
+    sampling O(1): draw r uniform on [0, span - 1] and shift r >= pos by
+    one to exclude self.
 
     Grouping is a stable LSD radix sort over the 16-bit digits of
     ``group_of + 1`` (numpy's stable sort of uint16 keys is a radix
     sort), so it takes time linear in n: one pass while every label is
     below 65535, and a second pass on the high digit otherwise.
-
-    ``whole`` is True when one group of two or more holds every agent, as
-    in the "other" pool. Its fields are then known without a sort:
-    ``flat``, ``drawers`` and ``pos`` count 0..n-1, ``span`` is n - 1 and
-    ``offset`` 0, and ``generate_encounters`` draws it without reading
-    them.
     """
 
     def __init__(self, group_of):
         gid = np.asarray(group_of, dtype=np.int64)
         self.whole = gid.size >= 2 and gid[0] >= 0 and bool((gid == gid[0]).all())
         if self.whole:
-            n = gid.size
-            self.size = np.zeros(gid[0] + 1, dtype=np.int64)
-            self.size[-1] = n
-            self.start = np.zeros_like(self.size)
-            self.flat = np.arange(n)
-            self.drawers = self.pos = np.arange(n, dtype=np.int32)
-            self.span = np.full(n, n - 1, dtype=np.int32)
-            self.offset = np.zeros(n, dtype=np.int32)
             return
         # key = gid + 1 in unsigned arithmetic: the -1s wrap to 0 and sort first
         if gid.size == 0 or gid.max() < 0xFFFF:
@@ -92,8 +82,8 @@ class LocationIndex:
             order = order[np.argsort((key[order] >> 16).astype(np.uint16), kind="stable")]
         count = np.bincount(key, minlength=1)  # count[0]: agents in no group
         self.flat = order[count[0]:]
-        self.size = count[1:]
-        self.start = np.cumsum(self.size) - self.size
+        size = count[1:]
+        start = np.cumsum(size) - size
         count[0] = 0  # an agent in no group has no partner
         drawers = np.flatnonzero(count[key] >= 2)
         place = np.empty(gid.size, dtype=np.int32)  # agent -> index in flat
@@ -101,8 +91,8 @@ class LocationIndex:
         g = gid[drawers]
         # int32 keeps the four arrays at half the memory; draws are the same
         self.drawers = drawers.astype(np.int32)
-        self.span = (self.size[g] - 1).astype(np.int32)
-        self.offset = self.start[g].astype(np.int32)
+        self.span = (size[g] - 1).astype(np.int32)
+        self.offset = start[g].astype(np.int32)
         self.pos = place[drawers] - self.offset
 
 
@@ -113,9 +103,9 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
     Poisson number of partner picks, in ascending agent id, then every
     pick draws its partner. Agents without a partner in the pool take no
     draw, and neither does a drawer whose rate is zero: ``poisson`` draws
-    no bits for a zero rate. A ``whole`` pool is drawn with each agent as
-    its own drawer row and one scalar-bound ``integers`` call, which draws
-    what the per-pick bounds of n - 1 would.
+    no bits for a zero rate. A ``whole`` pool keeps no arrays: each of the
+    n agents in ``rec_level`` is its own drawer row, and one scalar-bound
+    ``integers`` call draws what the per-pick bounds of n - 1 would.
 
     Args:
         indexes: mapping with one LocationIndex per name in LOCATION_TYPES;
@@ -145,7 +135,7 @@ def generate_encounters(indexes, rec_level, mobility_scale, rng, read=None):
         index = indexes[name]
         half_rates = level_rate_table(name, mobility_scale) / 2.0
         if index.whole:
-            n = index.flat.size
+            n = level.size
             a = np.repeat(np.arange(n), rng.poisson(half_rates[level]))
             b = rng.integers(0, n - 1, size=a.size)
             b += b >= a

@@ -72,6 +72,15 @@ def _integer_key(rec, name, source, number):
     raise ValueError(f"{source} {number}: {name} must be an integer, got {value!r}")
 
 
+def _entry(rec, values, source, number):
+    """An entry's (agent_id, day) as ints. An entry that is not a dict holding agent_id,
+    day and ``values`` is a ValueError naming it as ``f"{source} {number}"``, and so is
+    an agent_id or day that ``_integer_key`` rejects."""
+    if not isinstance(rec, dict) or not {"agent_id", "day", values} <= rec.keys():
+        raise ValueError(f"{source} {number}: not a JSON object with agent_id, day and {values}")
+    return _integer_key(rec, "agent_id", source, number), _integer_key(rec, "day", source, number)
+
+
 def _y_hat(value, source, number, null=True):
     """A y_hat of numbers, of any shape, as a float64 array; where ``null``, a null reads
     as NaN. A bool, a string, an object, a ragged list or, where not ``null``, a null or
@@ -127,11 +136,8 @@ class ExternalPredictor:
                     rec = json.loads(line.decode())
                 except ValueError:  # not UTF-8 or not JSON
                     rec = None
-                if not isinstance(rec, dict) or not {"agent_id", "day", "y_hat"} <= rec.keys():
-                    raise ValueError(f"{where} {line_no}: not a JSON object with agent_id, "
-                                     "day and y_hat")
-                i, day = (row_of.get(_integer_key(rec, "agent_id", where, line_no)),
-                          _integer_key(rec, "day", where, line_no))
+                agent, day = _entry(rec, "y_hat", where, line_no)
+                i = row_of.get(agent)
                 pred = _y_hat(rec["y_hat"], where, line_no)
                 if i is None or not 0 <= day < num_days:
                     continue
@@ -154,22 +160,23 @@ def evaluate_predictor(records, predictions) -> float:
     ``records`` are exported training records (dicts with run_id,
     agent_id, day, targets); ``predictions`` are dicts with the same keys
     and y_hat. Every record must have a matching prediction of the same
-    window length; extra predictions are ignored. An agent_id or day that
-    is not an integer (a string, a bool or a fractional value), or targets
-    or a y_hat that are not finite numbers (a null, a NaN, an infinity, a
-    bool, a string, an object or a ragged list), is a ValueError naming the
-    key and the entry's index in its list.
+    window length; extra predictions are ignored. An entry that is not a
+    dict holding agent_id, day and its targets or y_hat, an agent_id or day
+    that is not an integer (a string, a bool or a fractional value), or
+    targets or a y_hat that are not finite numbers (a null, a NaN, an
+    infinity, a bool, a string, an object or a ragged list), is a
+    ValueError naming the entry's index in its list, and the key if one is
+    at fault.
     """
     table = {}
     for i, pred in enumerate(predictions):
-        key = (pred.get("run_id"), _integer_key(pred, "agent_id", "prediction", i),
-               _integer_key(pred, "day", "prediction", i))
-        table[key] = _y_hat(pred["y_hat"], "prediction", i, null=False)
+        agent, day = _entry(pred, "y_hat", "prediction", i)  # before .get: a pred may not be a dict
+        table[pred.get("run_id"), agent, day] = _y_hat(pred["y_hat"], "prediction", i, null=False)
     total = 0.0
     n = 0
     for i, rec in enumerate(records):
-        key = (rec.get("run_id"), _integer_key(rec, "agent_id", "record", i),
-               _integer_key(rec, "day", "record", i))
+        agent, day = _entry(rec, "targets", "record", i)
+        key = (rec.get("run_id"), agent, day)
         if key not in table:
             raise ValueError(f"missing prediction for record {key}")
         target = _y_hat(rec["targets"], "record", i, null=False)

@@ -104,6 +104,17 @@ class TestParsingAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: external_predictions: ") and str(preds) in err
 
+    @pytest.mark.parametrize("command,field", [
+        ("run", "policy"), ("run", "predictor"), ("datagen", "policy")])
+    def test_an_empty_name_is_an_unknown_one_exit_1(self, cfg_path, tmp_path, capsys,
+                                                    command, field):
+        out = tmp_path / "out"
+        rc = cli.main([command, "--config", cfg_path, f"--{field}", "", "--out", str(out)]
+                      + SMALL[command])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {field}: unknown value ''")
+        assert not out.exists()
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["pareto"])  # missing required --config/--scales

@@ -270,11 +270,27 @@ def _assert_population_matches_loop(n, seed):
     for name, groups in (("household", households), ("school", schools),
                          ("workplace", workplaces)):
         index = w.loc_indexes[name]
-        size = np.array([g.size for g in groups], dtype=np.int64)
+        # a pool whose one group holds everyone keeps no array
+        assert index.whole == (n >= 2 and len(groups) == 1 and groups[0].size == n), name
+        if index.whole:
+            continue
         flat = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
         assert np.array_equal(index.flat, flat), name
-        assert np.array_equal(index.size, size), name
-        assert np.array_equal(index.start, np.cumsum(size) - size), name
+        # each member of a group of two or more draws from where its group starts
+        # in flat, over its group's other members; a member of a one-agent group
+        # does not draw
+        offset, span = np.full(n, -1), np.full(n, -1)
+        start = 0
+        for group in groups:
+            if group.size >= 2:
+                offset[group], span[group] = start, group.size - 1
+            start += group.size
+        drawers = np.flatnonzero(span >= 0)
+        assert np.array_equal(index.drawers, drawers), name
+        assert np.array_equal(index.offset, offset[drawers]), name
+        assert np.array_equal(index.span, span[drawers]), name
+        alone = [group for group in groups if group.size == 1]
+        assert not np.isin(alone, index.drawers).any(), name
     assert w.rng["demographics"].random() == rng.random()
     return truncated
 
@@ -295,10 +311,9 @@ class TestHouseholdQuarantine:
         w = init_world(SimConfig(population_size=300, num_days=5, rng_seed=1,
                                  initial_exposed_fraction=0.0, symptom_dropin=0.0,
                                  test_false_negative_rate=0.0))
-        hh = w.loc_indexes["household"]
-        big = int(np.flatnonzero(hh.size >= 3)[0])
-        shared = hh.flat[hh.start[big]:hh.start[big] + hh.size[big]]
-        alone = hh.flat[hh.start[np.flatnonzero(hh.size == 1)[0]]]
+        size = np.bincount(w.household_id)
+        shared = np.flatnonzero(w.household_id == np.flatnonzero(size >= 3)[0])
+        (alone,) = np.flatnonzero(w.household_id == np.flatnonzero(size == 1)[0])
         positives = np.array([shared[0], shared[1], alone])
         day = 2
         w.test_code[positives] = TEST_PENDING
@@ -347,9 +362,8 @@ class TestQuarantineDropout:
                                  initial_exposed_fraction=0.0, symptom_dropin=0.0,
                                  test_false_negative_rate=0.0, all_levels_dropout=0.0,
                                  quarantine_dropout_household=1.0))
-        hh = w.loc_indexes["household"]
-        big = int(np.flatnonzero(hh.size >= 3)[0])
-        positive, *mates = hh.flat[hh.start[big]:hh.start[big] + hh.size[big]]
+        big = np.flatnonzero(np.bincount(w.household_id) >= 3)[0]
+        positive, *mates = np.flatnonzero(w.household_id == big)
 
         def result_today():
             w.test_code[positive] = TEST_PENDING

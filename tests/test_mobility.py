@@ -43,9 +43,9 @@ class TestLocationIndex:
         # groups 0: {1, 4, 7}, 1: {3}, 2: {0, 5, 6}; agent 2 is in none
         index = LocationIndex(np.array([2, 0, -1, 1, 0, 2, 2, 0]))
         assert index.flat.tolist() == [1, 4, 7, 3, 0, 5, 6]
-        assert index.start.tolist() == [0, 3, 4]
-        assert index.size.tolist() == [3, 1, 3]
-        assert _labels(index, 8).tolist() == [2, 0, -1, 1, 0, 2, 2, 0]
+        # groups 0 and 2 read back by where each starts in flat; agent 3,
+        # alone in group 1, has no partner, as agent 2 has none
+        assert _labels(index, 8).tolist() == [4, 0, -1, -1, 0, 4, 4, 0]
         # the members of groups of two or more, with their places in flat
         assert index.drawers.tolist() == [0, 1, 4, 5, 6, 7]
         assert index.pos.tolist() == [0, 0, 1, 1, 2, 2]
@@ -67,7 +67,7 @@ class TestLocationIndex:
         rng = np.random.default_rng(10)
         idx = _pools(6)
         index = idx[name]
-        assert index.flat.size == index.size.size == index.start.size == 0
+        assert index.flat.size == 0
         assert index.drawers.size == 0
         state = rng.bit_generator.state
         a, b, loc, _ = generate_encounters(idx, np.zeros(6, dtype=np.int8), 5.0, rng)
@@ -87,7 +87,7 @@ class TestLocationIndex:
     @example(group_of=np.array([65536, -1, 65534, 65535, 0, 65535, 65536, 131071, 3]))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_argsort_reference(self, group_of):
-        _assert_same_index(LocationIndex(group_of.astype(np.int64)), _argsort_index(group_of))
+        _assert_same_index(LocationIndex(group_of.astype(np.int64)), group_of)
 
     def test_matches_the_argsort_reference_at_300k(self, monkeypatch):
         built = []
@@ -101,13 +101,28 @@ class TestLocationIndex:
         world = core.init_world(core.SimConfig(population_size=300_000, num_days=1))
         assert len(built) == len(world.loc_indexes)
         for group_of, index in zip(built, world.loc_indexes.values()):
-            _assert_same_index(index, _argsort_index(group_of))
-        assert world.loc_indexes["household"].size.size > 0xFFFF
+            _assert_same_index(index, group_of)
+        assert world.household_id.max() >= 0xFFFF  # so households took the two-pass sort
+
+    def test_a_pool_keeps_only_the_arrays_its_draws_read(self):
+        world = core.init_world(core.SimConfig(population_size=500, num_days=1))
+        for name, index in world.loc_indexes.items():
+            kept = () if name == "other" else _KEPT  # "other" is one group of everyone
+            assert vars(index).keys() == {"whole", *kept}, name
+            assert index.whole == (name == "other"), name
+
+
+_KEPT = ("flat", "drawers", "span", "offset", "pos")  # what a grouped pool's draws read
+
+
+def _arrays(index):
+    """The names of the arrays a LocationIndex keeps."""
+    return {name for name, value in vars(index).items() if isinstance(value, np.ndarray)}
 
 
 def _argsort_index(group_of):
-    """``LocationIndex``'s fields built with an int64 stable argsort, the reference
-    for its radix sort."""
+    """A grouped ``LocationIndex``'s arrays built with an int64 stable argsort, the
+    reference for its radix sort."""
     gid = np.asarray(group_of, dtype=np.int64)
     order = np.argsort(gid, kind="stable")
     flat = order[np.count_nonzero(gid < 0):]
@@ -120,7 +135,7 @@ def _argsort_index(group_of):
     has_partner[flat] = size[member_gid] >= 2
     drawers = np.flatnonzero(has_partner)
     g = gid[drawers]
-    return {"flat": flat, "size": size, "start": start, "drawers": drawers.astype(np.int32),
+    return {"flat": flat, "drawers": drawers.astype(np.int32),
             "span": (size[g] - 1).astype(np.int32), "offset": start[g].astype(np.int32),
             "pos": (place[drawers] - start[g]).astype(np.int32)}
 
@@ -132,7 +147,16 @@ def _generic_index(group_of):
     return index
 
 
-def _assert_same_index(index, want):
+def _assert_same_index(index, group_of):
+    """``index`` is whole, and holds no array, exactly where the reference makes every
+    agent a drawer with n - 1 partners; otherwise it holds the reference's arrays."""
+    want = _argsort_index(group_of)
+    n = len(group_of)
+    assert index.whole == (want["drawers"].size == n > 0 and bool((want["span"] == n - 1).all()))
+    if index.whole:
+        assert _arrays(index) == set()
+        return
+    assert _arrays(index) == set(want)
     for name, array in want.items():
         got = getattr(index, name)
         assert got.dtype == array.dtype, name
@@ -314,9 +338,13 @@ def _assert_same_days(pools, rec_level, scale, seed, days=3):
 
 
 def _labels(index, n):
-    """Each agent's group label in an index, -1 for none: its groups read back from ``flat``."""
+    """Each agent's group label in an index: 0 for all in a whole pool, else a drawer's
+    ``offset``, and -1 for an agent in no group or alone in one, who draws nothing
+    either way."""
+    if index.whole:
+        return np.zeros(n, dtype=np.int64)
     labels = np.full(n, -1, dtype=np.int64)
-    labels[index.flat] = np.repeat(np.arange(index.size.size), index.size)
+    labels[index.drawers] = index.offset
     return labels
 
 

@@ -510,6 +510,28 @@ class TestEvaluatePredictor:
         with pytest.raises(ValueError, match=r"^record 1: agent_id must be an integer"):
             evaluate_predictor(bad_recs, preds)
 
+    @pytest.mark.parametrize("fault", ["agent_id", "day", "values", "string", "null"])
+    def test_an_entry_that_is_not_an_object_with_its_keys_names_it(self, fault):
+        # the same check, and message, as ExternalPredictor's for a file line
+        recs = [_record("r0", 1, 0, [0.0] * 2), _record("r0", 3, 1, [0.5, 0.0])]
+        preds = [_prediction("r0", 1, 0, [0.0] * 2), _prediction("r0", 3, 1, [0.5, 0.0])]
+
+        def broken(entry, values):
+            if fault == "string":
+                return "x"
+            if fault == "null":
+                return None
+            drop = values if fault == "values" else fault
+            return {k: v for k, v in entry.items() if k != drop}
+
+        assert evaluate_predictor(recs, preds) == 0.0
+        with pytest.raises(ValueError, match=r"^prediction 1: not a JSON object with agent_id, "
+                                             r"day and y_hat$"):
+            evaluate_predictor(recs, [preds[0], broken(preds[1], "y_hat")])
+        with pytest.raises(ValueError, match=r"^record 1: not a JSON object with agent_id, "
+                                             r"day and targets$"):
+            evaluate_predictor([recs[0], broken(recs[1], "targets")], preds)
+
     def test_numpy_integer_keys_are_integers(self):
         recs = [_record("r0", 3, 1, [0.5] * 3)]
         preds = [_prediction("r0", np.int64(3), np.int32(1), [0.5] * 3)]
