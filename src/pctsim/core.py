@@ -78,10 +78,11 @@ def _read(name, convert, value, expected):
 
 
 def _number(name, value):
-    """``float(value)``; a string, a bool or a value float() rejects is a ConfigError."""
+    """``float(value) + 0.0``, so -0.0 reads as 0.0; a str, a bool or a value float() rejects
+    is a ConfigError."""
     if isinstance(value, (str, bool)):
         raise ConfigError(f"{name}: must be a number, got {value!r}")
-    return _read(name, float, value, "a number")
+    return _read(name, float, value, "a number") + 0.0
 
 
 def _fraction(name, value):
@@ -218,7 +219,7 @@ class SimConfig:
     @classmethod
     def from_mapping(cls, mapping) -> "SimConfig":
         known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - known)
+        unknown = sorted(map(str, set(mapping) - known))  # YAML reads 1, null, on as non-str
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
         return cls(**mapping)
@@ -893,25 +894,13 @@ def epi_states(world, agents, days) -> np.ndarray:
                      [STATE_S, STATE_E, STATE_R, STATE_I], STATE_E).astype(np.int8)
 
 
-def _normal(rng, sigma, shape):
-    """``rng.normal(0.0, sigma, shape)`` bit for bit, leaving ``rng`` in the same state.
-
-    numpy's normal is ``loc + scale * z`` per draw; the ``+ 0.0`` turns -0.0 into 0.0 as
-    it does. Filling the draws and scaling them in place is about 5% faster at (1800, 15).
-    A ``sigma`` of -0.0, which numpy rejects, draws as 0.0.
-    """
-    z = rng.standard_normal(shape)
-    z *= sigma
-    z += 0.0
-    return z
-
-
 def predict(world, day) -> np.ndarray:
     """pct's (n_app, window) estimates on ``day``, newest-first.
 
     The oracle is the app agents' ``ground_truth`` over the window; the noisy oracle scales
     it by ``1 + N(0, mul_sigma)``, adds ``N(0, add_sigma)`` and clips to [0, 1], drawing
-    both from the world's ``"predictor"`` stream; the external predictor replays ``world.external``.
+    both with numpy's ``normal`` from the world's ``"predictor"`` stream; the external
+    predictor replays ``world.external``.
     """
     cfg = world.cfg
     if cfg.predictor == "external":
@@ -924,10 +913,10 @@ def predict(world, day) -> np.ndarray:
     live = np.flatnonzero(days[-1] + 0.5 - world.exposure_day[app] < world.recovery[app])
     y[live, :days.size] = ground_truth(world, app[live], days)
     if cfg.predictor == "noisy_oracle":
-        y_hat = _normal(world.rng["predictor"], cfg.predictor_mul_sigma, y.shape)
+        y_hat = world.rng["predictor"].normal(0.0, cfg.predictor_mul_sigma, y.shape)
         y_hat += 1.0
         y_hat *= y
-        y_hat += _normal(world.rng["predictor"], cfg.predictor_add_sigma, y.shape)
+        y_hat += world.rng["predictor"].normal(0.0, cfg.predictor_add_sigma, y.shape)
         y = np.clip(y_hat, 0.0, 1.0, out=y_hat)
     return y
 

@@ -81,10 +81,11 @@ def _entry(rec, values, source, number):
     return _integer_key(rec, "agent_id", source, number), _integer_key(rec, "day", source, number)
 
 
-def _y_hat(value, source, number, null=True):
-    """A y_hat of numbers, of any shape, as a float64 array; where ``null``, a null reads
-    as NaN. A bool, a string, an object, a ragged list or, where not ``null``, a null or
-    a NaN or infinite value is a ValueError naming the entry as ``f"{source} {number}"``."""
+def _y_hat(rec, name, source, number, null=True):
+    """``rec[name]``, numbers of any shape, as a float64 array; where ``null``, a null reads as
+    NaN. A bool, a string, an object, a ragged list or, where not ``null``, a null or a NaN or
+    infinite value is a ValueError naming ``name`` and the entry as ``f"{source} {number}"``."""
+    value = rec[name]
     try:  # not dtype=float64, which reads a numeric string as its number, a bool as 0 or 1
         pred = np.asarray(value)  # a ragged list raises
         # a bool among numbers reads as a number, so check the leaves' types; a flat
@@ -98,9 +99,18 @@ def _y_hat(value, source, number, null=True):
         if not (null or np.isfinite(pred).all()):
             raise ValueError
     except (ValueError, OverflowError):  # OverflowError: an int too large for float64
-        raise ValueError(f"{source} {number}: y_hat must be "
+        raise ValueError(f"{source} {number}: {name} must be "
                          f"{'null or ' if null else 'finite '}numbers, got {value!r}") from None
     return pred
+
+
+def _key(rec, values, source, number):
+    """An evaluated entry's (run_id, agent_id, day), checked as ``_entry`` checks it; a
+    run_id is a string or absent (None), and any other value is a ValueError naming it."""
+    agent, day = _entry(rec, values, source, number)  # before .get: rec may not be a dict
+    if not isinstance(run_id := rec.get("run_id"), str) and "run_id" in rec:
+        raise ValueError(f"{source} {number}: run_id must be a string, got {run_id!r}")
+    return run_id, agent, day
 
 
 class ExternalPredictor:
@@ -138,7 +148,7 @@ class ExternalPredictor:
                     rec = None
                 agent, day = _entry(rec, "y_hat", where, line_no)
                 i = row_of.get(agent)
-                pred = _y_hat(rec["y_hat"], where, line_no)
+                pred = _y_hat(rec, "y_hat", where, line_no)
                 if i is None or not 0 <= day < num_days:
                     continue
                 self.ok[day, i] = ok = pred.shape == (window,)
@@ -164,22 +174,21 @@ def evaluate_predictor(records, predictions) -> float:
     dict holding agent_id, day and its targets or y_hat, an agent_id or day
     that is not an integer (a string, a bool or a fractional value), or
     targets or a y_hat that are not finite numbers (a null, a NaN, an
-    infinity, a bool, a string, an object or a ragged list), is a
-    ValueError naming the entry's index in its list, and the key if one is
-    at fault.
+    infinity, a bool, a string, an object or a ragged list), or a run_id
+    that is present and not a string, is a ValueError naming the entry's
+    index in its list, and the key if one is at fault.
     """
     table = {}
     for i, pred in enumerate(predictions):
-        agent, day = _entry(pred, "y_hat", "prediction", i)  # before .get: a pred may not be a dict
-        table[pred.get("run_id"), agent, day] = _y_hat(pred["y_hat"], "prediction", i, null=False)
+        key = _key(pred, "y_hat", "prediction", i)
+        table[key] = _y_hat(pred, "y_hat", "prediction", i, null=False)
     total = 0.0
     n = 0
     for i, rec in enumerate(records):
-        agent, day = _entry(rec, "targets", "record", i)
-        key = (rec.get("run_id"), agent, day)
+        key = _key(rec, "targets", "record", i)
         if key not in table:
             raise ValueError(f"missing prediction for record {key}")
-        target = _y_hat(rec["targets"], "record", i, null=False)
+        target = _y_hat(rec, "targets", "record", i, null=False)
         y_hat = table[key]
         if y_hat.shape != target.shape:
             raise ValueError(f"window length mismatch for record {key}")

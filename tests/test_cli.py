@@ -93,6 +93,20 @@ class TestParsingAndErrors:
         assert err.startswith(f"error: config file {cfg}: {problem}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("content,keys", [
+        ("1: 2\n", "1"), ("null: 2\n", "None"), ("on: 1\n", "True"),
+        ("num_days: 2\nzeta: 1\n1: 2\nnull: 2\n", "1, None, zeta"),
+    ], ids=["int", "null", "yaml-1.1-bool", "mixed"])
+    def test_a_key_yaml_reads_as_no_string_is_unknown_exit_1(self, content, keys, tmp_path,
+                                                             capsys):
+        # YAML reads 1, null and on (YAML 1.1's true) as an int, None and a bool
+        cfg, out = tmp_path / "config.yaml", tmp_path / "out"
+        cfg.write_text(content)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: unknown config key(s): {keys}\n"
+        assert not out.exists()
+
     def test_external_predictions_of_a_directory_exit_1(self, tmp_path, capsys):
         preds = tmp_path / "preds"
         preds.mkdir()

@@ -1,11 +1,13 @@
 """Engine tests: config validation, seeding, conservation, determinism."""
 
+import copy
 import dataclasses
 import filecmp
 import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -473,17 +475,22 @@ class TestDeterminism:
     @pytest.mark.parametrize("field,spelled,stored", [
         ("global_mobility_scale", 4, 4.0),
         ("population_size", 50.0, 50),
+        ("carefulness", -0.0, 0.0),
+        ("risk_thresholds", (-0.0, *messaging.DEFAULT_THRESHOLDS[1:]),
+         (0.0, *messaging.DEFAULT_THRESHOLDS[1:])),
     ])
     def test_one_model_has_one_name(self, field, spelled, stored, tmp_path):
-        # a number is stored in its field's type, so either spelling runs and names one model
-        names, types = [], set()
+        # a number is stored in its field's type, and a float as float(value) + 0.0, so
+        # either spelling runs and names one model
+        names, kept = [], set()
         for value in (spelled, stored):
             world = write_run(_small(**{"population_size": 50, "num_days": 5, field: value}),
                               tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
-            names.append((world.run_id, (tmp_path / "trace.jsonl").read_bytes()))
-            types.add(type(getattr(world.cfg, field)))
+            names.append((world.run_id, (tmp_path / "trace.jsonl").read_bytes(),
+                          (tmp_path / "events.jsonl").read_bytes()))
+            kept.add(repr(getattr(world.cfg, field)))  # repr tells 4 from 4.0, -0.0 from 0.0
         assert names[0] == names[1]
-        assert types == {type(stored)}
+        assert kept == {repr(stored)}
 
     def test_a_config_is_named_as_its_run_is(self):
         cfg = SimConfig(population_size=50, num_days=2, global_mobility_scale=4)
@@ -1355,13 +1362,32 @@ class TestWrittenEstimates:
 
     @pytest.mark.parametrize("sigma", [0.0, -0.0, 0.1, 0.5])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 9001])
-    def test_normal_draws_are_numpys_bit_for_bit(self, seed, sigma):
-        # numpy rejects a scale of -0.0, which validation lets through as 0
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        for shape in ((40, 15), (0, 15), (7,)):
-            got, want = core._normal(ours, sigma, shape), numpys.normal(0.0, abs(sigma), shape)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert ours.bit_generator.state == numpys.bit_generator.state
-        if sigma == 0.0:  # z * 0 is -0.0 for half the draws; both give +0.0
-            assert not np.signbit(got).any()
+    def test_the_noisy_oracle_draws_numpys_normals_bit_for_bit(self, seed, sigma, monkeypatch):
+        # a sigma of -0.0, which numpy's normal rejects, is stored as 0.0 and names 0.0's model
+        cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6, rng_seed=seed,
+                     initial_exposed_fraction=0.1,
+                     predictor_mul_sigma=sigma, predictor_add_sigma=sigma)
+        assert not np.signbit([cfg.predictor_mul_sigma, cfg.predictor_add_sigma]).any()
+        twin = cfg.replace(predictor_mul_sigma=abs(sigma), predictor_add_sigma=abs(sigma))
+        assert init_world(cfg).run_id == init_world(twin).run_id
+        predict, truth = core.predict, []
+
+        def checking(world, day):
+            # clip(y * (1 + N_mul) + N_add, 0, 1), drawn from a copy of the world's stream
+            stream = copy.deepcopy(world.rng["predictor"])
+            with mock.patch.object(world, "cfg", world.cfg.replace(predictor="oracle")):
+                y = predict(world, day)
+            got = predict(world, day)
+            n_mul = stream.normal(0.0, abs(sigma), y.shape)
+            n_add = stream.normal(0.0, abs(sigma), y.shape)
+            want = np.clip(y * (1.0 + n_mul) + n_add, 0.0, 1.0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert stream.bit_generator.state == world.rng["predictor"].bit_generator.state
+            if sigma == 0.0:  # y * 0 and a draw times 0 can be -0.0; the sum is +0.0
+                assert not np.signbit(got).any()
+            truth.append(y.max())
+            return got
+
+        monkeypatch.setattr(core, "predict", checking)
+        run(cfg)
+        assert len(truth) == 6 and max(truth) > 0

@@ -550,8 +550,20 @@ class TestEvaluatePredictor:
         assert evaluate_predictor(recs, preds) == 0.0
         with pytest.raises(ValueError, match=r"^prediction 1: y_hat must be finite numbers, got "):
             evaluate_predictor(recs, [preds[0], _prediction("r0", 3, 1, y_hat)])
-        with pytest.raises(ValueError, match=r"^record 1: y_hat must be finite numbers, got "):
+        with pytest.raises(ValueError, match=r"^record 1: targets must be finite numbers, got "):
             evaluate_predictor([recs[0], _record("r0", 3, 1, y_hat)], preds)
+
+    @pytest.mark.parametrize("run_id", [["r0"], {"id": "r0"}, 0, None, True])
+    def test_a_run_id_that_is_not_a_string_names_its_entry(self, run_id):
+        # a run_id is a string or absent; a list or an object must not raise a bare TypeError
+        recs = [_record("r0", 1, 0, [0.0] * 2), _record("r0", 3, 1, [0.5, 0.0])]
+        preds = [_prediction("r0", 1, 0, [0.0] * 2), _prediction("r0", 3, 1, [0.5, 0.0])]
+        absent = [{k: v for k, v in entry.items() if k != "run_id"} for entry in (recs[1], preds[1])]
+        assert evaluate_predictor([recs[0], absent[0]], [preds[0], absent[1]]) == 0.0
+        with pytest.raises(ValueError, match=r"^prediction 1: run_id must be a string, got "):
+            evaluate_predictor(recs, [preds[0], _prediction(run_id, 3, 1, [0.5, 0.0])])
+        with pytest.raises(ValueError, match=r"^record 1: run_id must be a string, got "):
+            evaluate_predictor([recs[0], _record(run_id, 3, 1, [0.5, 0.0])], preds)
 
 
 def _table(tmp_path, rows, app_ids=(3, 5, 8), num_days=4, window=3):
