@@ -14,10 +14,8 @@ import contextlib
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +155,14 @@ def _pareto_worker(cfg: core.SimConfig) -> tuple[float, float]:
 def _pool(jobs: int, n_runs: int):
     """A ``map`` over a pool of up to ``jobs`` processes for ``n_runs`` runs, or ``map`` for one.
 
-    Workers are spawned, not forked, so no thread state of the caller is copied.
+    Workers are spawned, not forked, so no thread state of the caller is copied. The pool's
+    modules are imported here, so a process that makes no pool never loads them.
     """
     if min(jobs, n_runs) <= 1:
         yield map
     else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, n_runs),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             yield pool.map
@@ -200,17 +201,22 @@ def _sweep(args, field, values) -> int:
 
     A value repeated on any axis is dropped with a warning, so no two
     points are the same run, and every point's config is checked before any runs.
+    Each failed point is reported on stderr; a sweep in which no point finished exits 2.
     """
     cfg = _fast(_load_config(args))
     axes = [_distinct(name, given)
             for name, given in ((field, values), ("seed", args.seeds), ("policy", args.policies))]
     points = [cfg.replace(**{field: v}, rng_seed=sd, policy=pol)
               for v in axes[0] for sd in axes[1] for pol in axes[2]]
+    rows = []
     with _pool(args.jobs, len(points)) as map_runs:
-        rows = list(map_runs(_sweep_worker, points))
+        for i, row in enumerate(map_runs(_sweep_worker, points)):
+            if row["status"] != "ok":
+                print(f"run {i + 1}/{len(points)} failed: {row['status']}", file=sys.stderr)
+            rows.append(row)
     metrics.write_metrics_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return EXIT_OK if any(row["status"] == "ok" for row in rows) else EXIT_RUNTIME
 
 
 def cmd_pareto(args) -> int:

@@ -385,7 +385,7 @@ class WorldState:
     def _init_epi(self):
         n = self.population
         self.epi_state = np.full(n, STATE_S, dtype=np.int8)
-        self.exposure_day = np.full(n, -1, dtype=np.int64)
+        self.exposure_day = np.full(n, -1, dtype=np.int32)
         self.onset = np.full(n, np.nan)
         self.symptom_onset = np.full(n, np.nan)
         self.peak = np.full(n, np.nan)
@@ -409,16 +409,17 @@ class WorldState:
         self.infected_at_order = np.zeros(n, dtype=bool)
 
         # escalation timers: the last day the timer governs, -1 once quit
-        self.iso_until = np.full(n, -1, dtype=np.int64)
-        self.hh_until = np.full(n, -1, dtype=np.int64)
-        self.bct_until = np.full(n, -1, dtype=np.int64)
+        self.iso_until = np.full(n, -1, dtype=np.int32)
+        self.hh_until = np.full(n, -1, dtype=np.int32)
+        self.bct_until = np.full(n, -1, dtype=np.int32)
 
     def _init_app_state(self):
         cfg = self.cfg
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
-        shape = (self.window, self.app_ids.size)
+        shape = (self.window, self.app_ids.size if self.app_active else 0)
         # rings over slot day % window: the edges, and per (slot, app sender), a row a slot,
-        # the level it last sent for that day, which its partners hold, and the partner count
+        # the level it last sent for that day, which its partners hold, and the partner count;
+        # of zero width without an app layer, which never reads them
         self.edges: list[EdgeDay | None] = [None] * self.window
         self.held = np.full(shape, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8)
         self.outdeg = np.zeros(shape, dtype=np.int32)
@@ -467,7 +468,8 @@ class WorldState:
         infector, infectee, location)``; a seed has infector EXTERNAL_SEED and location -1
         (``EVENT_LOCATIONS``)."""
         i = self.infection_order[:self.n_infected]
-        return np.column_stack((self.exposure_day[i], self.infector[i], i, self.infection_loc[i]))
+        return np.stack((self.exposure_day[i], self.infector[i], i, self.infection_loc[i]),
+                        axis=1, dtype=np.int64)
 
     def recovered_ids(self):
         """Sorted ids of the agents recovered by the end of the last day stepped."""

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, outputs, reproducibility."""
 
 import argparse
+import concurrent.futures
 import csv
 import filecmp
 import json
@@ -8,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -52,6 +52,15 @@ SMALL = {"run": [], "pareto": ["--scales", "1.0", "--seeds", "0"],
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _fresh_python(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout's pctsim."""
+    env = {k: v for k, v in os.environ.items() if k != "TRACE_SIM_SEED"}
+    src = str(Path(pctsim.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def _fail_runs(monkeypatch, fails):
@@ -378,15 +387,22 @@ class TestRunCommand:
         argv = [command, "--config", cfg_path, *extra, "--out", str(out)]
         script = ("import sys; sys.modules['scipy'] = None; from pctsim import cli; "
                   f"sys.exit(cli.main({argv!r}))")
-        env = {k: v for k, v in os.environ.items() if k != "TRACE_SIM_SEED"}
-        src = str(Path(pctsim.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
+        done = _fresh_python(script)
         assert done.returncode == 0, done.stderr
         records = sorted(out.glob("*.records.jsonl"))
         assert sorted(p.name for p in out.iterdir() if p not in records) == written
         assert len(records) == n_records
+
+    def test_a_run_loads_no_pool_machinery(self, cfg_path, tmp_path):
+        # a pool's modules load only when --jobs makes a pool; pytest's own process has them,
+        # so the run goes in a fresh interpreter
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o")]
+        script = ("import sys; from pctsim import cli; "
+                  f"assert cli.main({argv!r}) == 0; "
+                  "print(*(m in sys.modules for m in ('multiprocessing', 'concurrent.futures')))")
+        done = _fresh_python(script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False False"
 
     def test_seed_precedence_env_over_file_flag_over_env(
             self, cfg_path, tmp_path, monkeypatch):
@@ -591,6 +607,41 @@ class TestFailedRuns:
         assert all(rows[1][field] not in ("", None) for field in metrics.CSV_FIELDS)
         assert rows[1]["config_hash"] == rows[0]["config_hash"]
 
+    def test_a_failed_sweep_point_is_reported(self, cfg_path, tmp_path, monkeypatch, capsys):
+        _fail_runs(monkeypatch, lambda cfg: cfg.rng_seed == 1)
+        assert cli.main(["adoption", "--config", cfg_path, "--adoptions", "0.3",
+                         "--seeds", "0..2", "--policies", "bct", "--jobs", "1",
+                         "--out", str(tmp_path / "a.csv")]) == cli.EXIT_OK
+        assert capsys.readouterr().err == "run 2/3 failed: error: RuntimeError: seed 1 failed\n"
+
+    @pytest.mark.parametrize("command,axis", [("pareto", ["--scales", "1.0,2.0"]),
+                                              ("adoption", ["--adoptions", "0.3,0.5"])])
+    def test_a_sweep_without_a_finished_point_exits_2(self, cfg_path, tmp_path, monkeypatch,
+                                                      capsys, command, axis):
+        _fail_runs(monkeypatch, lambda cfg: True)
+        out = tmp_path / "sweep.csv"
+        assert cli.main([command, "--config", cfg_path, *axis, "--seeds", "0",
+                         "--policies", "bct", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err.splitlines() == [
+            f"run {i}/2 failed: error: RuntimeError: seed 0 failed" for i in (1, 2)]
+        assert [r["status"] for r in _read_csv(out)] == ["error: RuntimeError: seed 0 failed"] * 2
+
+    def test_a_sweep_of_unreadable_predictions_exits_2(self, cfg_path, tmp_path, capsys):
+        # each point fails as it builds its world, so none finishes
+        cfg = Path(cfg_path)
+        missing = tmp_path / "missing.jsonl"
+        cfg.write_text(cfg.read_text() + f"policy: pct\npredictor: external\n"
+                                         f"external_predictions: {missing}\n")
+        out = tmp_path / "adoption.csv"
+        assert cli.main(["adoption", "--config", cfg_path, "--adoptions", "0.3",
+                         "--seeds", "0,1", "--policies", "pct", "--jobs", "1",
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:3] for line in err] == [
+            [f"run {i}/2 failed", "error", "ConfigError"] for i in (1, 2)]
+        assert all(r["status"].startswith("error: ConfigError: ") for r in _read_csv(out))
+
     def test_a_failed_campaign_run_is_flagged_and_left_out_of_the_split(
             self, cfg_path, tmp_path, monkeypatch, capsys):
         calls = []
@@ -755,12 +806,12 @@ class TestCalibrateCommand:
     def test_parallel_jobs_write_identical_calibration(self, tmp_path, monkeypatch):
         pools = []
 
-        class CountedPool(ProcessPoolExecutor):
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 super().__init__(max_workers, **kwargs)
                 pools.append(max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text("population_size: 200\nnum_days: 8\nrng_seed: 0\n")
         outs = {}

@@ -1259,6 +1259,39 @@ class TestHistoryLayout:
         assert not hasattr(trace, "y_hist")
 
 
+class TestWhatAWorldHolds:
+    def test_a_world_without_an_app_layer_holds_empty_rings(self):
+        # no_tracing never reads the rings, nor does a pct world without app agents
+        for cfg in (_small(num_days=4),
+                    _small(policy="pct", predictor="noisy_oracle", adoption_rate=0.0, num_days=4)):
+            world = init_world(cfg)
+            assert not world.app_active
+            for _ in range(4):
+                assert world.held.shape == world.outdeg.shape == (world.window, 0)
+                step_day(world)
+            assert world.day == 4 and world.edge_days() == []
+
+    def test_a_pct_world_holds_a_ring_row_per_slot(self):
+        world = init_world(_small(policy="pct", predictor="noisy_oracle", num_days=4))
+        shape = (world.window, world.app_ids.size)
+        assert world.app_active and world.app_ids.size > 0
+        assert world.held.shape == world.outdeg.shape == shape
+        for _ in range(4):
+            step_day(world)
+        assert world.held.shape == world.outdeg.shape == shape
+        assert world.outdeg.sum() == sum(e.receiver.size for e in world.edge_days()) > 0
+
+    @pytest.mark.parametrize("policy", core.POLICIES)
+    def test_day_columns_are_int32_and_events_int64(self, policy):
+        world = run(_small(policy=policy, predictor="noisy_oracle"))
+        for name in ("exposure_day", "iso_until", "hh_until", "bct_until"):
+            assert getattr(world, name).dtype == np.int32, name
+        # a gather index, a key factor and a day plus an unbounded delay stay int64
+        for name in ("household_id", "_app_index", "result_day"):
+            assert getattr(world, name).dtype == np.int64, name
+        assert world.events.dtype == np.int64 and world.events.shape == (world.n_infected, 4)
+
+
 def _write_publishing(cfg, out):
     """``write_run(cfg)`` into ``out``; the world, the estimates each day's app pass
     quantized, as float32, and the day lines of the trace, parsed."""
