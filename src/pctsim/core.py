@@ -9,6 +9,7 @@ flows from named generator streams spawned from the config seed, so equal
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import dataclasses
 import functools
@@ -48,6 +49,7 @@ CONDITION_PREVALENCE = (
 )
 
 QUARANTINE_DAYS = 14
+_INT32_MAX, _INT64_MAX = int(np.iinfo(np.int32).max), int(np.iinfo(np.int64).max)
 EVENT_LOCATIONS = (*mobility.LOCATION_TYPES, "external")  # code -1: a seed
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.int64)  # symptoms in a mask
 _N_TESTS = len(virology.TEST_CODE_NAMES)  # a health code is symptom mask * _N_TESTS + test code
@@ -91,14 +93,17 @@ def _fraction(name, value):
     return number
 
 
-def _integer(name, value, least=-np.inf):
-    """``value`` as an int of at least ``least``: an int exactly, a float only if integral."""
+def _integer(name, value, least=-np.inf, most=np.inf):
+    """``value`` as an int in [least, most]: an int exactly, a float only if integral."""
     number = _number(name, value)  # an int too large for a float fails here
     if not number.is_integer():  # NaN and inf fail too
         raise ConfigError(f"{name}: must be an integer, got {value!r}")
-    if number < least:
+    integer = int(value) if isinstance(value, (int, np.integer)) else int(number)
+    if integer < least:
         raise ConfigError(f"{name}: must be >= {least}, got {value}")
-    return int(value) if isinstance(value, (int, np.integer)) else int(number)
+    if integer > most:  # compared as ints: a float past 2**53 rounds
+        raise ConfigError(f"{name}: must be <= {most}, got {value}")
+    return integer
 
 
 def _non_negative(name, value):
@@ -166,8 +171,8 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         """Check each field in turn, storing a number in its field's type; run when made, so idempotent."""
-        self._keep("population_size", _integer, 2)
-        self._keep("num_days", _integer, 0)
+        self._keep("population_size", _integer, 2, _INT32_MAX + 1)  # an id fits int32
+        self._keep("num_days", _integer, 0, _INT32_MAX + 1 - QUARANTINE_DAYS)  # a timer fits int32
         for name in ("adoption_rate", "smartphone_rate", "initial_exposed_fraction",
                      "carefulness", "symptom_dropout", "symptom_dropin",
                      "quarantine_dropout_test", "quarantine_dropout_household",
@@ -179,7 +184,7 @@ class SimConfig:
                 f"adoption_rate: {self.adoption_rate} exceeds smartphone_rate "
                 f"{self.smartphone_rate}; app users are a subset of smartphone owners")
         self._keep("global_mobility_scale", _non_negative)
-        self._keep("test_delay_days", _integer, 0)
+        self._keep("test_delay_days", _integer, 0, _INT64_MAX + 1 - self.num_days)  # a result day fits int64
         self._keep("rng_seed", _integer, 0)
         if not 1 <= self._keep("d_max", _integer) <= 15:
             raise ConfigError(f"d_max: must be in 1..15 (a 4-bit day offset), got {self.d_max}")
@@ -273,17 +278,21 @@ class DayReport:
 
 @dataclass
 class EdgeDay:
-    """One day of directed app contacts, one row per (receiver, sender) pair.
+    """One registered day of directed app contacts, one row per (receiver, sender) pair.
 
     Receiver and sender are int32 indexes into ``app_ids``, a met pair as two mirrored
     rows, in no set order; ``count`` is the pair's encounters that day, clipped to 65535
-    in uint16. The level the receiver holds depends only on (sender, day): see ``held_levels``.
+    in uint16. Over app agents, ``level`` is the int8 level each last sent for the day, which
+    its partners hold (a receiver holds ``level[sender]``), and ``degree`` its int32 partner
+    count; only ``level`` changes once the day is registered.
     """
 
     day: int
     receiver: np.ndarray
     sender: np.ndarray
     count: np.ndarray
+    level: np.ndarray
+    degree: np.ndarray
 
 
 class WorldState:
@@ -300,6 +309,7 @@ class WorldState:
 
     ``health_hist`` is the one stored per-day history: the app agents' ``(n_app,
     num_days)`` uint8 health codes (symptom mask * 4 + test code), column-major.
+    ``edges`` holds an ``EdgeDay`` per day of the window, oldest first; none without an app layer.
     ``enc_windows`` (observables recorded under a tracing policy) is the run's
     ``ObservationLog``: each day's app edges once, plus that day's held levels over app
     senders. ``enc_windows[d]`` cuts day d's ``(offsets, levels, counts)`` cells from it:
@@ -416,13 +426,8 @@ class WorldState:
     def _init_app_state(self):
         cfg = self.cfg
         self.app_active = cfg.policy != "no_tracing" and self.app_ids.size > 0
-        shape = (self.window, self.app_ids.size if self.app_active else 0)
-        # rings over slot day % window: the edges, and per (slot, app sender), a row a slot,
-        # the level it last sent for that day, which its partners hold, and the partner count;
-        # of zero width without an app layer, which never reads them
-        self.edges: list[EdgeDay | None] = [None] * self.window
-        self.held = np.full(shape, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8)
-        self.outdeg = np.zeros(shape, dtype=np.int32)
+        # the window's days, oldest first; registering a day drops the one leaving the window
+        self.edges: collections.deque[EdgeDay] = collections.deque(maxlen=self.window)
         self.bct_flag = np.zeros(self.population, dtype=bool)
         self.external = None
         if cfg.policy == "pct" and cfg.predictor == "external":
@@ -501,14 +506,6 @@ class WorldState:
         self.infection_order[self.n_infected:self.n_infected + agents.size] = agents
         self.n_infected += agents.size
 
-    def edge_days(self) -> list[EdgeDay]:
-        """The edge tables of the window's days, in ring order."""
-        return [e for e in self.edges if e is not None]
-
-    def held_levels(self, e: EdgeDay) -> np.ndarray:
-        """The level each receiver of ``e`` holds for its sender: a gather from one ring row."""
-        return self.held[e.day % self.window].take(e.sender)
-
     def observables_for(self, day):
         """The heuristic's evidence for every app agent as of ``day``.
 
@@ -519,10 +516,10 @@ class WorldState:
         health = self.health_hist[:, day]
         has_positive = health % _N_TESTS == TEST_POSITIVE
         n_symptoms = _POPCOUNT.take(health // _N_TESTS)
-        # held's dtype: np.maximum.at is ~30x slower when the dtypes differ
+        # level's dtype: np.maximum.at is ~30x slower when the dtypes differ
         top = np.zeros(health.size, dtype=np.int8)
-        for e in self.edge_days():
-            np.maximum.at(top, e.receiver, self.held_levels(e))
+        for e in self.edges:
+            np.maximum.at(top, e.receiver, e.level.take(e.sender))
         return has_positive, n_symptoms, top.astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -562,21 +559,22 @@ class WorldState:
         return encounters
 
     def _register_app_contacts(self, a, b, day):
-        """Today's app-pair encounters, counted once per pair and mirrored, replace the oldest day.
+        """Today's app-pair encounters, counted once per pair and mirrored, become the newest day.
 
-        Each receiver starts out holding the level the sender last sent for
-        yesterday. An update sent yesterday to the replaced day is dropped.
+        Each receiver starts out holding the level the sender last sent for yesterday
+        (risk 0's on day 0). An update sent yesterday to the day leaving the window is dropped.
         """
         both = np.flatnonzero(self.has_app[a] & self.has_app[b])  # two bool masks take ~3x as long
         x, y = self._app_index[a[both]], self._app_index[b[both]]
         n_app = self.app_ids.size
         keys, count = np.unique(np.minimum(x, y) * n_app + np.maximum(x, y), return_counts=True)
         pairs = np.array(np.divmod(keys, n_app), dtype=np.int32)  # rows lo, hi
-        receiver, slot = pairs.ravel(), day % self.window
+        receiver = pairs.ravel()
         count = np.tile(np.minimum(count, 65535).astype(np.uint16), 2)
-        self.edges[slot] = EdgeDay(day, receiver, pairs[::-1].ravel(), count)
-        self.held[slot] = self.held[(day - 1) % self.window]
-        self.outdeg[slot] = np.bincount(receiver, minlength=n_app)
+        level = (self.edges[-1].level.copy() if self.edges else
+                 np.full(n_app, messaging.quantize_risk(0.0, self.thresholds), dtype=np.int8))
+        degree = np.bincount(receiver, minlength=n_app).astype(np.int32)
+        self.edges.append(EdgeDay(day, receiver, pairs[::-1].ravel(), count, level, degree))
 
     def _phase_transmission(self, day, y, a, b, loc):
         cfg = self.cfg
@@ -659,7 +657,7 @@ class WorldState:
             return 0, levels, None
         self._register_app_contacts(a, b, day)
         if self.enc_windows is not None:
-            self._snapshot_enc_windows(day)
+            self._snapshot_enc_windows()
         if policy == "bct":
             return self._app_pass_bct(day, positives), levels, None
         if policy == "pct":
@@ -674,7 +672,7 @@ class WorldState:
             qlev = np.broadcast_to(messaging.quantize_risk(score, self.thresholds)[:, None],
                                    estimates.shape)
         levels[self.app_ids] = app_levels
-        return self._publish(day, qlev), levels, estimates
+        return self._publish(qlev), levels, estimates
 
     def _app_pass_bct(self, day, positives):
         """Quarantine yesterday's flagged agents, then flag today's positives' contacts.
@@ -686,30 +684,30 @@ class WorldState:
         self.bct_until[self.bct_flag] = day + QUARANTINE_DAYS
         flaggers = positives[self.app_ids]  # a positive result is final
         self.bct_flag = np.zeros(self.population, dtype=bool)
-        for e in self.edge_days():
+        for e in self.edges:
             self.bct_flag[self.app_ids[e.receiver[flaggers[e.sender]]]] = True
-        return int(self.outdeg[:, flaggers].sum())
+        return sum(int(e.degree[flaggers].sum()) for e in self.edges)
 
-    def _publish(self, day, qlev):
+    def _publish(self, qlev):
         """Send each day's level where it differs from the level last sent.
 
-        Slot k of an agent's history covers day ``day - k``; a changed slot
-        sends its new level to every partner the agent met that day, one
-        message per edge, and ``held``'s row of that day takes it. A failed
+        Slot k of an agent's history covers the day k days back, ``edges[-1 - k]``;
+        a changed slot sends its new level to every partner the agent met that
+        day, one message per edge, and that day's ``level`` takes it. A failed
         external prediction is yesterday's estimate moved one day older, which
         quantizes to what its partners hold, so it sends nothing.
         """
-        span = min(day + 1, self.window)  # slots of days that have edges
-        cols = (day - np.arange(span)) % self.window
-        changed = qlev[:, :span].T != self.held[cols]
-        self.held[cols] = qlev[:, :span].T
-        return int(np.einsum("ij,ij->", self.outdeg[cols], changed, dtype=np.int64))
+        messages = 0
+        for k, e in enumerate(reversed(self.edges)):
+            messages += int(np.einsum("i,i->", e.degree, qlev[:, k] != e.level, dtype=np.int64))
+            e.level[:] = qlev[:, k]
+        return messages
 
-    def _snapshot_enc_windows(self, day):
+    def _snapshot_enc_windows(self):
         """Log today's app edges and the levels held before today's sends, newest day first."""
-        e = self.edges[day % self.window]
-        cols = (day - np.arange(min(day + 1, self.window))) % self.window
-        self.enc_windows.append(e.receiver, e.sender, e.count, self.held[cols].T)
+        e = self.edges[-1]
+        held = np.stack([d.level for d in reversed(self.edges)]).T  # contiguous columns
+        self.enc_windows.append(e.receiver, e.sender, e.count, held)
 
     def _phase_levels(self, day, levels):
         """Escalate and drop out ``levels``, the policy's, in place; they are tomorrow's."""

@@ -208,6 +208,16 @@ class TestParsingAndErrors:
         assert capsys.readouterr().err.startswith("error: population_size: must be a number")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["population_size", "num_days", "test_delay_days"])
+    def test_a_value_the_engine_cannot_store_exit_1(self, tmp_path, capsys, field):
+        path = tmp_path / "big.yaml"
+        path.write_text(f"population_size: 200\nnum_days: 5\n{field}: {10**20}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {field}: must be <= ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("env", ["abc", "1.5", ""])
     def test_bad_env_seed_exit_1(self, cfg_path, tmp_path, capsys, monkeypatch, env):
         monkeypatch.setenv("TRACE_SIM_SEED", env)

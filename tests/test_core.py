@@ -102,6 +102,28 @@ class TestConfigValidation:
             SimConfig(**{field: value}).validate()
         assert field in str(err.value)
 
+    @pytest.mark.parametrize("field,bound,num_days", [
+        # an agent id fits the int32 infector and infection_order columns
+        ("population_size", 2**31, 50),
+        # the last day plus a quarantine fits the int32 day columns
+        ("num_days", 2**31 - 1 - (core.QUARANTINE_DAYS - 1), None),
+        # the last day plus the delay fits the int64 result_day
+        ("test_delay_days", 2**63 - 1 - 49, 50),
+        ("test_delay_days", 2**63 - 1, 1),
+    ])
+    def test_a_value_the_engine_cannot_store_is_a_config_error(self, field, bound, num_days):
+        # only configs are made here: no world of these sizes is built
+        days = {} if num_days is None else {"num_days": num_days}
+        assert getattr(SimConfig(**{field: bound}, **days), field) == bound
+        with pytest.raises(ConfigError, match=f"^{field}: must be <= {bound}, got {bound + 1}$"):
+            SimConfig(**{field: bound + 1}, **days)
+
+    def test_a_delay_at_its_bound_runs(self):
+        cfg = _small(population_size=200, num_days=5, initial_exposed_fraction=0.2,
+                     test_delay_days=2**63 - 5)
+        world = run(cfg)
+        assert world.day == 5 and world.result_day.max() > 2**62
+
     def test_app_users_subset_of_phone_owners(self):
         with pytest.raises(ConfigError) as err:
             SimConfig(adoption_rate=0.9, smartphone_rate=0.5).validate()
@@ -661,9 +683,9 @@ def _spy_publish(world, read):
     """Call ``read(world, day)`` as each ``_publish`` is entered, before the day's sends."""
     publish = world._publish
 
-    def spy(day, qlev):
-        read(world, day)
-        return publish(day, qlev)
+    def spy(qlev):
+        read(world, world.day)
+        return publish(qlev)
 
     world._publish = spy
 
@@ -741,16 +763,16 @@ class TestHeuristicThroughEngine:
 def _observables_reference(world, day):
     """The heuristic's evidence by the window formula: a positive anywhere in the
     window's test code columns, ``unpackbits`` of today's symptom masks, and the
-    highest level over a (sender, slot) gather of the ``(n_app, window)`` held levels."""
+    highest level over a (sender, day) gather of the ``(n_app, days)`` held levels."""
     app = world.app_ids
     symptoms, tests = health(world)
     tests = tests[app, max(day - world.cfg.d_max, 0):day + 1]
     has_positive = np.any(tests == TEST_POSITIVE, axis=1)
     n_symptoms = np.unpackbits(symptoms[app, day][:, None], axis=1).sum(axis=1)
-    held = world.held.T
+    held = np.stack([e.level for e in world.edges], axis=1)
     top = np.zeros(app.size, dtype=np.int8)
-    for e in world.edge_days():
-        np.maximum.at(top, e.receiver, held[e.sender, e.day % world.window])
+    for col, e in enumerate(world.edges):
+        np.maximum.at(top, e.receiver, held[e.sender, col])
     return has_positive, n_symptoms, top.astype(np.int64)
 
 
@@ -816,7 +838,8 @@ def _stepped(policy, at_publish=None, **kw):
     with recorded_days() as record:
         record.estimates.append(np.zeros((world.app_ids.size, world.window)))
         for day in range(world.cfg.num_days):
-            shared = world.held[(day - 1) % world.window].copy()
+            shared = (world.edges[-1].level.copy() if world.edges else
+                      np.full(world.app_ids.size, messaging.quantize_risk(0.0, world.thresholds)))
             before = record.estimates[-1]
             report = core.step_day(world)
             yield world, day, report, shared, before, record.estimates[-1]
@@ -835,11 +858,11 @@ def _app_index(world, agent):
 
 
 def _held_level(world, receiver, day, sender):
-    e = world.edges[day % world.window]
+    (e,) = [e for e in world.edges if e.day == day]
     row = np.flatnonzero((e.receiver == _app_index(world, receiver))
                          & (e.sender == _app_index(world, sender)))
-    assert e.day == day and row.size == 1
-    return int(world.held_levels(e)[row[0]])
+    assert row.size == 1
+    return int(e.level[e.sender[row[0]]])
 
 
 class TestProtocolReference:
@@ -852,7 +875,7 @@ class TestProtocolReference:
         app = world.app_ids
         for i, agent in enumerate(app.tolist()):
             book = {e.day: {_token(r, e.day): 1 for r in app[e.receiver[e.sender == i]].tolist()}
-                    for e in world.edge_days()}
+                    for e in world.edges}
             prev_aligned = np.concatenate([before[i, :1], before[i, :-1]])
             out = messaging.diff_and_emit(
                 prev_aligned, after[i], book, world.thresholds, day=day,
@@ -867,14 +890,15 @@ class TestProtocolReference:
 
     @pytest.mark.parametrize("d_max", [1, 15])
     def test_engine_matches_diff_and_emit_at_window_extremes(self, d_max):
-        # the 20-day run wraps the day rings at both window sizes
+        # the 20-day run drops days from the window at both window sizes
         self._check_against_diff_and_emit(d_max=d_max)
 
     def _check_against_diff_and_emit(self, d_max):
         expected = {}  # (receiver, day, sender) -> level registered or last sent
         total = 0
         for world, day, report, shared, before, after in _stepped("pct", d_max=d_max):
-            today = world.edges[day % world.window]
+            today = world.edges[-1]
+            assert today.day == day
             app = world.app_ids
             for r, s in zip(today.receiver.tolist(), today.sender.tolist()):
                 expected[(int(app[r]), day, int(app[s]))] = int(shared[s])
@@ -890,11 +914,16 @@ class TestProtocolReference:
                     assert [lvl for lvl, _n in pairs] == engine
                 for m in inbox:
                     expected[(receiver, m.encounter_day, m.sender_token // 4096)] = m.risk_level
-            for e in world.edge_days():
-                assert world.held_levels(e).tolist() == [
+            for e in world.edges:
+                assert e.level.take(e.sender).tolist() == [
                     expected[(r, e.day, s)]
                     for r, s in zip(app[e.receiver].tolist(), app[e.sender].tolist())]
         assert total > 1000
+
+
+def _newest_first(world, name):
+    """Array ``name`` of each registered day, stacked newest day first: ``(days, n_app)``."""
+    return np.stack([getattr(e, name) for e in reversed(world.edges)])
 
 
 def _steady_predictions(tmp_path, n=300, days=20):
@@ -929,21 +958,22 @@ class TestFailedPredictions:
         world = init_world(cfg)
         app = world.app_ids
         entered = []
-        _spy_publish(world, lambda wd, _day: entered.append(wd.held.copy()))
+        _spy_publish(world, lambda wd, _day: entered.append(_newest_first(wd, "level")))
         sends = np.zeros((app.size, days), dtype=np.int64)  # per (sender, day)
         total = 0
         for day in range(days):
             report = step_day(world)
-            changed = world.held != entered[day]
-            assert report.messages == int((world.outdeg * changed).sum())
+            span = min(day + 1, w)
+            assert [e.day for e in reversed(world.edges)] == (day - np.arange(span)).tolist()
+            held = _newest_first(world, "level")  # row k: day - k
+            changed = held != entered[day]
+            assert report.messages == int((_newest_first(world, "degree") * changed).sum())
             failed = missing[app, day]
             assert not changed[:, failed].any()
-            span = min(day + 1, w)
-            cols = (day - np.arange(span)) % w
             own = messaging.quantize_risk(g[np.ix_(app, day + w - np.arange(span))],
                                           world.thresholds)
-            assert np.array_equal(world.held[cols][:, ~failed], own[~failed].T)
-            sends[:, day - np.arange(span)] += changed[cols].T
+            assert np.array_equal(held[:, ~failed], own[~failed].T)
+            sends[:, day - np.arange(span)] += changed.T
             total += report.messages
         assert sends.max() == 1
         assert missing[app].mean() > 0.1 and total > 1000
@@ -980,9 +1010,9 @@ class TestEdgeLedger:
     @pytest.mark.parametrize("policy", ["bct", "pct"])
     def test_invariants(self, policy):
         for world, day, _report, _shared, _before, _after in _stepped(policy):
-            days = sorted(e.day for e in world.edge_days())
+            days = sorted(e.day for e in world.edges)
             assert days == list(range(max(day - world.cfg.d_max, 0), day + 1))
-            for e in world.edge_days():
+            for e in world.edges:
                 a, b, _loc = world.encounter_log[e.day]
                 app_pair = world.has_app[a] & world.has_app[b]
                 assert e.count.sum() == 2 * app_pair.sum()
@@ -990,7 +1020,7 @@ class TestEdgeLedger:
                 app = world.app_ids
                 assert all((r, s) in met or (s, r) in met
                            for r, s in zip(app[e.receiver].tolist(), app[e.sender].tolist()))
-                held = world.held_levels(e)
+                held = e.level.take(e.sender)
                 assert np.all((held >= 0) & (held <= 15))
 
 
@@ -1022,7 +1052,7 @@ class TestRegistration:
                                   global_mobility_scale=3.75, record_encounter_log=True))
         for day in range(days):
             step_day(world)
-            e = world.edges[day % world.window]
+            e = world.edges[-1]
             receiver, sender, count, outdeg = _directed_registration(
                 world, *world.encounter_log[day][:2])
             assert e.day == day
@@ -1030,14 +1060,15 @@ class TestRegistration:
                                                                          np.uint16)
             assert np.array_equal(_rows(e.receiver, e.sender, e.count),
                                   _rows(receiver, sender, count))
-            assert np.array_equal(world.outdeg[day % world.window], outdeg)
+            assert np.array_equal(e.degree, outdeg)
 
 
 def _snapshot(world, day):
-    """Day ``day``'s (offsets, levels, counts) cells from the live rings: one packed-key sort."""
-    w, days = world.window, world.edge_days()
+    """Day ``day``'s (offsets, levels, counts) cells from the live day records, by one
+    packed-key sort."""
+    w, days = world.window, world.edges
     key = np.concatenate([
-        ((e.receiver.astype(np.int64) * w + (day - e.day)) * 16 + world.held_levels(e)) * 65536
+        ((e.receiver.astype(np.int64) * w + (day - e.day)) * 16 + e.level.take(e.sender)) * 65536
         + np.minimum(e.count, 65535) for e in days]).view(np.uint64)
     key.sort()
     # cell c = receiver * w + k holds the keys in [c << 20, (c + 1) << 20)
@@ -1051,7 +1082,7 @@ class TestObservationLog:
     @pytest.mark.parametrize("policy", ["pct", "heuristic"])
     @pytest.mark.parametrize("d_max", [1, 14, 15])
     def test_log_matches_the_live_snapshot(self, policy, d_max):
-        # the 20-day run wraps the day rings at both window extremes; the
+        # the 20-day run drops days from the window at both extremes; the
         # log is read after the run, so no later day may alter an earlier one.
         # The snapshot is taken as _publish is entered, before the day's sends.
         snapshots = []
@@ -1237,10 +1268,12 @@ class TestHistoryLayout:
         world = init_world(_small(policy=policy, num_days=4))
         for _ in range(3):
             step_day(world)
-        edges, held, outdeg = list(world.edges), world.held.copy(), world.outdeg.copy()
+        edges = list(world.edges)
+        held, degree = _newest_first(world, "level"), _newest_first(world, "degree")
         world._phase_encounters()
         assert all(e is f for e, f in zip(world.edges, edges, strict=True))
-        assert np.array_equal(world.held, held) and np.array_equal(world.outdeg, outdeg)
+        assert np.array_equal(_newest_first(world, "level"), held)
+        assert np.array_equal(_newest_first(world, "degree"), degree)
 
     def test_the_ground_truth_is_derived_on_first_read(self):
         cfg = _small(policy="pct", predictor="noisy_oracle", num_days=6,
@@ -1260,26 +1293,39 @@ class TestHistoryLayout:
 
 
 class TestWhatAWorldHolds:
-    def test_a_world_without_an_app_layer_holds_empty_rings(self):
-        # no_tracing never reads the rings, nor does a pct world without app agents
+    def test_a_world_without_an_app_layer_holds_no_record(self):
+        # no_tracing never reads the app layer, nor does a pct world without app agents
         for cfg in (_small(num_days=4),
                     _small(policy="pct", predictor="noisy_oracle", adoption_rate=0.0, num_days=4)):
             world = init_world(cfg)
             assert not world.app_active
             for _ in range(4):
-                assert world.held.shape == world.outdeg.shape == (world.window, 0)
+                assert len(world.edges) == 0
                 step_day(world)
-            assert world.day == 4 and world.edge_days() == []
+            assert world.day == 4 and list(world.edges) == []
 
-    def test_a_pct_world_holds_a_ring_row_per_slot(self):
+    def test_a_pct_record_holds_an_entry_per_app_agent(self):
         world = init_world(_small(policy="pct", predictor="noisy_oracle", num_days=4))
-        shape = (world.window, world.app_ids.size)
+        shape = (world.app_ids.size,)
         assert world.app_active and world.app_ids.size > 0
-        assert world.held.shape == world.outdeg.shape == shape
         for _ in range(4):
             step_day(world)
-        assert world.held.shape == world.outdeg.shape == shape
-        assert world.outdeg.sum() == sum(e.receiver.size for e in world.edge_days()) > 0
+            assert all(e.level.shape == e.degree.shape == shape for e in world.edges)
+        assert len(world.edges) == 4
+        assert (sum(int(e.degree.sum()) for e in world.edges)
+                == sum(e.receiver.size for e in world.edges) > 0)
+
+    @pytest.mark.parametrize("d_max", [1, 14, 15])
+    def test_the_records_are_the_window_oldest_first(self, d_max):
+        # the 20-day run drops days from the window at each d_max
+        world = init_world(_small(policy="bct", population_size=300, num_days=20, d_max=d_max,
+                                  global_mobility_scale=3.75))
+        for d in range(world.num_days):
+            step_day(world)
+            assert [e.day for e in world.edges] == list(range(max(0, d + 1 - world.window), d + 1))
+            for e in world.edges:
+                assert e.degree.dtype == np.int32
+                assert np.array_equal(e.degree, np.bincount(e.receiver, minlength=e.degree.size))
 
     @pytest.mark.parametrize("policy", core.POLICIES)
     def test_day_columns_are_int32_and_events_int64(self, policy):

@@ -93,12 +93,12 @@ def _check_invariants(world, report, y):
     day = report.day
     assert report.s + report.e + report.i + report.r == world.population
     assert np.all((world.rec_level >= 0) & (world.rec_level <= 4))
-    assert np.all((world.held >= 0) & (world.held <= 15))
     assert np.all(np.bincount(world.infection_order[:world.n_infected]) <= 1)
     for until in (world.iso_until, world.hh_until, world.bct_until):
         assert until.max() <= day + QUARANTINE_DAYS
-    for e in world.edge_days():
-        assert world.outdeg[e.day % world.window].sum() == e.receiver.size
+    for e in world.edges:
+        assert np.all((e.level >= 0) & (e.level <= 15))
+        assert e.degree.sum() == e.receiver.size
     symptoms, tests = health(world)
     # symptoms and tests are modeled for app agents only, so no other agent is
     # ever ordered a test; the stored health code holds each app agent's test code

@@ -212,10 +212,10 @@ class TestBctPolicy:
         held = []
 
         def inject(w, day):
-            for e in w.edge_days():
+            for e in w.edges:
                 mine = e.receiver == 0  # agent is app_ids[0]
-                w.held[e.day % w.window, e.sender[mine]] = N_RISK_LEVELS - 1
-                held.append(int((w.held_levels(e)[mine] == N_RISK_LEVELS - 1).sum()))
+                e.level[e.sender[mine]] = N_RISK_LEVELS - 1
+                held.append(int((e.level.take(e.sender)[mine] == N_RISK_LEVELS - 1).sum()))
 
         levels = _levels_after(world, inject, 25)
         assert sum(held) > 0
@@ -437,7 +437,7 @@ class TestPctPolicy:
         assert nan.day_reports[0].messages > 0
         assert nan_levels[agent] == 1
         # agent is app_ids[0]; its partners keep the initial fill, unchanged by the step
-        assert np.all(nan.held[:, 0] == quantize_risk(0.0, nan.thresholds))
+        assert [e.level[0] for e in nan.edges] == [quantize_risk(0.0, nan.thresholds)]
         assert np.array_equal(nan.external.y_hat[0, 0], np.zeros(15))
         assert np.array_equal(nan_levels, missing_levels)
         assert np.array_equal(nan_published, missing_published)
