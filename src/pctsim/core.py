@@ -21,7 +21,6 @@ import yaml
 from . import messaging, mobility, tracing, virology
 from .metrics import (EXTERNAL_SEED, STATE_E, STATE_I, STATE_R, STATE_S, canonical_json,
                       config_hash, replacing)
-from .observations import ObservationLog
 from .virology import TEST_NEGATIVE, TEST_NONE, TEST_PENDING, TEST_POSITIVE
 
 POLICIES = ("no_tracing", "bct", "heuristic", "pct")
@@ -50,6 +49,9 @@ CONDITION_PREVALENCE = (
 
 QUARANTINE_DAYS = 14
 _INT32_MAX, _INT64_MAX = int(np.iinfo(np.int32).max), int(np.iinfo(np.int64).max)
+# numpy's normal deviates stay below about 14 in size, so a noisy-oracle draw at this sigma
+# stays finite; an overflow to inf would make inf * y at y = 0 a NaN estimate
+_SIGMA_MAX = 1e300
 EVENT_LOCATIONS = (*mobility.LOCATION_TYPES, "external")  # code -1: a seed
 _POPCOUNT = np.array([bin(m).count("1") for m in range(256)], dtype=np.int64)  # symptoms in a mask
 _N_TESTS = len(virology.TEST_CODE_NAMES)  # a health code is symptom mask * _N_TESTS + test code
@@ -106,9 +108,11 @@ def _integer(name, value, least=-np.inf, most=np.inf):
     return integer
 
 
-def _non_negative(name, value):
+def _non_negative(name, value, most=np.inf):
     if not 0.0 <= (number := _number(name, value)) < np.inf:  # NaN fails too
         raise ConfigError(f"{name}: must be finite and >= 0, got {value!r}")
+    if number > most:
+        raise ConfigError(f"{name}: must be <= {most}, got {value!r}")
     return number
 
 
@@ -193,7 +197,7 @@ class SimConfig:
         if self.predictor not in PREDICTORS:
             raise ConfigError(f"predictor: unknown value {self.predictor!r}, expected one of {PREDICTORS}")
         for name in ("predictor_add_sigma", "predictor_mul_sigma"):
-            self._keep(name, _non_negative)
+            self._keep(name, _non_negative, _SIGMA_MAX)
         for name in ("record_observables", "record_estimates", "record_encounter_log"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name}: must be true or false, got {getattr(self, name)!r}")
@@ -284,7 +288,8 @@ class EdgeDay:
     rows, in no set order; ``count`` is the pair's encounters that day, clipped to 65535
     in uint16. Over app agents, ``level`` is the int8 level each last sent for the day, which
     its partners hold (a receiver holds ``level[sender]``), and ``degree`` its int32 partner
-    count; only ``level`` changes once the day is registered.
+    count; only ``level`` changes once the day is registered. A recorded run keeps every
+    day's record in ``WorldState.enc_windows`` after it leaves the window.
     """
 
     day: int
@@ -310,11 +315,11 @@ class WorldState:
     ``health_hist`` is the one stored per-day history: the app agents' ``(n_app,
     num_days)`` uint8 health codes (symptom mask * 4 + test code), column-major.
     ``edges`` holds an ``EdgeDay`` per day of the window, oldest first; none without an app layer.
-    ``enc_windows`` (observables recorded under a tracing policy) is the run's
-    ``ObservationLog``: each day's app edges once, plus that day's held levels over app
-    senders. ``enc_windows[d]`` cuts day d's ``(offsets, levels, counts)`` cells from it:
-    the (level, count) rows that app agent ``app_ids[i]`` holds for its contacts of ``k``
-    days before d are cell ``i * window + k``. The estimates are not stored: each day's
+    ``enc_windows`` (observables recorded under a tracing policy; else None) is a list
+    with one ``(record, held)`` entry per stepped day: that day's ``EdgeDay`` and the
+    ``(span, n_app)`` int8 stack of the window records' ``level`` as held before the
+    day's sends, newest day first. ``datagen`` cuts day d's encounter cells from the
+    entries of days d - span + 1 .. d. The estimates are not stored: each day's
     go to the observers that ``step_day`` is given, as the trace writer of ``write_run``.
     """
 
@@ -441,8 +446,7 @@ class WorldState:
     def _init_trace_buffers(self):
         self.health_hist = np.zeros((self.app_ids.size, self.num_days), dtype=np.uint8, order="F")
         self.day_reports: list[DayReport] = []
-        self.enc_windows = (ObservationLog(self.app_ids.size, self.window)
-                            if self.cfg.record_observables and self.app_active else None)
+        self.enc_windows = [] if self.cfg.record_observables and self.app_active else None
         self.encounter_log = [] if self.cfg.record_encounter_log else None
         counts = np.bincount(self.epi_state, minlength=4)
         self.initial_counts = {"s": int(counts[STATE_S]), "e": int(counts[STATE_E]),
@@ -646,8 +650,8 @@ class WorldState:
         1 outside the app agents of pct and the heuristic, and the estimates (see ``step_day``).
 
         Messages take one day: what is sent on day d is read from the day
-        d + 1 pass on, so the observation log and today's observables, both
-        read before the send, see the levels from before it. An update to the
+        d + 1 pass on, so the levels ``enc_windows`` keeps and today's observables,
+        both read before the send, are those from before it. An update to the
         day that leaves the window tomorrow is dropped, and a BCT flag
         quarantines from day d + 1.
         """
@@ -704,10 +708,8 @@ class WorldState:
         return messages
 
     def _snapshot_enc_windows(self):
-        """Log today's app edges and the levels held before today's sends, newest day first."""
-        e = self.edges[-1]
-        held = np.stack([d.level for d in reversed(self.edges)]).T  # contiguous columns
-        self.enc_windows.append(e.receiver, e.sender, e.count, held)
+        """Keep today's record and the levels held before today's sends, newest day first."""
+        self.enc_windows.append((self.edges[-1], np.stack([e.level for e in reversed(self.edges)])))
 
     def _phase_levels(self, day, levels):
         """Escalate and drop out ``levels``, the policy's, in place; they are tomorrow's."""

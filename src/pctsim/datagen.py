@@ -83,6 +83,40 @@ def _render_windows(codes, text, before="", after=""):
                     dtype=object), inverse
 
 
+def _cells(world, day):
+    """Day ``day``'s encounter cells ``(offsets, levels, counts)``, cut from the recorded
+    day records of its window.
+
+    Cell ``c = i * window + k`` holds what app agent ``app_ids[i]`` observed of its contacts
+    of ``k`` days before ``day``: rows ``offsets[c]:offsets[c + 1]`` of the uint8 ``levels``
+    and uint16 ``counts``, sorted by (level, count); ``offsets`` is intp. The rows are cut
+    by one sort of a packed 64-bit key per row::
+
+        ((receiver * window + k) * 16 + level) * 65536 + count
+
+    Equal keys are equal rows, so the sorted key orders every cell's rows. The level is the
+    one held before ``day``'s sends, and each cell's row count is its record's ``degree``.
+    """
+    window, log = world.window, world.enc_windows
+    held = log[day][1]
+    records = [log[day - k][0] for k in range(len(held))]
+    key = np.empty(sum(e.receiver.size for e in records), dtype=np.uint64)
+    rows = np.zeros((world.app_ids.size, window), dtype=np.intp)  # per cell
+    end = 0
+    for k, e in enumerate(records):
+        key[end:end + e.receiver.size] = ((e.receiver.astype(np.int64) * window + k) * 16
+                                          + held[k].take(e.sender)) * 65536 + e.count
+        end += e.receiver.size
+        rows[:, k] = e.degree
+    key.sort()
+    offsets = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(rows, out=offsets[1:])
+    # level and count bits narrowed as they are read, with no uint64 temporary
+    levels = np.right_shift(key, 16, out=np.empty(key.size, np.uint8), casting="unsafe")
+    levels &= 15
+    return offsets, levels, key.astype(np.uint16)
+
+
 def _render_days(world):
     """Yield ``(records, text)`` blocks: canonical-JSON lines, one per app agent and day.
 
@@ -95,7 +129,7 @@ def _render_days(world):
     ``[level,count]`` cell in three forms: after ``","``, opening slot 0
     and opening a later slot. A block of ``_AGENT_BLOCK`` agents' records
     is an array of piece ids, laid out by numpy from the window codes and
-    the observation log's cell offsets, and its text is one join of the
+    the day's cell offsets (``_cells``), and its text is one join of the
     pooled pieces. The only Python loops are over days, blocks and the
     rendering of pooled pieces.
     """
@@ -133,7 +167,7 @@ def _render_days(world):
             f']{nulls}],"health":[', f"{nulls}],")
         day_targets, target_rows = _render_windows(
             target_codes[:, first:day + 1][:, ::-1], target_text, after=f"{zeros}]}}\n")
-        offsets, levels, counts = world.enc_windows[day]
+        offsets, levels, counts = _cells(world, day)
         top = int(counts.max(initial=0)) + 1
         # every cell, then "" for an empty slot, in each of its three forms
         cells = [f"[{level},{count}]" for level in range(int(levels.max(initial=0)) + 1)

@@ -160,6 +160,9 @@ class TestParsingAndErrors:
         ("global_mobility_scale: .inf", "global_mobility_scale"),
         ("predictor_add_sigma: .nan", "predictor_add_sigma"),
         ("predictor_mul_sigma: .nan", "predictor_mul_sigma"),
+        # finite, but a draw at this sigma overflows to inf
+        ("predictor_add_sigma: 1.0e+308", "predictor_add_sigma"),
+        ("predictor_mul_sigma: 1.0e+308", "predictor_mul_sigma"),
         ("rng_seed: -1", "rng_seed"),
         ("rng_seed: 1.5", "rng_seed"),
         ("num_days: .inf", "num_days"),

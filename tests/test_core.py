@@ -16,7 +16,7 @@ from conftest import health, recorded_days, recorded_levels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pctsim import cli, core, messaging, mobility, virology
+from pctsim import cli, core, datagen, messaging, mobility, virology
 from pctsim.core import (
     EVENT_LOCATIONS,
     ConfigError,
@@ -117,6 +117,29 @@ class TestConfigValidation:
         assert getattr(SimConfig(**{field: bound}, **days), field) == bound
         with pytest.raises(ConfigError, match=f"^{field}: must be <= {bound}, got {bound + 1}$"):
             SimConfig(**{field: bound + 1}, **days)
+
+    @pytest.mark.parametrize("field", ["predictor_add_sigma", "predictor_mul_sigma"])
+    def test_a_sigma_a_draw_could_overflow_is_a_config_error(self, field):
+        # only configs are made here; the bound is stored as given
+        assert getattr(SimConfig(**{field: 1e300}), field) == 1e300
+        with pytest.raises(ConfigError, match=rf"^{field}: must be <= 1e\+300, got 1e\+301$"):
+            SimConfig(**{field: 1e301})
+
+    def test_a_run_at_the_sigma_bound_writes_strict_json(self, tmp_path):
+        # an overflowed draw was inf, and inf * y at y = 0 a NaN estimate in trace.jsonl
+        cfg = _small(population_size=200, num_days=5, policy="pct", predictor="noisy_oracle",
+                     predictor_mul_sigma=1e300, predictor_add_sigma=1e300)
+        write_run(cfg, tmp_path / "trace.jsonl", tmp_path / "events.jsonl")
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        parsed = {}
+        for name in ("trace.jsonl", "events.jsonl"):
+            with open(tmp_path / name) as fh:
+                parsed[name] = [json.loads(line, parse_constant=reject) for line in fh]
+        assert len(parsed["trace.jsonl"]) == 6 and parsed["events.jsonl"]
+        assert all("y_hat" in line for line in parsed["trace.jsonl"][1:])
 
     def test_a_delay_at_its_bound_runs(self):
         cfg = _small(population_size=200, num_days=5, initial_exposed_fraction=0.2,
@@ -739,7 +762,7 @@ class TestHeuristicThroughEngine:
             assert has_positive.shape == n_symptoms.shape == max_level.shape == app.shape
             bits = [bin(int(m)).count("1") for m in health(world)[0][app, day]]
             assert n_symptoms.tolist() == bits
-            offsets, levels, _counts = world.enc_windows[day]
+            offsets, levels, _counts = datagen._cells(world, day)
             starts = offsets[::world.window]  # each app agent's first row
             top = [int(levels[lo:hi].max(initial=0))
                    for lo, hi in zip(starts[:-1], starts[1:])]
@@ -1090,20 +1113,32 @@ class TestObservationLog:
                 policy, d_max=d_max,
                 at_publish=lambda w, day: snapshots.append(_snapshot(w, day))):
             pass
-        log = world.enc_windows
-        assert len(log) == len(snapshots) == world.cfg.num_days
+        assert len(world.enc_windows) == len(snapshots) == world.cfg.num_days
         for day, cells in enumerate(snapshots):
-            logged = log[day]
-            for got, want in zip(logged, cells):
+            for got, want in zip(datagen._cells(world, day), cells):
                 assert got.dtype == want.dtype
                 assert got.tolist() == want.tolist()
-            # a negative day counts from the last
-            for got, want in zip(log[day - len(log)], logged):
-                assert np.array_equal(got, want)
         assert sum(levels.size for _offsets, levels, _counts in snapshots) > 1000
-        with pytest.raises(IndexError):
-            log[len(log)]
-        assert len(list(log)) == len(log)
+
+    @pytest.mark.parametrize("d_max", [1, 14])
+    def test_log_keeps_the_day_records_themselves(self, d_max):
+        # each day's entry is the engine's record, arrays and all, not a copy
+        # of its rows; its cells' offsets are the running sum of the degrees
+        newest = []
+        for world, _day, *_rest in _stepped("pct", d_max=d_max):
+            e = world.edges[-1]
+            newest.append((e, e.receiver, e.sender, e.count, e.degree))
+        assert len(world.enc_windows) == len(newest) == world.cfg.num_days
+        for day, ((record, held), (e, *arrays)) in enumerate(zip(world.enc_windows, newest)):
+            assert record is e
+            assert all(a is b for a, b in zip((e.receiver, e.sender, e.count, e.degree), arrays))
+            span = min(day + 1, world.window)
+            assert held.shape == (span, world.app_ids.size) and held.dtype == np.int8
+            degree = np.zeros((world.app_ids.size, world.window), dtype=np.intp)
+            for k in range(span):
+                degree[:, k] = world.enc_windows[day - k][0].degree
+            offsets = datagen._cells(world, day)[0]
+            assert offsets.tolist() == [0] + np.cumsum(degree).tolist()
 
 
 def _reference_profile(world, agent):
